@@ -97,12 +97,21 @@ class LieAlgebra:
         if len(v) != n or len(w) != n:
             raise AlgebraError("coordinate vector length mismatch")
         out = [ZERO] * n
-        for (j, k), coeffs in self._table.items():
-            factor = v[j] * w[k] - v[k] * w[j]
-            if factor.is_zero():
+        table = self._table
+        w_support = [(k, y) for k, y in enumerate(w) if y]
+        for j, x in enumerate(v):
+            if not x:
                 continue
-            for l, c in coeffs.items():
-                out[l] = out[l] + factor * c
+            for k, y in w_support:
+                if j < k:
+                    coeffs, factor = table.get((j, k)), x * y
+                elif k < j:
+                    coeffs, factor = table.get((k, j)), -(x * y)
+                else:
+                    continue
+                if coeffs:
+                    for l, c in coeffs.items():
+                        out[l] = out[l] + factor * c
         return out
 
     def basis_vector(self, j: int):

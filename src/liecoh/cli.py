@@ -8,8 +8,10 @@ default and stable-key JSON with ``--json``; identical invocations
 produce byte-identical JSON.
 
 Exit codes: 0 success, 2 mathematical validation failure (the witness is
-printed), 64 usage error, 66 missing input file.  ``LIECOH_THREADS``
-caps internal parallelism.
+printed), 64 usage error, 66 missing input file, 70 internal invariant
+broken (for example d o d != 0 or an inexact division in exact
+elimination; a bug, not bad input).  ``LIECOH_THREADS`` caps internal
+parallelism.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ EX_OK = 0
 EX_VALIDATION = 2
 EX_USAGE = 64
 EX_NOINPUT = 66
+EX_INTERNAL = 70
 
 _VALIDATION_ERRORS = (
     AlgebraError,
@@ -58,7 +61,6 @@ _VALIDATION_ERRORS = (
     NonHermitianError,
     ScalarParseError,
     TorusError,
-    AssertionError,
 )
 
 
@@ -504,6 +506,10 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         sys.stderr.write(f"liecoh: error [E_VALIDATION] {exc}\n")
         return EX_VALIDATION
+    except AssertionError as exc:
+        # the library raises AssertionError only for its own invariants
+        sys.stderr.write(f"liecoh: error [E_INTERNAL] internal invariant broken: {exc}\n")
+        return EX_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,20 +1,43 @@
 """Exact dense linear algebra over Q(i).
 
-Rank, kernel and solve use fraction-free (Bareiss) elimination after
-clearing row denominators, with deterministic pivoting: the pivot column
-is the leftmost one with a nonzero entry at or below the current row, and
-the pivot row is the topmost such row.  Eigen-splitting computes the
-characteristic polynomial exactly (Faddeev-LeVerrier) and finds roots by
-exhaustive search over Gaussian-integer divisors; it fails loudly when
-the polynomial has an irreducible factor over Q(i).  Hermitian inertia is
-computed by exact congruence reduction.
+Matrices and vectors hold GaussianRational entries (`ExactMatrix`), and
+every public function takes and returns GaussianRational.  Elimination
+works on Gaussian integers inside: `_integer_rows` scales each row by the
+lcm of its denominators and turns it into (re, im) int pairs, and one
+routine, `_bareiss_echelon`, does fraction-free (Bareiss) forward
+elimination with deterministic pivoting: the pivot column is the
+leftmost one with a nonzero entry at or below the current row, and the
+pivot row is the topmost such row.  `rank_kernel`, `solve_linear` and
+`rref` all read that echelon.
+
+Every division is exact, and each is checked:
+
+* Bareiss divides each update by the previous pivot.  By Sylvester's
+  identity the quotient is a minor of the integer matrix, so it is a
+  Gaussian integer.
+* Back substitution runs on integers too.  It solves for det times the
+  solution, where det is the last pivot, the determinant of the pivot
+  minor; by Cramer's rule that vector is integral, so each division by
+  a pivot is exact.  The vector becomes GaussianRational only when it is
+  divided by det on the way out.
+
+A nonzero remainder would mean that one of these invariants is broken.
+It raises AssertionError (exit code 70 at the command line) and is never
+rounded.
+
+Eigen-splitting computes the characteristic polynomial exactly
+(Faddeev-LeVerrier) and finds roots by exhaustive search over
+Gaussian-integer divisors; it fails loudly when the polynomial has an
+irreducible factor over Q(i).  Hermitian inertia is computed by exact
+congruence reduction.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -226,82 +249,179 @@ class ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _clear_row_denominators(rows):
-    """Scale each row by a positive integer so entries are Gaussian integers."""
+# Entries of a returned echelon.  Like GaussianRational they expose .re
+# and .im (ints, with numerator and denominator), so code that measures
+# coefficient sizes, such as bench/spans.py, reads both alike.
+GaussianInteger = namedtuple("GaussianInteger", "re im")
+_GZERO = GaussianInteger(0, 0)
+
+
+def _integer_rows(rows):
+    """Rows of Gaussian rationals as lists of (re, im) int pairs, each row
+    scaled by the lcm of its denominators; zero entries are None."""
     out = []
     for row in rows:
+        parts = []
         mult = 1
         for x in row:
-            for d in (x.re.denominator, x.im.denominator):
-                mult = mult * d // gcd(mult, d)
-        if mult == 1:
-            out.append(list(row))
-        else:
-            out.append([x * mult for x in row])
+            re, im = x.re, x.im
+            re_num, im_num = re.numerator, im.numerator
+            if re_num or im_num:
+                re_den, im_den = re.denominator, im.denominator
+                if re_den != 1 or im_den != 1:
+                    mult = lcm(mult, re_den, im_den)
+                parts.append((re_num, re_den, im_num, im_den))
+            else:
+                parts.append(None)
+        out.append([
+            None if t is None else (t[0] * (mult // t[1]), t[2] * (mult // t[3]))
+            for t in parts
+        ])
     return out
 
 
-def _bareiss_echelon(rows, cols):
-    """Fraction-free forward elimination.
+def _exact_quotient(a, b):
+    """a / b for Gaussian integers given as (re, im) pairs, when b divides
+    a; a nonzero remainder means an elimination invariant is broken."""
+    ar, ai = a
+    br, bi = b
+    n = br * br + bi * bi
+    qr, rr = divmod(ar * br + ai * bi, n)
+    qi, ri = divmod(ai * br - ar * bi, n)
+    if rr or ri:
+        raise AssertionError(f"inexact Gaussian-integer division of {tuple(a)} by {tuple(b)}")
+    return qr, qi
 
-    Returns (echelon_rows, pivot_cols).  Rows are modified copies of the
-    input; pivoting takes the leftmost column with a nonzero entry at or
-    below the current row, topmost row first.
+
+def _bareiss_echelon(rows, cols):
+    """Fraction-free forward elimination of Gaussian-integer rows.
+
+    `rows` come from `_integer_rows` and are eliminated in place.
+    Pivoting takes the leftmost column with a nonzero entry at or below
+    the current row, topmost row first.  Returns (echelon, pivot_cols):
+    the rank nonzero echelon rows, with GaussianInteger entries, and
+    their pivot columns.
     """
-    a = [list(r) for r in rows]
+    a = rows
     nrows = len(a)
     piv_cols = []
-    prev = ONE
+    prev = (1, 0)
     r = 0
     for c in range(cols):
-        pivot_row = None
+        if r == nrows:
+            break
         for i in range(r, nrows):
-            if not a[i][c].is_zero():
-                pivot_row = i
+            if a[i][c] is not None:
                 break
-        if pivot_row is None:
+        else:
             continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-        piv = a[r][c]
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+        ar = a[r]
+        piv = ar[c]
+        # Each update (piv * x - a[i][c] * y) / prev is computed as
+        # (P * x - C * y) / norm, where P and C are piv and a[i][c] times
+        # conj(prev), so that the exact division is by the integer norm.
+        prev_re, prev_im = prev
+        norm = prev_re * prev_re + prev_im * prev_im
+        pr = piv[0] * prev_re + piv[1] * prev_im
+        pi = piv[1] * prev_re - piv[0] * prev_im
         for i in range(r + 1, nrows):
             ai = a[i]
-            ar = a[r]
-            aic = ai[c]
+            head = ai[c]
+            if head is None:
+                if piv == prev:
+                    continue
+                cr = ci = 0
+            else:
+                ai[c] = None
+                cr = head[0] * prev_re + head[1] * prev_im
+                ci = head[1] * prev_re - head[0] * prev_im
             for j in range(c + 1, cols):
-                ai[j] = (piv * ai[j] - aic * ar[j]) / prev
-            ai[c] = ZERO
+                x = ai[j]
+                y = ar[j]
+                if y is None or head is None:
+                    if x is None:
+                        continue
+                    xr, xi = x
+                    nr = pr * xr - pi * xi
+                    ni = pr * xi + pi * xr
+                elif x is None:
+                    yr, yi = y
+                    nr = ci * yi - cr * yr
+                    ni = -cr * yi - ci * yr
+                else:
+                    xr, xi = x
+                    yr, yi = y
+                    nr = pr * xr - pi * xi - cr * yr + ci * yi
+                    ni = pr * xi + pi * xr - cr * yi - ci * yr
+                q_re, rem_re = divmod(nr, norm)
+                q_im, rem_im = divmod(ni, norm)
+                if rem_re or rem_im:
+                    raise AssertionError(
+                        f"inexact Gaussian-integer division by the previous pivot {prev}"
+                    )
+                ai[j] = (q_re, q_im) if q_re or q_im else None
         prev = piv
         piv_cols.append(c)
         r += 1
-        if r == nrows:
-            break
-    return a, piv_cols
+    echelon = [[_GZERO if x is None else GaussianInteger(*x) for x in a[k]] for k in range(r)]
+    return echelon, piv_cols
+
+
+def _pivot_solution(echelon, piv_cols, column):
+    """y with sum_s echelon[r][piv_cols[s]] * y[s] == column[r] for every
+    echelon row r, as GaussianRationals.
+
+    Back substitution runs on Gaussian integers and computes w = det * y,
+    where det is the last pivot: the determinant of the minor on the
+    pivot rows and columns.  By Cramer's rule w is integral, so every
+    division by a pivot is exact; y = w / det is formed on the way out.
+    """
+    rank = len(piv_cols)
+    if not rank:
+        return []
+    dr, di = echelon[-1][piv_cols[-1]]
+    w = [None] * rank
+    for r in range(rank - 1, -1, -1):
+        row = echelon[r]
+        tr, ti = column[r]
+        acc_re = dr * tr - di * ti
+        acc_im = dr * ti + di * tr
+        for s in range(r + 1, rank):
+            er, ei = row[piv_cols[s]]
+            if er or ei:
+                wr, wi = w[s]
+                acc_re -= er * wr - ei * wi
+                acc_im -= er * wi + ei * wr
+        w[r] = _exact_quotient((acc_re, acc_im), row[piv_cols[r]])
+    n = dr * dr + di * di
+    return [
+        GaussianRational(Fraction(zr * dr + zi * di, n), Fraction(zi * dr - zr * di, n))
+        if zr or zi else ZERO
+        for zr, zi in w
+    ]
 
 
 def rank_kernel(M: ExactMatrix):
     """Exact rank and a kernel basis of M, so rank + len(kernel) == cols.
 
-    Kernel vectors are exact: M v == 0 for every returned v.
+    Kernel vectors are exact: M v == 0 for every returned v.  The vector
+    for a free column f has 1 at f and 0 at the other free columns.
     """
-    rows = _clear_row_denominators(M.row_list())
-    echelon, piv_cols = _bareiss_echelon(rows, M.cols)
-    rank = len(piv_cols)
-    free_cols = [c for c in range(M.cols) if c not in piv_cols]
+    echelon, piv_cols = _bareiss_echelon(_integer_rows(M._data), M.cols)
+    pivots = set(piv_cols)
     kernel = []
-    for f in free_cols:
+    for f in range(M.cols):
+        if f in pivots:
+            continue
+        y = _pivot_solution(echelon, piv_cols, [(-row[f][0], -row[f][1]) for row in echelon])
         v = [ZERO] * M.cols
         v[f] = ONE
-        # back substitution over the echelon rows
-        for r in range(rank - 1, -1, -1):
-            c = piv_cols[r]
-            acc = ZERO
-            for j in range(c + 1, M.cols):
-                if not v[j].is_zero():
-                    acc = acc + echelon[r][j] * v[j]
-            v[c] = -acc / echelon[r][c]
+        for c, z in zip(piv_cols, y):
+            v[c] = z
         kernel.append(v)
-    return rank, kernel
+    return len(piv_cols), kernel
 
 
 def rank(M: ExactMatrix) -> int:
@@ -315,57 +435,38 @@ def solve_linear(M: ExactMatrix, b: Vector):
     """
     if len(b) != M.rows:
         raise ValueError("rhs length mismatch")
-    aug = [row + [as_scalar(x)] for row, x in zip(M.row_list(), b)]
-    aug = _clear_row_denominators(aug)
-    echelon, piv_cols = _bareiss_echelon(aug, M.cols + 1)
+    aug = [row + [as_scalar(x)] for row, x in zip(M._data, b)]
+    echelon, piv_cols = _bareiss_echelon(_integer_rows(aug), M.cols + 1)
     if piv_cols and piv_cols[-1] == M.cols:
         return None  # pivot in the augmented column: inconsistent
-    rank_ = len(piv_cols)
-    for r in range(rank_, len(echelon)):
-        if not echelon[r][M.cols].is_zero():
-            return None
     x = [ZERO] * M.cols
-    for r in range(rank_ - 1, -1, -1):
-        c = piv_cols[r]
-        acc = echelon[r][M.cols]
-        for j in range(c + 1, M.cols):
-            if not x[j].is_zero():
-                acc = acc - echelon[r][j] * x[j]
-        x[c] = acc / echelon[r][c]
+    for c, z in zip(piv_cols, _pivot_solution(echelon, piv_cols, [row[M.cols] for row in echelon])):
+        x[c] = z
     return x
 
 
 def rref(M: ExactMatrix):
-    """Reduced row echelon form and pivot columns (Gauss-Jordan, exact).
+    """Reduced row echelon form and pivot columns, exact.
 
     The RREF with zero rows dropped is the canonical representation of
-    the row space: equal row spaces give identical matrices.
+    the row space: equal row spaces give identical matrices.  It is the
+    fraction-free echelon normalised: outside the pivot columns, column j
+    of the RREF solves the triangular system on the pivot columns with
+    the echelon's column j on the right.
     """
-    a = M.row_list()
-    nrows, ncols = M.rows, M.cols
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not a[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [inv * x for x in a[r]]
-        for i in range(nrows):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    nonzero = [row for row in a if not vec_is_zero(row)]
-    return ExactMatrix.from_rows(nonzero) if nonzero else ExactMatrix.zero(0, ncols), tuple(piv_cols)
+    echelon, piv_cols = _bareiss_echelon(_integer_rows(M._data), M.cols)
+    rank_ = len(piv_cols)
+    if not rank_:
+        return ExactMatrix.zero(0, M.cols), ()
+    out = [[ZERO] * M.cols for _ in range(rank_)]
+    for r, c in enumerate(piv_cols):
+        out[r][c] = ONE
+    pivots = set(piv_cols)
+    for j in range(piv_cols[0] + 1, M.cols):
+        if j not in pivots:
+            for r, z in enumerate(_pivot_solution(echelon, piv_cols, [row[j] for row in echelon])):
+                out[r][j] = z
+    return ExactMatrix(rank_, M.cols, out), tuple(piv_cols)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 
-from liecoh.cli import EX_NOINPUT, EX_OK, EX_USAGE, EX_VALIDATION, main
+from liecoh import cohomology, linalg
+from liecoh.cli import EX_INTERNAL, EX_NOINPUT, EX_OK, EX_USAGE, EX_VALIDATION, main
+from liecoh.linalg import ExactMatrix
 
 
 def run(capsys, *argv):
@@ -51,6 +53,31 @@ def test_missing_file_exit_code(capsys):
 def test_unknown_builtin_is_validation_error(capsys):
     code, _, err = run(capsys, "validate", "builtin:e8")
     assert code == EX_VALIDATION
+
+
+def test_broken_d_squared_is_internal_error(monkeypatch, capsys):
+    # a nonzero d_0 into C^1(su2) is not killed by the injective d_1
+    real = cohomology._differential_matrix
+
+    def broken(ba, actions, dim_m, k):
+        if k == 0:
+            return ExactMatrix.from_rows([[1], [0], [0]])
+        return real(ba, actions, dim_m, k)
+
+    monkeypatch.setattr(cohomology, "_differential_matrix", broken)
+    code, out, err = run(capsys, "cohomology", "--algebra", "builtin:su2", "--json")
+    assert code == EX_INTERNAL
+    assert out == ""
+    assert "E_INTERNAL" in err and "d o d is nonzero from degree 0" in err
+
+
+def test_inexact_elimination_division_is_internal_error(monkeypatch, capsys):
+    # every division inside the elimination kernel now reports a remainder
+    monkeypatch.setattr(linalg, "divmod", lambda a, b: (a // b, 1), raising=False)
+    code, out, err = run(capsys, "cohomology", "--algebra", "builtin:su2", "--json")
+    assert code == EX_INTERNAL
+    assert out == ""
+    assert "E_INTERNAL" in err and "inexact Gaussian-integer division" in err
 
 
 def test_malformed_json_is_validation_error(tmp_path, capsys):

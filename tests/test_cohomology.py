@@ -6,6 +6,7 @@ import pytest
 
 from liecoh.algebra import LieAlgebra, Subalgebra, parse_span, su2, su3, torus
 from liecoh.cohomology import (
+    CochainComplex,
     CohomologyTable,
     GModule,
     bigraded_cohomology,
@@ -253,6 +254,23 @@ def test_relative_zero_dimensional_module():
     empty = GModule(u_star, 0, [ExactMatrix.zero(0, 0), ExactMatrix.zero(0, 0)])
     table = relative_ce_cohomology(u_star, pair, empty)
     assert all(v == 0 for v in table.dims.values())
+
+
+def test_relative_differentials_are_verified(monkeypatch):
+    # the relative complex is assembled from solves, not built by
+    # ce_complex, so its d o d = 0 check happens in relative_ce_cohomology
+    seen = []
+    real = CochainComplex.verify
+
+    def recording(self):
+        seen.append({k: (m.rows, m.cols) for k, m in self.differentials.items()})
+        real(self)
+
+    monkeypatch.setattr(CochainComplex, "verify", recording)
+    g = su2()
+    table = relative_ce_cohomology(g, parse_span("span{T}", g), GModule.trivial(g))
+    dims = table.meta["cochain_dims"]
+    assert {k: (dims.get(k + 1, 0), dims[k]) for k in dims} in seen
 
 
 # -- complexes as values ---------------------------------------------------------

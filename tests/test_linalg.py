@@ -3,15 +3,20 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecoh.linalg import (
     ExactMatrix,
+    _bareiss_echelon,
+    _exact_quotient,
+    _integer_rows,
     NonHermitianError,
     NonSplitError,
     char_poly,
     hermitian_inertia,
     poly_eval,
     rank_kernel,
+    rref,
     solve_linear,
     split_eigen,
     vec_is_zero,
@@ -97,6 +102,181 @@ def test_solve_consistency(M):
     x = solve_linear(M, rhs)
     assert x is not None
     assert apply(M, x) == rhs
+
+
+# -- oracle: plain Fraction Gauss-Jordan -------------------------------------
+#
+# The reference works on (re, im) pairs of Fractions with its own complex
+# arithmetic, so it shares no code with the library's elimination.
+
+
+def _pair(x):
+    return (Fraction(x.re), Fraction(x.im))
+
+
+def _mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _inv(a):
+    n = a[0] * a[0] + a[1] * a[1]
+    return (a[0] / n, -a[1] / n)
+
+
+_Z = (Fraction(0), Fraction(0))
+
+
+def _gauss_jordan(rows, ncols):
+    """Nonzero RREF rows and pivot columns, leftmost column first,
+    topmost nonzero row as pivot."""
+    a = [list(r) for r in rows]
+    piv = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(a)) if a[i][c] != _Z), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = _inv(a[r][c])
+        a[r] = [_mul(inv, x) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != _Z:
+                f = a[i][c]
+                a[i] = [_sub(x, _mul(f, y)) for x, y in zip(a[i], a[r])]
+        piv.append(c)
+        r += 1
+    return a[:r], piv
+
+
+def _as_q(z):
+    return Q(z[0], z[1])
+
+
+def _ref_kernel(rows, ncols):
+    red, piv = _gauss_jordan(rows, ncols)
+    kernel = []
+    for f in range(ncols):
+        if f in piv:
+            continue
+        v = [_Z] * ncols
+        v[f] = (Fraction(1), Fraction(0))
+        for row, c in zip(red, piv):
+            v[c] = _sub(_Z, row[f])
+        kernel.append([_as_q(x) for x in v])
+    return len(piv), kernel
+
+
+def _ref_solve(rows, b, ncols):
+    red, piv = _gauss_jordan([row + [x] for row, x in zip(rows, b)], ncols + 1)
+    if piv and piv[-1] == ncols:
+        return None
+    x = [_Z] * ncols
+    for row, c in zip(red, piv):
+        x[c] = row[ncols]
+    return [_as_q(z) for z in x]
+
+
+# entries: half zero, the rest Gaussian integers or Gaussian rationals with
+# denominators and a nonzero imaginary part, so that pivots (and with them
+# the previous pivot Bareiss divides by) are often non-real
+_oracle_entries = st.one_of(
+    st.just(Q(0)),
+    st.just(Q(0)),
+    st.builds(Q, st.integers(-4, 4), st.integers(-4, 4)),
+    st.builds(
+        Q,
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(lambda x: x != 0),
+    ),
+)
+
+
+@st.composite
+def oracle_matrices(draw):
+    """Tall, wide, square, 0 x n and n x 0 matrices; about half of the
+    nonempty ones are products through a thinner inner dimension, so
+    rank-deficient, and some have a zero column."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+
+    def grid(r, c):
+        return draw(st.lists(st.lists(_oracle_entries, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    if rows and cols and draw(st.booleans()):
+        inner = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        A = ExactMatrix(rows, inner, grid(rows, inner))
+        B = ExactMatrix(inner, cols, grid(inner, cols))
+        M = A.matmul(B)
+    else:
+        M = ExactMatrix(rows, cols, grid(rows, cols))
+    # an optional zero column
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        M = ExactMatrix(rows, cols, [[Q(0) if k == j else x for k, x in enumerate(r)] for r in M.row_list()])
+    return M
+
+
+def _pairs(M):
+    return [[_pair(x) for x in row] for row in M.row_list()]
+
+
+@given(oracle_matrices())
+@settings(deadline=None, max_examples=300)
+def test_rank_kernel_matches_gauss_jordan(M):
+    r, kernel = rank_kernel(M)
+    ref_r, ref_kernel = _ref_kernel(_pairs(M), M.cols)
+    assert r == ref_r
+    assert kernel == ref_kernel
+
+
+@given(oracle_matrices(), st.data())
+@settings(deadline=None, max_examples=300)
+def test_solve_linear_matches_gauss_jordan(M, data):
+    if data.draw(st.booleans()):
+        # consistent right-hand side
+        b = M.apply([data.draw(_oracle_entries) for _ in range(M.cols)])
+    else:
+        b = [data.draw(_oracle_entries) for _ in range(M.rows)]
+    expected = _ref_solve(_pairs(M), [_pair(x) for x in b], M.cols)
+    assert solve_linear(M, b) == expected
+
+
+@given(oracle_matrices())
+@settings(deadline=None, max_examples=300)
+def test_rref_matches_gauss_jordan(M):
+    reduced, pivots = rref(M)
+    ref_rows, ref_piv = _gauss_jordan(_pairs(M), M.cols)
+    assert pivots == tuple(ref_piv)
+    assert (reduced.rows, reduced.cols) == (len(ref_rows), M.cols)
+    assert reduced.row_list() == [[_as_q(z) for z in row] for row in ref_rows]
+
+
+def test_non_real_previous_pivot():
+    # Bareiss by hand: the first pivot is i, so the third row's second
+    # update divides (-3+i)(-1+i) + (-3+i)4 = -10 by the non-real i
+    M = ExactMatrix.from_rows(
+        [[Q(0, 1), Q(2), Q(1), Q(0)], [Q(1), Q(1, 1), Q(0, 3), Q(1)], [Q(1, 1), Q(3, 1), Q(2), Q(1, -1)]]
+    )
+    echelon, pivots = _bareiss_echelon(_integer_rows(M.row_list()), M.cols)
+    assert pivots == [0, 1, 2]
+    assert [tuple(row[c]) for row, c in zip(echelon, pivots)] == [(0, 1), (-3, 1), (0, 10)]
+    assert rank_kernel(M) == _ref_kernel(_pairs(M), M.cols)
+    assert solve_linear(M, [Q(1), Q(0), Q(0, 1)]) == _ref_solve(
+        _pairs(M), [_pair(Q(1)), _pair(Q(0)), _pair(Q(0, 1))], M.cols
+    )
+
+
+def test_exact_quotient_divides_and_checks_the_remainder():
+    assert _exact_quotient((1, 5), (1, 1)) == (3, 2)  # (1+5i) / (1+i) = 3+2i
+    assert _exact_quotient((-4, 0), (0, 2)) == (0, 2)
+    with pytest.raises(AssertionError, match="inexact"):
+        _exact_quotient((1, 0), (1, 1))
+    with pytest.raises(AssertionError, match="inexact"):
+        _exact_quotient((3, 1), (2, 0))
 
 
 # -- eigen-splitting ---------------------------------------------------------
