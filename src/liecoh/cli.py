@@ -10,15 +10,13 @@ produce byte-identical JSON.
 Exit codes: 0 success, 2 mathematical validation failure (the witness is
 printed), 64 usage error, 66 missing input file, 70 internal invariant
 broken (for example d o d != 0 or an inexact division in exact
-elimination; a bug, not bad input).  ``LIECOH_THREADS`` caps internal
-parallelism.
+elimination; a bug, not bad input).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -119,19 +117,6 @@ def load_subalgebra(spec: str, g: LieAlgebra | None):
             f"{spec} declares algebra {declared!r} but --algebra is {g.name!r}"
         )
     return g, Subalgebra.from_json_dict(data, g)
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("LIECOH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _Failure(EX_USAGE, "E_USAGE", f"LIECOH_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise _Failure(EX_USAGE, "E_USAGE", "LIECOH_THREADS must be >= 1")
-    return value
 
 
 def _emit(report: dict, lines, as_json: bool):
@@ -318,9 +303,7 @@ def _cmd_cohomology(args) -> int:
     elif h is not None:
         if args.module != "trivial":
             _fail_validation("the bigraded table uses trivial coefficients; drop --module")
-        table = bigraded_cohomology(
-            g, h, representatives=args.representatives, max_workers=_thread_budget()
-        )
+        table = bigraded_cohomology(g, h, representatives=args.representatives)
         out["kind"] = "bigraded"
         out["table"] = table.to_json_dict()
         lines.extend(_pq_table_lines(table.dims, "H^{p,q} dims (rows p, columns q)"))

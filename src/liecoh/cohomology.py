@@ -13,24 +13,43 @@ trivial-coefficient complex by the number of complement-dual factors;
 d' keeps the component with the same complement count, components with
 more are killed by the quotient and components with fewer vanish because
 h is involutive (asserted).
+
+One builder, `_differential_matrix`, writes every differential (plain,
+module, the full complex behind the relative and bigraded ones) straight
+into sparse rows of (re, im) Python-int pairs over one positive
+denominator per matrix: the lcm of the denominators of the bracket
+table and of the action matrices (`ScaledIntMatrix`).  The scale is per
+matrix, not per row, so the integer product of d_{k+1} and d_k is
+den_{k+1} * den_k * (d_{k+1} d_k), which is zero exactly when d o d is;
+`_check_square_zero` tests that product once per complex, for the
+plain, relative and bigraded complexes alike.  The same rows go to the
+elimination kernel, and dims come from its pivot counts.
+GaussianRational appears only at the boundary: `ce_differential`,
+`CochainComplex.differentials` and `BigradedComplex.dprime` convert to
+ExactMatrix, and kernel vectors are formed only for representatives.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import lcm
 
 from .algebra import AlgebraError, ClosureError, LieAlgebra, Subalgebra
 from .linalg import (
     ExactMatrix,
+    ScaledIntMatrix,
+    _bareiss_echelon,
+    _integer_rows,
+    _kernel_vectors,
+    _reduced_echelon,
+    _solve_columns,
     as_scalar,
     rank_kernel,
-    rref,
     solve_linear,
     vec_is_zero,
 )
-from .scalars import ZERO, format_scalar
+from .scalars import GaussianRational, ZERO, format_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -55,16 +74,18 @@ class BasisedAlgebra:
             )
         else:
             self._cols = ExactMatrix.zero(parent.dim, 0)
+        # one elimination of the basis columns solves for every bracket
+        pairs = list(combinations(range(self.dim), 2))
+        solutions, failed = _solve_columns(
+            self._cols, [parent.bracket(self.vectors[a], self.vectors[b]) for a, b in pairs]
+        )
+        if failed is not None:
+            raise ClosureError(pairs[failed])
         self._table = {}
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                w = parent.bracket(self.vectors[a], self.vectors[b])
-                coords = solve_linear(self._cols, w)
-                if coords is None:
-                    raise ClosureError((a, b))
-                entry = {l: c for l, c in enumerate(coords) if not c.is_zero()}
-                if entry:
-                    self._table[(a, b)] = entry
+        for pair, coords in zip(pairs, solutions):
+            entry = {l: c for l, c in enumerate(coords) if not c.is_zero()}
+            if entry:
+                self._table[pair] = entry
 
     def coeffs(self, a: int, b: int):
         if a == b:
@@ -170,51 +191,84 @@ def _subsets(n: int, k: int):
     return list(combinations(range(n), k))
 
 
-def _differential_matrix(ba: BasisedAlgebra, actions, dim_m: int, k: int) -> ExactMatrix:
+def _wedge_insert(rest, l):
+    """(pos, merged): l inserted into the sorted tuple `rest`, with pos the
+    number of entries of `rest` below l (the sign exponent)."""
+    pos = sum(1 for x in rest if x < l)
+    return pos, rest[:pos] + (l,) + rest[pos:]
+
+
+def _integer_structure(ba: BasisedAlgebra, actions):
+    """The bracket table of `ba` and the action matrices over one common
+    denominator: (den, brackets, acts), where brackets[(a, b)] for a < b
+    lists (l, (re, im)) and acts[j] holds one dict per row, column ->
+    (re, im), both den times the exact values."""
+    scaled = [ScaledIntMatrix.from_exact(a) for a in actions]
+    den = lcm(1, *(a.den for a in scaled), *(
+        d for coeffs in ba._table.values() for c in coeffs.values()
+        for d in (c.re.denominator, c.im.denominator)
+    ))
+    brackets = {
+        pair: [
+            (l, (c.re.numerator * (den // c.re.denominator),
+                 c.im.numerator * (den // c.im.denominator)))
+            for l, c in coeffs.items()
+        ]
+        for pair, coeffs in ba._table.items()
+    }
+    acts = []
+    for a in scaled:
+        f = den // a.den
+        acts.append([{j: (re * f, im * f) for j, (re, im) in row.items()} for row in a.data])
+    return den, brackets, acts
+
+
+def _differential_matrix(ba: BasisedAlgebra, actions, dim_m: int, k: int) -> ScaledIntMatrix:
     """Matrix of d: C^k -> C^{k+1} on the basis (subset, module index),
-    ordered subsets-lexicographic major, module index minor."""
-    n = ba.dim
-    dom = _subsets(n, k)
-    cod = _subsets(n, k + 1)
-    dom_index = {s: i for i, s in enumerate(dom)}
-    rows = len(cod) * dim_m
-    cols = len(dom) * dim_m
-    if rows == 0 or cols == 0:
-        return ExactMatrix.zero(rows, cols)
-    data = [[ZERO] * cols for _ in range(rows)]
-    for J_idx, J in enumerate(cod):
+    ordered subsets-lexicographic major, module index minor, as
+    Gaussian-integer rows over the common denominator of the bracket
+    table and the actions."""
+    den, brackets, acts = _integer_structure(ba, actions)
+    dom_index = {s: i for i, s in enumerate(combinations(range(ba.dim), k))}
+    rows = []
+    for J in combinations(range(ba.dim), k + 1):
+        block = [{} for _ in range(dim_m)]
         # action terms: remove the t-th argument
         for t in range(k + 1):
-            sub = J[:t] + J[t + 1:]
-            col_block = dom_index[sub] * dim_m
-            act = actions[J[t]]
+            col_block = dom_index[J[:t] + J[t + 1:]] * dim_m
             sign = 1 if t % 2 == 0 else -1
-            for b in range(dim_m):
-                target = data[J_idx * dim_m + b]
-                for a in range(dim_m):
-                    v = act[b, a]
-                    if not v.is_zero():
-                        target[col_block + a] = target[col_block + a] + sign * v
+            for target, entries in zip(block, acts[J[t]]):
+                for a, (re, im) in entries.items():
+                    old = target.get(col_block + a, (0, 0))
+                    target[col_block + a] = (old[0] + sign * re, old[1] + sign * im)
         # bracket terms: pair (s, t) replaced by [X_s, X_t]
         for s in range(k + 1):
             for t in range(s + 1, k + 1):
-                coeffs = ba.coeffs(J[s], J[t])
+                coeffs = brackets.get((J[s], J[t]))
                 if not coeffs:
                     continue
-                rest = tuple(x for idx, x in enumerate(J) if idx not in (s, t))
+                rest = J[:s] + J[s + 1:t] + J[t + 1:]
                 base_sign = 1 if (s + t) % 2 == 0 else -1
-                for l, c in coeffs.items():
+                for l, (re, im) in coeffs:
                     if l in rest:
                         continue
-                    pos = sum(1 for x in rest if x < l)
-                    merged = rest[:pos] + (l,) + rest[pos:]
+                    pos, merged = _wedge_insert(rest, l)
                     sign = base_sign * (1 if pos % 2 == 0 else -1)
                     col_block = dom_index[merged] * dim_m
-                    contrib = c * sign
-                    for a in range(dim_m):
-                        row = data[J_idx * dim_m + a]
-                        row[col_block + a] = row[col_block + a] + contrib
-    return ExactMatrix(rows, cols, data)
+                    for a, target in enumerate(block):
+                        old = target.get(col_block + a, (0, 0))
+                        target[col_block + a] = (old[0] + sign * re, old[1] + sign * im)
+        rows.extend({j: x for j, x in target.items() if x != (0, 0)} for target in block)
+    return ScaledIntMatrix(len(rows), len(dom_index) * dim_m, den, rows)
+
+
+def _check_square_zero(matrices, message):
+    """AssertionError(message(k)) for the first degree k whose successor
+    composed with it is nonzero, by the sparse integer product."""
+    degrees = sorted(matrices)
+    for k, nxt in zip(degrees, degrees[1:]):
+        if not matrices[nxt].matmul(matrices[k]).is_zero():
+            raise AssertionError(message(k))
 
 
 def ce_differential(acting, module: GModule, k: int) -> ExactMatrix:
@@ -223,26 +277,30 @@ def ce_differential(acting, module: GModule, k: int) -> ExactMatrix:
     ba = basised(acting)
     if k < 0:
         return ExactMatrix.zero(len(_subsets(ba.dim, 0)) * module.dim, 0)
-    return _differential_matrix(ba, module.actions, module.dim, k)
+    return _differential_matrix(ba, module.actions, module.dim, k).to_exact()
 
 
 @dataclass
 class CochainComplex:
     """Per-degree basis labels and differentials; differentials[k] maps
-    degree k to degree k+1 and consecutive ones compose to zero."""
+    degree k to degree k+1 and consecutive ones compose to zero.
+
+    The differentials are held as ScaledIntMatrix (`int_differentials`);
+    `differentials` gives them as ExactMatrix.
+    """
 
     labels: dict
-    differentials: dict
+    int_differentials: dict
+
+    @property
+    def differentials(self) -> dict:
+        return {k: m.to_exact() for k, m in self.int_differentials.items()}
 
     def space_dim(self, k: int) -> int:
         return len(self.labels.get(k, []))
 
     def verify(self):
-        degrees = sorted(self.differentials)
-        for k, nxt in zip(degrees, degrees[1:]):
-            composed = self.differentials[nxt].matmul(self.differentials[k])
-            if any(not x.is_zero() for row in composed.row_list() for x in row):
-                raise AssertionError(f"d o d is nonzero from degree {k}")
+        _check_square_zero(self.int_differentials, lambda k: f"d o d is nonzero from degree {k}")
 
 
 def _ce_labels(ba: BasisedAlgebra, dim_m: int, k: int):
@@ -261,7 +319,7 @@ def ce_complex(acting, module: GModule) -> CochainComplex:
     n = ba.dim
     complex_ = CochainComplex(
         labels={k: _ce_labels(ba, module.dim, k) for k in range(n + 2)},
-        differentials={
+        int_differentials={
             k: _differential_matrix(ba, module.actions, module.dim, k) for k in range(n + 1)
         },
     )
@@ -337,20 +395,12 @@ class CohomologyTable:
         return out
 
 
-def _image_rows(matrix: ExactMatrix):
-    return [row for row in matrix.transpose().row_list() if not vec_is_zero(row)]
-
-
 def _quotient_representatives(kernel_vectors, image_rows, ncols):
-    """Kernel vectors reduced modulo the image row space, in reduced
-    echelon normal form (deterministic)."""
+    """Kernel vectors reduced modulo the row space of the Gaussian-integer
+    `image_rows`, in reduced echelon normal form (deterministic)."""
     if not kernel_vectors:
         return []
-    if image_rows:
-        reduced_image, pivots = rref(ExactMatrix.from_rows(image_rows))
-        img = reduced_image.row_list()
-    else:
-        img, pivots = [], ()
+    img, pivots = _reduced_echelon(image_rows, ncols)
     reduced = []
     for v in kernel_vectors:
         w = list(v)
@@ -362,31 +412,34 @@ def _quotient_representatives(kernel_vectors, image_rows, ncols):
             reduced.append(w)
     if not reduced:
         return []
-    canon, _ = rref(ExactMatrix.from_rows(reduced))
-    return canon.row_list()
+    return _reduced_echelon(_integer_rows(reduced), ncols)[0]
 
 
 def _chain_dims(matrices, degrees, representatives=False, label_fn=None):
     """Cohomology dims of a cochain complex given its differentials.
 
-    `matrices[k]` is d: degree k -> degree k+1 for k in `degrees`; the
-    caller has verified d o d = 0 (each complex is checked once, when it
-    is built).
+    `matrices[k]` is d: degree k -> degree k+1 for k in `degrees`, a
+    ScaledIntMatrix; the caller has verified d o d = 0 (each complex is
+    checked once, when it is built).  Dims come from pivot counts;
+    kernel vectors are formed only for representatives.
     """
+    ranks = {}
+    kernels = {}
+    for k in degrees:
+        m = matrices[k]
+        echelon, piv_cols = _bareiss_echelon(m.echelon_rows(), m.cols)
+        ranks[k] = len(piv_cols)
+        if representatives:
+            kernels[k] = _kernel_vectors(echelon, piv_cols, m.cols)
     dims = {}
     reps = {} if representatives else None
     labels = {} if representatives else None
-    kernels = {}
-    ranks = {}
-    for k in degrees:
-        r, kern = rank_kernel(matrices[k])
-        ranks[k] = r
-        kernels[k] = kern
     for i, k in enumerate(degrees):
         incoming = ranks[degrees[i - 1]] if i > 0 else 0
-        dims[k] = len(kernels[k]) - incoming
+        dims[k] = matrices[k].cols - ranks[k] - incoming
         if representatives:
-            image = _image_rows(matrices[degrees[i - 1]]) if i > 0 else []
+            # the image of d_{k-1} is spanned by its columns
+            image = matrices[degrees[i - 1]].transpose().echelon_rows() if i > 0 else []
             reps[k] = _quotient_representatives(kernels[k], image, matrices[k].cols)
             labels[k] = label_fn(k)
     return dims, reps, labels
@@ -398,7 +451,7 @@ def ce_cohomology(acting, module: GModule, representatives: bool = False) -> Coh
     n = ba.dim
     complex_ = ce_complex(acting, module)
     dims, reps, labels = _chain_dims(
-        complex_.differentials,
+        complex_.int_differentials,
         list(range(n + 1)),
         representatives,
         lambda k: complex_.labels[k],
@@ -411,44 +464,36 @@ def ce_cohomology(acting, module: GModule, representatives: bool = False) -> Coh
 # ---------------------------------------------------------------------------
 
 
-def _lie_derivative_matrix(adapted: BasisedAlgebra, actions, dim_m, dim_u, k, acting_index):
+def _lie_derivative_matrix(structure, dim_m, dim_u, q, k, acting_index) -> ScaledIntMatrix:
     """theta(X_i) on Lambda^k(W)* tensor M for W the complement block of the
     adapted basis; the bracket action is taken modulo the first dim_u
-    vectors (the quotient)."""
-    q = adapted.dim - dim_u
+    vectors (the quotient).  `structure` is the adapted algebra's
+    `_integer_structure`."""
+    den, brackets, acts = structure
     subs = _subsets(q, k)
     index = {s: i for i, s in enumerate(subs)}
-    size = len(subs) * dim_m
-    data = [[ZERO] * size for _ in range(size)]
-    act = actions[acting_index]
-    for K_idx, K in enumerate(subs):
+    rows = []
+    for K in subs:
         # module part
-        for b in range(dim_m):
-            row = data[K_idx * dim_m + b]
-            for a in range(dim_m):
-                v = act[b, a]
-                if not v.is_zero():
-                    row[K_idx * dim_m + a] = row[K_idx * dim_m + a] + v
+        block = [
+            {index[K] * dim_m + a: x for a, x in entries.items()} for entries in acts[acting_index]
+        ]
         # argument part: replace K[pos] by [X_i, W_{K[pos]}] mod u; the
         # evaluation tuple K indexes the row, the resorted subset the column
         for pos in range(k):
-            coeffs = adapted.coeffs(acting_index, dim_u + K[pos])
-            for l, c in coeffs.items():
-                if l < dim_u:
-                    continue
+            rest = K[:pos] + K[pos + 1:]
+            for l, (re, im) in brackets.get((acting_index, dim_u + K[pos]), ()):
                 wl = l - dim_u
-                rest = K[:pos] + K[pos + 1:]
-                if wl in rest:
+                if wl < 0 or wl in rest:
                     continue
-                p_new = sum(1 for x in rest if x < wl)
-                newK = rest[:p_new] + (wl,) + rest[p_new:]
-                sign = 1 if (pos - p_new) % 2 == 0 else -1
-                contrib = c * sign
-                for a in range(dim_m):
-                    row = data[K_idx * dim_m + a]
+                p_new, newK = _wedge_insert(rest, wl)
+                sign = -1 if (pos - p_new) % 2 == 0 else 1
+                for a, target in enumerate(block):
                     col = index[newK] * dim_m + a
-                    row[col] = row[col] - contrib
-    return ExactMatrix(size, size, data)
+                    old = target.get(col, (0, 0))
+                    target[col] = (old[0] + sign * re, old[1] + sign * im)
+        rows.extend({j: x for j, x in target.items() if x != (0, 0)} for target in block)
+    return ScaledIntMatrix(len(rows), len(subs) * dim_m, den, rows)
 
 
 def relative_ce_cohomology(acting, u: Subalgebra, module: GModule) -> CohomologyTable:
@@ -485,92 +530,74 @@ def relative_ce_cohomology(acting, u: Subalgebra, module: GModule) -> Cohomology
             if not c.is_zero():
                 mat = mat + module.actions[j].scale(c)
         adapted_actions.append(mat)
+    dim_m = module.dim
     dim_u = u.dim
     q = adapted.dim - dim_u
-    full_mats = {
-        k: _differential_matrix(adapted, adapted_actions, module.dim, k)
-        for k in range(adapted.dim + 1)
+    structure = _integer_structure(adapted, adapted_actions)
+    # columns of the full differentials: the images of basis cochains
+    full_cols = {
+        k: _differential_matrix(adapted, adapted_actions, dim_m, k).transpose()
+        for k in range(q + 1)
     }
-    full_subsets = {k: _subsets(adapted.dim, k) for k in range(adapted.dim + 2)}
+    # full_pos[k][s]: position of the s-th W-subset among all adapted subsets
+    full_pos = {}
+    for k in range(q + 2):
+        index = {S: i for i, S in enumerate(_subsets(adapted.dim, k))}
+        full_pos[k] = [index[tuple(dim_u + x for x in K)] for K in _subsets(q, k)]
+    sizes = {k: len(full_pos[k]) * dim_m for k in range(q + 2)}
     # invariant bases per degree, as coordinate vectors on Lambda^k(W)* (x) M
     inv_bases = {}
     for k in range(q + 1):
-        size = len(_subsets(q, k)) * module.dim
-        if size == 0:
-            inv_bases[k] = []
-            continue
-        stacked_rows = []
+        stacked = []
         for i in range(dim_u):
-            theta = _lie_derivative_matrix(adapted, adapted_actions, module.dim, dim_u, k, i)
-            stacked_rows.extend(theta.row_list())
-        if stacked_rows:
-            _, kern = rank_kernel(ExactMatrix.from_rows(stacked_rows))
-        else:
-            kern = [list(row) for row in ExactMatrix.identity(size).row_list()]
-        inv_bases[k] = kern
+            stacked.extend(_lie_derivative_matrix(structure, dim_m, dim_u, q, k, i).echelon_rows())
+        inv_bases[k] = _kernel_vectors(*_bareiss_echelon(stacked, sizes[k]), sizes[k])
 
-    def embed(k, vec):
-        """W-cochain coordinates -> full adapted cochain coordinates."""
-        subs = _subsets(q, k)
-        full_index = {s: i for i, s in enumerate(full_subsets[k])}
-        out = [ZERO] * (len(full_subsets[k]) * module.dim)
-        for s_idx, K in enumerate(subs):
-            S = tuple(dim_u + x for x in K)
-            block = full_index[S] * module.dim
-            for a in range(module.dim):
-                x = vec[s_idx * module.dim + a]
-                if not x.is_zero():
-                    out[block + a] = x
-        return out
-
-    def restrict(k, vec):
-        """Full adapted cochain -> W-cochain coordinates; asserts that no
-        component touches a u argument."""
-        subs = _subsets(q, k)
-        sub_index = {s: i for i, s in enumerate(subs)}
-        out = [ZERO] * (len(subs) * module.dim)
-        for S_idx, S in enumerate(full_subsets[k]):
-            block = S_idx * module.dim
-            if all(x >= dim_u for x in S):
-                K = tuple(x - dim_u for x in S)
-                tgt = sub_index[K] * module.dim
-                for a in range(module.dim):
-                    out[tgt + a] = vec[block + a]
-            else:
-                for a in range(module.dim):
-                    if not vec[block + a].is_zero():
-                        raise AssertionError(
-                            "differential of an invariant relative cochain "
-                            "touched a u argument"
-                        )
+    def restrict(k, image):
+        """Full adapted cochain (a dict index -> value) -> W-cochain
+        coordinates; asserts that no component touches a u argument."""
+        w_index = {
+            pos * dim_m + a: s_idx * dim_m + a
+            for s_idx, pos in enumerate(full_pos[k]) for a in range(dim_m)
+        }
+        out = [ZERO] * len(w_index)
+        for idx, x in image.items():
+            if idx in w_index:
+                out[w_index[idx]] = x
+            elif not x.is_zero():
+                raise AssertionError(
+                    "differential of an invariant relative cochain touched a u argument"
+                )
         return out
 
     rel_mats = {}
     for k in range(q + 1):
         dom = inv_bases[k]
         cod = inv_bases.get(k + 1, [])
-        cols = []
-        if cod:
-            cod_matrix = ExactMatrix.from_rows(
-                [[cod[c][r] for c in range(len(cod))] for r in range(len(cod[0]))]
-            )
+        # images are den times the exact ones, den that of full_cols[k]
+        images = []
         for vec in dom:
-            image = full_mats[k].apply(embed(k, vec))
-            w = restrict(k + 1, image)
-            if not cod:
-                if not vec_is_zero(w):
-                    raise AssertionError("image of invariant cochain is not invariant")
-                cols.append([])
-                continue
-            coords = solve_linear(cod_matrix, w)
-            if coords is None:
-                raise AssertionError("image of invariant cochain is not invariant")
-            cols.append(coords)
-        rel_mats[k] = ExactMatrix(
+            image = {}
+            for idx, x in enumerate(vec):
+                if not x.is_zero():
+                    s_idx, a = divmod(idx, dim_m)
+                    for r, (re, im) in full_cols[k].data[full_pos[k][s_idx] * dim_m + a].items():
+                        image[r] = image.get(r, ZERO) + x * GaussianRational(re, im)
+            images.append(restrict(k + 1, image))
+        cod_matrix = ExactMatrix(
+            sizes[k + 1], len(cod), [[v[r] for v in cod] for r in range(sizes[k + 1])]
+        )
+        cols, failed = _solve_columns(cod_matrix, images)
+        if failed is not None:
+            raise AssertionError("image of invariant cochain is not invariant")
+        scaled = ScaledIntMatrix.from_exact(ExactMatrix(
             len(cod), len(dom), [[cols[c][r] for c in range(len(dom))] for r in range(len(cod))]
+        ))
+        rel_mats[k] = ScaledIntMatrix(
+            scaled.rows, scaled.cols, scaled.den * full_cols[k].den, scaled.data
         )
 
-    CochainComplex(labels={}, differentials=rel_mats).verify()
+    CochainComplex(labels={}, int_differentials=rel_mats).verify()
     dims, _, _ = _chain_dims(rel_mats, list(range(q + 1)))
     return CohomologyTable(
         dims=dims,
@@ -598,22 +625,25 @@ class BigradedComplex:
     with |I| = p and |J| = q, and the induced differentials d' per q.
 
     dim of the (p, q) space is C(m, p) * C(n, q) for n the subalgebra
-    dimension and m its codimension; d' o d' = 0 exactly.
+    dimension and m its codimension; d' o d' = 0 exactly.  The d' are
+    held as ScaledIntMatrix (`int_dprime`); `dprime` gives ExactMatrix.
     """
 
     p: int
     labels: dict
-    dprime: dict
+    int_dprime: dict
+
+    @property
+    def dprime(self) -> dict:
+        return {q: m.to_exact() for q, m in self.int_dprime.items()}
 
     def space_dim(self, q: int) -> int:
         return len(self.labels.get(q, []))
 
     def verify(self):
-        degrees = sorted(self.dprime)
-        for q, nxt in zip(degrees, degrees[1:]):
-            composed = self.dprime[nxt].matmul(self.dprime[q])
-            if any(not x.is_zero() for row in composed.row_list() for x in row):
-                raise AssertionError(f"d' o d' is nonzero at (p, q) = ({self.p}, {q})")
+        _check_square_zero(
+            self.int_dprime, lambda q: f"d' o d' is nonzero at (p, q) = ({self.p}, {q})"
+        )
 
 
 class _BigradedSetup:
@@ -643,8 +673,9 @@ class _BigradedSetup:
         ]
         adapted = BasisedAlgebra(g, self.h_rows + comp, names=names)
         trivial = [ExactMatrix.zero(1, 1) for _ in range(adapted.dim)]
-        self.full_mats = {
-            k: _differential_matrix(adapted, trivial, 1, k) for k in range(g.dim + 1)
+        # columns of the full differentials: the images of basis cochains
+        self.full_cols = {
+            k: _differential_matrix(adapted, trivial, 1, k).transpose() for k in range(g.dim + 1)
         }
         self.full_subsets = {k: _subsets(g.dim, k) for k in range(g.dim + 2)}
         self.full_index = {
@@ -663,27 +694,25 @@ class _BigradedSetup:
         parts = [f"ζ{i + 1}" for i in I] + [f"τ{j + 1}" for j in J]
         return "∧".join(parts) if parts else "1"
 
-    def dprime_matrix(self, p, q) -> ExactMatrix:
-        n, g = self.n, self.g
+    def dprime_matrix(self, p, q) -> ScaledIntMatrix:
+        n = self.n
         dom = self.pq_basis(p, q)
         cod = self.pq_basis(p, q + 1)
         cod_index = {b: i for i, b in enumerate(cod)}
-        data = [[ZERO] * len(dom) for _ in range(len(cod))]
+        rows = [{} for _ in cod]
         k = p + q
-        if k > g.dim or not dom:
-            return ExactMatrix(len(cod), len(dom), data)
+        if k > self.g.dim or not dom:
+            return ScaledIntMatrix(len(cod), len(dom), 1, rows)
         # the basis functional zeta_I wedge tau_J is (-1)^{pq} times the
         # ascending-index wedge tau_J wedge zeta_I, so embedding and
         # extraction contribute (-1)^{pq} and (-1)^{p(q+1)}
-        emb_sign = as_scalar(1 if (p * q) % 2 == 0 else -1)
-        ext_sign = as_scalar(1 if (p * (q + 1)) % 2 == 0 else -1)
+        sign = (-1) ** (p * q) * (-1) ** (p * (q + 1))
+        full = self.full_cols[k]
+        cod_subsets = self.full_subsets[k + 1]
         for d_idx, (I, J) in enumerate(dom):
             S = tuple(J) + tuple(n + i for i in I)
-            col = self.full_mats[k].col(self.full_index[k][S])
-            for S2_idx, c in enumerate(col):
-                if c.is_zero():
-                    continue
-                S2 = self.full_subsets[k + 1][S2_idx]
+            for S2_idx, (re, im) in full.data[self.full_index[k][S]].items():
+                S2 = cod_subsets[S2_idx]
                 zeta_count = sum(1 for x in S2 if x >= n)
                 if zeta_count > p:
                     continue  # killed by the quotient
@@ -694,9 +723,9 @@ class _BigradedSetup:
                     )
                 J2 = tuple(x for x in S2 if x < n)
                 I2 = tuple(x - n for x in S2 if x >= n)
-                value = emb_sign * ext_sign * c
-                data[cod_index[(I2, J2)]][d_idx] = data[cod_index[(I2, J2)]][d_idx] + value
-        return ExactMatrix(len(cod), len(dom), data)
+                # (I2, J2) <-> S2 is one to one, so each entry is set once
+                rows[cod_index[(I2, J2)]][d_idx] = (sign * re, sign * im)
+        return ScaledIntMatrix(len(cod), len(dom), full.den, rows)
 
     def complex_for(self, p: int) -> BigradedComplex:
         complex_ = BigradedComplex(
@@ -705,7 +734,7 @@ class _BigradedSetup:
                 q: [self.label(I, J) for (I, J) in self.pq_basis(p, q)]
                 for q in range(self.n + 2)
             },
-            dprime={q: self.dprime_matrix(p, q) for q in range(self.n + 1)},
+            int_dprime={q: self.dprime_matrix(p, q) for q in range(self.n + 1)},
         )
         complex_.verify()
         return complex_
@@ -722,7 +751,6 @@ def bigraded_cohomology(
     h: Subalgebra,
     representatives: bool = False,
     complement=None,
-    max_workers: int = 1,
 ) -> CohomologyTable:
     """H^{p,q}(g; h): cohomology of the quotient complex with bases
     zeta_I wedge tau_J (|I| = p complement duals, |J| = q h duals).
@@ -732,28 +760,17 @@ def bigraded_cohomology(
     """
     setup = _BigradedSetup(g, h, complement)
     n, m = setup.n, setup.m
-
-    def compute_p(p):
+    dims = {}
+    reps = {} if representatives else None
+    labels = {} if representatives else None
+    for p in range(m + 1):
         complex_ = setup.complex_for(p)
-        dims, reps, labels = _chain_dims(
-            complex_.dprime,
+        pdims, preps, plabels = _chain_dims(
+            complex_.int_dprime,
             list(range(n + 1)),
             representatives,
             lambda q: complex_.labels[q],
         )
-        return p, dims, reps, labels
-
-    ps = list(range(m + 1))
-    if max_workers > 1 and len(ps) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(compute_p, ps))
-    else:
-        results = [compute_p(p) for p in ps]
-
-    dims = {}
-    reps = {} if representatives else None
-    labels = {} if representatives else None
-    for p, pdims, preps, plabels in sorted(results):
         for q, v in pdims.items():
             dims[(p, q)] = v
         if representatives:

@@ -175,15 +175,28 @@ def bott_dolbeault(k_alg, u_star: Subalgebra, pair_sub: Subalgebra, p: int) -> C
 
 
 def killing_form(g: LieAlgebra) -> ExactMatrix:
-    """B(X, Y) = tr(ad_X ad_Y) on the real basis."""
-    ads = [g.ad_matrix(g.basis_vector(j)) for j in range(g.dim)]
-    data = []
-    for i in range(g.dim):
-        row = []
-        for j in range(g.dim):
-            row.append(ads[i].matmul(ads[j]).trace())
-        data.append(row)
-    return ExactMatrix(g.dim, g.dim, data)
+    """B(X, Y) = tr(ad_X ad_Y) on the real basis.
+
+    tr(ad_i ad_j) is the sum of ad_i[a, b] * ad_j[b, a] over the nonzero
+    entries; it is symmetric in i and j, so only j >= i is summed.
+    """
+    n = g.dim
+    nonzeros = []
+    for j in range(n):
+        ad = g.ad_matrix(g.basis_vector(j))
+        nonzeros.append(
+            {(a, b): ad[a, b] for a in range(n) for b in range(n) if not ad[a, b].is_zero()}
+        )
+    data = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = ZERO
+            for (a, b), x in nonzeros[i].items():
+                y = nonzeros[j].get((b, a))
+                if y is not None:
+                    acc = acc + x * y
+            data[i][j] = data[j][i] = acc
+    return ExactMatrix(n, n, data)
 
 
 def validate_ad_invariant(g: LieAlgebra, gram: ExactMatrix):

@@ -8,7 +8,9 @@ routine, `_bareiss_echelon`, does fraction-free (Bareiss) forward
 elimination with deterministic pivoting: the pivot column is the
 leftmost one with a nonzero entry at or below the current row, and the
 pivot row is the topmost such row.  `rank_kernel`, `solve_linear` and
-`rref` all read that echelon.
+`rref` all read that echelon.  `ScaledIntMatrix` (1/den times sparse
+Gaussian-integer rows) is the form in which the cochain engine builds,
+multiplies and eliminates its differentials without GaussianRational.
 
 Every division is exact, and each is checked:
 
@@ -190,18 +192,12 @@ class ExactMatrix:
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        support = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in other._data]
         out = [[ZERO] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            ri = self._data[i]
-            for k in range(self.cols):
-                a = ri[k]
-                if a.is_zero():
-                    continue
-                rk = other._data[k]
-                oi = out[i]
-                for j in range(other.cols):
-                    b = rk[j]
-                    if not b.is_zero():
+        for ri, oi in zip(self._data, out):
+            for a, nonzeros in zip(ri, support):
+                if nonzeros and not a.is_zero():
+                    for j, b in nonzeros:
                         oi[j] = oi[j] + a * b
         return ExactMatrix(self.rows, other.cols, out)
 
@@ -242,6 +238,88 @@ class ExactMatrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self._data)
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
+
+
+class ScaledIntMatrix:
+    """A matrix over Q(i) held as 1/den times a Gaussian-integer matrix.
+
+    `data` has one dict per row, column -> (re, im) int pair, for the
+    nonzero entries only; `den` is one positive int for the whole
+    matrix.  Because the scale is per matrix, not per row, the integer
+    product of A and B is A.den * B.den times the exact product, so it
+    is zero exactly when the exact product is, and a rank is the rank of
+    the integer rows.  Internal to the package; `to_exact` gives the
+    ExactMatrix.
+    """
+
+    __slots__ = ("rows", "cols", "den", "data")
+
+    def __init__(self, rows: int, cols: int, den: int, data):
+        if len(data) != rows or den <= 0:
+            raise ValueError("row count mismatch or non-positive denominator")
+        self.rows = rows
+        self.cols = cols
+        self.den = den
+        self.data = data
+
+    @classmethod
+    def from_exact(cls, M: ExactMatrix) -> "ScaledIntMatrix":
+        den = 1
+        for row in M._data:
+            for x in row:
+                den = lcm(den, x.re.denominator, x.im.denominator)
+        data = [
+            {
+                j: (x.re.numerator * (den // x.re.denominator),
+                    x.im.numerator * (den // x.im.denominator))
+                for j, x in enumerate(row)
+                if x.re or x.im
+            }
+            for row in M._data
+        ]
+        return cls(M.rows, M.cols, den, data)
+
+    def to_exact(self) -> ExactMatrix:
+        den = self.den
+        out = [[ZERO] * self.cols for _ in range(self.rows)]
+        for row, entries in zip(out, self.data):
+            for j, (re, im) in entries.items():
+                row[j] = GaussianRational(Fraction(re, den), Fraction(im, den))
+        return ExactMatrix(self.rows, self.cols, out)
+
+    def echelon_rows(self):
+        """Fresh dense rows for `_bareiss_echelon`, None for zero."""
+        out = []
+        for entries in self.data:
+            row = [None] * self.cols
+            for j, x in entries.items():
+                row[j] = x
+            out.append(row)
+        return out
+
+    def transpose(self) -> "ScaledIntMatrix":
+        data = [{} for _ in range(self.cols)]
+        for i, entries in enumerate(self.data):
+            for j, x in entries.items():
+                data[j][i] = x
+        return ScaledIntMatrix(self.cols, self.rows, self.den, data)
+
+    def matmul(self, other: "ScaledIntMatrix") -> "ScaledIntMatrix":
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        right = other.data
+        out = []
+        for entries in self.data:
+            acc_re, acc_im = {}, {}
+            for k, (ar, ai) in entries.items():
+                for j, (br, bi) in right[k].items():
+                    acc_re[j] = acc_re.get(j, 0) + ar * br - ai * bi
+                    acc_im[j] = acc_im.get(j, 0) + ar * bi + ai * br
+            out.append({j: (re, acc_im[j]) for j, re in acc_re.items() if re or acc_im[j]})
+        return ScaledIntMatrix(self.rows, other.cols, self.den * other.den, out)
+
+    def is_zero(self) -> bool:
+        return not any(self.data)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +481,23 @@ def _pivot_solution(echelon, piv_cols, column):
     ]
 
 
+def _kernel_vectors(echelon, piv_cols, cols):
+    """Kernel basis read from an echelon of `_bareiss_echelon`: the vector
+    for a free column f has 1 at f and 0 at the other free columns."""
+    pivots = set(piv_cols)
+    kernel = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        y = _pivot_solution(echelon, piv_cols, [(-row[f][0], -row[f][1]) for row in echelon])
+        v = [ZERO] * cols
+        v[f] = ONE
+        for c, z in zip(piv_cols, y):
+            v[c] = z
+        kernel.append(v)
+    return kernel
+
+
 def rank_kernel(M: ExactMatrix):
     """Exact rank and a kernel basis of M, so rank + len(kernel) == cols.
 
@@ -410,22 +505,37 @@ def rank_kernel(M: ExactMatrix):
     for a free column f has 1 at f and 0 at the other free columns.
     """
     echelon, piv_cols = _bareiss_echelon(_integer_rows(M._data), M.cols)
-    pivots = set(piv_cols)
-    kernel = []
-    for f in range(M.cols):
-        if f in pivots:
-            continue
-        y = _pivot_solution(echelon, piv_cols, [(-row[f][0], -row[f][1]) for row in echelon])
-        v = [ZERO] * M.cols
-        v[f] = ONE
-        for c, z in zip(piv_cols, y):
-            v[c] = z
-        kernel.append(v)
-    return len(piv_cols), kernel
+    return len(piv_cols), _kernel_vectors(echelon, piv_cols, M.cols)
 
 
 def rank(M: ExactMatrix) -> int:
     return rank_kernel(M)[0]
+
+
+def _solve_columns(M: ExactMatrix, columns):
+    """Solutions x_t of M x_t = columns[t], all read from one elimination
+    of M augmented with every column.
+
+    Returns (solutions, failed).  `failed` is the index of the first
+    inconsistent column, or None; `solutions` holds one x per column
+    before it.  Pivots come leftmost first, so those in M's columns do
+    not depend on the appended ones, and the first pivot past them marks
+    the first column with a nonzero residual.  Free variables are zero.
+    """
+    n = M.cols
+    aug = [row + [as_scalar(col[i]) for col in columns] for i, row in enumerate(M._data)]
+    echelon, piv_cols = _bareiss_echelon(_integer_rows(aug), n + len(columns))
+    rank_ = sum(1 for c in piv_cols if c < n)
+    failed = piv_cols[rank_] - n if rank_ < len(piv_cols) else None
+    echelon, piv_cols = echelon[:rank_], piv_cols[:rank_]
+    solutions = []
+    for t in range(len(columns) if failed is None else failed):
+        x = [ZERO] * n
+        y = _pivot_solution(echelon, piv_cols, [row[n + t] for row in echelon])
+        for c, z in zip(piv_cols, y):
+            x[c] = z
+        solutions.append(x)
+    return solutions, failed
 
 
 def solve_linear(M: ExactMatrix, b: Vector):
@@ -435,14 +545,26 @@ def solve_linear(M: ExactMatrix, b: Vector):
     """
     if len(b) != M.rows:
         raise ValueError("rhs length mismatch")
-    aug = [row + [as_scalar(x)] for row, x in zip(M._data, b)]
-    echelon, piv_cols = _bareiss_echelon(_integer_rows(aug), M.cols + 1)
-    if piv_cols and piv_cols[-1] == M.cols:
-        return None  # pivot in the augmented column: inconsistent
-    x = [ZERO] * M.cols
-    for c, z in zip(piv_cols, _pivot_solution(echelon, piv_cols, [row[M.cols] for row in echelon])):
-        x[c] = z
-    return x
+    solutions, failed = _solve_columns(M, [b])
+    return None if failed is not None else solutions[0]
+
+
+def _reduced_echelon(rows, cols):
+    """Reduced row echelon form of Gaussian-integer rows (eliminated in
+    place) as GaussianRational rows, zero rows dropped, with the pivot
+    columns.  Outside the pivot columns, column j solves the triangular
+    system on the pivot columns with the echelon's column j on the right.
+    """
+    echelon, piv_cols = _bareiss_echelon(rows, cols)
+    out = [[ZERO] * cols for _ in piv_cols]
+    for r, c in enumerate(piv_cols):
+        out[r][c] = ONE
+    pivots = set(piv_cols)
+    for j in range(piv_cols[0] + 1 if piv_cols else cols, cols):
+        if j not in pivots:
+            for r, z in enumerate(_pivot_solution(echelon, piv_cols, [row[j] for row in echelon])):
+                out[r][j] = z
+    return out, tuple(piv_cols)
 
 
 def rref(M: ExactMatrix):
@@ -450,23 +572,10 @@ def rref(M: ExactMatrix):
 
     The RREF with zero rows dropped is the canonical representation of
     the row space: equal row spaces give identical matrices.  It is the
-    fraction-free echelon normalised: outside the pivot columns, column j
-    of the RREF solves the triangular system on the pivot columns with
-    the echelon's column j on the right.
+    fraction-free echelon normalised (see `_reduced_echelon`).
     """
-    echelon, piv_cols = _bareiss_echelon(_integer_rows(M._data), M.cols)
-    rank_ = len(piv_cols)
-    if not rank_:
-        return ExactMatrix.zero(0, M.cols), ()
-    out = [[ZERO] * M.cols for _ in range(rank_)]
-    for r, c in enumerate(piv_cols):
-        out[r][c] = ONE
-    pivots = set(piv_cols)
-    for j in range(piv_cols[0] + 1, M.cols):
-        if j not in pivots:
-            for r, z in enumerate(_pivot_solution(echelon, piv_cols, [row[j] for row in echelon])):
-                out[r][j] = z
-    return ExactMatrix(rank_, M.cols, out), tuple(piv_cols)
+    out, pivots = _reduced_echelon(_integer_rows(M._data), M.cols)
+    return ExactMatrix(len(out), M.cols, out), pivots
 
 
 # ---------------------------------------------------------------------------

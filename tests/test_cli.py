@@ -2,7 +2,7 @@ import json
 
 from liecoh import cohomology, linalg
 from liecoh.cli import EX_INTERNAL, EX_NOINPUT, EX_OK, EX_USAGE, EX_VALIDATION, main
-from liecoh.linalg import ExactMatrix
+from liecoh.linalg import ExactMatrix, ScaledIntMatrix
 
 
 def run(capsys, *argv):
@@ -61,7 +61,7 @@ def test_broken_d_squared_is_internal_error(monkeypatch, capsys):
 
     def broken(ba, actions, dim_m, k):
         if k == 0:
-            return ExactMatrix.from_rows([[1], [0], [0]])
+            return ScaledIntMatrix.from_exact(ExactMatrix.from_rows([[1], [0], [0]]))
         return real(ba, actions, dim_m, k)
 
     monkeypatch.setattr(cohomology, "_differential_matrix", broken)
@@ -259,16 +259,3 @@ def test_cohomology_representatives_output(capsys):
     reps = data["table"]["representatives"]
     assert reps["0,1"] == [{"τ1": "1"}]
     assert reps["1,2"] == [{"ζ1∧τ1∧τ2": "1"}]
-
-
-def test_thread_budget_env(monkeypatch, capsys):
-    monkeypatch.setenv("LIECOH_THREADS", "3")
-    code, out, _ = run(
-        capsys, "cohomology", "--algebra", "builtin:su2", "--subalgebra", "span{T, X-iY}"
-    )
-    assert code == EX_OK and "1  1  0" in out
-    monkeypatch.setenv("LIECOH_THREADS", "zero")
-    code, _, err = run(
-        capsys, "cohomology", "--algebra", "builtin:su2", "--subalgebra", "span{T, X-iY}"
-    )
-    assert code == EX_USAGE

@@ -6,6 +6,7 @@ import pytest
 
 from liecoh.algebra import LieAlgebra, Subalgebra, parse_span, su2, su3, torus
 from liecoh.cohomology import (
+    BasisedAlgebra,
     CochainComplex,
     CohomologyTable,
     GModule,
@@ -16,8 +17,9 @@ from liecoh.cohomology import (
     ce_differential,
     complement_basis,
     relative_ce_cohomology,
+    _BigradedSetup,
 )
-from liecoh.linalg import ExactMatrix
+from liecoh.linalg import ExactMatrix, ScaledIntMatrix, rank_kernel
 from liecoh.scalars import GaussianRational as Q
 
 from conftest import diagonal_solvable, random_nilpotent_subalgebra, two_step_nilpotent
@@ -71,7 +73,7 @@ def brute_force_differential(g: LieAlgebra, module: GModule, k: int) -> ExactMat
                     for l, c in g.structure_coeffs(J[s], J[t]).items():
                         val = eval_basis_cochain(I, (l,) + rest)
                         if val:
-                            out[a] = out[a] + Q(sign_st * val) * Q(c)
+                            out[a] = out[a] + Q(sign_st * val) * c
             for b in range(dim_m):
                 data[r_idx * dim_m + b][c_idx] = out[b]
     return ExactMatrix(len(cod) * dim_m, len(dom) * dim_m, data)
@@ -109,6 +111,85 @@ def test_differential_matches_brute_force_random_algebras():
         module2 = GModule.adjoint(g2)
         for k in range(3):
             assert ce_differential(g2, module2, k) == brute_force_differential(g2, module2, k)
+
+
+# -- bases and modules with denominators and non-real entries --------------------
+
+
+class _Presented:
+    """A BasisedAlgebra through the oracle's LieAlgebra interface."""
+
+    def __init__(self, ba):
+        self.dim = ba.dim
+        self.structure_coeffs = ba.coeffs
+
+
+def _scaled_su2():
+    # basis T/2, iX/3, Y: brackets i/3 Y, 3i (iX/3) and 4i/3 (T/2)
+    return BasisedAlgebra(
+        su2(), [[Q(1) / 2, Q(0), Q(0)], [Q(0), Q(0, 1) / 3, Q(0)], [Q(0), Q(0), Q(1)]]
+    )
+
+
+def _spin_actions(vectors):
+    """The two-dimensional representation T -> diag(i, -i), X -> [[0, 1],
+    [-1, 0]], Y -> [[0, i], [i, 0]] of su2, on each vector of `vectors`,
+    conjugated by P = [[1, 1/2], [0, 1/3]]."""
+    rho = [
+        ExactMatrix.from_rows([[Q(0, 1), Q(0)], [Q(0), Q(0, -1)]]),
+        ExactMatrix.from_rows([[Q(0), Q(1)], [Q(-1), Q(0)]]),
+        ExactMatrix.from_rows([[Q(0), Q(0, 1)], [Q(0, 1), Q(0)]]),
+    ]
+    P = ExactMatrix.from_rows([[Q(1), Q(1) / 2], [Q(0), Q(1) / 3]])
+    P_inv = ExactMatrix.from_rows([[Q(1), Q(-3) / 2], [Q(0), Q(3)]])
+    out = []
+    for v in vectors:
+        A = ExactMatrix.zero(2, 2)
+        for c, r in zip(v, rho):
+            A = A + r.scale(c)
+        out.append(P_inv.matmul(A).matmul(P))
+    return out
+
+
+def _denominator_cases():
+    g = su2()
+    ba = _scaled_su2()
+    adjoint = [
+        ExactMatrix.from_rows(
+            [[ba.coeffs(a, b).get(l, Q(0)) for b in range(3)] for l in range(3)]
+        )
+        for a in range(3)
+    ]
+    return [
+        (g, GModule(g, 2, _spin_actions([g.basis_vector(j) for j in range(3)]))),
+        (ba, GModule(ba, 1, [ExactMatrix.zero(1, 1)] * 3)),
+        (ba, GModule(ba, 3, adjoint)),
+        (ba, GModule(ba, 2, _spin_actions(ba.vectors))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_differentials_with_denominators_match_brute_force(case):
+    acting, module = _denominator_cases()[case]
+    assert module.validate() is None
+    oracle = acting if isinstance(acting, LieAlgebra) else _Presented(acting)
+    n = oracle.dim
+    brute = [brute_force_differential(oracle, module, k) for k in range(n + 1)]
+    for k in range(n + 1):
+        assert ce_differential(acting, module, k) == brute[k]
+    ranks = [rank_kernel(m)[0] for m in brute]
+    expected = {k: brute[k].cols - ranks[k] - (ranks[k - 1] if k else 0) for k in range(n + 1)}
+    assert ce_cohomology(acting, module).dims == expected
+
+
+def test_poincare_duality_trivial_coefficients():
+    # unimodular algebras: H^k and H^{n-k} have equal dimension
+    rng = random.Random(1201)
+    algebras = [su2(), su3()] + [two_step_nilpotent(rng, rng.randint(2, 3), 1) for _ in range(8)]
+    for g in algebras:
+        dims = ce_cohomology(g, GModule.trivial(g)).degree_list()
+        assert len(dims) == g.dim + 1
+        assert dims == dims[::-1], g.name
 
 
 # -- fixed differential values --------------------------------------------------
@@ -377,12 +458,19 @@ def test_bigraded_dims_independent_of_complement_choice():
     assert other.dims == base.dims
 
 
-def test_bigraded_threaded_matches_sequential():
-    g = su3()
-    h = parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g)
-    seq = bigraded_cohomology(g, h)
-    par = bigraded_cohomology(g, h, max_workers=4)
-    assert seq.dims == par.dims
+def test_corrupted_dprime_is_caught(monkeypatch):
+    # d'_1 = [0, -2i] does not kill the corrupted d'_0 = [0, 1]^T
+    real = _BigradedSetup.dprime_matrix
+
+    def corrupted(self, p, q):
+        if (p, q) == (0, 0):
+            return ScaledIntMatrix.from_exact(ExactMatrix.from_rows([[Q(0)], [Q(1)]]))
+        return real(self, p, q)
+
+    monkeypatch.setattr(_BigradedSetup, "dprime_matrix", corrupted)
+    g = su2()
+    with pytest.raises(AssertionError, match=r"d' o d' is nonzero at \(p, q\) = \(0, 0\)"):
+        bigraded_cohomology(g, parse_span("span{T, X-iY}", g))
 
 
 def test_bigraded_random_nilpotent_closed():

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from liecoh.linalg import (
     ExactMatrix,
+    ScaledIntMatrix,
     _bareiss_echelon,
     _exact_quotient,
     _integer_rows,
+    _solve_columns,
     NonHermitianError,
     NonSplitError,
     char_poly,
@@ -253,6 +255,44 @@ def test_rref_matches_gauss_jordan(M):
     assert pivots == tuple(ref_piv)
     assert (reduced.rows, reduced.cols) == (len(ref_rows), M.cols)
     assert reduced.row_list() == [[_as_q(z) for z in row] for row in ref_rows]
+
+
+@given(oracle_matrices(), st.data())
+@settings(deadline=None, max_examples=300)
+def test_solve_columns_matches_gauss_jordan(M, data):
+    # one elimination for many right-hand sides: the solutions before the
+    # first inconsistent column, and that column's index
+    columns = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if data.draw(st.booleans()):
+            columns.append(M.apply([data.draw(_oracle_entries) for _ in range(M.cols)]))
+        else:
+            columns.append([data.draw(_oracle_entries) for _ in range(M.rows)])
+    expected = [_ref_solve(_pairs(M), [_pair(x) for x in b], M.cols) for b in columns]
+    first = next((t for t, x in enumerate(expected) if x is None), None)
+    solutions, failed = _solve_columns(M, columns)
+    assert failed == first
+    assert solutions == expected[: len(columns) if first is None else first]
+
+
+@given(oracle_matrices(), st.data())
+@settings(deadline=None, max_examples=300)
+def test_scaled_int_matrix_matches_exact_matrix(M, data):
+    S = ScaledIntMatrix.from_exact(M)
+    assert S.to_exact() == M
+    assert S.transpose().to_exact() == M.transpose()
+    width = data.draw(st.integers(0, 4))
+    N = ExactMatrix(M.cols, width, [
+        [data.draw(_oracle_entries) for _ in range(width)] for _ in range(M.cols)
+    ])
+    product = S.matmul(ScaledIntMatrix.from_exact(N))
+    assert product.to_exact() == M.matmul(N)
+    assert product.is_zero() == (M.matmul(N) == ExactMatrix.zero(M.rows, width))
+    # a kernel basis is annihilated, whatever the denominators
+    _, kernel = rank_kernel(M)
+    if kernel:
+        K = ExactMatrix(M.cols, len(kernel), [list(r) for r in zip(*kernel)])
+        assert S.matmul(ScaledIntMatrix.from_exact(K)).is_zero()
 
 
 def test_non_real_previous_pivot():
