@@ -21,10 +21,10 @@ from .linalg import (
     vec_conj,
     vec_is_zero,
 )
-from .scalars import GaussianRational, ScalarParseError, ZERO, format_scalar, parse_scalar
+from .scalars import GaussianRational, InputError, ScalarParseError, ZERO, format_scalar, parse_scalar
 
 
-class AlgebraError(ValueError):
+class AlgebraError(InputError):
     pass
 
 

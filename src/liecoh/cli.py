@@ -10,7 +10,12 @@ produce byte-identical JSON.
 Exit codes: 0 success, 2 mathematical validation failure (the witness is
 printed), 64 usage error, 66 missing input file, 70 internal invariant
 broken (for example d o d != 0 or an inexact division in exact
-elimination; a bug, not bad input).
+elimination; a bug, not bad input).  Exit 2 covers the command's own
+input checks and every ``liecoh.scalars.InputError`` the library raises
+(bad scalars, algebras, subalgebras, non-split or non-Hermitian input,
+torus data).
+
+Each command imports only the library modules it runs.
 """
 
 from __future__ import annotations
@@ -19,47 +24,19 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .algebra import (
-    AlgebraError,
-    LieAlgebra,
-    Subalgebra,
-    builtin_algebra,
-    parse_span,
-)
-from .classify import bct_check, characteristic_space, classify_structure, levi_form
-from .cohomology import (
-    GModule,
-    bigraded_cohomology,
-    ce_cohomology,
-    relative_ce_cohomology,
-)
-from .decompose import full_assembly
-from .linalg import ExactMatrix, NonHermitianError, NonSplitError
-from .roots import build_standard, positive_system, root_decomposition
-from .scalars import ScalarParseError, format_scalar, parse_scalar
-from .torus import (
-    FourierData,
-    MuSpec,
-    TorusError,
-    liouville_report,
-    singular_lattice,
-    solve_dprime,
-)
+from .scalars import InputError
+
+if TYPE_CHECKING:
+    from .algebra import LieAlgebra
+    from .cohomology import GModule
 
 EX_OK = 0
 EX_VALIDATION = 2
 EX_USAGE = 64
 EX_NOINPUT = 66
 EX_INTERNAL = 70
-
-_VALIDATION_ERRORS = (
-    AlgebraError,
-    NonSplitError,
-    NonHermitianError,
-    ScalarParseError,
-    TorusError,
-)
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -91,6 +68,8 @@ def _read_json_file(path: str):
 
 
 def load_algebra(spec: str) -> LieAlgebra:
+    from .algebra import LieAlgebra, builtin_algebra
+
     if spec.startswith("builtin:"):
         return builtin_algebra(spec[len("builtin:"):])
     return LieAlgebra.from_json_dict(_read_json_file(spec))
@@ -99,6 +78,8 @@ def load_algebra(spec: str) -> LieAlgebra:
 def load_subalgebra(spec: str, g: LieAlgebra | None):
     """Returns (algebra, subalgebra); the algebra may come inline from the
     file when none was passed."""
+    from .algebra import LieAlgebra, Subalgebra, parse_span
+
     if spec.strip().startswith("span{"):
         if g is None:
             _fail_validation("span{...} shorthand needs --algebra")
@@ -170,6 +151,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import bct_check, characteristic_space, classify_structure, levi_form
+    from .scalars import format_scalar
+
     g = load_algebra(args.algebra) if args.algebra else None
     g, h = load_subalgebra(args.subalgebra, g)
     witness = h.is_subalgebra()
@@ -208,6 +192,8 @@ def _cmd_classify(args) -> int:
 
 
 def _parse_root_list(text: str):
+    from .scalars import parse_scalar
+
     roots = []
     for part in text.split(";"):
         part = part.strip()
@@ -218,6 +204,9 @@ def _parse_root_list(text: str):
 
 
 def _cmd_roots(args) -> int:
+    from .roots import build_standard, positive_system, root_decomposition
+    from .scalars import format_scalar
+
     g = load_algebra(args.algebra)
     g, t = load_subalgebra(args.torus, g)
     rd = root_decomposition(g, t)
@@ -258,6 +247,11 @@ def _cmd_roots(args) -> int:
 
 
 def _load_module(spec: str, acting) -> GModule:
+    from .algebra import LieAlgebra
+    from .cohomology import GModule
+    from .linalg import ExactMatrix
+    from .scalars import parse_scalar
+
     if spec == "trivial":
         return GModule.trivial(acting)
     if spec == "adjoint":
@@ -284,6 +278,8 @@ def _load_module(spec: str, acting) -> GModule:
 
 
 def _cmd_cohomology(args) -> int:
+    from .cohomology import bigraded_cohomology, ce_cohomology, relative_ce_cohomology
+
     g = load_algebra(args.algebra) if args.algebra else None
     h = None
     if args.subalgebra:
@@ -325,6 +321,10 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .decompose import full_assembly
+    from .linalg import ExactMatrix
+    from .scalars import parse_scalar
+
     g = load_algebra(args.algebra) if args.algebra else None
     g, h = load_subalgebra(args.subalgebra, g)
     gram = None
@@ -362,6 +362,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_torus_solve(args) -> int:
+    from .scalars import format_scalar
+    from .torus import FourierData, MuSpec, liouville_report, singular_lattice, solve_dprime
+
     if args.mu is not None and args.cf is not None:
         raise _Failure(EX_USAGE, "E_USAGE", "give either --mu or --cf, not both")
     if args.mu is not None:
@@ -486,7 +489,7 @@ def main(argv=None) -> int:
     except _Failure as exc:
         sys.stderr.write(f"liecoh: error [{exc.kind}] {exc}\n")
         return exc.code
-    except _VALIDATION_ERRORS as exc:
+    except InputError as exc:
         sys.stderr.write(f"liecoh: error [E_VALIDATION] {exc}\n")
         return EX_VALIDATION
     except AssertionError as exc:

@@ -21,6 +21,7 @@ from .cohomology import (
     BasisedAlgebra,
     CohomologyTable,
     GModule,
+    _wedge_insert,
     basised,
     ce_cohomology,
     extend_to_complement,
@@ -91,8 +92,7 @@ def adjoint_quotient_module(amb, u: Subalgebra, p: int, dual: bool = False) -> G
                     rest = K[:pos] + K[pos + 1:]
                     if l in rest:
                         continue
-                    p_new = sum(1 for x in rest if x < l)
-                    newK = rest[:p_new] + (l,) + rest[p_new:]
+                    p_new, newK = _wedge_insert(rest, l)
                     sign = 1 if (pos - p_new) % 2 == 0 else -1
                     data[index[newK]][s_idx] = data[index[newK]][s_idx] + v * sign
         actions.append(ExactMatrix(dim_mod, dim_mod, data))
@@ -348,15 +348,8 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
         )
 
     def assemble(fibers):
-        dims = {}
-        for p in range(m + 1):
-            fdims = fibers[p].dims
-            for q in range(n + 1):
-                total = 0
-                for r in range(q + 1):
-                    total += fdims.get(r, 0) * k_table.dims.get(q - r, 0)
-                dims[(p, q)] = total
-        return CohomologyTable(dims=dims)
+        omega = {(p, r): v for p, table in fibers.items() for r, v in table.dims.items()}
+        return kunneth_assemble(omega, k_table)
 
     table_dual = assemble(fiber_dual)
     table_nondual = assemble(fiber_nondual)

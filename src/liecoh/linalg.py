@@ -41,16 +41,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, InputError, ONE, ZERO
 
 Vector = list  # list[GaussianRational]
 
 
-class NonHermitianError(ValueError):
+class NonHermitianError(InputError):
     pass
 
 
-class NonSplitError(ValueError):
+class NonSplitError(InputError):
     """Characteristic polynomial has no further root in Q(i)."""
 
     def __init__(self, message: str, residual_degree: int = 0):

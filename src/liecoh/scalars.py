@@ -17,7 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class ScalarParseError(ValueError):
+class InputError(ValueError):
+    """Base of the five input-error families: ScalarParseError,
+    AlgebraError, NonSplitError, NonHermitianError and TorusError.  The
+    command line reports exactly these as E_VALIDATION, exit 2."""
+
+
+class ScalarParseError(InputError):
     """Malformed scalar text; ``offset`` is the byte offset of the failure."""
 
     def __init__(self, message: str, offset: int):

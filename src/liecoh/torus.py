@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import GaussianRational, ZERO, format_scalar, parse_scalar
+from .scalars import GaussianRational, InputError, ZERO, format_scalar, parse_scalar
 
 VERDICT_RATIONAL = "rational"
 VERDICT_LIOUVILLE = "liouville_evidence"
@@ -23,7 +23,7 @@ VERDICT_DIOPHANTINE = "diophantine_evidence"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-class TorusError(ValueError):
+class TorusError(InputError):
     pass
 
 

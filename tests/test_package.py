@@ -1,0 +1,123 @@
+"""The lazy package namespace: names resolve to their defining modules,
+and importing the package loads no submodule."""
+
+import importlib
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import liecoh
+
+# the package's public names by defining module; `torus` is not among
+# them, because `liecoh.torus` always names the submodule
+EXPORTED = {
+    "scalars": ["GaussianRational", "ScalarParseError", "format_scalar", "parse_scalar"],
+    "linalg": [
+        "EigenSplit", "ExactMatrix", "Inertia", "NonHermitianError", "NonSplitError",
+        "char_poly", "hermitian_inertia", "rank_kernel", "solve_linear", "split_eigen",
+    ],
+    "algebra": [
+        "AlgebraError", "ClosureError", "LieAlgebra", "ParentMismatchError", "Subalgebra",
+        "builtin_algebra", "parse_span", "su2", "su3",
+    ],
+    "classify": [
+        "BctReport", "ClassificationReport", "LeviForm", "bct_check", "characteristic_space",
+        "classify_structure", "levi_form",
+    ],
+    "roots": [
+        "PositiveSystem", "RootDatum", "StandardStructure", "build_standard",
+        "positive_system", "root_decomposition",
+    ],
+    "cohomology": [
+        "BigradedComplex", "CochainComplex", "CohomologyTable", "GModule",
+        "bigraded_cohomology", "bigraded_complex", "ce_cohomology", "ce_complex",
+        "ce_differential", "relative_ce_cohomology",
+    ],
+    "decompose": [
+        "AssemblyReport", "adjoint_quotient_module", "bott_dolbeault", "full_assembly",
+        "killing_form", "kunneth_assemble",
+    ],
+    "torus": [
+        "DivisorReport", "FourierData", "MuSpec", "liouville_report", "singular_lattice",
+        "solve_dprime",
+    ],
+}
+SUBMODULES = ["scalars", "linalg", "algebra", "classify", "roots", "cohomology", "decompose",
+              "torus", "cli"]
+
+
+def run_fresh(code: str) -> str:
+    """stdout of `code` run by a fresh interpreter on this checkout's liecoh."""
+    env = dict(os.environ, PYTHONPATH=str(Path(liecoh.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return done.stdout
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTED.items() for n in names])
+def test_exported_name_is_the_defining_modules_object(module, name):
+    defined = getattr(importlib.import_module(f"liecoh.{module}"), name)
+    assert getattr(liecoh, name) is defined
+    assert getattr(liecoh, name) is defined  # the second lookup finds the bound name
+    assert name in dir(liecoh)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_name_is_the_submodule(name):
+    assert getattr(liecoh, name) is importlib.import_module(f"liecoh.{name}")
+    assert name in dir(liecoh)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        liecoh.no_such_name
+    assert not hasattr(liecoh, "no_such_name")
+
+
+def test_input_errors_share_one_base():
+    from liecoh import InputError
+    from liecoh.torus import TorusError
+
+    errors = [getattr(liecoh, n) for names in EXPORTED.values() for n in names
+              if inspect.isclass(getattr(liecoh, n)) and issubclass(getattr(liecoh, n), Exception)]
+    assert {e.__name__ for e in errors} == {
+        "AlgebraError", "ClosureError", "NonHermitianError", "NonSplitError",
+        "ParentMismatchError", "ScalarParseError",
+    }
+    for error in errors + [TorusError]:
+        assert issubclass(error, InputError)
+    assert issubclass(InputError, ValueError)
+
+
+def test_bare_import_loads_no_submodule():
+    out = run_fresh(
+        "import sys, liecoh\n"
+        "print(sorted(m for m in sys.modules if m.startswith('liecoh.')))"
+    )
+    assert out.strip() == "[]"
+
+
+def test_torus_is_always_the_submodule():
+    # the builtin algebra builder `liecoh.algebra.torus` is loaded first
+    out = run_fresh(
+        "import json, sys, types\n"
+        "from liecoh.algebra import builtin_algebra, torus as builder\n"
+        "loaded = 'liecoh.torus' in sys.modules\n"
+        "from liecoh import torus as first\n"
+        "import liecoh.torus\n"
+        "from liecoh import torus as second\n"
+        "print(json.dumps([\n"
+        "    loaded,\n"
+        "    first is second is liecoh.torus and isinstance(first, types.ModuleType),\n"
+        "    first.__name__,\n"
+        "    builder(3).to_json_dict() == builtin_algebra('torus3').to_json_dict(),\n"
+        "    builder.__module__,\n"
+        "    liecoh.algebra.torus is builder,\n"
+        "]))"
+    )
+    assert json.loads(out) == [False, True, "liecoh.torus", True, "liecoh.algebra", True]
