@@ -17,7 +17,6 @@ from .linalg import (
     as_scalar,
     rank_kernel,
     rref,
-    solve_linear,
     vec_conj,
     vec_is_zero,
 )
@@ -224,6 +223,9 @@ class Subalgebra:
     def __init__(self, parent: LieAlgebra, basis: ExactMatrix):
         self.parent = parent
         self.basis = basis
+        # the basis is in reduced echelon form, so each row's first nonzero
+        # entry is a 1 in a column where every other row is 0
+        self._pivots = tuple(next(j for j, x in enumerate(row) if x) for row in basis.row_list())
 
     @classmethod
     def span(cls, parent: LieAlgebra, vectors) -> "Subalgebra":
@@ -255,14 +257,22 @@ class Subalgebra:
         return self.coordinates_of(v) is not None
 
     def coordinates_of(self, v):
-        """Coefficients of v over the echelon basis rows, or None."""
+        """Coefficients of v over the echelon basis rows, or None.
+
+        A member's coefficient on a row is its entry at that row's pivot
+        column; the exact residual v - sum of coefficient times row is
+        zero exactly for members.
+        """
         if len(v) != self.parent.dim:
             raise AlgebraError("vector length mismatch")
-        if self.dim == 0:
-            return [] if vec_is_zero(v) else None
-        cols = self.basis.transpose()
-        coords = solve_linear(cols, list(v))
-        return coords
+        residual = [as_scalar(x) for x in v]
+        coords = [residual[j] for j in self._pivots]
+        for c, row in zip(coords, self.basis.row_list()):
+            if c:
+                for j, y in enumerate(row):
+                    if y:
+                        residual[j] = residual[j] - c * y
+        return coords if vec_is_zero(residual) else None
 
     def sum_with(self, other: "Subalgebra") -> "Subalgebra":
         self._require_same_parent(other)

@@ -27,6 +27,15 @@ elimination kernel, and dims come from its pivot counts.
 GaussianRational appears only at the boundary: `ce_differential`,
 `CochainComplex.differentials` and `BigradedComplex.dprime` convert to
 ExactMatrix, and kernel vectors are formed only for representatives.
+
+Every pair (acting, u) that needs a basis adapted to u, with u's basis
+first and a complement second, gets one `AdaptedFrame`.  It checks once
+that u lies in the acting algebra and is bracket-closed, picks the
+complement once, solves once for the bracket table in the adapted basis
+and for the coordinates of the adapted vectors, and serves the quotient
+modules Lambda^p(acting/u) (`quotient_module`) and the relative complex
+(`relative_cohomology`) for every degree and module.  The bigraded
+complex, `relative_ce_cohomology` and `decompose` all build on it.
 """
 
 from __future__ import annotations
@@ -45,8 +54,6 @@ from .linalg import (
     _reduced_echelon,
     _solve_columns,
     as_scalar,
-    rank_kernel,
-    solve_linear,
     vec_is_zero,
 )
 from .scalars import GaussianRational, ZERO, format_scalar
@@ -87,6 +94,19 @@ class BasisedAlgebra:
             if entry:
                 self._table[pair] = entry
 
+    @classmethod
+    def _presented(cls, parent: LieAlgebra, vectors, names, cols: ExactMatrix, table):
+        """A BasisedAlgebra whose column matrix and bracket table are
+        already known, made without an elimination."""
+        ba = cls.__new__(cls)
+        ba.parent = parent
+        ba.vectors = vectors
+        ba.dim = len(vectors)
+        ba.names = tuple(names)
+        ba._cols = cols
+        ba._table = table
+        return ba
+
     def coeffs(self, a: int, b: int):
         if a == b:
             return {}
@@ -94,45 +114,41 @@ class BasisedAlgebra:
             return self._table.get((a, b), {})
         return {l: -c for l, c in self._table.get((b, a), {}).items()}
 
-    def coordinates_of(self, vector):
-        return solve_linear(self._cols, list(vector))
-
 
 def basised(acting) -> BasisedAlgebra:
     if isinstance(acting, BasisedAlgebra):
         return acting
     if isinstance(acting, LieAlgebra):
-        ba = BasisedAlgebra.__new__(BasisedAlgebra)
-        ba.parent = acting
-        ba.vectors = [acting.basis_vector(k) for k in range(acting.dim)]
-        ba.dim = acting.dim
-        ba.names = acting.basis_names
-        ba._cols = ExactMatrix.identity(acting.dim)
-        ba._table = {
-            (j, k): {l: as_scalar(c) for l, c in coeffs.items()}
-            for (j, k), coeffs in ((p, acting.structure_coeffs(*p)) for p in acting.bracket_pairs())
-        }
-        return ba
+        return BasisedAlgebra._presented(
+            acting,
+            [acting.basis_vector(k) for k in range(acting.dim)],
+            acting.basis_names,
+            ExactMatrix.identity(acting.dim),
+            {
+                (j, k): {l: as_scalar(c) for l, c in acting.structure_coeffs(j, k).items()}
+                for j, k in acting.bracket_pairs()
+            },
+        )
     if isinstance(acting, Subalgebra):
         return BasisedAlgebra(acting.parent, acting.vectors())
     raise TypeError(f"cannot act with {type(acting).__name__}")
 
 
 def extend_to_complement(base_vectors, candidates):
-    """Greedily pick candidates independent from the running span; the
-    returned vectors complement span(base_vectors) inside span(base +
-    candidates)."""
-    rows = [list(v) for v in base_vectors]
-    picked = []
-    current_rank = rank_kernel(ExactMatrix.from_rows(rows))[0] if rows else 0
-    for cand in candidates:
-        trial = rows + [list(cand)]
-        r = rank_kernel(ExactMatrix.from_rows(trial))[0]
-        if r > current_rank:
-            rows = trial
-            current_rank = r
-            picked.append(list(cand))
-    return picked
+    """The candidates a greedy scan keeps because they are independent of
+    the running span; they complement span(base_vectors) inside span(base
+    + candidates).
+
+    One elimination of the matrix whose columns are the base vectors and
+    then the candidates: with leftmost-first pivots, a column is a pivot
+    exactly when it is independent of the columns before it, which is the
+    greedy test.
+    """
+    columns = [list(v) for v in base_vectors] + [list(v) for v in candidates]
+    length = len(columns[0]) if columns else 0
+    rows = [[as_scalar(v[i]) for v in columns] for i in range(length)]
+    _, piv_cols = _bareiss_echelon(_integer_rows(rows), len(columns))
+    return [columns[c] for c in piv_cols if c >= len(base_vectors)]
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +183,28 @@ class GModule:
 
     def validate(self):
         """None when action([X,Y]) = [action X, action Y] for all basis
-        pairs, else the first failing pair."""
-        ba = self._basis
-        for a in range(ba.dim):
-            for b in range(a + 1, ba.dim):
-                lhs = ExactMatrix.zero(self.dim, self.dim)
-                for l, c in ba.coeffs(a, b).items():
-                    lhs = lhs + self.actions[l].scale(c)
-                rhs = self.actions[a].matmul(self.actions[b]) - self.actions[b].matmul(
-                    self.actions[a]
-                )
-                if lhs != rhs:
-                    return (a, b)
+        pairs, else the first failing pair.
+
+        Both sides are compared as sparse Gaussian-integer matrices: over
+        the common denominator den of the bracket table and the actions,
+        each side is den^2 times its exact value.
+        """
+        den, brackets, acts = _integer_structure(self._basis, self.actions)
+        mats = [ScaledIntMatrix(self.dim, self.dim, den, rows) for rows in acts]
+        for a in range(len(mats)):
+            for b in range(a + 1, len(mats)):
+                ab = mats[a].matmul(mats[b]).data
+                ba = mats[b].matmul(mats[a]).data
+                for i, (residual, subtract) in enumerate(zip(ab, ba)):
+                    for j, (re, im) in subtract.items():
+                        old = residual.get(j, (0, 0))
+                        residual[j] = (old[0] - re, old[1] - im)
+                    for l, (cr, ci) in brackets.get((a, b), ()):
+                        for j, (xr, xi) in acts[l][i].items():
+                            old = residual.get(j, (0, 0))
+                            residual[j] = (old[0] - cr * xr + ci * xi, old[1] - cr * xi - ci * xr)
+                    if any(x != (0, 0) for x in residual.values()):
+                        return (a, b)
         return None
 
 
@@ -223,15 +249,15 @@ def _integer_structure(ba: BasisedAlgebra, actions):
     return den, brackets, acts
 
 
-def _differential_matrix(ba: BasisedAlgebra, actions, dim_m: int, k: int) -> ScaledIntMatrix:
-    """Matrix of d: C^k -> C^{k+1} on the basis (subset, module index),
-    ordered subsets-lexicographic major, module index minor, as
-    Gaussian-integer rows over the common denominator of the bracket
-    table and the actions."""
-    den, brackets, acts = _integer_structure(ba, actions)
-    dom_index = {s: i for i, s in enumerate(combinations(range(ba.dim), k))}
+def _differential_matrix(structure, n: int, dim_m: int, k: int) -> ScaledIntMatrix:
+    """Matrix of d: C^k -> C^{k+1} of an n-dimensional algebra on the
+    basis (subset, module index), ordered subsets-lexicographic major,
+    module index minor, as Gaussian-integer rows over the denominator of
+    `structure`, the algebra's `_integer_structure` with the actions."""
+    den, brackets, acts = structure
+    dom_index = {s: i for i, s in enumerate(combinations(range(n), k))}
     rows = []
-    for J in combinations(range(ba.dim), k + 1):
+    for J in combinations(range(n), k + 1):
         block = [{} for _ in range(dim_m)]
         # action terms: remove the t-th argument
         for t in range(k + 1):
@@ -277,7 +303,8 @@ def ce_differential(acting, module: GModule, k: int) -> ExactMatrix:
     ba = basised(acting)
     if k < 0:
         return ExactMatrix.zero(len(_subsets(ba.dim, 0)) * module.dim, 0)
-    return _differential_matrix(ba, module.actions, module.dim, k).to_exact()
+    structure = _integer_structure(ba, module.actions)
+    return _differential_matrix(structure, ba.dim, module.dim, k).to_exact()
 
 
 @dataclass
@@ -317,10 +344,11 @@ def ce_complex(acting, module: GModule) -> CochainComplex:
     verified to square to zero."""
     ba = basised(acting)
     n = ba.dim
+    structure = _integer_structure(ba, module.actions)
     complex_ = CochainComplex(
         labels={k: _ce_labels(ba, module.dim, k) for k in range(n + 2)},
         int_differentials={
-            k: _differential_matrix(ba, module.actions, module.dim, k) for k in range(n + 1)
+            k: _differential_matrix(structure, n, module.dim, k) for k in range(n + 1)
         },
     )
     complex_.verify()
@@ -460,7 +488,7 @@ def ce_cohomology(acting, module: GModule, representatives: bool = False) -> Coh
 
 
 # ---------------------------------------------------------------------------
-# relative cohomology
+# adapted frames and relative cohomology
 # ---------------------------------------------------------------------------
 
 
@@ -496,113 +524,203 @@ def _lie_derivative_matrix(structure, dim_m, dim_u, q, k, acting_index) -> Scale
     return ScaledIntMatrix(len(rows), len(subs) * dim_m, den, rows)
 
 
-def relative_ce_cohomology(acting, u: Subalgebra, module: GModule) -> CohomologyTable:
-    """H^k(acting, u; module): cohomology of the u-invariant cochains on
-    the quotient of acting by u.
+class AdaptedFrame:
+    """The adapted basis of a pair (acting, u): the basis rows of u first,
+    then a complement of u in the acting algebra.
 
-    Vanishing on u arguments is structural (cochains live on a complement
-    of u); invariance under the induced u action is imposed as an exact
-    linear condition, which is what makes the space d-stable.
+    Built once per pair.  `complement` defaults to the greedy pick from
+    the acting basis (`extend_to_complement`).  One elimination finds the
+    coordinates of every adapted vector in the acting basis (`coords`),
+    which checks that u lies in the acting algebra; one more solves for
+    the bracket table in the adapted basis (`adapted`), and closure of u
+    is read off that table.  `u_algebra` is u on its own basis rows, cut
+    from the same table, and the ad-action of u on the complement is read
+    off it once; `quotient_module` and `relative_cohomology` reuse all of
+    this for every degree and coefficient module.
     """
-    ba = basised(acting)
-    u_coords = []
-    for v in u.vectors():
-        coords = ba.coordinates_of(v)
-        if coords is None:
+
+    def __init__(self, acting, u: Subalgebra, complement=None, names=None, closure_message=None):
+        base = basised(acting)
+        if u.parent != base.parent:
+            raise AlgebraError("subalgebra does not belong to the given algebra")
+        u_vectors = u.vectors()
+        dim_u = len(u_vectors)
+        given = complement is not None
+        if given:
+            complement = [list(v) for v in complement]
+        else:
+            complement = extend_to_complement(u_vectors, base.vectors)
+        coords, failed = _solve_columns(base._cols, u_vectors + complement)
+        if failed is not None and failed < dim_u:
             raise AlgebraError("u is not contained in the acting algebra")
-        u_coords.append(coords)
-    witness = u.is_subalgebra()
-    if witness is not None:
-        raise ClosureError(witness, "relative pair requires a bracket-closed u")
-    if u.dim == 0:
-        return ce_cohomology(acting, module)
-    u_vectors = u.vectors()
-    complement = extend_to_complement(u_vectors, ba.vectors)
-    if len(complement) != ba.dim - u.dim:
-        raise AlgebraError("could not complete a complement of u inside the acting algebra")
-    adapted = BasisedAlgebra(ba.parent, u_vectors + complement)
-    # actions in the adapted basis: linear combinations of the given matrices
-    adapted_actions = []
-    for vec in adapted.vectors:
-        coords = ba.coordinates_of(vec)
-        mat = ExactMatrix.zero(module.dim, module.dim)
-        for j, c in enumerate(coords):
-            if not c.is_zero():
-                mat = mat + module.actions[j].scale(c)
-        adapted_actions.append(mat)
-    dim_m = module.dim
-    dim_u = u.dim
-    q = adapted.dim - dim_u
-    structure = _integer_structure(adapted, adapted_actions)
-    # columns of the full differentials: the images of basis cochains
-    full_cols = {
-        k: _differential_matrix(adapted, adapted_actions, dim_m, k).transpose()
-        for k in range(q + 1)
-    }
-    # full_pos[k][s]: position of the s-th W-subset among all adapted subsets
-    full_pos = {}
-    for k in range(q + 2):
-        index = {S: i for i, S in enumerate(_subsets(adapted.dim, k))}
-        full_pos[k] = [index[tuple(dim_u + x for x in K)] for K in _subsets(q, k)]
-    sizes = {k: len(full_pos[k]) * dim_m for k in range(q + 2)}
-    # invariant bases per degree, as coordinate vectors on Lambda^k(W)* (x) M
-    inv_bases = {}
-    for k in range(q + 1):
-        stacked = []
-        for i in range(dim_u):
-            stacked.extend(_lie_derivative_matrix(structure, dim_m, dim_u, q, k, i).echelon_rows())
-        inv_bases[k] = _kernel_vectors(*_bareiss_echelon(stacked, sizes[k]), sizes[k])
+        if len(complement) != base.dim - dim_u:
+            raise AlgebraError("complement does not have the right dimension")
+        if failed is not None or (
+            given and len(extend_to_complement(u_vectors, complement)) != len(complement)
+        ):
+            raise AlgebraError("complement does not complete the subalgebra basis")
+        adapted = BasisedAlgebra(base.parent, u_vectors + complement, names=names)
+        for pair in combinations(range(dim_u), 2):
+            if any(l >= dim_u for l in adapted.coeffs(*pair)):
+                raise ClosureError(pair, closure_message)
+        self.base = base
+        self.dim_u = dim_u
+        self.codim = len(complement)
+        self.complement = complement
+        self.adapted = adapted
+        self.coords = coords
+        self.u_algebra = BasisedAlgebra._presented(
+            base.parent,
+            u_vectors,
+            adapted.names[:dim_u],
+            u.basis.transpose(),
+            {pair: coeffs for pair, coeffs in adapted._table.items() if pair[1] < dim_u},
+        )
+        # ad of u's basis vector i on acting / u: _quotient_action[i][j] is
+        # the complement part of [u_i, w_j], keyed by complement index
+        self._quotient_action = [
+            [
+                {l - dim_u: c for l, c in adapted.coeffs(i, dim_u + j).items() if l >= dim_u}
+                for j in range(self.codim)
+            ]
+            for i in range(dim_u)
+        ]
 
-    def restrict(k, image):
-        """Full adapted cochain (a dict index -> value) -> W-cochain
-        coordinates; asserts that no component touches a u argument."""
-        w_index = {
-            pos * dim_m + a: s_idx * dim_m + a
-            for s_idx, pos in enumerate(full_pos[k]) for a in range(dim_m)
+    def quotient_module(self, p: int, dual: bool = False) -> GModule:
+        """Lambda^p of (acting / u) as a u-module through the adjoint
+        action, validated; `dual` takes the contragredient, the negated
+        transpose."""
+        d = self.codim
+        subs = list(combinations(range(d), p)) if 0 <= p <= d else []
+        index = {s: i for i, s in enumerate(subs)}
+        dim_mod = len(subs)
+        actions = []
+        for cols in self._quotient_action:
+            data = [[ZERO] * dim_mod for _ in range(dim_mod)]
+            for s_idx, K in enumerate(subs):
+                for pos in range(p):
+                    rest = K[:pos] + K[pos + 1:]
+                    for l, v in cols[K[pos]].items():
+                        if l in rest:
+                            continue
+                        p_new, newK = _wedge_insert(rest, l)
+                        sign = 1 if (pos - p_new) % 2 == 0 else -1
+                        if dual:
+                            data[s_idx][index[newK]] = data[s_idx][index[newK]] - v * sign
+                        else:
+                            data[index[newK]][s_idx] = data[index[newK]][s_idx] + v * sign
+            actions.append(ExactMatrix(dim_mod, dim_mod, data))
+        module = GModule(self.u_algebra, dim_mod, actions)
+        witness = module.validate()
+        if witness is not None:
+            raise AssertionError(f"adjoint quotient action is not a homomorphism at {witness}")
+        return module
+
+    def relative_cohomology(self, module: GModule) -> CohomologyTable:
+        """H^k(acting, u; module): cohomology of the u-invariant cochains
+        on the quotient of acting by u, for a module of the acting algebra.
+
+        Vanishing on u arguments is structural (cochains live on the
+        complement); invariance under the induced u action is imposed as
+        an exact linear condition, which is what makes the space d-stable.
+        """
+        if self.dim_u == 0:
+            return ce_cohomology(self.base, module)
+        adapted = self.adapted
+        dim_m = module.dim
+        dim_u = self.dim_u
+        q = self.codim
+        # actions in the adapted basis: linear combinations of the given matrices
+        adapted_actions = []
+        for coords in self.coords:
+            mat = ExactMatrix.zero(dim_m, dim_m)
+            for j, c in enumerate(coords):
+                if not c.is_zero():
+                    mat = mat + module.actions[j].scale(c)
+            adapted_actions.append(mat)
+        structure = _integer_structure(adapted, adapted_actions)
+        # columns of the full differentials: the images of basis cochains
+        full_cols = {
+            k: _differential_matrix(structure, adapted.dim, dim_m, k).transpose()
+            for k in range(q + 1)
         }
-        out = [ZERO] * len(w_index)
-        for idx, x in image.items():
-            if idx in w_index:
-                out[w_index[idx]] = x
-            elif not x.is_zero():
-                raise AssertionError(
-                    "differential of an invariant relative cochain touched a u argument"
+        # full_pos[k][s]: position of the s-th W-subset among all adapted subsets
+        full_pos = {}
+        for k in range(q + 2):
+            index = {S: i for i, S in enumerate(_subsets(adapted.dim, k))}
+            full_pos[k] = [index[tuple(dim_u + x for x in K)] for K in _subsets(q, k)]
+        sizes = {k: len(full_pos[k]) * dim_m for k in range(q + 2)}
+        # invariant bases per degree, as coordinate vectors on Lambda^k(W)* (x) M
+        inv_bases = {}
+        for k in range(q + 1):
+            stacked = []
+            for i in range(dim_u):
+                stacked.extend(
+                    _lie_derivative_matrix(structure, dim_m, dim_u, q, k, i).echelon_rows()
                 )
-        return out
+            inv_bases[k] = _kernel_vectors(*_bareiss_echelon(stacked, sizes[k]), sizes[k])
 
-    rel_mats = {}
-    for k in range(q + 1):
-        dom = inv_bases[k]
-        cod = inv_bases.get(k + 1, [])
-        # images are den times the exact ones, den that of full_cols[k]
-        images = []
-        for vec in dom:
-            image = {}
-            for idx, x in enumerate(vec):
-                if not x.is_zero():
-                    s_idx, a = divmod(idx, dim_m)
-                    for r, (re, im) in full_cols[k].data[full_pos[k][s_idx] * dim_m + a].items():
-                        image[r] = image.get(r, ZERO) + x * GaussianRational(re, im)
-            images.append(restrict(k + 1, image))
-        cod_matrix = ExactMatrix(
-            sizes[k + 1], len(cod), [[v[r] for v in cod] for r in range(sizes[k + 1])]
-        )
-        cols, failed = _solve_columns(cod_matrix, images)
-        if failed is not None:
-            raise AssertionError("image of invariant cochain is not invariant")
-        scaled = ScaledIntMatrix.from_exact(ExactMatrix(
-            len(cod), len(dom), [[cols[c][r] for c in range(len(dom))] for r in range(len(cod))]
-        ))
-        rel_mats[k] = ScaledIntMatrix(
-            scaled.rows, scaled.cols, scaled.den * full_cols[k].den, scaled.data
+        def restrict(k, image):
+            """Full adapted cochain (a dict index -> value) -> W-cochain
+            coordinates; asserts that no component touches a u argument."""
+            w_index = {
+                pos * dim_m + a: s_idx * dim_m + a
+                for s_idx, pos in enumerate(full_pos[k]) for a in range(dim_m)
+            }
+            out = [ZERO] * len(w_index)
+            for idx, x in image.items():
+                if idx in w_index:
+                    out[w_index[idx]] = x
+                elif not x.is_zero():
+                    raise AssertionError(
+                        "differential of an invariant relative cochain touched a u argument"
+                    )
+            return out
+
+        rel_mats = {}
+        for k in range(q + 1):
+            dom = inv_bases[k]
+            cod = inv_bases.get(k + 1, [])
+            # images are den times the exact ones, den that of full_cols[k]
+            images = []
+            for vec in dom:
+                image = {}
+                for idx, x in enumerate(vec):
+                    if not x.is_zero():
+                        s_idx, a = divmod(idx, dim_m)
+                        column = full_cols[k].data[full_pos[k][s_idx] * dim_m + a]
+                        for r, (re, im) in column.items():
+                            image[r] = image.get(r, ZERO) + x * GaussianRational(re, im)
+                images.append(restrict(k + 1, image))
+            cod_matrix = ExactMatrix(
+                sizes[k + 1], len(cod), [[v[r] for v in cod] for r in range(sizes[k + 1])]
+            )
+            cols, failed = _solve_columns(cod_matrix, images)
+            if failed is not None:
+                raise AssertionError("image of invariant cochain is not invariant")
+            scaled = ScaledIntMatrix.from_exact(ExactMatrix(
+                len(cod), len(dom), [[cols[c][r] for c in range(len(dom))] for r in range(len(cod))]
+            ))
+            rel_mats[k] = ScaledIntMatrix(
+                scaled.rows, scaled.cols, scaled.den * full_cols[k].den, scaled.data
+            )
+
+        CochainComplex(labels={}, int_differentials=rel_mats).verify()
+        dims, _, _ = _chain_dims(rel_mats, list(range(q + 1)))
+        return CohomologyTable(
+            dims=dims,
+            meta={
+                "relative_pair_dim": dim_u,
+                "cochain_dims": {k: len(inv_bases[k]) for k in range(q + 1)},
+            },
         )
 
-    CochainComplex(labels={}, int_differentials=rel_mats).verify()
-    dims, _, _ = _chain_dims(rel_mats, list(range(q + 1)))
-    return CohomologyTable(
-        dims=dims,
-        meta={"relative_pair_dim": dim_u, "cochain_dims": {k: len(inv_bases[k]) for k in range(q + 1)}},
-    )
+
+def relative_ce_cohomology(acting, u: Subalgebra, module: GModule) -> CohomologyTable:
+    """H^k(acting, u; module): `AdaptedFrame.relative_cohomology` on the
+    frame of the pair."""
+    frame = AdaptedFrame(acting, u, closure_message="relative pair requires a bracket-closed u")
+    return frame.relative_cohomology(module)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +731,8 @@ def relative_ce_cohomology(acting, u: Subalgebra, module: GModule) -> Cohomology
 def complement_basis(g: LieAlgebra, h: Subalgebra):
     """Deterministic complement of h in g: prefer conjugates of the h basis
     vectors, then the remaining standard basis vectors."""
+    if h.parent != g:
+        raise AlgebraError("subalgebra does not belong to the given algebra")
     candidates = [
         [x.conjugate() for x in row] for row in h.vectors()
     ] + [g.basis_vector(j) for j in range(g.dim)]
@@ -648,34 +768,24 @@ class BigradedComplex:
 
 class _BigradedSetup:
     """Shared state for the bigraded complexes of one (g, h) pair: the
-    adapted basis (h first, complement second) and the full
-    trivial-coefficient differentials."""
+    adapted frame of h in g (h first, complement second, named tau and
+    zeta) and the full trivial-coefficient differentials."""
 
     def __init__(self, g: LieAlgebra, h: Subalgebra, complement=None):
-        if h.parent != g:
-            raise AlgebraError("subalgebra does not belong to the given algebra")
-        witness = h.is_subalgebra()
-        if witness is not None:
-            raise ClosureError(witness)
+        if complement is None:
+            complement = complement_basis(g, h)
+        names = [f"τ{j + 1}" for j in range(h.dim)] + [f"ζ{i + 1}" for i in range(g.dim - h.dim)]
+        frame = AdaptedFrame(g, h, complement, names)
         self.g = g
-        self.h = h
-        self.n = h.dim
-        self.m = g.dim - h.dim
-        comp = complement_basis(g, h) if complement is None else [list(v) for v in complement]
-        if len(comp) != self.m:
-            raise AlgebraError("complement does not have the right dimension")
-        self.h_rows = h.vectors()
-        self.comp = comp
-        if Subalgebra.span(g, self.h_rows + comp).dim != g.dim:
-            raise AlgebraError("complement does not complete the subalgebra basis")
-        names = [f"τ{j + 1}" for j in range(self.n)] + [
-            f"ζ{i + 1}" for i in range(self.m)
-        ]
-        adapted = BasisedAlgebra(g, self.h_rows + comp, names=names)
-        trivial = [ExactMatrix.zero(1, 1) for _ in range(adapted.dim)]
+        self.n = frame.dim_u
+        self.m = frame.codim
+        self.h_rows = frame.u_algebra.vectors
+        self.comp = frame.complement
+        adapted = frame.adapted
+        structure = _integer_structure(adapted, [ExactMatrix.zero(1, 1)] * adapted.dim)
         # columns of the full differentials: the images of basis cochains
         self.full_cols = {
-            k: _differential_matrix(adapted, trivial, 1, k).transpose() for k in range(g.dim + 1)
+            k: _differential_matrix(structure, g.dim, 1, k).transpose() for k in range(g.dim + 1)
         }
         self.full_subsets = {k: _subsets(g.dim, k) for k in range(g.dim + 2)}
         self.full_index = {

@@ -13,20 +13,10 @@ disagreement is reported, not resolved silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .algebra import AlgebraError, ClosureError, LieAlgebra, Subalgebra
+from .algebra import AlgebraError, LieAlgebra, Subalgebra
 from .classify import classify_structure
-from .cohomology import (
-    BasisedAlgebra,
-    CohomologyTable,
-    GModule,
-    _wedge_insert,
-    basised,
-    ce_cohomology,
-    extend_to_complement,
-    relative_ce_cohomology,
-)
+from .cohomology import AdaptedFrame, CohomologyTable, GModule, ce_cohomology
 from .linalg import ExactMatrix, rank_kernel, vec_conj, vec_dot
 from .scalars import ZERO
 
@@ -46,63 +36,9 @@ class NoIdealComplementError(AlgebraError):
 
 def adjoint_quotient_module(amb, u: Subalgebra, p: int, dual: bool = False) -> GModule:
     """Lambda^p of the quotient (amb / u) as a u-module via the adjoint
-    action; `dual` takes the contragredient."""
-    ba = basised(amb)
-    u_vectors = u.vectors()
-    for v in u_vectors:
-        if ba.coordinates_of(v) is None:
-            raise AlgebraError("u is not contained in the ambient algebra")
-    witness = u.is_subalgebra()
-    if witness is not None:
-        raise ClosureError(witness)
-    complement = extend_to_complement(u_vectors, ba.vectors)
-    d = len(complement)
-    if d != ba.dim - u.dim:
-        raise AlgebraError("could not complete a complement of u in the ambient algebra")
-    adapted = BasisedAlgebra(ba.parent, u_vectors + complement)
-    dim_u = u.dim
-    # base action of each u generator on the quotient, in the complement basis
-    base = []
-    for i in range(dim_u):
-        cols = []
-        for j in range(d):
-            coeffs = adapted.coeffs(i, dim_u + j)
-            col = [ZERO] * d
-            for l, c in coeffs.items():
-                if l >= dim_u:
-                    col[l - dim_u] = c
-            cols.append(col)
-        base.append(ExactMatrix.from_rows([[cols[j][r] for j in range(d)] for r in range(d)]))
-    if p < 0 or p > d:
-        dim_mod = 0
-    else:
-        dim_mod = len(list(combinations(range(d), p)))
-    subs = list(combinations(range(d), p)) if dim_mod else []
-    index = {s: i for i, s in enumerate(subs)}
-    actions = []
-    for i in range(dim_u):
-        data = [[ZERO] * dim_mod for _ in range(dim_mod)]
-        A = base[i]
-        for s_idx, K in enumerate(subs):
-            for pos in range(p):
-                for l in range(d):
-                    v = A[l, K[pos]]
-                    if v.is_zero():
-                        continue
-                    rest = K[:pos] + K[pos + 1:]
-                    if l in rest:
-                        continue
-                    p_new, newK = _wedge_insert(rest, l)
-                    sign = 1 if (pos - p_new) % 2 == 0 else -1
-                    data[index[newK]][s_idx] = data[index[newK]][s_idx] + v * sign
-        actions.append(ExactMatrix(dim_mod, dim_mod, data))
-    if dual:
-        actions = [a.transpose().scale(-1) for a in actions]
-    module = GModule(u, dim_mod, actions)
-    witness = module.validate()
-    if witness is not None:
-        raise AssertionError(f"adjoint quotient action is not a homomorphism at {witness}")
-    return module
+    action; `dual` takes the contragredient.  See
+    `AdaptedFrame.quotient_module`."""
+    return AdaptedFrame(amb, u).quotient_module(p, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +93,9 @@ def bott_dolbeault(k_alg, u_star: Subalgebra, pair_sub: Subalgebra, p: int) -> C
     """H^q of the quotient complex manifold with p-form coefficients,
     computed as H^q(u_star, pair; Lambda^p(k/u_star)^*) with the adjoint
     action."""
-    ba = basised(k_alg)
-    for v in u_star.vectors():
-        if ba.coordinates_of(v) is None:
-            raise AlgebraError("u_star is not contained in the ambient algebra")
-    u_base = basised(u_star)
-    for v in pair_sub.vectors():
-        if u_base.coordinates_of(v) is None:
-            raise AlgebraError("the pair subalgebra is not contained in u_star")
-    module = adjoint_quotient_module(k_alg, u_star, p, dual=True)
-    return relative_ce_cohomology(u_star, pair_sub, module)
+    outer = AdaptedFrame(k_alg, u_star)
+    module = outer.quotient_module(p, dual=True)
+    return AdaptedFrame(outer.u_algebra, pair_sub).relative_cohomology(module)
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +106,24 @@ def bott_dolbeault(k_alg, u_star: Subalgebra, pair_sub: Subalgebra, p: int) -> C
 def killing_form(g: LieAlgebra) -> ExactMatrix:
     """B(X, Y) = tr(ad_X ad_Y) on the real basis.
 
-    tr(ad_i ad_j) is the sum of ad_i[a, b] * ad_j[b, a] over the nonzero
-    entries; it is symmetric in i and j, so only j >= i is summed.
+    Summed from the structure constants: with [X_i, X_a] = sum_b
+    c_{ia}^b X_b, B_ij = sum over a, b of c_{ia}^b c_{jb}^a.  It is
+    symmetric in i and j, so only j >= i is summed.
     """
     n = g.dim
-    nonzeros = []
-    for j in range(n):
-        ad = g.ad_matrix(g.basis_vector(j))
-        nonzeros.append(
-            {(a, b): ad[a, b] for a in range(n) for b in range(n) if not ad[a, b].is_zero()}
-        )
-    data = [[ZERO] * n for _ in range(n)]
+    # ad[i][(a, b)] = c_{ia}^b, the (b, a) entry of ad_{X_i}
+    ad = [
+        {(a, b): c for a in range(n) for b, c in g.structure_coeffs(i, a).items()}
+        for i in range(n)
+    ]
+    data = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = ZERO
-            for (a, b), x in nonzeros[i].items():
-                y = nonzeros[j].get((b, a))
-                if y is not None:
-                    acc = acc + x * y
+            acc = 0
+            for (a, b), c in ad[i].items():
+                other = ad[j].get((b, a))
+                if other is not None:
+                    acc += c * other
             data[i][j] = data[j][i] = acc
     return ExactMatrix(n, n, data)
 
@@ -230,11 +159,6 @@ def default_inner_product(g: LieAlgebra) -> ExactMatrix:
     return B
 
 
-def _hermitian_pairing(gram: ExactMatrix, v, w):
-    """<v, w> = v^T B conj(w) for a real symmetric B."""
-    return vec_dot(gram.apply(vec_conj(w)), v)
-
-
 def ideal_complement(g: LieAlgebra, h: Subalgebra, k_sub: Subalgebra, gram: ExactMatrix) -> Subalgebra:
     """Orthocomplement of k inside h for the Hermitian extension of the
     ad-invariant product; verified to satisfy [h, u] in u."""
@@ -243,9 +167,10 @@ def ideal_complement(g: LieAlgebra, h: Subalgebra, k_sub: Subalgebra, gram: Exac
     if not k_rows:
         u = h
     else:
-        constraint = ExactMatrix.from_rows(
-            [[_hermitian_pairing(gram, la, kb) for la in h_rows] for kb in k_rows]
-        )
+        # <la, kb> = la^T B conj(kb) for the real symmetric B, with
+        # B conj(kb) formed once per kb
+        paired = [gram.apply(vec_conj(kb)) for kb in k_rows]
+        constraint = ExactMatrix.from_rows([[vec_dot(w, la) for la in h_rows] for w in paired])
         _, kern = rank_kernel(constraint)
         vectors = []
         for coeffs in kern:
@@ -336,16 +261,15 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
     u_star = h
     n = h.dim
     m = g.dim - n
-    k_table = ce_cohomology(k_sub, GModule.trivial(k_sub))
+    # one frame per pair serves every p and both coefficient variants
+    outer = AdaptedFrame(g, u_star)
+    inner = AdaptedFrame(outer.u_algebra, k_sub)
+    k_table = ce_cohomology(inner.u_algebra, GModule.trivial(inner.u_algebra))
     fiber_dual = {}
     fiber_nondual = {}
     for p in range(m + 1):
-        fiber_dual[p] = relative_ce_cohomology(
-            u_star, k_sub, adjoint_quotient_module(g, u_star, p, dual=True)
-        )
-        fiber_nondual[p] = relative_ce_cohomology(
-            u_star, k_sub, adjoint_quotient_module(g, u_star, p, dual=False)
-        )
+        fiber_dual[p] = inner.relative_cohomology(outer.quotient_module(p, dual=True))
+        fiber_nondual[p] = inner.relative_cohomology(outer.quotient_module(p, dual=False))
 
     def assemble(fibers):
         omega = {(p, r): v for p, table in fibers.items() for r, v in table.dims.items()}

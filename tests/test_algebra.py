@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecoh.algebra import (
@@ -246,6 +246,46 @@ def test_algebra_json_roundtrip():
     back = LieAlgebra.from_json_dict(data)
     assert back == g
     assert back.validate() is None
+
+
+# entries with zeros, Gaussian integers and denominators, so that spans are
+# often rank-deficient and echelon rows carry fractions
+_coordinate_entries = st.one_of(
+    st.just(Q(0)),
+    st.just(Q(0)),
+    st.builds(Q, st.integers(-3, 3), st.integers(-3, 3)),
+    st.builds(Q, st.fractions(-2, 2, max_denominator=3), st.fractions(-2, 2, max_denominator=3)),
+)
+
+
+@st.composite
+def _span_and_vector(draw):
+    """A span of zero to four vectors in a four-dimensional algebra, and a
+    test vector that is either a combination of the spanning vectors (a
+    member) or drawn freely (usually not one)."""
+    g = LieAlgebra("abelian4", ("A", "B", "C", "D"), {})
+    vector = st.lists(_coordinate_entries, min_size=4, max_size=4)
+    vectors = draw(st.lists(vector, min_size=0, max_size=4))
+    h = Subalgebra.span(g, vectors)
+    if vectors and draw(st.booleans()):
+        v = [Q(0)] * 4
+        for row in vectors:
+            c = draw(_coordinate_entries)
+            v = [x + c * y for x, y in zip(v, row)]
+    else:
+        v = draw(vector)
+    return h, v
+
+
+@given(_span_and_vector())
+@settings(deadline=None, max_examples=300)
+def test_coordinates_of_matches_solve_on_transposed_basis(case):
+    # members, non-members and the zero subalgebra: the pivot reading with
+    # its residual check gives what a solve against the basis columns gives
+    h, v = case
+    expected = solve_linear(h.basis.transpose(), v)
+    assert h.coordinates_of(v) == expected
+    assert h.contains(v) is (expected is not None)
 
 
 def test_subalgebra_json_roundtrip():

@@ -3,9 +3,21 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liecoh.algebra import LieAlgebra, Subalgebra, parse_span, su2, su3, torus
+from liecoh.algebra import (
+    AlgebraError,
+    ClosureError,
+    LieAlgebra,
+    Subalgebra,
+    parse_span,
+    su2,
+    su3,
+    torus,
+)
 from liecoh.cohomology import (
+    AdaptedFrame,
     BasisedAlgebra,
     CochainComplex,
     CohomologyTable,
@@ -16,6 +28,7 @@ from liecoh.cohomology import (
     ce_complex,
     ce_differential,
     complement_basis,
+    extend_to_complement,
     relative_ce_cohomology,
     _BigradedSetup,
 )
@@ -269,6 +282,142 @@ def test_bad_module_detected():
     g = su2()
     actions = [ExactMatrix.identity(2), ExactMatrix.zero(2, 2), ExactMatrix.zero(2, 2)]
     assert GModule(g, 2, actions).validate() is not None
+
+
+def dense_validate(module):
+    """The dense oracle: action([X_a, X_b]) against the commutator of the
+    action matrices, as exact matrix products, pair by pair."""
+    n = len(module.actions)
+    for a in range(n):
+        for b in range(a + 1, n):
+            lhs = ExactMatrix.zero(module.dim, module.dim)
+            for l, c in module._basis.coeffs(a, b).items():
+                lhs = lhs + module.actions[l].scale(c)
+            A, B = module.actions[a], module.actions[b]
+            if lhs != A.matmul(B) - B.matmul(A):
+                return (a, b)
+    return None
+
+
+def _corrupted(actions, rng):
+    """A copy of `actions` with one entry of one matrix moved by a nonzero
+    Gaussian rational."""
+    out = [ExactMatrix.from_rows(m.row_list()) for m in actions]
+    j = rng.randrange(len(out))
+    rows = out[j].row_list()
+    r, c = rng.randrange(len(rows)), rng.randrange(len(rows))
+    rows[r][c] = rows[r][c] + Q(rng.choice([1, -1, 2]), rng.choice([0, 1])) / rng.choice([1, 3])
+    out[j] = ExactMatrix.from_rows(rows)
+    return out
+
+
+def test_corrupted_action_witness_matches_dense_oracle():
+    # the sparse integer check and the dense product check name the same
+    # first failing pair, on valid modules (None) and on corrupted ones
+    rng = random.Random(314)
+    cases = [(g, GModule.adjoint(g)) for g in (su2(), su3())] + _denominator_cases()
+    for acting, module in cases:
+        assert module.validate() is None is dense_validate(module)
+        for _ in range(15):
+            bad = GModule(acting, module.dim, _corrupted(module.actions, rng))
+            witness = dense_validate(bad)
+            assert witness is not None
+            assert bad.validate() == witness
+
+
+# -- complements and adapted frames ------------------------------------------------
+
+
+def greedy_complement(base_vectors, candidates):
+    """The one-rank-per-candidate greedy scan, as the oracle."""
+    rows = [list(v) for v in base_vectors]
+    picked = []
+    current_rank = rank_kernel(ExactMatrix.from_rows(rows))[0] if rows else 0
+    for cand in candidates:
+        trial = rows + [list(cand)]
+        r = rank_kernel(ExactMatrix.from_rows(trial))[0]
+        if r > current_rank:
+            rows = trial
+            current_rank = r
+            picked.append(list(cand))
+    return picked
+
+
+_complement_entries = st.one_of(
+    st.just(Q(0)),
+    st.just(Q(0)),
+    st.builds(Q, st.integers(-2, 2), st.integers(-2, 2)),
+    st.builds(Q, st.fractions(-2, 2, max_denominator=3), st.fractions(-2, 2, max_denominator=3)),
+)
+
+
+@st.composite
+def _base_and_candidates(draw):
+    """Base vectors (possibly dependent) and candidates in dimension 1 to
+    5; some candidates repeat or combine earlier vectors, so the greedy
+    scan both keeps and skips."""
+    n = draw(st.integers(1, 5))
+    vector = st.lists(_complement_entries, min_size=n, max_size=n)
+    base = draw(st.lists(vector, max_size=3))
+    candidates = draw(st.lists(vector, max_size=5))
+    pool = base + candidates
+    for _ in range(draw(st.integers(0, 2))):
+        if pool:
+            a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+            c = draw(_complement_entries)
+            combined = [x + c * y for x, y in zip(a, b)]
+            candidates.insert(draw(st.integers(0, len(candidates))), combined)
+    return base, candidates
+
+
+@given(_base_and_candidates())
+@settings(deadline=None, max_examples=300)
+def test_extend_to_complement_matches_greedy_scan(case):
+    base, candidates = case
+    assert extend_to_complement(base, candidates) == greedy_complement(base, candidates)
+
+
+def test_complement_basis_matches_greedy_scan():
+    g3 = su3()
+    pairs = [
+        (g3, parse_span(text, g3))
+        for text in (
+            "span{X1-iY1, X2-iY2, X3-iY3, T1, T2}",
+            "span{X1-iY1, X2-iY2, X3-iY3}",
+            "span{X1-iY1, X2-iY2, X3-iY3, T2}",
+            "span{T1+iT2}",
+        )
+    ]
+    pairs.append((su2(), parse_span("span{T, X-iY}", su2())))
+    for g, h in pairs:
+        candidates = [[x.conjugate() for x in row] for row in h.vectors()] + [
+            g.basis_vector(j) for j in range(g.dim)
+        ]
+        assert complement_basis(g, h) == greedy_complement(h.vectors(), candidates)
+
+
+def test_frame_closure_witness_is_the_first_open_pair():
+    # the frame reads closure off its bracket table; the witness is the
+    # first row pair that is_subalgebra reports
+    g = su3()
+    texts = ("span{X1, Y1}", "span{X1, X2}", "span{T1, X1, X2, Y3}", "span{X1-iY1, X2+iY2, T1}")
+    for text in texts:
+        u = parse_span(text, g)
+        witness = u.is_subalgebra()
+        assert witness is not None
+        with pytest.raises(ClosureError) as info:
+            AdaptedFrame(g, u)
+        assert info.value.witness == witness
+
+
+def test_frame_rejects_what_the_acting_algebra_does_not_contain():
+    g = su2()
+    with pytest.raises(AlgebraError, match="not contained"):
+        AdaptedFrame(parse_span("span{T}", g), parse_span("span{X}", g))
+    with pytest.raises(AlgebraError, match="right dimension"):
+        AdaptedFrame(g, parse_span("span{T}", g), complement=[g.basis_vector(1)])
+    with pytest.raises(AlgebraError, match="does not complete"):
+        AdaptedFrame(g, parse_span("span{T}", g), complement=[g.basis_vector(1)] * 2)
 
 
 # -- relative cohomology -----------------------------------------------------------

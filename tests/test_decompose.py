@@ -1,9 +1,17 @@
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from liecoh.algebra import Subalgebra, parse_span, su2, su3, torus
-from liecoh.cohomology import bigraded_cohomology
+from liecoh.cohomology import (
+    AdaptedFrame,
+    BasisedAlgebra,
+    GModule,
+    bigraded_cohomology,
+    relative_ce_cohomology,
+)
 from liecoh.decompose import (
     AlgebraError,
     NoIdealComplementError,
@@ -16,8 +24,11 @@ from liecoh.decompose import (
     kunneth_assemble,
     validate_ad_invariant,
 )
-from liecoh.linalg import ExactMatrix
+from liecoh.linalg import ExactMatrix, rank_kernel, solve_linear
 from liecoh.scalars import GaussianRational as Q
+
+from conftest import diagonal_solvable, two_step_nilpotent
+from property_suites import _algebra_subalgebra_cases
 
 
 # -- adjoint quotient modules ---------------------------------------------------
@@ -55,6 +66,106 @@ def test_quotient_module_homomorphism_check():
     for p in range(4):
         for dual in (False, True):
             assert adjoint_quotient_module(g, u, p, dual=dual).validate() is None
+
+
+def _inversion_sign(seq):
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def brute_force_quotient_actions(g, u, p, dual):
+    """Lambda^p(ad) on g/u, built from LieAlgebra.bracket: the complement
+    is the greedy pick from the standard basis, [u_i, w_j] is solved in
+    the basis (u, w), and a wedge of complement vectors is re-sorted with
+    its permutation sign."""
+    u_rows = u.vectors()
+    comp, rows = [], list(u_rows)
+    for j in range(g.dim):
+        trial = rows + [g.basis_vector(j)]
+        if rank_kernel(ExactMatrix.from_rows(trial))[0] > len(rows):
+            rows = trial
+            comp.append(g.basis_vector(j))
+    d = len(comp)
+    cols = ExactMatrix.from_rows([[v[i] for v in u_rows + comp] for i in range(g.dim)])
+    subs = list(combinations(range(d), p)) if 0 <= p <= d else []
+    index = {K: i for i, K in enumerate(subs)}
+    actions = []
+    for x in u_rows:
+        # A[l][j]: complement coefficient l of [x, w_j]
+        A = [[None] * d for _ in range(d)]
+        for j, w in enumerate(comp):
+            coords = solve_linear(cols, g.bracket(x, w))
+            for l in range(d):
+                A[l][j] = coords[len(u_rows) + l]
+        data = [[Q(0)] * len(subs) for _ in subs]
+        for K in subs:
+            for pos in range(p):
+                for l in range(d):
+                    if A[l][K[pos]].is_zero():
+                        continue
+                    replaced = K[:pos] + (l,) + K[pos + 1:]
+                    if len(set(replaced)) < p:
+                        continue
+                    target = tuple(sorted(replaced))
+                    term = A[l][K[pos]] * _inversion_sign(replaced)
+                    data[index[target]][index[K]] = data[index[target]][index[K]] + term
+        M = ExactMatrix(len(subs), len(subs), data)
+        actions.append(M.transpose().scale(-1) if dual else M)
+    return actions
+
+
+def _quotient_pairs():
+    g3 = su3()
+    pairs = [
+        (g3, parse_span(text, g3))
+        for text in (
+            "span{X1-iY1, X2-iY2, X3-iY3, T1, T2}",
+            "span{X1-iY1, X2-iY2, X3-iY3}",
+            "span{T1, T2}",
+        )
+    ]
+    pairs.append((su2(), parse_span("span{T, X-iY}", su2())))
+    cases = _algebra_subalgebra_cases(random.Random(1207))
+    pairs.extend(next(cases) for _ in range(12))
+    return pairs
+
+
+def test_quotient_module_matches_brute_force_exterior_power():
+    for g, u in _quotient_pairs():
+        for p in range(g.dim - u.dim + 1):
+            for dual in (False, True):
+                module = adjoint_quotient_module(g, u, p, dual=dual)
+                assert module.actions == brute_force_quotient_actions(g, u, p, dual), (g.name, p)
+
+
+def test_relative_wrapper_equals_frame_method():
+    g2, g3 = su2(), su3()
+    h5 = parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g3)
+    cases = [
+        (g2, parse_span("span{T}", g2), GModule.adjoint(g2)),
+        (g3, parse_span("span{T1, T2}", g3), GModule.trivial(g3)),
+    ]
+    outer = AdaptedFrame(g3, h5)
+    for p in range(4):
+        cases.append((outer.u_algebra, parse_span("span{T1, T2}", g3), outer.quotient_module(p, True)))
+    for acting, u, module in cases:
+        wrapped = relative_ce_cohomology(acting, u, module)
+        direct = AdaptedFrame(acting, u).relative_cohomology(module)
+        assert (wrapped.dims, wrapped.meta) == (direct.dims, direct.meta)
+
+
+def test_full_assembly_builds_each_adapted_basis_once(monkeypatch):
+    calls = []
+    real = BasisedAlgebra.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(BasisedAlgebra, "__init__", counting)
+    g = su3()
+    full_assembly(g, parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g))
+    assert len(calls) <= 4
 
 
 # -- Kunneth convolution ----------------------------------------------------------
@@ -137,6 +248,19 @@ def test_bott_requires_containment():
 def test_killing_form_su2():
     K = killing_form(su2())
     assert K == ExactMatrix.from_rows([[-8, 0, 0], [0, -8, 0], [0, 0, -8]])
+
+
+def test_killing_form_is_trace_of_ad_products():
+    rng = random.Random(1208)
+    algebras = [su2(), su3()]
+    algebras += [two_step_nilpotent(rng, 3, 2) for _ in range(3)]
+    algebras += [diagonal_solvable(rng, 3) for _ in range(3)]
+    for g in algebras:
+        ads = [g.ad_matrix(g.basis_vector(j)) for j in range(g.dim)]
+        expected = ExactMatrix.from_rows(
+            [[ads[i].matmul(ads[j]).trace() for j in range(g.dim)] for i in range(g.dim)]
+        )
+        assert killing_form(g) == expected, g.name
 
 
 def test_negative_killing_is_ad_invariant():
