@@ -524,6 +524,9 @@ def _lie_derivative_matrix(structure, dim_m, dim_u, q, k, acting_index) -> Scale
     return ScaledIntMatrix(len(rows), len(subs) * dim_m, den, rows)
 
 
+RELATIVE_CLOSURE = "relative pair requires a bracket-closed u"
+
+
 class AdaptedFrame:
     """The adapted basis of a pair (acting, u): the basis rows of u first,
     then a complement of u in the acting algebra.
@@ -539,7 +542,7 @@ class AdaptedFrame:
     this for every degree and coefficient module.
     """
 
-    def __init__(self, acting, u: Subalgebra, complement=None, names=None, closure_message=None):
+    def __init__(self, acting, u: Subalgebra, complement=None, closure_message=None):
         base = basised(acting)
         if u.parent != base.parent:
             raise AlgebraError("subalgebra does not belong to the given algebra")
@@ -548,6 +551,8 @@ class AdaptedFrame:
         given = complement is not None
         if given:
             complement = [list(v) for v in complement]
+            if any(len(v) != base.parent.dim for v in complement):
+                raise AlgebraError("vector length does not match algebra dimension")
         else:
             complement = extend_to_complement(u_vectors, base.vectors)
         coords, failed = _solve_columns(base._cols, u_vectors + complement)
@@ -559,7 +564,7 @@ class AdaptedFrame:
             given and len(extend_to_complement(u_vectors, complement)) != len(complement)
         ):
             raise AlgebraError("complement does not complete the subalgebra basis")
-        adapted = BasisedAlgebra(base.parent, u_vectors + complement, names=names)
+        adapted = BasisedAlgebra(base.parent, u_vectors + complement)
         for pair in combinations(range(dim_u), 2):
             if any(l >= dim_u for l in adapted.coeffs(*pair)):
                 raise ClosureError(pair, closure_message)
@@ -719,7 +724,7 @@ class AdaptedFrame:
 def relative_ce_cohomology(acting, u: Subalgebra, module: GModule) -> CohomologyTable:
     """H^k(acting, u; module): `AdaptedFrame.relative_cohomology` on the
     frame of the pair."""
-    frame = AdaptedFrame(acting, u, closure_message="relative pair requires a bracket-closed u")
+    frame = AdaptedFrame(acting, u, closure_message=RELATIVE_CLOSURE)
     return frame.relative_cohomology(module)
 
 
@@ -768,14 +773,13 @@ class BigradedComplex:
 
 class _BigradedSetup:
     """Shared state for the bigraded complexes of one (g, h) pair: the
-    adapted frame of h in g (h first, complement second, named tau and
-    zeta) and the full trivial-coefficient differentials."""
+    adapted frame of h in g (h first, complement second; labels name them
+    tau and zeta) and the full trivial-coefficient differentials."""
 
     def __init__(self, g: LieAlgebra, h: Subalgebra, complement=None):
         if complement is None:
             complement = complement_basis(g, h)
-        names = [f"τ{j + 1}" for j in range(h.dim)] + [f"ζ{i + 1}" for i in range(g.dim - h.dim)]
-        frame = AdaptedFrame(g, h, complement, names)
+        frame = AdaptedFrame(g, h, complement)
         self.g = g
         self.n = frame.dim_u
         self.m = frame.codim

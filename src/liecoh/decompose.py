@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 from .algebra import AlgebraError, LieAlgebra, Subalgebra
 from .classify import classify_structure
-from .cohomology import AdaptedFrame, CohomologyTable, GModule, ce_cohomology
+from .cohomology import (
+    RELATIVE_CLOSURE,
+    AdaptedFrame,
+    CohomologyTable,
+    GModule,
+    ce_cohomology,
+)
 from .linalg import ExactMatrix, rank_kernel, vec_conj, vec_dot
 from .scalars import ZERO
 
@@ -95,7 +101,8 @@ def bott_dolbeault(k_alg, u_star: Subalgebra, pair_sub: Subalgebra, p: int) -> C
     action."""
     outer = AdaptedFrame(k_alg, u_star)
     module = outer.quotient_module(p, dual=True)
-    return AdaptedFrame(outer.u_algebra, pair_sub).relative_cohomology(module)
+    inner = AdaptedFrame(outer.u_algebra, pair_sub, closure_message=RELATIVE_CLOSURE)
+    return inner.relative_cohomology(module)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +270,7 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
     m = g.dim - n
     # one frame per pair serves every p and both coefficient variants
     outer = AdaptedFrame(g, u_star)
-    inner = AdaptedFrame(outer.u_algebra, k_sub)
+    inner = AdaptedFrame(outer.u_algebra, k_sub, closure_message=RELATIVE_CLOSURE)
     k_table = ce_cohomology(inner.u_algebra, GModule.trivial(inner.u_algebra))
     fiber_dual = {}
     fiber_nondual = {}

@@ -418,6 +418,11 @@ def test_frame_rejects_what_the_acting_algebra_does_not_contain():
         AdaptedFrame(g, parse_span("span{T}", g), complement=[g.basis_vector(1)])
     with pytest.raises(AlgebraError, match="does not complete"):
         AdaptedFrame(g, parse_span("span{T}", g), complement=[g.basis_vector(1)] * 2)
+    for short_or_long in ([Q(1)] * 2, [Q(1)] * 4):
+        with pytest.raises(AlgebraError, match="vector length does not match"):
+            AdaptedFrame(
+                g, parse_span("span{T}", g), complement=[g.basis_vector(1), short_or_long]
+            )
 
 
 # -- relative cohomology -----------------------------------------------------------

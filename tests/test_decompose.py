@@ -242,6 +242,12 @@ def test_bott_requires_containment():
         bott_dolbeault(g, parse_span("span{T}", g), parse_span("span{X-iY}", g), 0)
 
 
+def test_bott_requires_a_closed_pair():
+    g = su2()
+    with pytest.raises(AlgebraError, match="relative pair requires a bracket-closed u"):
+        bott_dolbeault(g, Subalgebra.full(g), parse_span("span{X, Y}", g), 0)
+
+
 # -- inner products -----------------------------------------------------------------
 
 
