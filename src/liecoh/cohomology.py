@@ -8,22 +8,21 @@ The differential on alternating cochains with module coefficients is
 (1-based signs), and d o d = 0 exactly.  The relative complex of a pair
 (g, u) lives on cochains over g/u that are killed by the induced u
 Lie-derivative action; that invariance is exactly what makes the space
-stable under d.  The bigraded complex of a subalgebra h splits the full
-trivial-coefficient complex by the number of complement-dual factors;
-d' keeps the component with the same complement count, components with
-more are killed by the quotient and components with fewer vanish because
-h is involutive (asserted).
+stable under d.  The bigraded complex of a subalgebra h is, row by row,
+the complex of h with module coefficients: row p is
+C^q(h; Lambda^p(g/h)^*), written in the basis zeta_I wedge tau_J.
 
 One builder, `_differential_matrix`, writes every differential (plain,
-module, the full complex behind the relative and bigraded ones) straight
-into sparse rows of (re, im) Python-int pairs over one positive
-denominator per matrix: the lcm of the denominators of the bracket
-table and of the action matrices (`ScaledIntMatrix`).  The scale is per
-matrix, not per row, so the integer product of d_{k+1} and d_k is
-den_{k+1} * den_k * (d_{k+1} d_k), which is zero exactly when d o d is;
-`_check_square_zero` tests that product once per complex, for the
-plain, relative and bigraded complexes alike.  The same rows go to the
-elimination kernel, and dims come from its pivot counts.
+module, the rows of the bigraded complex and the full complex behind
+the relative one) straight into sparse rows of (re, im) Python-int
+pairs over one positive denominator per matrix: the lcm of the
+denominators of the bracket table and of the action matrices
+(`ScaledIntMatrix`).  The scale is per matrix, not per row, so the
+integer product of d_{k+1} and d_k is den_{k+1} * den_k * (d_{k+1} d_k),
+which is zero exactly when d o d is; `_check_square_zero` tests that
+product once per complex, for the plain, relative and bigraded
+complexes alike.  The same rows go to the elimination kernel, and dims
+come from its pivot counts.
 GaussianRational appears only at the boundary: `ce_differential`,
 `CochainComplex.differentials` and `BigradedComplex.dprime` convert to
 ExactMatrix, and kernel vectors are formed only for representatives.
@@ -35,14 +34,15 @@ complement once, solves once for the bracket table in the adapted basis
 and for the coordinates of the adapted vectors, and serves the quotient
 modules Lambda^p(acting/u) (`quotient_module`) and the relative complex
 (`relative_cohomology`) for every degree and module.  The bigraded
-complex, `relative_ce_cohomology` and `decompose` all build on it.
+complex (on the dual modules Lambda^p(g/h)^*), `relative_ce_cohomology`
+and `decompose` all build on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from .algebra import AlgebraError, ClosureError, LieAlgebra, Subalgebra
 from .linalg import (
@@ -749,9 +749,11 @@ class BigradedComplex:
     """The fixed-p row of the quotient complex: bases zeta_I wedge tau_J
     with |I| = p and |J| = q, and the induced differentials d' per q.
 
-    dim of the (p, q) space is C(m, p) * C(n, q) for n the subalgebra
-    dimension and m its codimension; d' o d' = 0 exactly.  The d' are
-    held as ScaledIntMatrix (`int_dprime`); `dprime` gives ExactMatrix.
+    Row p is the Chevalley-Eilenberg complex of h with coefficients in
+    Lambda^p(g/h)^*, so the (p, q) space has dim C(m, p) * C(n, q) for n
+    the subalgebra dimension and m its codimension, and d' o d' = 0
+    exactly.  The d' are held as ScaledIntMatrix (`int_dprime`);
+    `dprime` gives ExactMatrix.
     """
 
     p: int
@@ -771,93 +773,56 @@ class BigradedComplex:
         )
 
 
-class _BigradedSetup:
-    """Shared state for the bigraded complexes of one (g, h) pair: the
-    adapted frame of h in g (h first, complement second; labels name them
-    tau and zeta) and the full trivial-coefficient differentials."""
-
-    def __init__(self, g: LieAlgebra, h: Subalgebra, complement=None):
-        if complement is None:
-            complement = complement_basis(g, h)
-        frame = AdaptedFrame(g, h, complement)
-        self.g = g
-        self.n = frame.dim_u
-        self.m = frame.codim
-        self.h_rows = frame.u_algebra.vectors
-        self.comp = frame.complement
-        adapted = frame.adapted
-        structure = _integer_structure(adapted, [ExactMatrix.zero(1, 1)] * adapted.dim)
-        # columns of the full differentials: the images of basis cochains
-        self.full_cols = {
-            k: _differential_matrix(structure, g.dim, 1, k).transpose() for k in range(g.dim + 1)
+def _row_differential(structure, n: int, dim_m: int, p: int, q: int) -> ScaledIntMatrix:
+    """d' from (p, q) to (p, q + 1): the degree-q Chevalley-Eilenberg
+    differential of the n-dimensional h with coefficients in the dim_m
+    basis functionals zeta_I of Lambda^p(g/h)^* (`structure`), with the
+    columns and rows reordered from (J major, I minor) to (I major, J
+    minor) and multiplied by (-1)^p, the sign of moving d past zeta_I."""
+    ce = _differential_matrix(structure, n, dim_m, q)
+    sign = -1 if p % 2 else 1
+    dom, cod = comb(n, q), comb(n, q + 1)
+    rows = [None] * ce.rows
+    for r, row in enumerate(ce.data):
+        J, a = divmod(r, dim_m)
+        rows[a * cod + J] = {
+            (c % dim_m) * dom + c // dim_m: (sign * re, sign * im) for c, (re, im) in row.items()
         }
-        self.full_subsets = {k: _subsets(g.dim, k) for k in range(g.dim + 2)}
-        self.full_index = {
-            k: {s: i for i, s in enumerate(subs)} for k, subs in self.full_subsets.items()
-        }
+    return ScaledIntMatrix(ce.rows, ce.cols, ce.den, rows)
 
-    def pq_basis(self, p, q):
-        return [
-            (I, J)
-            for I in combinations(range(self.m), p)
-            for J in combinations(range(self.n), q)
-        ]
 
-    @staticmethod
-    def label(I, J):
-        parts = [f"ζ{i + 1}" for i in I] + [f"τ{j + 1}" for j in J]
-        return "∧".join(parts) if parts else "1"
-
-    def dprime_matrix(self, p, q) -> ScaledIntMatrix:
-        n = self.n
-        dom = self.pq_basis(p, q)
-        cod = self.pq_basis(p, q + 1)
-        cod_index = {b: i for i, b in enumerate(cod)}
-        rows = [{} for _ in cod]
-        k = p + q
-        if k > self.g.dim or not dom:
-            return ScaledIntMatrix(len(cod), len(dom), 1, rows)
-        # the basis functional zeta_I wedge tau_J is (-1)^{pq} times the
-        # ascending-index wedge tau_J wedge zeta_I, so embedding and
-        # extraction contribute (-1)^{pq} and (-1)^{p(q+1)}
-        sign = (-1) ** (p * q) * (-1) ** (p * (q + 1))
-        full = self.full_cols[k]
-        cod_subsets = self.full_subsets[k + 1]
-        for d_idx, (I, J) in enumerate(dom):
-            S = tuple(J) + tuple(n + i for i in I)
-            for S2_idx, (re, im) in full.data[self.full_index[k][S]].items():
-                S2 = cod_subsets[S2_idx]
-                zeta_count = sum(1 for x in S2 if x >= n)
-                if zeta_count > p:
-                    continue  # killed by the quotient
-                if zeta_count < p:
-                    raise AssertionError(
-                        "differential dropped below the complement filtration; "
-                        "the subalgebra is not involutive"
-                    )
-                J2 = tuple(x for x in S2 if x < n)
-                I2 = tuple(x - n for x in S2 if x >= n)
-                # (I2, J2) <-> S2 is one to one, so each entry is set once
-                rows[cod_index[(I2, J2)]][d_idx] = (sign * re, sign * im)
-        return ScaledIntMatrix(len(cod), len(dom), full.den, rows)
-
-    def complex_for(self, p: int) -> BigradedComplex:
-        complex_ = BigradedComplex(
-            p=p,
-            labels={
-                q: [self.label(I, J) for (I, J) in self.pq_basis(p, q)]
-                for q in range(self.n + 2)
-            },
-            int_dprime={q: self.dprime_matrix(p, q) for q in range(self.n + 1)},
-        )
-        complex_.verify()
-        return complex_
+def _bigraded_row(frame: AdaptedFrame, p: int) -> BigradedComplex:
+    """Row p of the bigraded complex of the frame's pair (g, h), as
+    CE(h; Lambda^p(g/h)^*) in the basis zeta_I wedge tau_J, verified to
+    square to zero."""
+    n = frame.dim_u
+    zetas = list(combinations(range(frame.codim), p))
+    module = frame.quotient_module(p, dual=True)
+    structure = _integer_structure(frame.u_algebra, module.actions)
+    complex_ = BigradedComplex(
+        p=p,
+        labels={
+            q: [
+                "∧".join([f"ζ{i + 1}" for i in I] + [f"τ{j + 1}" for j in J]) or "1"
+                for I in zetas
+                for J in combinations(range(n), q)
+            ]
+            for q in range(n + 2)
+        },
+        int_dprime={
+            q: _row_differential(structure, n, len(zetas), p, q) for q in range(n + 1)
+        },
+    )
+    complex_.verify()
+    return complex_
 
 
 def bigraded_complex(g: LieAlgebra, h: Subalgebra, p: int, complement=None) -> BigradedComplex:
     """The fixed-p quotient complex of the subalgebra h, with labels and
     exact d' matrices."""
-    return _BigradedSetup(g, h, complement).complex_for(p)
+    if complement is None:
+        complement = complement_basis(g, h)
+    return _bigraded_row(AdaptedFrame(g, h, complement), p)
 
 
 def bigraded_cohomology(
@@ -866,19 +831,22 @@ def bigraded_cohomology(
     representatives: bool = False,
     complement=None,
 ) -> CohomologyTable:
-    """H^{p,q}(g; h): cohomology of the quotient complex with bases
-    zeta_I wedge tau_J (|I| = p complement duals, |J| = q h duals).
+    """H^{p,q}(g; h) = H^q(h; Lambda^p(g/h)^*): cohomology of the quotient
+    complex with bases zeta_I wedge tau_J (|I| = p complement duals,
+    |J| = q h duals), one `_bigraded_row` per p on one adapted frame.
 
     `complement` overrides the deterministic complement basis (the dims
     are independent of this choice; matrices are not).
     """
-    setup = _BigradedSetup(g, h, complement)
-    n, m = setup.n, setup.m
+    if complement is None:
+        complement = complement_basis(g, h)
+    frame = AdaptedFrame(g, h, complement)
+    n = frame.dim_u
     dims = {}
     reps = {} if representatives else None
     labels = {} if representatives else None
-    for p in range(m + 1):
-        complex_ = setup.complex_for(p)
+    for p in range(frame.codim + 1):
+        complex_ = _bigraded_row(frame, p)
         pdims, preps, plabels = _chain_dims(
             complex_.int_dprime,
             list(range(n + 1)),
@@ -892,8 +860,8 @@ def bigraded_cohomology(
                 reps[(p, q)] = preps[q]
                 labels[(p, q)] = plabels[q]
     meta = {
-        "h_basis": [[format_scalar(x) for x in row] for row in setup.h_rows],
-        "complement_basis": [[format_scalar(x) for x in row] for row in setup.comp],
+        "h_basis": [[format_scalar(x) for x in row] for row in frame.u_algebra.vectors],
+        "complement_basis": [[format_scalar(x) for x in row] for row in frame.complement],
         "note": (
             "left-invariant (algebraic) dimensions; the comparison map into "
             "the analytic cohomology is injective, and equality holds in the "

@@ -77,19 +77,6 @@ def vec_is_zero(v: Vector) -> bool:
     return all(x.is_zero() for x in v)
 
 
-def vec_add(v: Vector, w: Vector) -> Vector:
-    return [a + b for a, b in zip(v, w, strict=True)]
-
-
-def vec_sub(v: Vector, w: Vector) -> Vector:
-    return [a - b for a, b in zip(v, w, strict=True)]
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = as_scalar(c)
-    return [c * a for a in v]
-
-
 def vec_conj(v: Vector) -> Vector:
     return [a.conjugate() for a in v]
 

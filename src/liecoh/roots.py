@@ -20,8 +20,8 @@ from .classify import ClassificationReport, classify_structure
 from .linalg import (
     ExactMatrix,
     NonSplitError,
+    _solve_columns,
     as_scalar,
-    solve_linear,
     split_eigen,
     vec_is_zero,
 )
@@ -114,13 +114,9 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
             cols = ExactMatrix.from_rows(
                 [[vectors[c][i] for c in range(len(vectors))] for i in range(n)]
             )
-            sub_cols = []
-            for v in vectors:
-                image = ad.apply(v)
-                coords = solve_linear(cols, image)
-                if coords is None:
-                    raise NonSemisimpleActionError(j)
-                sub_cols.append(coords)
+            sub_cols, failed = _solve_columns(cols, [ad.apply(v) for v in vectors])
+            if failed is not None:
+                raise NonSemisimpleActionError(j)
             restricted = ExactMatrix.from_rows(
                 [[sub_cols[c][r] for c in range(len(vectors))] for r in range(len(vectors))]
             )

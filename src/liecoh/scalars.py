@@ -152,9 +152,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def inverse(self) -> "GaussianRational":
-        return GaussianRational(1) / self
-
     def norm(self) -> Fraction:
         """The field norm a^2 + b^2 (a nonnegative rational)."""
         return self.re * self.re + self.im * self.im

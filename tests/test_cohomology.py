@@ -30,9 +30,10 @@ from liecoh.cohomology import (
     complement_basis,
     extend_to_complement,
     relative_ce_cohomology,
-    _BigradedSetup,
 )
+import liecoh.cohomology as cohomology
 from liecoh.linalg import ExactMatrix, ScaledIntMatrix, rank_kernel
+from liecoh.roots import PositiveSystemError, build_standard, positive_system, root_decomposition
 from liecoh.scalars import GaussianRational as Q
 
 from conftest import diagonal_solvable, random_nilpotent_subalgebra, two_step_nilpotent
@@ -541,6 +542,70 @@ def test_bigraded_complex_space_dims():
             assert complex_.space_dim(q) == comb(m, p) * comb(n, q)
 
 
+# -- d' against the full trivial-coefficient complex of g ------------------------
+#
+# The reference filters the trivial-coefficient differential of g in the
+# adapted basis (h first, complement second) to the cochains with exactly p
+# complement factors: components with more are killed by the quotient, and
+# components with fewer vanish because h is closed.  zeta_I wedge tau_J is
+# (-1)^{pq} times the ascending wedge tau_J wedge zeta_I, so embedding and
+# extraction contribute (-1)^{pq} and (-1)^{p(q+1)}.
+
+
+def reference_dprime(g, h, p):
+    frame = AdaptedFrame(g, h, complement_basis(g, h))
+    n, m = frame.dim_u, frame.codim
+    trivial = GModule.trivial(frame.adapted)
+
+    def basis(q):
+        return [(I, J) for I in combinations(range(m), p) for J in combinations(range(n), q)]
+
+    out = {}
+    for q in range(n + 1):
+        k = p + q
+        full = ce_differential(frame.adapted, trivial, k).row_list()
+        dom_index = {s: i for i, s in enumerate(combinations(range(g.dim), k))}
+        cod_subsets = list(combinations(range(g.dim), k + 1))
+        dom, cod = basis(q), basis(q + 1)
+        cod_index = {b: i for i, b in enumerate(cod)}
+        sign = (-1) ** (p * q) * (-1) ** (p * (q + 1))
+        data = [[Q(0)] * len(dom) for _ in cod]
+        for d_idx, (I, J) in enumerate(dom):
+            column = dom_index[J + tuple(n + i for i in I)]
+            for S2, row in zip(cod_subsets, full):
+                x = row[column]
+                if x.is_zero():
+                    continue
+                zetas = tuple(s - n for s in S2 if s >= n)
+                assert len(zetas) >= p, "differential dropped below the complement filtration"
+                if len(zetas) == p:
+                    data[cod_index[(zetas, tuple(s for s in S2 if s < n))]][d_idx] = x * sign
+        out[q] = ExactMatrix(len(cod), len(dom), data)
+    return out
+
+
+def test_dprime_matches_full_complex_filter():
+    su2_, su3_, torus2 = su2(), su3(), torus(2)
+    pairs = [
+        (su2_, parse_span("span{T, X-iY}", su2_)),
+        (su2_, parse_span("span{X-iY}", su2_)),
+        (su2_, Subalgebra.full(su2_)),
+        (su2_, Subalgebra.span(su2_, [])),
+        (su3_, parse_span("span{X1-iY1, X2-iY2, X3-iY3}", su3_)),
+        (su3_, parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", su3_)),
+        (su3_, parse_span("span{X1-iY1, X2-iY2, X3-iY3, T2}", su3_)),
+        (su3_, parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1+iT2}", su3_)),
+        (torus2, parse_span("span{D1-2/3D2}", torus2)),
+    ]
+    rng = random.Random(11)
+    for _ in range(6):
+        g = two_step_nilpotent(rng, 3, 1)
+        pairs.append((g, random_nilpotent_subalgebra(rng, g, 3, 1)))
+    for g, h in pairs:
+        for p in range(g.dim - h.dim + 1):
+            assert bigraded_complex(g, h, p).dprime == reference_dprime(g, h, p)
+
+
 # -- bigraded cohomology -------------------------------------------------------------
 
 
@@ -614,17 +679,61 @@ def test_bigraded_dims_independent_of_complement_choice():
 
 def test_corrupted_dprime_is_caught(monkeypatch):
     # d'_1 = [0, -2i] does not kill the corrupted d'_0 = [0, 1]^T
-    real = _BigradedSetup.dprime_matrix
+    real = cohomology._row_differential
 
-    def corrupted(self, p, q):
+    def corrupted(structure, n, dim_m, p, q):
         if (p, q) == (0, 0):
             return ScaledIntMatrix.from_exact(ExactMatrix.from_rows([[Q(0)], [Q(1)]]))
-        return real(self, p, q)
+        return real(structure, n, dim_m, p, q)
 
-    monkeypatch.setattr(_BigradedSetup, "dprime_matrix", corrupted)
+    monkeypatch.setattr(cohomology, "_row_differential", corrupted)
     g = su2()
     with pytest.raises(AssertionError, match=r"d' o d' is nonzero at \(p, q\) = \(0, 0\)"):
         bigraded_cohomology(g, parse_span("span{T, X-iY}", g))
+
+
+# -- Bott-Kostant: H^{p,q}(g; t_C + n+) = #{w in W : l(w) = p} * C(rank, q - p)
+
+
+def bott_kostant_dims(lengths, rank, m, n):
+    return {
+        (p, q): lengths[p] * comb(rank, q - p) if 0 <= q - p <= rank else 0
+        for p in range(m + 1)
+        for q in range(n + 1)
+    }
+
+
+def closed_chambers(rd):
+    """Every positive system of rd: one root of each +- pair, kept when
+    closed under addition."""
+    pairs = [(a, tuple(-x for x in a)) for a in positive_system(rd).positive_roots]
+    chambers = []
+    for mask in range(2 ** len(pairs)):
+        override = [pair[(mask >> i) & 1] for i, pair in enumerate(pairs)]
+        try:
+            chambers.append(positive_system(rd, override=override))
+        except PositiveSystemError:
+            pass
+    return chambers
+
+
+@pytest.mark.parametrize(
+    "algebra, torus_span, lengths, chambers",
+    [(su2, "span{T}", [1, 1], 2), (su3, "span{T1, T2}", [1, 2, 2, 1], 6)],
+)
+def test_bigraded_elliptic_standard_matches_bott_kostant(algebra, torus_span, lengths, chambers):
+    g = algebra()
+    rd = root_decomposition(g, parse_span(torus_span, g))
+    rank = rd.torus.dim
+    found = closed_chambers(rd)
+    assert len(found) == chambers
+    for plus in found:
+        h = build_standard(rd, rank, 0, plus).subalgebra
+        table = bigraded_cohomology(g, h)
+        n, m = h.dim, g.dim - h.dim
+        assert {key: table.dim(key) for key in bott_kostant_dims(lengths, rank, m, n)} == (
+            bott_kostant_dims(lengths, rank, m, n)
+        )
 
 
 def test_bigraded_random_nilpotent_closed():
