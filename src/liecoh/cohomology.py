@@ -13,9 +13,9 @@ the complex of h with module coefficients: row p is
 C^q(h; Lambda^p(g/h)^*), written in the basis zeta_I wedge tau_J.
 
 One builder, `_differential_matrix`, writes every differential (plain,
-module, the rows of the bigraded complex and the full complex behind
-the relative one) straight into sparse rows of (re, im) Python-int
-pairs over one positive denominator per matrix: the lcm of the
+module, the rows of the bigraded complex and the complement block that
+carries the relative one) straight into sparse rows of (re, im)
+Python-int pairs over one positive denominator per matrix: the lcm of the
 denominators of the bracket table and of the action matrices
 (`ScaledIntMatrix`).  The scale is per matrix, not per row, so the
 integer product of d_{k+1} and d_k is den_{k+1} * den_k * (d_{k+1} d_k),
@@ -25,7 +25,8 @@ complexes alike.  The same rows go to the elimination kernel, and dims
 come from its pivot counts.
 GaussianRational appears only at the boundary: `ce_differential`,
 `CochainComplex.differentials` and `BigradedComplex.dprime` convert to
-ExactMatrix, and kernel vectors are formed only for representatives.
+ExactMatrix, and kernel vectors are formed only for representatives and
+for the invariant bases of the relative complex.
 
 Every pair (acting, u) that needs a basis adapted to u, with u's basis
 first and a complement second, gets one `AdaptedFrame`.  It checks once
@@ -33,9 +34,15 @@ that u lies in the acting algebra and is bracket-closed, picks the
 complement once, solves once for the bracket table in the adapted basis
 and for the coordinates of the adapted vectors, and serves the quotient
 modules Lambda^p(acting/u) (`quotient_module`) and the relative complex
-(`relative_cohomology`) for every degree and module.  The bigraded
-complex (on the dual modules Lambda^p(g/h)^*), `relative_ce_cohomology`
-and `decompose` all build on it.
+(`relative_cohomology`) for every degree and module.  One loop,
+`_lie_derivative_matrix`, writes the action of u on Lambda^p(W)^* tensor
+M for W the complement block: with trivial coefficients it is the dual
+quotient module, and with the module's actions it cuts out the
+u-invariant relative cochains.  The relative d is `_differential_matrix`
+of W alone, its brackets taken modulo u, since relative cochains vanish
+on u arguments.  The bigraded complex (on the dual modules
+Lambda^p(g/h)^*), `relative_ce_cohomology` and `decompose` all build on
+it.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from .linalg import (
     as_scalar,
     vec_is_zero,
 )
-from .scalars import GaussianRational, ZERO, format_scalar
+from .scalars import format_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +221,8 @@ class GModule:
 
 
 def _subsets(n: int, k: int):
-    return list(combinations(range(n), k))
+    """The k-subsets of range(n); none for k < 0."""
+    return list(combinations(range(n), k)) if k >= 0 else []
 
 
 def _wedge_insert(rest, l):
@@ -537,9 +545,9 @@ class AdaptedFrame:
     which checks that u lies in the acting algebra; one more solves for
     the bracket table in the adapted basis (`adapted`), and closure of u
     is read off that table.  `u_algebra` is u on its own basis rows, cut
-    from the same table, and the ad-action of u on the complement is read
-    off it once; `quotient_module` and `relative_cohomology` reuse all of
-    this for every degree and coefficient module.
+    from the same table, and the table with trivial coefficients is scaled
+    to integers once; `quotient_module` and `relative_cohomology` reuse all
+    of this for every degree and coefficient module.
     """
 
     def __init__(self, acting, u: Subalgebra, complement=None, closure_message=None):
@@ -581,41 +589,30 @@ class AdaptedFrame:
             u.basis.transpose(),
             {pair: coeffs for pair, coeffs in adapted._table.items() if pair[1] < dim_u},
         )
-        # ad of u's basis vector i on acting / u: _quotient_action[i][j] is
-        # the complement part of [u_i, w_j], keyed by complement index
-        self._quotient_action = [
-            [
-                {l - dim_u: c for l, c in adapted.coeffs(i, dim_u + j).items() if l >= dim_u}
-                for j in range(self.codim)
-            ]
-            for i in range(dim_u)
-        ]
+        # the adapted algebra with one-dimensional trivial coefficients: its
+        # Lie derivatives are the actions of u on Lambda^p(acting / u)^*
+        self._trivial = _integer_structure(adapted, GModule.trivial(adapted).actions)
 
     def quotient_module(self, p: int, dual: bool = False) -> GModule:
         """Lambda^p of (acting / u) as a u-module through the adjoint
         action, validated; `dual` takes the contragredient, the negated
-        transpose."""
-        d = self.codim
-        subs = list(combinations(range(d), p)) if 0 <= p <= d else []
-        index = {s: i for i, s in enumerate(subs)}
-        dim_mod = len(subs)
-        actions = []
-        for cols in self._quotient_action:
-            data = [[ZERO] * dim_mod for _ in range(dim_mod)]
-            for s_idx, K in enumerate(subs):
-                for pos in range(p):
-                    rest = K[:pos] + K[pos + 1:]
-                    for l, v in cols[K[pos]].items():
-                        if l in rest:
-                            continue
-                        p_new, newK = _wedge_insert(rest, l)
-                        sign = 1 if (pos - p_new) % 2 == 0 else -1
-                        if dual:
-                            data[s_idx][index[newK]] = data[s_idx][index[newK]] - v * sign
-                        else:
-                            data[index[newK]][s_idx] = data[index[newK]][s_idx] + v * sign
-            actions.append(ExactMatrix(dim_mod, dim_mod, data))
-        module = GModule(self.u_algebra, dim_mod, actions)
+        transpose.
+
+        The dual action of u_i is the Lie derivative theta(u_i) on
+        Lambda^p(W)^* with trivial one-dimensional coefficients
+        (`_lie_derivative_matrix`); out of range, p gives the zero module.
+        """
+        thetas = [
+            _lie_derivative_matrix(self._trivial, 1, self.dim_u, self.codim, p, i)
+            for i in range(self.dim_u)
+        ]
+        if not dual:
+            thetas = [m.transpose() for m in thetas]
+            for m in thetas:
+                m.data = [{j: (-re, -im) for j, (re, im) in row.items()} for row in m.data]
+        module = GModule(
+            self.u_algebra, len(_subsets(self.codim, p)), [m.to_exact() for m in thetas]
+        )
         witness = module.validate()
         if witness is not None:
             raise AssertionError(f"adjoint quotient action is not a homomorphism at {witness}")
@@ -625,13 +622,19 @@ class AdaptedFrame:
         """H^k(acting, u; module): cohomology of the u-invariant cochains
         on the quotient of acting by u, for a module of the acting algebra.
 
-        Vanishing on u arguments is structural (cochains live on the
-        complement); invariance under the induced u action is imposed as
-        an exact linear condition, which is what makes the space d-stable.
+        Cochains live on Lambda^k(W)^* tensor M for W the complement block,
+        so they vanish on u arguments by construction; invariance under the
+        induced u action (`_lie_derivative_matrix`) is imposed as an exact
+        linear condition, which is what makes the space d-stable.  Since a
+        relative cochain vanishes on u, only the W-components of the
+        brackets [w_s, w_t] enter its differential: d is the
+        `_differential_matrix` of the complement block, with brackets taken
+        modulo u and the actions of the complement vectors.  One sparse
+        product maps each invariant basis, and one solve writes the images
+        in the next.
         """
         if self.dim_u == 0:
             return ce_cohomology(self.base, module)
-        adapted = self.adapted
         dim_m = module.dim
         dim_u = self.dim_u
         q = self.codim
@@ -643,72 +646,44 @@ class AdaptedFrame:
                 if not c.is_zero():
                     mat = mat + module.actions[j].scale(c)
             adapted_actions.append(mat)
-        structure = _integer_structure(adapted, adapted_actions)
-        # columns of the full differentials: the images of basis cochains
-        full_cols = {
-            k: _differential_matrix(structure, adapted.dim, dim_m, k).transpose()
-            for k in range(q + 1)
-        }
-        # full_pos[k][s]: position of the s-th W-subset among all adapted subsets
-        full_pos = {}
-        for k in range(q + 2):
-            index = {S: i for i, S in enumerate(_subsets(adapted.dim, k))}
-            full_pos[k] = [index[tuple(dim_u + x for x in K)] for K in _subsets(q, k)]
-        sizes = {k: len(full_pos[k]) * dim_m for k in range(q + 2)}
-        # invariant bases per degree, as coordinate vectors on Lambda^k(W)* (x) M
+        structure = _integer_structure(self.adapted, adapted_actions)
+        den, brackets, acts = structure
+        block = (
+            den,
+            {
+                (a - dim_u, b - dim_u): [(l - dim_u, c) for l, c in coeffs if l >= dim_u]
+                for (a, b), coeffs in brackets.items()
+                if a >= dim_u
+            },
+            acts[dim_u:],
+        )
+
+        def by_columns(vectors, length):
+            return ExactMatrix(
+                length, len(vectors), [[v[r] for v in vectors] for r in range(length)]
+            )
+
+        # invariant bases per degree, as the columns of a matrix on Lambda^k(W)* (x) M
         inv_bases = {}
-        for k in range(q + 1):
+        for k in range(q + 2):
+            size = len(_subsets(q, k)) * dim_m
             stacked = []
             for i in range(dim_u):
                 stacked.extend(
                     _lie_derivative_matrix(structure, dim_m, dim_u, q, k, i).echelon_rows()
                 )
-            inv_bases[k] = _kernel_vectors(*_bareiss_echelon(stacked, sizes[k]), sizes[k])
-
-        def restrict(k, image):
-            """Full adapted cochain (a dict index -> value) -> W-cochain
-            coordinates; asserts that no component touches a u argument."""
-            w_index = {
-                pos * dim_m + a: s_idx * dim_m + a
-                for s_idx, pos in enumerate(full_pos[k]) for a in range(dim_m)
-            }
-            out = [ZERO] * len(w_index)
-            for idx, x in image.items():
-                if idx in w_index:
-                    out[w_index[idx]] = x
-                elif not x.is_zero():
-                    raise AssertionError(
-                        "differential of an invariant relative cochain touched a u argument"
-                    )
-            return out
+            inv_bases[k] = by_columns(_kernel_vectors(*_bareiss_echelon(stacked, size), size), size)
 
         rel_mats = {}
         for k in range(q + 1):
-            dom = inv_bases[k]
-            cod = inv_bases.get(k + 1, [])
-            # images are den times the exact ones, den that of full_cols[k]
-            images = []
-            for vec in dom:
-                image = {}
-                for idx, x in enumerate(vec):
-                    if not x.is_zero():
-                        s_idx, a = divmod(idx, dim_m)
-                        column = full_cols[k].data[full_pos[k][s_idx] * dim_m + a]
-                        for r, (re, im) in column.items():
-                            image[r] = image.get(r, ZERO) + x * GaussianRational(re, im)
-                images.append(restrict(k + 1, image))
-            cod_matrix = ExactMatrix(
-                sizes[k + 1], len(cod), [[v[r] for v in cod] for r in range(sizes[k + 1])]
-            )
-            cols, failed = _solve_columns(cod_matrix, images)
+            dom, cod = inv_bases[k], inv_bases[k + 1]
+            images = _differential_matrix(block, q, dim_m, k).matmul(
+                ScaledIntMatrix.from_exact(dom)
+            ).to_exact()
+            cols, failed = _solve_columns(cod, [images.col(c) for c in range(dom.cols)])
             if failed is not None:
                 raise AssertionError("image of invariant cochain is not invariant")
-            scaled = ScaledIntMatrix.from_exact(ExactMatrix(
-                len(cod), len(dom), [[cols[c][r] for c in range(len(dom))] for r in range(len(cod))]
-            ))
-            rel_mats[k] = ScaledIntMatrix(
-                scaled.rows, scaled.cols, scaled.den * full_cols[k].den, scaled.data
-            )
+            rel_mats[k] = ScaledIntMatrix.from_exact(by_columns(cols, cod.cols))
 
         CochainComplex(labels={}, int_differentials=rel_mats).verify()
         dims, _, _ = _chain_dims(rel_mats, list(range(q + 1)))
@@ -716,7 +691,7 @@ class AdaptedFrame:
             dims=dims,
             meta={
                 "relative_pair_dim": dim_u,
-                "cochain_dims": {k: len(inv_bases[k]) for k in range(q + 1)},
+                "cochain_dims": {k: inv_bases[k].cols for k in range(q + 1)},
             },
         )
 

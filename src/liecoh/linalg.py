@@ -69,10 +69,6 @@ def as_scalar(x) -> GaussianRational:
     return GaussianRational(x)
 
 
-def vector(entries) -> Vector:
-    return [as_scalar(x) for x in entries]
-
-
 def vec_is_zero(v: Vector) -> bool:
     return all(x.is_zero() for x in v)
 
@@ -127,9 +123,6 @@ class ExactMatrix:
     def __getitem__(self, idx) -> GaussianRational:
         i, j = idx
         return self._data[i][j]
-
-    def row(self, i: int) -> Vector:
-        return list(self._data[i])
 
     def col(self, j: int) -> Vector:
         return [self._data[i][j] for i in range(self.rows)]
@@ -493,10 +486,6 @@ def rank_kernel(M: ExactMatrix):
     """
     echelon, piv_cols = _bareiss_echelon(_integer_rows(M._data), M.cols)
     return len(piv_cols), _kernel_vectors(echelon, piv_cols, M.cols)
-
-
-def rank(M: ExactMatrix) -> int:
-    return rank_kernel(M)[0]
 
 
 def _solve_columns(M: ExactMatrix, columns):

@@ -32,11 +32,12 @@ from liecoh.cohomology import (
     relative_ce_cohomology,
 )
 import liecoh.cohomology as cohomology
-from liecoh.linalg import ExactMatrix, ScaledIntMatrix, rank_kernel
+from liecoh.linalg import ExactMatrix, ScaledIntMatrix, rank_kernel, solve_linear
 from liecoh.roots import PositiveSystemError, build_standard, positive_system, root_decomposition
 from liecoh.scalars import GaussianRational as Q
 
 from conftest import diagonal_solvable, random_nilpotent_subalgebra, two_step_nilpotent
+from property_suites import _algebra_subalgebra_cases
 
 
 # -- independent oracle for the differential ----------------------------------
@@ -604,6 +605,125 @@ def test_dprime_matches_full_complex_filter():
     for g, h in pairs:
         for p in range(g.dim - h.dim + 1):
             assert bigraded_complex(g, h, p).dprime == reference_dprime(g, h, p)
+
+
+# -- relative d against the full complex of the adapted algebra -------------------
+#
+# The reference builds the full complex of the acting algebra in the adapted
+# basis (u first, complement W second) and keeps the cochains on W-subsets.
+# By Cartan's formula theta(u_i) c = i(u_i) dc for a cochain c that vanishes
+# on u, so c is u-invariant exactly when dc vanishes on every argument tuple
+# with one u entry; the tuples with two or more vanish because u is closed.
+# The images of invariant cochains therefore never touch a u argument, which
+# the reference asserts, and their W-parts are solved for in the next
+# invariant basis.  Kernel bases are normalised at the free columns, so they
+# depend only on the subspace and the reference and the library pick the
+# same ones.
+
+
+def reference_relative(acting, u, module):
+    """(differentials, dims, meta) of the relative complex, from the full
+    adapted complex."""
+    frame = AdaptedFrame(acting, u)
+    n, dim_u, q, dim_m = frame.adapted.dim, frame.dim_u, frame.codim, module.dim
+    actions = []
+    for coords in frame.coords:
+        mat = ExactMatrix.zero(dim_m, dim_m)
+        for j, c in enumerate(coords):
+            mat = mat + module.actions[j].scale(c)
+        actions.append(mat)
+    adapted = GModule(frame.adapted, dim_m, actions)
+
+    def cells(k, keep):
+        """Positions of the (subset, module index) cells whose subset
+        satisfies keep(subset), in the full degree-k basis."""
+        return [
+            s * dim_m + a
+            for s, S in enumerate(combinations(range(n), k)) if keep(S)
+            for a in range(dim_m)
+        ]
+
+    def on_w(S):
+        return all(x >= dim_u for x in S)
+
+    full = {k: ce_differential(frame.adapted, adapted, k).row_list() for k in range(q + 1)}
+    bases = {q + 1: []}
+    for k in range(q + 1):
+        cols = cells(k, on_w)
+        rows = cells(k + 1, lambda S: sum(1 for x in S if x < dim_u) == 1)
+        bases[k] = rank_kernel(
+            ExactMatrix(len(rows), len(cols), [[full[k][r][c] for c in cols] for r in rows])
+        )[1]
+    differentials = {}
+    for k in range(q + 1):
+        cols, w_rows = cells(k, on_w), cells(k + 1, on_w)
+        cod = bases[k + 1]
+        cod_matrix = ExactMatrix(
+            len(w_rows), len(cod), [[v[r] for v in cod] for r in range(len(w_rows))]
+        )
+        solutions = []
+        for vec in bases[k]:
+            image = [sum((row[c] * x for c, x in zip(cols, vec)), Q(0)) for row in full[k]]
+            kept = set(w_rows)
+            assert all(
+                x.is_zero() for r, x in enumerate(image) if r not in kept
+            ), "differential of an invariant relative cochain touched a u argument"
+            solution = solve_linear(cod_matrix, [image[r] for r in w_rows])
+            assert solution is not None, "image of invariant cochain is not invariant"
+            solutions.append(solution)
+        differentials[k] = ExactMatrix(
+            len(cod), len(bases[k]), [[x[r] for x in solutions] for r in range(len(cod))]
+        )
+    ranks = {k: rank_kernel(m)[0] for k, m in differentials.items()}
+    dims = {k: len(bases[k]) - ranks[k] - ranks.get(k - 1, 0) for k in range(q + 1)}
+    # a zero u takes the plain path, whose table carries no meta
+    meta = {} if dim_u == 0 else {
+        "relative_pair_dim": dim_u,
+        "cochain_dims": {k: len(bases[k]) for k in range(q + 1)},
+    }
+    return differentials, dims, meta
+
+
+def _relative_cases():
+    g2, g3 = su2(), su3()
+    t, t12 = parse_span("span{T}", g2), parse_span("span{T1, T2}", g3)
+    cases = [
+        (g2, t, GModule.trivial(g2)),
+        (g2, t, GModule.adjoint(g2)),
+        (g3, t12, GModule.trivial(g3)),
+        (g3, parse_span("span{T1}", g3), GModule.trivial(g3)),
+    ]
+    outer = AdaptedFrame(g3, parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g3))
+    for p in range(outer.codim + 1):
+        for dual in (False, True):
+            cases.append((outer.u_algebra, t12, outer.quotient_module(p, dual)))
+    borel = parse_span("span{T, X-iY}", g2)
+    weight = GModule(
+        borel, 1, [ExactMatrix.from_rows([[Q(0, 2)]]), ExactMatrix.from_rows([[Q(0)]])]
+    )
+    cases += [(borel, t, GModule.trivial(borel)), (borel, t, weight)]
+    pairs = _algebra_subalgebra_cases(random.Random(1207))
+    for _ in range(14):
+        g, u = next(pairs)
+        cases += [(g, u, GModule.trivial(g)), (g, u, GModule.adjoint(g))]
+    return cases
+
+
+def test_relative_differentials_match_full_adapted_complex(monkeypatch):
+    seen = []
+    real = CochainComplex.verify
+
+    def recording(self):
+        seen.append(self.differentials)
+        real(self)
+
+    monkeypatch.setattr(CochainComplex, "verify", recording)
+    for acting, u, module in _relative_cases():
+        seen.clear()
+        table = relative_ce_cohomology(acting, u, module)
+        differentials, dims, meta = reference_relative(acting, u, module)
+        assert seen == [differentials]
+        assert (table.dims, table.meta) == (dims, meta)
 
 
 # -- bigraded cohomology -------------------------------------------------------------

@@ -60,6 +60,19 @@ def test_quotient_module_of_full_algebra_vanishes():
     assert adjoint_quotient_module(g, Subalgebra.full(g), 2).dim == 0
 
 
+def test_quotient_module_out_of_range_degree_is_zero():
+    # Lambda^p of the 2-dimensional quotient su2 / span{T} is zero for
+    # p < 0 and p > 2; the module keeps one 0x0 action per u vector
+    g = su2()
+    t = parse_span("span{T}", g)
+    for p in (-1, 3):
+        for dual in (False, True):
+            module = adjoint_quotient_module(g, t, p, dual=dual)
+            assert module.dim == 0
+            assert module.actions == [ExactMatrix.zero(0, 0)]
+    assert bott_dolbeault(g, parse_span("span{T, X-iY}", g), t, -1).dims == {0: 0, 1: 0}
+
+
 def test_quotient_module_homomorphism_check():
     g = su3()
     u = parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g)

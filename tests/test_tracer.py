@@ -1,15 +1,17 @@
 """The benchmark tracer (bench/spans.py) patches library names by string:
 `BigradedComplex.verify`, `CochainComplex.verify`, `_chain_dims` and
-`_bareiss_echelon` among them.  Entering it here makes a rename fail in
-the test suite rather than at the next traced benchmark run."""
+`_bareiss_echelon` among them.  Entering it here, on the bigraded and on
+the relative (decompose) path, makes a rename fail in the test suite
+rather than at the next traced benchmark run."""
 
 import json
 from pathlib import Path
 
 import liecoh.cli as cli
-from liecoh.cohomology import BigradedComplex
+from liecoh.cohomology import BigradedComplex, CochainComplex
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+H5 = "span{X1-iY1, X2-iY2, X3-iY3, T1, T2}"
 
 
 def test_tracer_records_bigraded_verify(monkeypatch, capsys):
@@ -21,7 +23,7 @@ def test_tracer_records_bigraded_verify(monkeypatch, capsys):
     with tracer.installed():
         code = cli.main([
             "cohomology", "--algebra", "builtin:su3",
-            "--subalgebra", "span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", "--json",
+            "--subalgebra", H5, "--json",
         ])
     assert code == cli.EX_OK
     assert json.loads(capsys.readouterr().out)["table"]["dims"]["0,1"] == 2
@@ -30,3 +32,21 @@ def test_tracer_records_bigraded_verify(monkeypatch, capsys):
     assert tracer.counts["cohomology.cochain_cells"] > 0
     assert tracer.counts["linalg.kernel_max_bits"] > 0
     assert BigradedComplex.verify is verify
+
+
+def test_tracer_records_relative_verify(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    verify = CochainComplex.verify
+    tracer = spans.Tracer()
+    with tracer.installed():
+        code = cli.main(["decompose", "--algebra", "builtin:su3", "--subalgebra", H5, "--json"])
+    assert code == cli.EX_OK
+    assert json.loads(capsys.readouterr().out)["assembly"]["dims"]["1,2"] == 4
+    names = [span[0] for span in tracer.spans]
+    assert {"cli.main", "decompose.full_assembly"} <= set(names)
+    # one relative complex per p = 0..3 and coefficient variant, plus the
+    # plain complex of k
+    assert names.count("cohomology.verify") == 2 * 4 + 1
+    assert CochainComplex.verify is verify
