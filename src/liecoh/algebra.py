@@ -186,29 +186,28 @@ class LieAlgebra:
         try:
             name = data["name"]
             basis = list(data["basis"])
-            raw = data.get("brackets", [])
+            index = {b: i for i, b in enumerate(basis)}
+            table = {}
+            for item in data.get("brackets", []):
+                a, b = item["on"]
+                if a not in index or b not in index:
+                    raise AlgebraError(f"bracket on unknown basis names {a!r}, {b!r}")
+                j, k = index[a], index[b]
+                if not j < k:
+                    raise AlgebraError(f"bracket pair [{a}, {b}] must be in basis order")
+                coeffs = {}
+                for cname, ctext in item["result"].items():
+                    if cname not in index:
+                        raise AlgebraError(f"bracket result on unknown basis name {cname!r}")
+                    z = parse_scalar(ctext)
+                    if not z.is_real():
+                        raise AlgebraError(
+                            f"structure constant {ctext!r} is not real; algebras are real forms"
+                        )
+                    coeffs[index[cname]] = z.re
+                table[(j, k)] = coeffs
         except (KeyError, TypeError) as exc:
             raise AlgebraError(f"malformed algebra JSON: {exc}") from exc
-        index = {b: i for i, b in enumerate(basis)}
-        table = {}
-        for item in raw:
-            a, b = item["on"]
-            if a not in index or b not in index:
-                raise AlgebraError(f"bracket on unknown basis names {a!r}, {b!r}")
-            j, k = index[a], index[b]
-            if not j < k:
-                raise AlgebraError(f"bracket pair [{a}, {b}] must be in basis order")
-            coeffs = {}
-            for cname, ctext in item["result"].items():
-                if cname not in index:
-                    raise AlgebraError(f"bracket result on unknown basis name {cname!r}")
-                z = parse_scalar(ctext)
-                if not z.is_real():
-                    raise AlgebraError(
-                        f"structure constant {ctext!r} is not real; algebras are real forms"
-                    )
-                coeffs[index[cname]] = z.re
-            table[(j, k)] = coeffs
         return cls(name, basis, table)
 
 
@@ -293,15 +292,8 @@ class Subalgebra:
             ]
         )
         _, kernel = rank_kernel(combined)
-        vectors = []
-        for kv in kernel:
-            x = kv[: len(a)]
-            vec = [ZERO] * n
-            for coeff, row in zip(x, a):
-                if not coeff.is_zero():
-                    vec = [u + coeff * w for u, w in zip(vec, row)]
-            vectors.append(vec)
-        return Subalgebra.span(self.parent, vectors)
+        coeffs = ExactMatrix(len(kernel), len(a), [kv[: len(a)] for kv in kernel])
+        return Subalgebra.span(self.parent, coeffs.matmul(self.basis).row_list())
 
     def conj(self) -> "Subalgebra":
         """Coordinatewise conjugation (the stored basis spans the real form)."""
@@ -343,15 +335,14 @@ class Subalgebra:
     @classmethod
     def from_json_dict(cls, data: dict, parent: LieAlgebra) -> "Subalgebra":
         try:
-            raw = data["vectors"]
+            vectors = []
+            for entry in data["vectors"]:
+                v = [ZERO] * parent.dim
+                for name, text in entry.items():
+                    v[parent.basis_index(name)] = parse_scalar(text)
+                vectors.append(v)
         except (KeyError, TypeError) as exc:
             raise AlgebraError(f"malformed subalgebra JSON: {exc}") from exc
-        vectors = []
-        for entry in raw:
-            v = [ZERO] * parent.dim
-            for name, text in entry.items():
-                v[parent.basis_index(name)] = parse_scalar(text)
-            vectors.append(v)
         return cls.span(parent, vectors)
 
 

@@ -28,7 +28,7 @@ from .linalg import (
     vec_dot,
     vec_is_zero,
 )
-from .scalars import GaussianRational, ZERO, format_scalar
+from .scalars import GaussianRational, format_scalar
 
 VERDICT_ELLIPTIC = "elliptic_hence_hypocomplex"
 VERDICT_BCT = "hypocomplex_by_bct"
@@ -266,12 +266,10 @@ def bct_check(g: LieAlgebra, h: Subalgebra, grid_radius: int = 2) -> BctReport:
                 "conclusion follows",
             ),
         )
+    grid = _primitive_grid(d, grid_radius)
+    covectors = ExactMatrix(len(grid), d, grid).matmul(ExactMatrix(d, g.dim, char)).row_list()
     samples = []
-    for coeffs in _primitive_grid(d, grid_radius):
-        cov = [ZERO] * g.dim
-        for c, basis_vec in zip(coeffs, char):
-            if c:
-                cov = [u + as_scalar(c) * w for u, w in zip(cov, basis_vec)]
+    for coeffs, cov in zip(grid, covectors):
         inertia = levi_form(g, h, cov).inertia()
         samples.append(BctSample(coeffs=tuple(coeffs), covector=tuple(cov), inertia=inertia))
     return BctReport(

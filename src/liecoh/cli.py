@@ -261,15 +261,16 @@ def _load_module(spec: str, acting) -> GModule:
     data = _read_json_file(spec)
     try:
         dim = int(data["dim"])
-        raw_actions = data["actions"]
+        actions = [
+            ExactMatrix.from_rows([[parse_scalar(x) for x in row] for row in mat])
+            if mat
+            else ExactMatrix.zero(0, 0)
+            for mat in data["actions"]
+        ]
+    except InputError:  # a malformed scalar keeps its own message
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise _Failure(EX_VALIDATION, "E_VALIDATION", f"malformed module JSON: {exc}")
-    actions = [
-        ExactMatrix.from_rows([[parse_scalar(x) for x in row] for row in mat])
-        if mat
-        else ExactMatrix.zero(0, 0)
-        for mat in raw_actions
-    ]
     module = GModule(acting, dim, actions)
     witness = module.validate()
     if witness is not None:

@@ -61,7 +61,6 @@ from .linalg import (
     _reduced_echelon,
     _solve_columns,
     as_scalar,
-    vec_is_zero,
 )
 from .scalars import format_scalar
 
@@ -192,27 +191,21 @@ class GModule:
         """None when action([X,Y]) = [action X, action Y] for all basis
         pairs, else the first failing pair.
 
-        Both sides are compared as sparse Gaussian-integer matrices: over
-        the common denominator den of the bracket table and the actions,
-        each side is den^2 times its exact value.
+        This is d_1 d_0 = 0 for the cochain engine's differentials with
+        these coefficients: (d_1 d_0 m)(X_a, X_b) = X_a.X_b.m - X_b.X_a.m
+        - [X_a, X_b].m.  The rows of d_1 run over the pairs a < b in order,
+        module index minor, so the first nonzero row of the sparse integer
+        product names the first failing pair.
         """
-        den, brackets, acts = _integer_structure(self._basis, self.actions)
-        mats = [ScaledIntMatrix(self.dim, self.dim, den, rows) for rows in acts]
-        for a in range(len(mats)):
-            for b in range(a + 1, len(mats)):
-                ab = mats[a].matmul(mats[b]).data
-                ba = mats[b].matmul(mats[a]).data
-                for i, (residual, subtract) in enumerate(zip(ab, ba)):
-                    for j, (re, im) in subtract.items():
-                        old = residual.get(j, (0, 0))
-                        residual[j] = (old[0] - re, old[1] - im)
-                    for l, (cr, ci) in brackets.get((a, b), ()):
-                        for j, (xr, xi) in acts[l][i].items():
-                            old = residual.get(j, (0, 0))
-                            residual[j] = (old[0] - cr * xr + ci * xi, old[1] - cr * xi - ci * xr)
-                    if any(x != (0, 0) for x in residual.values()):
-                        return (a, b)
-        return None
+        n = self._basis.dim
+        structure = _integer_structure(self._basis, self.actions)
+        product = _differential_matrix(structure, n, self.dim, 1).matmul(
+            _differential_matrix(structure, n, self.dim, 0)
+        )
+        failing = next((r for r, row in enumerate(product.data) if row), None)
+        if failing is None:
+            return None
+        return _subsets(n, 2)[failing // self.dim]
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +425,21 @@ class CohomologyTable:
 
 
 def _quotient_representatives(kernel_vectors, image_rows, ncols):
-    """Kernel vectors reduced modulo the row space of the Gaussian-integer
-    `image_rows`, in reduced echelon normal form (deterministic)."""
+    """Kernel vectors modulo the row space of the Gaussian-integer
+    `image_rows`, in reduced echelon normal form (deterministic).
+
+    One reduced echelon form of the image rows stacked on the kernel
+    vectors; its rows whose pivot is not a pivot of the image alone are
+    the answer.  RREF is unique and the pivots of a subspace are among
+    those of any larger space, so these rows are the RREF of the kernel
+    reduced modulo the image: they vanish at every image pivot.
+    """
     if not kernel_vectors:
         return []
-    img, pivots = _reduced_echelon(image_rows, ncols)
-    reduced = []
-    for v in kernel_vectors:
-        w = list(v)
-        for row, p in zip(img, pivots):
-            f = w[p]
-            if not f.is_zero():
-                w = [x - f * y for x, y in zip(w, row)]
-        if not vec_is_zero(w):
-            reduced.append(w)
-    if not reduced:
-        return []
-    return _reduced_echelon(_integer_rows(reduced), ncols)[0]
+    _, image_pivots = _bareiss_echelon([list(row) for row in image_rows], ncols)
+    rows, pivots = _reduced_echelon(image_rows + _integer_rows(kernel_vectors), ncols)
+    image_pivots = set(image_pivots)
+    return [row for row, p in zip(rows, pivots) if p not in image_pivots]
 
 
 def _chain_dims(matrices, degrees, representatives=False, label_fn=None):

@@ -24,7 +24,6 @@ from .cohomology import (
     ce_cohomology,
 )
 from .linalg import ExactMatrix, rank_kernel, vec_conj, vec_dot
-from .scalars import ZERO
 
 
 class NotEllipticError(AlgebraError):
@@ -179,14 +178,8 @@ def ideal_complement(g: LieAlgebra, h: Subalgebra, k_sub: Subalgebra, gram: Exac
         paired = [gram.apply(vec_conj(kb)) for kb in k_rows]
         constraint = ExactMatrix.from_rows([[vec_dot(w, la) for la in h_rows] for w in paired])
         _, kern = rank_kernel(constraint)
-        vectors = []
-        for coeffs in kern:
-            vec = [ZERO] * g.dim
-            for c, row in zip(coeffs, h_rows):
-                if not c.is_zero():
-                    vec = [x + c * y for x, y in zip(vec, row)]
-            vectors.append(vec)
-        u = Subalgebra.span(g, vectors)
+        coeffs = ExactMatrix(len(kern), len(h_rows), kern)
+        u = Subalgebra.span(g, coeffs.matmul(h.basis).row_list())
     if u.dim + k_sub.dim != h.dim or k_sub.sum_with(u).dim != h.dim:
         raise NoIdealComplementError(
             "orthocomplement of k in h is not a complement (degenerate restriction)"

@@ -30,8 +30,10 @@ rounded.
 Eigen-splitting computes the characteristic polynomial exactly
 (Faddeev-LeVerrier) and finds roots by exhaustive search over
 Gaussian-integer divisors; it fails loudly when the polynomial has an
-irreducible factor over Q(i).  Hermitian inertia is computed by exact
-congruence reduction.
+irreducible factor over Q(i).  Hermitian inertia is read off the same
+characteristic polynomial by Descartes' rule of signs, which is exact
+there: the polynomial of a Hermitian matrix is real and has only real
+roots.
 """
 
 from __future__ import annotations
@@ -575,7 +577,9 @@ def char_poly(M: ExactMatrix) -> list:
         c = -(Mk.trace() / k)
         coeffs[n - k] = c
         if k < n:
-            Mk = Mk + ExactMatrix.identity(n).scale(c)
+            # Mk is a fresh product: add c to its diagonal in place
+            for i, row in enumerate(Mk._data):
+                row[i] = row[i] + c
     return coeffs
 
 
@@ -743,63 +747,23 @@ class Inertia:
 
 
 def hermitian_inertia(H: ExactMatrix) -> Inertia:
-    """Eigenvalue signs of an exactly Hermitian matrix, by congruence.
+    """Eigenvalue signs of an exactly Hermitian matrix, read off its
+    characteristic polynomial by Descartes' rule of signs.
 
-    Pivots on a nonzero diagonal entry when one exists; otherwise a
-    nonzero off-diagonal pair gives a hyperbolic 2x2 block contributing
-    (1, 1, 0).  Congruence (Schur complement) preserves inertia.
+    Descartes' rule bounds the positive roots of a real polynomial by the
+    sign changes of its coefficients (zeros skipped), and the negative
+    roots by those of p(-t).  The characteristic polynomial of a Hermitian
+    matrix is real with only real roots, and there the rule is exact: with
+    t^z split off (z, the index of the lowest nonzero coefficient, is the
+    multiplicity of the eigenvalue 0), the two bounds add up to at most the
+    remaining degree, which the nonzero roots fill exactly.
     """
     if not H.is_hermitian():
         raise NonHermitianError("matrix is not exactly Hermitian")
-    a = H.row_list()
-    n = H.rows
-    n_pos = n_neg = n_zero = 0
-    live = list(range(n))
-    while live:
-        diag_idx = None
-        for k in live:
-            if not a[k][k].is_zero():
-                diag_idx = k
-                break
-        if diag_idx is not None:
-            k = diag_idx
-            d = a[k][k]
-            if d.re > 0:
-                n_pos += 1
-            else:
-                n_neg += 1
-            live.remove(k)
-            for i in live:
-                f = a[i][k] / d
-                for j in live:
-                    a[i][j] = a[i][j] - f * a[k][j]
-            for i in live:
-                a[i][k] = ZERO
-                a[k][i] = ZERO
-            continue
-        off = None
-        for idx, j in enumerate(live):
-            for k in live[idx + 1:]:
-                if not a[j][k].is_zero():
-                    off = (j, k)
-                    break
-            if off:
-                break
-        if off is None:
-            n_zero += len(live)
-            break
-        j, k = off
-        h = a[j][k]
-        n_pos += 1
-        n_neg += 1
-        live.remove(j)
-        live.remove(k)
-        hbar = h.conjugate()
-        for i in live:
-            bij, bik = a[i][j], a[i][k]
-            for l in live:
-                a[i][l] = a[i][l] - bik * a[j][l] / h - bij * a[k][l] / hbar
-        for i in live:
-            a[i][j] = a[i][k] = ZERO
-            a[j][i] = a[k][i] = ZERO
-    return Inertia(n_pos, n_neg, n_zero)
+    coeffs = char_poly(H)
+    if any(c.im for c in coeffs):
+        raise AssertionError("characteristic polynomial of a Hermitian matrix is not real")
+    n_zero = next(k for k, c in enumerate(coeffs) if c.re)
+    signs = [c.re > 0 for c in coeffs[n_zero:] if c.re]
+    n_pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return Inertia(n_pos, H.rows - n_zero - n_pos, n_zero)

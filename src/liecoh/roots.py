@@ -126,15 +126,10 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
                 raise NonSplitActionError(j, str(exc)) from exc
             if not eigen.diagonalizable:
                 raise NonSemisimpleActionError(j)
+            basis = ExactMatrix(len(vectors), n, vectors)
             for lam, coord_vectors in eigen.pairs:
-                new_vectors = []
-                for cv in coord_vectors:
-                    vec = [ZERO] * n
-                    for coeff, base in zip(cv, vectors):
-                        if not coeff.is_zero():
-                            vec = [u + coeff * w for u, w in zip(vec, base)]
-                    new_vectors.append(vec)
-                refined.append((prefix + (lam,), new_vectors))
+                coeffs = ExactMatrix(len(coord_vectors), len(vectors), coord_vectors)
+                refined.append((prefix + (lam,), coeffs.matmul(basis).row_list()))
         blocks = refined
     spaces = {}
     zero_key = tuple([ZERO] * len(tv))

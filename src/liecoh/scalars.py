@@ -239,7 +239,7 @@ def _scan_rat(text: str, pos: int):
 def parse_scalar(text: str) -> GaussianRational:
     """Parse the scalar grammar; raises ScalarParseError with a byte offset."""
     if not isinstance(text, str):
-        raise TypeError("scalar text must be a string")
+        raise ScalarParseError("scalar text must be a string", 0)
     n = len(text)
     if n == 0:
         raise ScalarParseError("empty scalar", 0)

@@ -142,13 +142,14 @@ class FourierData:
     def from_json_dict(cls, data: dict) -> "FourierData":
         try:
             cutoff = int(data["cutoff"])
-            raw = data.get("coefficients", [])
+            coeffs = {}
+            for item in data.get("coefficients", []):
+                key = (int(item["xi"]), int(item["eta"]))
+                coeffs[key] = parse_scalar(item["value"])
+        except InputError:  # a malformed scalar keeps its own message
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise TorusError(f"malformed Fourier JSON: {exc}") from exc
-        coeffs = {}
-        for item in raw:
-            key = (int(item["xi"]), int(item["eta"]))
-            coeffs[key] = parse_scalar(item["value"])
         return cls(cutoff=cutoff, coefficients=coeffs)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from liecoh import cohomology, linalg
 from liecoh.cli import EX_INTERNAL, EX_NOINPUT, EX_OK, EX_USAGE, EX_VALIDATION, main
 from liecoh.linalg import ExactMatrix, ScaledIntMatrix
@@ -85,6 +87,46 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run(capsys, "validate", str(path))
     assert code == EX_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "data, argv, message",
+    [
+        (
+            {"dim": 1, "actions": [[[0]], [[0]], [[0]]]},
+            ["cohomology", "--algebra", "builtin:su2", "--module"],
+            "scalar text must be a string",
+        ),
+        (
+            {"name": "a", "basis": ["X", "Y"], "brackets": [{"result": {"X": "1"}}]},
+            ["validate"],
+            "malformed algebra JSON: 'on'",
+        ),
+        (
+            {"name": "a", "basis": ["X", "Y"], "brackets": [{"on": ["X", "Y"], "result": {"X": 1}}]},
+            ["validate"],
+            "scalar text must be a string",
+        ),
+        (
+            {"algebra": "su2", "vectors": [{"T": 1}]},
+            ["classify", "--algebra", "builtin:su2", "--subalgebra"],
+            "scalar text must be a string",
+        ),
+        (
+            {"cutoff": 3, "coefficients": [{"xi": 1, "value": "1"}]},
+            ["torus-solve", "--mu", "2/3", "--rhs"],
+            "malformed Fourier JSON: 'eta'",
+        ),
+    ],
+    ids=["module", "algebra-bracket", "algebra-coefficient", "subalgebra", "fourier"],
+)
+def test_malformed_json_field_is_validation_error(tmp_path, capsys, data, argv, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == EX_VALIDATION
+    assert out == ""
+    assert err.startswith("liecoh: error [E_VALIDATION]") and message in err
 
 
 # -- command outputs -----------------------------------------------------------

@@ -32,7 +32,14 @@ from liecoh.cohomology import (
     relative_ce_cohomology,
 )
 import liecoh.cohomology as cohomology
-from liecoh.linalg import ExactMatrix, ScaledIntMatrix, rank_kernel, solve_linear
+from liecoh.linalg import (
+    ExactMatrix,
+    ScaledIntMatrix,
+    _integer_rows,
+    _reduced_echelon,
+    rank_kernel,
+    solve_linear,
+)
 from liecoh.roots import PositiveSystemError, build_standard, positive_system, root_decomposition
 from liecoh.scalars import GaussianRational as Q
 
@@ -272,6 +279,65 @@ def test_representatives_are_cocycles_mod_image():
     assert table.labels[3] == ["T∧X∧Y"]
 
 
+def reference_quotient_representatives(kernel_vectors, image_rows, ncols):
+    """The two-step oracle: reduce each kernel vector by the reduced
+    echelon rows of the image (eliminated in place), drop those that
+    vanish, and put the rest in reduced echelon form."""
+    if not kernel_vectors:
+        return []
+    img, pivots = _reduced_echelon(image_rows, ncols)
+    reduced = []
+    for v in kernel_vectors:
+        w = list(v)
+        for row, p in zip(img, pivots):
+            f = w[p]
+            if not f.is_zero():
+                w = [x - f * y for x, y in zip(w, row)]
+        if not all(x.is_zero() for x in w):
+            reduced.append(w)
+    if not reduced:
+        return []
+    return _reduced_echelon(_integer_rows(reduced), ncols)[0]
+
+
+@pytest.mark.parametrize(
+    "algebra, span, module, degrees",
+    [
+        (su3, "span{X1-iY1, X2-iY2, X3-iY3}", None, 6 * 4),
+        (su3, "span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", None, 4 * 6),
+        (su3, "span{X1-iY1, X2-iY2, X3-iY3, T2}", None, 5 * 5),
+        (su2, "span{T, X-iY}", None, 2 * 3),
+        (su2, "span{X-iY}", None, 3 * 2),
+        (lambda: torus(2), "span{D1-2/3D2}", None, 2 * 2),
+        (su3, None, GModule.trivial, 9),
+        (su2, None, GModule.adjoint, 4),
+        (lambda: torus(3), None, GModule.trivial, 4),
+    ],
+)
+def test_quotient_representatives_match_two_step_reduction(
+    monkeypatch, algebra, span, module, degrees
+):
+    real = cohomology._quotient_representatives
+    calls = []
+
+    def checked(kernel_vectors, image_rows, ncols):
+        expected = reference_quotient_representatives(
+            kernel_vectors, [list(row) for row in image_rows], ncols
+        )
+        got = real(kernel_vectors, image_rows, ncols)
+        assert got == expected
+        calls.append(ncols)
+        return got
+
+    monkeypatch.setattr(cohomology, "_quotient_representatives", checked)
+    g = algebra()
+    if span is None:
+        ce_cohomology(g, module(g), representatives=True)
+    else:
+        bigraded_cohomology(g, parse_span(span, g), representatives=True)
+    assert len(calls) == degrees
+
+
 # -- module constructors ----------------------------------------------------------
 
 
@@ -325,6 +391,30 @@ def test_corrupted_action_witness_matches_dense_oracle():
             witness = dense_validate(bad)
             assert witness is not None
             assert bad.validate() == witness
+
+
+def test_validate_witness_matches_dense_oracle_at_several_pairs():
+    # one perturbed entry of the su3 adjoint action at several positions,
+    # so that the first failing pair is not always (0, 1); a diagonal entry
+    # of ad T2 on the torus commutes with ad T1, so pair (0, 1) passes there
+    g = su3()
+    actions = GModule.adjoint(g).actions
+    witnesses = []
+    for j, r, c in ((0, 0, 1), (1, 0, 0), (1, 1, 1), (2, 1, 1), (5, 3, 4), (7, 0, 0)):
+        rows = [m.row_list() for m in actions]
+        rows[j][r][c] = rows[j][r][c] + Q(1, -2)
+        bad = GModule(g, g.dim, [ExactMatrix.from_rows(m) for m in rows])
+        witness = dense_validate(bad)
+        assert witness is not None
+        assert bad.validate() == witness
+        witnesses.append(witness)
+    assert witnesses == [(0, 2), (1, 2), (1, 4), (0, 3), (0, 4), (0, 6)]
+    for module in (
+        GModule.trivial(g),
+        GModule.trivial(g, 3),
+        GModule(g, 0, [ExactMatrix.zero(0, 0)] * g.dim),
+    ):
+        assert module.validate() is None is dense_validate(module)
 
 
 # -- complements and adapted frames ------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecoh import linalg
 from liecoh.linalg import (
     ExactMatrix,
     ScaledIntMatrix,
@@ -416,6 +417,125 @@ def test_inertia_hyperbolic_block():
 def test_inertia_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         hermitian_inertia(ExactMatrix.from_rows([[Q(0), Q(1)], [Q(2), Q(0)]]))
+
+
+def reference_inertia(H):
+    """The congruence oracle: eliminate a nonzero diagonal pivot when one
+    exists (its sign is an eigenvalue sign), else a nonzero off-diagonal
+    pair, a hyperbolic 2x2 block contributing (1, 1, 0).  Congruence (the
+    Schur complement) preserves inertia."""
+    a = H.row_list()
+    n_pos = n_neg = n_zero = 0
+    live = list(range(H.rows))
+    while live:
+        diag_idx = next((k for k in live if not a[k][k].is_zero()), None)
+        if diag_idx is not None:
+            k = diag_idx
+            d = a[k][k]
+            if d.re > 0:
+                n_pos += 1
+            else:
+                n_neg += 1
+            live.remove(k)
+            for i in live:
+                f = a[i][k] / d
+                for j in live:
+                    a[i][j] = a[i][j] - f * a[k][j]
+            continue
+        off = next(
+            ((j, k) for idx, j in enumerate(live) for k in live[idx + 1:] if not a[j][k].is_zero()),
+            None,
+        )
+        if off is None:
+            n_zero += len(live)
+            break
+        j, k = off
+        h = a[j][k]
+        n_pos += 1
+        n_neg += 1
+        live.remove(j)
+        live.remove(k)
+        hbar = h.conjugate()
+        for i in live:
+            bij, bik = a[i][j], a[i][k]
+            for l in live:
+                a[i][l] = a[i][l] - bik * a[j][l] / h - bij * a[k][l] / hbar
+    return (n_pos, n_neg, n_zero)
+
+
+def random_hermitian(n, rng):
+    """A seeded n x n Hermitian matrix with small entries; about a third
+    are B^* D B with B of n - 1 rows, hence singular."""
+    if rng.random() < 0.3:
+        B = ExactMatrix(
+            n - 1, n,
+            [[Q(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(n)] for _ in range(n - 1)],
+        )
+        D = ExactMatrix(
+            n - 1, n - 1,
+            [[Q(rng.choice([-2, -1, 1, 3])) if i == j else Q(0) for j in range(n - 1)]
+             for i in range(n - 1)],
+        )
+        return B.conj_transpose().matmul(D).matmul(B)
+    A = ExactMatrix(
+        n, n, [[Q(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+    )
+    return A + A.conj_transpose()
+
+
+def test_inertia_matches_congruence_oracle_on_fixtures():
+    fixtures = [
+        diag(1, -1),
+        diag(-2, -1, 1, 0),
+        ExactMatrix.zero(3, 3),
+        ExactMatrix.zero(0, 0),
+        ExactMatrix.from_rows([[Q(0), Q(0, 1)], [Q(0, -1), Q(0)]]),
+        # eigenvalues (1 +- sqrt 5) / 2 lie outside Q(i)
+        ExactMatrix.from_rows([[Q(1), Q(1)], [Q(1), Q(0)]]),
+        ExactMatrix.from_rows([[Q(0), Q(1, 1)], [Q(1, -1), Q(Fraction(1, 3))]]),
+    ]
+    for H in fixtures:
+        assert hermitian_inertia(H).as_tuple() == reference_inertia(H)
+    assert hermitian_inertia(fixtures[3]).as_tuple() == (0, 0, 0)
+    assert hermitian_inertia(fixtures[5]).as_tuple() == (1, 1, 0)
+
+
+def test_inertia_matches_congruence_oracle_seeded():
+    rng = random.Random(2718)
+    seen_singular = 0
+    for _ in range(120):
+        H = random_hermitian(rng.randint(1, 6), rng)
+        expected = reference_inertia(H)
+        seen_singular += expected[2] > 0
+        assert hermitian_inertia(H).as_tuple() == expected
+    assert seen_singular >= 10
+
+
+def test_inertia_matches_congruence_oracle_on_levi_forms(monkeypatch):
+    # every Levi form the hypocomplexity test samples, on the su3 CR
+    # structure and on the benchmark's Levi span
+    from liecoh import classify
+    from liecoh.algebra import parse_span, su3
+
+    forms = []
+
+    def recording(H):
+        forms.append(H)
+        return hermitian_inertia(H)
+
+    monkeypatch.setattr(classify, "hermitian_inertia", recording)
+    g = su3()
+    for span in ("span{X1-iY1, X2-iY2, X3-iY3}", "span{X1-iY1, X2-iY2, X3-iY3, 2T1+3T2}"):
+        classify.bct_check(g, parse_span(span, g))
+    assert len(forms) == 16 + 2
+    for H in forms:
+        assert hermitian_inertia(H).as_tuple() == reference_inertia(H)
+
+
+def test_inertia_of_non_real_characteristic_polynomial_is_internal_error(monkeypatch):
+    monkeypatch.setattr(linalg, "char_poly", lambda H: [Q(0, 1), Q(1)])
+    with pytest.raises(AssertionError, match="not real"):
+        hermitian_inertia(diag(1))
 
 
 def test_inertia_congruence_invariance_seeded():

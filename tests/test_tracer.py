@@ -1,8 +1,9 @@
 """The benchmark tracer (bench/spans.py) patches library names by string:
 `BigradedComplex.verify`, `CochainComplex.verify`, `_chain_dims` and
-`_bareiss_echelon` among them.  Entering it here, on the bigraded and on
-the relative (decompose) path, makes a rename fail in the test suite
-rather than at the next traced benchmark run."""
+`_bareiss_echelon` among them, and maps `linalg.hermitian_inertia` to the
+structure-survey workload.  Entering it here, on the bigraded, the
+relative (decompose) and the classify path, makes a rename fail in the
+test suite rather than at the next traced benchmark run."""
 
 import json
 from pathlib import Path
@@ -50,3 +51,23 @@ def test_tracer_records_relative_verify(monkeypatch, capsys):
     # plain complex of k
     assert names.count("cohomology.verify") == 2 * 4 + 1
     assert CochainComplex.verify is verify
+
+
+def test_tracer_records_inertia_on_classify(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    tracer = spans.Tracer()
+    with tracer.installed():
+        code = cli.main([
+            "classify", "--algebra", "builtin:su3",
+            "--subalgebra", "span{X1-iY1, X2-iY2, X3-iY3}", "--json",
+        ])
+    assert code == cli.EX_OK
+    samples = json.loads(capsys.readouterr().out)["bct"]["samples"]
+    assert len(samples) == 16
+    inertia = [i for i, span in enumerate(tracer.spans) if span[0] == "linalg.hermitian_inertia"]
+    # one inertia per BCT sample, each reading the characteristic polynomial
+    assert len(inertia) == 16
+    beneath = [span[3] for span in tracer.spans if span[0] == "linalg.char_poly"]
+    assert set(beneath) == set(inertia)
