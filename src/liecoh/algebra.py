@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from itertools import combinations
 
 from .linalg import (
     ExactMatrix,
@@ -127,26 +128,17 @@ class LieAlgebra:
 
     def validate(self):
         """None when the Jacobi identity holds for every basis triple, else
-        the lexicographically first failing (j, k, l)."""
-        n = self.dim
-        for j in range(n):
-            ej = self.basis_vector(j)
-            for k in range(j + 1, n):
-                ek = self.basis_vector(k)
-                jk = self.bracket(ej, ek)
-                for l in range(k + 1, n):
-                    el = self.basis_vector(l)
-                    total = self.bracket(jk, el)
-                    total = [
-                        a + b
-                        for a, b in zip(total, self.bracket(self.bracket(ek, el), ej))
-                    ]
-                    total = [
-                        a + b
-                        for a, b in zip(total, self.bracket(self.bracket(el, ej), ek))
-                    ]
-                    if not vec_is_zero(total):
-                        return (j, k, l)
+        the lexicographically first failing (j, k, l).  The X_p-coefficient
+        of [[X_a, X_b], X_c] is sum_m c_{ab}^m c_{mc}^p, read off the table.
+        """
+        for j, k, l in combinations(range(self.dim), 3):
+            total = {}
+            for a, b, c in ((j, k, l), (k, l, j), (l, j, k)):
+                for m, x in self.structure_coeffs(a, b).items():
+                    for p, y in self.structure_coeffs(m, c).items():
+                        total[p] = total.get(p, 0) + x * y
+            if any(total.values()):
+                return (j, k, l)
         return None
 
     def __eq__(self, other):
@@ -206,7 +198,9 @@ class LieAlgebra:
                         )
                     coeffs[index[cname]] = z.re
                 table[(j, k)] = coeffs
-        except (KeyError, TypeError) as exc:
+        except InputError:  # a bad name or scalar keeps its own message
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise AlgebraError(f"malformed algebra JSON: {exc}") from exc
         return cls(name, basis, table)
 
@@ -341,7 +335,9 @@ class Subalgebra:
                 for name, text in entry.items():
                     v[parent.basis_index(name)] = parse_scalar(text)
                 vectors.append(v)
-        except (KeyError, TypeError) as exc:
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise AlgebraError(f"malformed subalgebra JSON: {exc}") from exc
         return cls.span(parent, vectors)
 

@@ -131,6 +131,14 @@ def _degree_line(dims: dict, title: str):
 # ---------------------------------------------------------------------------
 
 
+def _require_jacobi(g: LieAlgebra):
+    """Exit 2 with the witness triple unless g satisfies Jacobi."""
+    witness = g.validate()
+    if witness is not None:
+        names = ", ".join(g.basis_names[i] for i in witness)
+        _fail_validation(f"Jacobi identity fails on the triple ({names})")
+
+
 def _cmd_validate(args) -> int:
     g = load_algebra(args.algebra)
     witness = g.validate()
@@ -287,6 +295,7 @@ def _cmd_cohomology(args) -> int:
         g, h = load_subalgebra(args.subalgebra, g)
     if g is None:
         _fail_validation("cohomology needs --algebra or a subalgebra file with an inline algebra")
+    _require_jacobi(g)
     out = {"command": "cohomology", "algebra": g.name}
     lines = []
     if args.relative:
@@ -328,6 +337,7 @@ def _cmd_decompose(args) -> int:
 
     g = load_algebra(args.algebra) if args.algebra else None
     g, h = load_subalgebra(args.subalgebra, g)
+    _require_jacobi(g)
     gram = None
     if args.inner_product:
         data = _read_json_file(args.inner_product)
@@ -335,7 +345,9 @@ def _cmd_decompose(args) -> int:
             gram = ExactMatrix.from_rows(
                 [[parse_scalar(x) for x in row] for row in data["matrix"]]
             )
-        except (KeyError, TypeError) as exc:
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise _Failure(EX_VALIDATION, "E_VALIDATION", f"malformed Gram JSON: {exc}")
     report = full_assembly(g, h, gram=gram)
     out = {"command": "decompose", "algebra": g.name, "assembly": report.to_json_dict()}

@@ -537,8 +537,9 @@ class AdaptedFrame:
     the bracket table in the adapted basis (`adapted`), and closure of u
     is read off that table.  `u_algebra` is u on its own basis rows, cut
     from the same table, and the table with trivial coefficients is scaled
-    to integers once; `quotient_module` and `relative_cohomology` reuse all
-    of this for every degree and coefficient module.
+    to integers once.  `quotient_module` and `relative_cohomology` reuse
+    all of this for every degree and module; a module's actions reach the
+    adapted basis by one product with `coords`.
     """
 
     def __init__(self, acting, u: Subalgebra, complement=None, closure_message=None):
@@ -621,22 +622,20 @@ class AdaptedFrame:
         brackets [w_s, w_t] enter its differential: d is the
         `_differential_matrix` of the complement block, with brackets taken
         modulo u and the actions of the complement vectors.  One sparse
-        product maps each invariant basis, and one solve writes the images
-        in the next.
+        product maps each invariant basis B_k.  B_{k+1} is the kernel basis
+        with 1 at its own free column and 0 at the others, so the relative
+        d is the rows of that product at the free columns, no solve needed.
         """
         if self.dim_u == 0:
             return ce_cohomology(self.base, module)
-        dim_m = module.dim
-        dim_u = self.dim_u
-        q = self.codim
-        # actions in the adapted basis: linear combinations of the given matrices
-        adapted_actions = []
-        for coords in self.coords:
-            mat = ExactMatrix.zero(dim_m, dim_m)
-            for j, c in enumerate(coords):
-                if not c.is_zero():
-                    mat = mat + module.actions[j].scale(c)
-            adapted_actions.append(mat)
+        dim_m, dim_u, q = module.dim, self.dim_u, self.codim
+        # actions in the adapted basis: one product of coords with the
+        # actions flattened to rows, cut back into dim_m x dim_m blocks
+        flat = ExactMatrix.from_rows([[x for r in a.row_list() for x in r] for a in module.actions])
+        adapted_actions = [
+            ExactMatrix(dim_m, dim_m, [row[r * dim_m:(r + 1) * dim_m] for r in range(dim_m)])
+            for row in ExactMatrix.from_rows(self.coords).matmul(flat).row_list()
+        ]
         structure = _integer_structure(self.adapted, adapted_actions)
         den, brackets, acts = structure
         block = (
@@ -649,32 +648,26 @@ class AdaptedFrame:
             acts[dim_u:],
         )
 
-        def by_columns(vectors, length):
-            return ExactMatrix(
-                length, len(vectors), [[v[r] for v in vectors] for r in range(length)]
-            )
-
-        # invariant bases per degree, as the columns of a matrix on Lambda^k(W)* (x) M
-        inv_bases = {}
+        # per degree: Theta_k, the Lie derivatives of u on Lambda^k(W)* (x) M
+        # stacked, the rows of its kernel basis B_k, and its free columns
+        thetas, inv_bases, free = {}, {}, {}
         for k in range(q + 2):
             size = len(_subsets(q, k)) * dim_m
-            stacked = []
-            for i in range(dim_u):
-                stacked.extend(
-                    _lie_derivative_matrix(structure, dim_m, dim_u, q, k, i).echelon_rows()
-                )
-            inv_bases[k] = by_columns(_kernel_vectors(*_bareiss_echelon(stacked, size), size), size)
+            rows = [row for i in range(dim_u)
+                    for row in _lie_derivative_matrix(structure, dim_m, dim_u, q, k, i).data]
+            thetas[k] = ScaledIntMatrix(len(rows), size, den, rows)
+            echelon, piv_cols = _bareiss_echelon(thetas[k].echelon_rows(), size)
+            kernel = _kernel_vectors(echelon, piv_cols, size)
+            inv_bases[k] = ScaledIntMatrix.from_exact(ExactMatrix(len(kernel), size, kernel))
+            free[k] = sorted(set(range(size)) - set(piv_cols))
 
         rel_mats = {}
         for k in range(q + 1):
-            dom, cod = inv_bases[k], inv_bases[k + 1]
-            images = _differential_matrix(block, q, dim_m, k).matmul(
-                ScaledIntMatrix.from_exact(dom)
-            ).to_exact()
-            cols, failed = _solve_columns(cod, [images.col(c) for c in range(dom.cols)])
-            if failed is not None:
+            images = _differential_matrix(block, q, dim_m, k).matmul(inv_bases[k].transpose())
+            if not thetas[k + 1].matmul(images).is_zero():
                 raise AssertionError("image of invariant cochain is not invariant")
-            rel_mats[k] = ScaledIntMatrix.from_exact(by_columns(cols, cod.cols))
+            rows = [images.data[f] for f in free[k + 1]]
+            rel_mats[k] = ScaledIntMatrix(len(rows), images.cols, images.den, rows)
 
         CochainComplex(labels={}, int_differentials=rel_mats).verify()
         dims, _, _ = _chain_dims(rel_mats, list(range(q + 1)))
@@ -682,7 +675,7 @@ class AdaptedFrame:
             dims=dims,
             meta={
                 "relative_pair_dim": dim_u,
-                "cochain_dims": {k: inv_bases[k].cols for k in range(q + 1)},
+                "cochain_dims": {k: inv_bases[k].rows for k in range(q + 1)},
             },
         )
 

@@ -135,20 +135,18 @@ def killing_form(g: LieAlgebra) -> ExactMatrix:
 
 
 def validate_ad_invariant(g: LieAlgebra, gram: ExactMatrix):
-    """None when <[X,Y],Z> = -<Y,[X,Z]> on all basis triples, else witness."""
-    n = g.dim
-    basis = [g.basis_vector(j) for j in range(n)]
+    """None when <[X,Y],Z> = -<Y,[X,Z]> on all basis triples, else the
+    first failing (i, j, k).
 
-    def pair(v, w):
-        return vec_dot(gram.apply(w), v)
-
-    for i in range(n):
-        for j in range(n):
-            bij = g.bracket(basis[i], basis[j])
-            for k in range(n):
-                lhs = pair(bij, basis[k])
-                rhs = -pair(basis[j], g.bracket(basis[i], basis[k]))
-                if lhs != rhs:
+    With <v, w> = v^T G w and ad_i the matrix of [X_i, .], entry (j, k) of
+    ad_i^T G + G ad_i is <[X_i, X_j], X_k> + <X_j, [X_i, X_k]>, for any G.
+    """
+    for i in range(g.dim):
+        ad = g.ad_matrix(g.basis_vector(i))
+        residual = ad.transpose().matmul(gram) + gram.matmul(ad)
+        for j, row in enumerate(residual.row_list()):
+            for k, x in enumerate(row):
+                if not x.is_zero():
                     return (i, j, k)
     return None
 

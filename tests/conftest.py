@@ -88,6 +88,36 @@ def random_nilpotent_subalgebra(rng: random.Random, g: LieAlgebra, base_dim: int
     return Subalgebra.span(g, vectors)
 
 
+def signed_permutation(g, rng):
+    """g on the basis e'_i = s_i e_{perm[i]}, as the benchmark presents su3."""
+    perm = list(range(g.dim))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in perm]
+    where = {old: new for new, old in enumerate(perm)}
+    table = {}
+    for a in range(g.dim):
+        for b in range(a + 1, g.dim):
+            coeffs = g.structure_coeffs(perm[a], perm[b])
+            table[(a, b)] = {
+                where[l]: signs[a] * signs[b] * signs[where[l]] * c for l, c in coeffs.items()
+            }
+    return LieAlgebra(g.name, [g.basis_names[i] for i in perm], table)
+
+
+def single_entry_perturbations(g, rng, count):
+    """Copies of g with one structure constant c_{jk}^l moved by a nonzero
+    rational, at seeded positions (present entries and new ones)."""
+    out = []
+    for _ in range(count):
+        table = {pair: g.structure_coeffs(*pair) for pair in g.bracket_pairs()}
+        j, k = sorted(rng.sample(range(g.dim), 2))
+        l = rng.randrange(g.dim)
+        entry = table.setdefault((j, k), {})
+        entry[l] = entry.get(l, 0) + Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 5)))
+        out.append(LieAlgebra(f"{g.name}-perturbed", g.basis_names, table))
+    return out
+
+
 def diagonal_solvable(rng: random.Random, k: int) -> LieAlgebra:
     """[T, X_i] = lambda_i X_i with rational lambda_i; solvable, Jacobi holds."""
     names = ["T"] + [f"X{i + 1}" for i in range(k)]

@@ -19,7 +19,7 @@ from liecoh.algebra import (
 from liecoh.linalg import ExactMatrix, solve_linear, vec_is_zero
 from liecoh.scalars import GaussianRational as Q
 
-from conftest import scalars
+from conftest import scalars, signed_permutation, single_entry_perturbations
 
 
 # -- independent oracle: the defining matrix representations -----------------
@@ -122,6 +122,39 @@ def test_su3_single_constant_perturbation_rejected():
     total = [a + b for a, b in zip(total, perturbed.bracket(perturbed.bracket(e(k), e(l)), e(j)))]
     total = [a + b for a, b in zip(total, perturbed.bracket(perturbed.bracket(e(l), e(j)), e(k)))]
     assert not vec_is_zero(total)
+
+
+def reference_jacobi(g):
+    """The Jacobi check as it was before `validate` read the structure
+    constants: five brackets of basis vectors per triple, in Q(i)."""
+    n = g.dim
+    for j in range(n):
+        ej = g.basis_vector(j)
+        for k in range(j + 1, n):
+            ek = g.basis_vector(k)
+            jk = g.bracket(ej, ek)
+            for l in range(k + 1, n):
+                el = g.basis_vector(l)
+                total = g.bracket(jk, el)
+                total = [a + b for a, b in zip(total, g.bracket(g.bracket(ek, el), ej))]
+                total = [a + b for a, b in zip(total, g.bracket(g.bracket(el, ej), ek))]
+                if not vec_is_zero(total):
+                    return (j, k, l)
+    return None
+
+
+def test_validate_matches_reference_jacobi():
+    rng = random.Random(20261018)
+    bases = [su2(), su3(), signed_permutation(su3(), rng)]
+    cases = bases + [p for g in bases for p in single_entry_perturbations(g, rng, 20)]
+    witnesses = []
+    for g in cases:
+        witness = g.validate()
+        assert witness == reference_jacobi(g), g.to_json_dict()
+        if witness is not None:
+            witnesses.append(witness)
+    assert all(g.validate() is None for g in bases)
+    assert len(witnesses) >= 20 and len(set(witnesses)) >= 5
 
 
 # -- bracket fixtures ---------------------------------------------------------

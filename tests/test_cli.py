@@ -117,8 +117,30 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
             ["torus-solve", "--mu", "2/3", "--rhs"],
             "malformed Fourier JSON: 'eta'",
         ),
+        (
+            {"name": "a", "basis": ["X", "Y"], "brackets": [{"on": ["X", "Y", "X"], "result": {}}]},
+            ["validate"],
+            "malformed algebra JSON: too many values to unpack",
+        ),
+        (
+            {"name": "a", "basis": ["X", "Y"], "brackets": [{"on": ["X", "Y"], "result": ["X"]}]},
+            ["validate"],
+            "malformed algebra JSON: 'list' object has no attribute 'items'",
+        ),
+        (
+            {"algebra": "su2", "vectors": [["T"]]},
+            ["classify", "--algebra", "builtin:su2", "--subalgebra"],
+            "malformed subalgebra JSON: 'list' object has no attribute 'items'",
+        ),
+        (
+            {"matrix": [["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]},
+            ["decompose", "--algebra", "builtin:su2", "--subalgebra", "span{T, X-iY}",
+             "--inner-product"],
+            "malformed Gram JSON: column count mismatch",
+        ),
     ],
-    ids=["module", "algebra-bracket", "algebra-coefficient", "subalgebra", "fourier"],
+    ids=["module", "algebra-bracket", "algebra-coefficient", "subalgebra", "fourier",
+         "algebra-three-names", "algebra-result-list", "subalgebra-vector-list", "gram-ragged"],
 )
 def test_malformed_json_field_is_validation_error(tmp_path, capsys, data, argv, message):
     path = tmp_path / "malformed.json"
@@ -127,6 +149,51 @@ def test_malformed_json_field_is_validation_error(tmp_path, capsys, data, argv, 
     assert code == EX_VALIDATION
     assert out == ""
     assert err.startswith("liecoh: error [E_VALIDATION]") and message in err
+
+
+NOT_LIE = {
+    "name": "bad",
+    "basis": ["A", "B", "C"],
+    "brackets": [
+        {"on": ["A", "B"], "result": {"C": "1"}},
+        {"on": ["A", "C"], "result": {"A": "1"}},
+        {"on": ["B", "C"], "result": {"A": "1"}},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--algebra", "{alg}"],
+        ["cohomology", "--algebra", "{alg}", "--module", "adjoint"],
+        ["cohomology", "--algebra", "{alg}", "--subalgebra", "span{A}"],
+        ["cohomology", "--algebra", "{alg}", "--relative", "span{A}"],
+        ["cohomology", "--subalgebra", "{sub}"],
+        ["decompose", "--algebra", "{alg}", "--subalgebra", "span{A}"],
+    ],
+    ids=["plain", "adjoint", "bigraded", "relative", "inline-algebra", "decompose"],
+)
+def test_non_jacobi_algebra_is_validation_error(tmp_path, capsys, argv):
+    alg, sub = tmp_path / "bad.json", tmp_path / "sub.json"
+    alg.write_text(json.dumps(NOT_LIE))
+    sub.write_text(json.dumps({"algebra": NOT_LIE, "vectors": [{"A": "1"}]}))
+    paths = {"{alg}": str(alg), "{sub}": str(sub)}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert code == EX_VALIDATION
+    assert out == ""
+    assert err == "liecoh: error [E_VALIDATION] Jacobi identity fails on the triple (A, B, C)\n"
+
+
+def test_decompose_gram_file(tmp_path, capsys):
+    argv = ["decompose", "--algebra", "builtin:su2", "--subalgebra", "span{T, X-iY}", "--json"]
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"matrix": [["8", "0", "0"], ["0", "8", "0"], ["0", "0", "8"]]}))
+    assert run(capsys, *argv, "--inner-product", str(path)) == run(capsys, *argv)
+    path.write_text(json.dumps({"matrix": [["8", "0", "0"], ["0", "8", "0"], ["0", "0", "16"]]}))
+    code, out, err = run(capsys, *argv, "--inner-product", str(path))
+    assert (code, out) == (EX_VALIDATION, "")
+    assert "Gram matrix is not ad-invariant: witness (0, 1, 2)" in err
 
 
 # -- command outputs -----------------------------------------------------------

@@ -584,7 +584,7 @@ def test_relative_zero_dimensional_module():
 
 
 def test_relative_differentials_are_verified(monkeypatch):
-    # the relative complex is assembled from solves, not built by
+    # the relative complex is assembled from invariant bases, not built by
     # ce_complex, so its d o d = 0 check happens in relative_ce_cohomology
     seen = []
     real = CochainComplex.verify
@@ -598,6 +598,23 @@ def test_relative_differentials_are_verified(monkeypatch):
     table = relative_ce_cohomology(g, parse_span("span{T}", g), GModule.trivial(g))
     dims = table.meta["cochain_dims"]
     assert {k: (dims.get(k + 1, 0), dims[k]) for k in dims} in seen
+
+
+def test_relative_rejects_a_non_invariant_image(monkeypatch):
+    # with Theta_1 replaced by the identity no 1-cochain is invariant, yet d
+    # sends the invariant 0-cochain T of the adjoint module to X -> [X, T] != 0
+    real = cohomology._lie_derivative_matrix
+
+    def corrupted(structure, dim_m, dim_u, q, k, i):
+        m = real(structure, dim_m, dim_u, q, k, i)
+        if k == 1:
+            m.data = [{r: (m.den, 0)} for r in range(m.rows)]
+        return m
+
+    monkeypatch.setattr(cohomology, "_lie_derivative_matrix", corrupted)
+    g = su2()
+    with pytest.raises(AssertionError, match="image of invariant cochain is not invariant"):
+        relative_ce_cohomology(g, parse_span("span{T}", g), GModule.adjoint(g))
 
 
 # -- complexes as values ---------------------------------------------------------

@@ -24,10 +24,15 @@ from liecoh.decompose import (
     kunneth_assemble,
     validate_ad_invariant,
 )
-from liecoh.linalg import ExactMatrix, rank_kernel, solve_linear
+from liecoh.linalg import ExactMatrix, rank_kernel, solve_linear, vec_dot
 from liecoh.scalars import GaussianRational as Q
 
-from conftest import diagonal_solvable, two_step_nilpotent
+from conftest import (
+    diagonal_solvable,
+    signed_permutation,
+    single_entry_perturbations,
+    two_step_nilpotent,
+)
 from property_suites import _algebra_subalgebra_cases
 
 
@@ -285,6 +290,62 @@ def test_killing_form_is_trace_of_ad_products():
 def test_negative_killing_is_ad_invariant():
     for g in (su2(), su3()):
         assert validate_ad_invariant(g, default_inner_product(g)) is None
+
+
+def reference_ad_invariant(g, gram):
+    """The ad-invariance check as it was before it read ad matrices: two
+    brackets and two Gram pairings per basis triple."""
+    n = g.dim
+    basis = [g.basis_vector(j) for j in range(n)]
+
+    def pair(v, w):
+        return vec_dot(gram.apply(w), v)
+
+    for i in range(n):
+        for j in range(n):
+            bij = g.bracket(basis[i], basis[j])
+            for k in range(n):
+                lhs = pair(bij, basis[k])
+                rhs = -pair(basis[j], g.bracket(basis[i], basis[k]))
+                if lhs != rhs:
+                    return (i, j, k)
+    return None
+
+
+def _perturbed_grams(gram, rng, count):
+    """One seeded entry of `gram` moved, real or imaginary, and mirrored
+    across the diagonal (symmetric) or not."""
+    out = []
+    for t in range(count):
+        rows = gram.row_list()
+        a, b = rng.randrange(gram.rows), rng.randrange(gram.cols)
+        delta = Q(rng.choice((1, -2, 3)), 0) if t % 2 == 0 else Q(0, rng.choice((1, -1, 2)))
+        rows[a][b] = rows[a][b] + delta
+        if t % 4 < 2 and a != b:
+            rows[b][a] = rows[b][a] + delta
+        out.append(ExactMatrix.from_rows(rows))
+    return out
+
+
+def test_validate_ad_invariant_matches_reference():
+    rng = random.Random(20261018)
+    algebras = [su2(), su3(), signed_permutation(su3(), rng)]
+    cases = [(g, default_inner_product(g)) for g in algebras]
+    assert all(validate_ad_invariant(g, gram) is None for g, gram in cases)
+    cases += [(g, p) for g, gram in list(cases) for p in _perturbed_grams(gram, rng, 12)]
+    # a perturbed table against the Gram matrix of the unperturbed one
+    cases += [
+        (p, default_inner_product(g))
+        for g in algebras[1:]
+        for p in single_entry_perturbations(g, rng, 4)
+    ]
+    witnesses = []
+    for g, gram in cases:
+        witness = validate_ad_invariant(g, gram)
+        assert witness == reference_ad_invariant(g, gram)
+        if witness is not None:
+            witnesses.append(witness)
+    assert len(witnesses) >= 20 and len(set(witnesses)) >= 5
 
 
 def test_degenerate_killing_needs_user_gram():

@@ -1,0 +1,82 @@
+"""Golden CLI corpus: the full stdout, stderr and exit code of builtin-only
+commands, compared byte for byte.
+
+`golden_cli.json` holds one entry per command.  A refactor that must not
+change any output passes this file unchanged.  To record the corpus
+again after an intended output change (and say which in CHANGES.md):
+
+    PYTHONPATH=src python tests/test_golden_cli.py --record
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from liecoh.cli import main
+
+CORPUS = Path(__file__).with_name("golden_cli.json")
+
+CR = "span{X1-iY1, X2-iY2, X3-iY3}"
+H5 = "span{X1-iY1, X2-iY2, X3-iY3, T1, T2}"
+COMPLEX = "span{T1+iT2, X1-iY1, X2-iY2, X3+iY3}"
+LEVI = "span{X1-iY1, X2-iY2, X3-iY3, 2T1+3T2}"
+
+COMMANDS = {
+    "bigraded-su3-cr-reps": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", CR,
+                             "--representatives", "--json"],
+    "bigraded-su3-h5": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", H5, "--json"],
+    "bigraded-su3-complex": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", COMPLEX,
+                             "--json"],
+    "plain-su3": ["cohomology", "--algebra", "builtin:su3", "--json"],
+    "adjoint-su2-reps": ["cohomology", "--algebra", "builtin:su2", "--module", "adjoint",
+                         "--representatives", "--json"],
+    "relative-su3-torus": ["cohomology", "--algebra", "builtin:su3", "--relative", "span{T1, T2}",
+                           "--json"],
+    "relative-su2-borel-torus": ["cohomology", "--algebra", "builtin:su2", "--subalgebra",
+                                 "span{T, X-iY}", "--relative", "span{T}"],
+    "decompose-su3-h5": ["decompose", "--algebra", "builtin:su3", "--subalgebra", H5, "--json"],
+    "decompose-su2-borel": ["decompose", "--algebra", "builtin:su2", "--subalgebra",
+                            "span{T, X-iY}"],
+    "classify-su3-cr": ["classify", "--algebra", "builtin:su3", "--subalgebra", CR, "--json"],
+    "classify-su3-levi": ["classify", "--algebra", "builtin:su3", "--subalgebra", LEVI, "--json"],
+    "roots-su3-standard": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1, T2}",
+                           "--standard", "2", "0", "--json"],
+    "torus-solve-cf": ["torus-solve", "--cf", ",".join(["1"] * 12), "--depth", "8", "--json"],
+    "validate-su3": ["validate", "builtin:su3"],
+    "relative-not-closed": ["cohomology", "--algebra", "builtin:su3", "--relative",
+                            "span{X1, Y1}"],
+}
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _corpus():
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+def test_corpus_covers_every_command():
+    corpus = _corpus()
+    assert sorted(corpus) == sorted(COMMANDS)
+    assert all(corpus[name]["argv"] == argv for name, argv in COMMANDS.items())
+    assert any(entry["exit"] == 2 for entry in corpus.values())
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_output(name):
+    assert run(COMMANDS[name]) == _corpus()[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    corpus = {name: run(argv) for name, argv in COMMANDS.items()}
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
