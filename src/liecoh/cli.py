@@ -85,6 +85,10 @@ def load_subalgebra(spec: str, g: LieAlgebra | None):
             _fail_validation("span{...} shorthand needs --algebra")
         return g, parse_span(spec, g)
     data = _read_json_file(spec)
+    if not isinstance(data, dict):
+        _fail_validation(
+            f"malformed subalgebra JSON: expected an object, got {type(data).__name__}"
+        )
     declared = data.get("algebra")
     if g is None:
         if isinstance(declared, dict):
@@ -164,6 +168,7 @@ def _cmd_classify(args) -> int:
 
     g = load_algebra(args.algebra) if args.algebra else None
     g, h = load_subalgebra(args.subalgebra, g)
+    _require_jacobi(g)
     witness = h.is_subalgebra()
     if witness is not None:
         _fail_validation(f"input is not a subalgebra: witness rows {witness}")
@@ -217,6 +222,7 @@ def _cmd_roots(args) -> int:
 
     g = load_algebra(args.algebra)
     g, t = load_subalgebra(args.torus, g)
+    _require_jacobi(g)
     rd = root_decomposition(g, t)
     override = _parse_root_list(args.positive) if args.positive else None
     ps = positive_system(rd, override=override)

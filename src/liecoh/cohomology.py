@@ -12,9 +12,11 @@ stable under d.  The bigraded complex of a subalgebra h is, row by row,
 the complex of h with module coefficients: row p is
 C^q(h; Lambda^p(g/h)^*), written in the basis zeta_I wedge tau_J.
 
-One builder, `_differential_matrix`, writes every differential (plain,
-module, the rows of the bigraded complex and the complement block that
-carries the relative one) straight into sparse rows of (re, im)
+One builder, `_differential_matrix`, writes every differential as a
+block of d of one algebra: the rows and columns are lists of index
+subsets, and a term that lands on a subset outside the columns is
+dropped.  The plain and module differentials and `GModule.validate` take
+all subsets.  The rows go straight into sparse rows of (re, im)
 Python-int pairs over one positive denominator per matrix: the lcm of the
 denominators of the bracket table and of the action matrices
 (`ScaledIntMatrix`).  The scale is per matrix, not per row, so the
@@ -29,27 +31,28 @@ ExactMatrix, and kernel vectors are formed only for representatives and
 for the invariant bases of the relative complex.
 
 Every pair (acting, u) that needs a basis adapted to u, with u's basis
-first and a complement second, gets one `AdaptedFrame`.  It checks once
+first and a complement W second, gets one `AdaptedFrame`.  It checks once
 that u lies in the acting algebra and is bracket-closed, picks the
 complement once, solves once for the bracket table in the adapted basis
 and for the coordinates of the adapted vectors, and serves the quotient
-modules Lambda^p(acting/u) (`quotient_module`) and the relative complex
-(`relative_cohomology`) for every degree and module.  One loop,
-`_lie_derivative_matrix`, writes the action of u on Lambda^p(W)^* tensor
-M for W the complement block: with trivial coefficients it is the dual
-quotient module, and with the module's actions it cuts out the
-u-invariant relative cochains.  The relative d is `_differential_matrix`
-of W alone, its brackets taken modulo u, since relative cochains vanish
-on u arguments.  The bigraded complex (on the dual modules
-Lambda^p(g/h)^*), `relative_ce_cohomology` and `decompose` all build on
-it.
+modules Lambda^p(acting/u) (`quotient_module`), the relative complex
+(`relative_cohomology`) and the bigraded rows for every degree and
+module.  All three read blocks of d of the adapted algebra.  By Cartan's
+formula theta(X) = i(X) d + d i(X), and i(u_i) kills a cochain that
+vanishes on u, so the Lie derivative theta(u_i) on Lambda^k(W)^* tensor M
+is the block on the rows (i,) + K over the W-subsets K; the relative d is
+the block on the W-subsets.  In both, the terms dropped land on subsets
+with a u index, where such a cochain vanishes, so the u-components of the
+brackets drop out by themselves.  The bigraded d' of row p is the block
+on the subsets with exactly p complement indices; the terms it drops are
+the parts of d that raise p, which the quotient by F^{p+1} forgets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb, lcm
+from math import lcm
 
 from .algebra import AlgebraError, ClosureError, LieAlgebra, Subalgebra
 from .linalg import (
@@ -199,13 +202,14 @@ class GModule:
         """
         n = self._basis.dim
         structure = _integer_structure(self._basis, self.actions)
-        product = _differential_matrix(structure, n, self.dim, 1).matmul(
-            _differential_matrix(structure, n, self.dim, 0)
+        pairs, singles = _subsets(n, 2), _subsets(n, 1)
+        product = _differential_matrix(structure, self.dim, pairs, singles).matmul(
+            _differential_matrix(structure, self.dim, singles, [()])
         )
         failing = next((r for r, row in enumerate(product.data) if row), None)
         if failing is None:
             return None
-        return _subsets(n, 2)[failing // self.dim]
+        return pairs[failing // self.dim]
 
 
 # ---------------------------------------------------------------------------
@@ -250,27 +254,31 @@ def _integer_structure(ba: BasisedAlgebra, actions):
     return den, brackets, acts
 
 
-def _differential_matrix(structure, n: int, dim_m: int, k: int) -> ScaledIntMatrix:
-    """Matrix of d: C^k -> C^{k+1} of an n-dimensional algebra on the
-    basis (subset, module index), ordered subsets-lexicographic major,
+def _differential_matrix(structure, dim_m: int, rows, cols) -> ScaledIntMatrix:
+    """The block of d: C^k -> C^{k+1} on the (k+1)-subsets `rows` and the
+    k-subsets `cols`, sorted index tuples in the order given, each with the
     module index minor, as Gaussian-integer rows over the denominator of
-    `structure`, the algebra's `_integer_structure` with the actions."""
+    `structure` (the algebra's `_integer_structure` with the actions).  A
+    term that lands on a subset outside `cols` is dropped."""
     den, brackets, acts = structure
-    dom_index = {s: i for i, s in enumerate(combinations(range(n), k))}
-    rows = []
-    for J in combinations(range(n), k + 1):
+    dom_index = {s: i for i, s in enumerate(cols)}
+    out = []
+    for J in rows:
         block = [{} for _ in range(dim_m)]
         # action terms: remove the t-th argument
-        for t in range(k + 1):
-            col_block = dom_index[J[:t] + J[t + 1:]] * dim_m
+        for t in range(len(J)):
+            c = dom_index.get(J[:t] + J[t + 1:])
+            if c is None:
+                continue
+            col_block = c * dim_m
             sign = 1 if t % 2 == 0 else -1
             for target, entries in zip(block, acts[J[t]]):
                 for a, (re, im) in entries.items():
                     old = target.get(col_block + a, (0, 0))
                     target[col_block + a] = (old[0] + sign * re, old[1] + sign * im)
         # bracket terms: pair (s, t) replaced by [X_s, X_t]
-        for s in range(k + 1):
-            for t in range(s + 1, k + 1):
+        for s in range(len(J)):
+            for t in range(s + 1, len(J)):
                 coeffs = brackets.get((J[s], J[t]))
                 if not coeffs:
                     continue
@@ -280,13 +288,22 @@ def _differential_matrix(structure, n: int, dim_m: int, k: int) -> ScaledIntMatr
                     if l in rest:
                         continue
                     pos, merged = _wedge_insert(rest, l)
+                    c = dom_index.get(merged)
+                    if c is None:
+                        continue
                     sign = base_sign * (1 if pos % 2 == 0 else -1)
-                    col_block = dom_index[merged] * dim_m
+                    col_block = c * dim_m
                     for a, target in enumerate(block):
                         old = target.get(col_block + a, (0, 0))
                         target[col_block + a] = (old[0] + sign * re, old[1] + sign * im)
-        rows.extend({j: x for j, x in target.items() if x != (0, 0)} for target in block)
-    return ScaledIntMatrix(len(rows), len(dom_index) * dim_m, den, rows)
+        out.extend({j: x for j, x in target.items() if x != (0, 0)} for target in block)
+    return ScaledIntMatrix(len(out), len(cols) * dim_m, den, out)
+
+
+def _negated(m: ScaledIntMatrix) -> ScaledIntMatrix:
+    return ScaledIntMatrix(
+        m.rows, m.cols, m.den, [{j: (-re, -im) for j, (re, im) in row.items()} for row in m.data]
+    )
 
 
 def _check_square_zero(matrices, message):
@@ -305,7 +322,9 @@ def ce_differential(acting, module: GModule, k: int) -> ExactMatrix:
     if k < 0:
         return ExactMatrix.zero(len(_subsets(ba.dim, 0)) * module.dim, 0)
     structure = _integer_structure(ba, module.actions)
-    return _differential_matrix(structure, ba.dim, module.dim, k).to_exact()
+    return _differential_matrix(
+        structure, module.dim, _subsets(ba.dim, k + 1), _subsets(ba.dim, k)
+    ).to_exact()
 
 
 @dataclass
@@ -349,7 +368,8 @@ def ce_complex(acting, module: GModule) -> CochainComplex:
     complex_ = CochainComplex(
         labels={k: _ce_labels(ba, module.dim, k) for k in range(n + 2)},
         int_differentials={
-            k: _differential_matrix(structure, n, module.dim, k) for k in range(n + 1)
+            k: _differential_matrix(structure, module.dim, _subsets(n, k + 1), _subsets(n, k))
+            for k in range(n + 1)
         },
     )
     complex_.verify()
@@ -491,38 +511,6 @@ def ce_cohomology(acting, module: GModule, representatives: bool = False) -> Coh
 # ---------------------------------------------------------------------------
 
 
-def _lie_derivative_matrix(structure, dim_m, dim_u, q, k, acting_index) -> ScaledIntMatrix:
-    """theta(X_i) on Lambda^k(W)* tensor M for W the complement block of the
-    adapted basis; the bracket action is taken modulo the first dim_u
-    vectors (the quotient).  `structure` is the adapted algebra's
-    `_integer_structure`."""
-    den, brackets, acts = structure
-    subs = _subsets(q, k)
-    index = {s: i for i, s in enumerate(subs)}
-    rows = []
-    for K in subs:
-        # module part
-        block = [
-            {index[K] * dim_m + a: x for a, x in entries.items()} for entries in acts[acting_index]
-        ]
-        # argument part: replace K[pos] by [X_i, W_{K[pos]}] mod u; the
-        # evaluation tuple K indexes the row, the resorted subset the column
-        for pos in range(k):
-            rest = K[:pos] + K[pos + 1:]
-            for l, (re, im) in brackets.get((acting_index, dim_u + K[pos]), ()):
-                wl = l - dim_u
-                if wl < 0 or wl in rest:
-                    continue
-                p_new, newK = _wedge_insert(rest, wl)
-                sign = -1 if (pos - p_new) % 2 == 0 else 1
-                for a, target in enumerate(block):
-                    col = index[newK] * dim_m + a
-                    old = target.get(col, (0, 0))
-                    target[col] = (old[0] + sign * re, old[1] + sign * im)
-        rows.extend({j: x for j, x in target.items() if x != (0, 0)} for target in block)
-    return ScaledIntMatrix(len(rows), len(subs) * dim_m, den, rows)
-
-
 RELATIVE_CLOSURE = "relative pair requires a bracket-closed u"
 
 
@@ -582,8 +570,20 @@ class AdaptedFrame:
             {pair: coeffs for pair, coeffs in adapted._table.items() if pair[1] < dim_u},
         )
         # the adapted algebra with one-dimensional trivial coefficients: its
-        # Lie derivatives are the actions of u on Lambda^p(acting / u)^*
+        # Lie derivatives are the actions of u on Lambda^p(acting / u)^*, and
+        # its p-preserving blocks are the bigraded d'
         self._trivial = _integer_structure(adapted, GModule.trivial(adapted).actions)
+
+    def _w_subsets(self, k: int):
+        """The k-subsets of the complement block, in adapted indices."""
+        return [tuple(self.dim_u + x for x in K) for K in _subsets(self.codim, k)]
+
+    def _theta(self, structure, dim_m: int, k: int, us) -> ScaledIntMatrix:
+        """theta(u_i) on Lambda^k(W)^* tensor M for each i in `us`, stacked.
+        On cochains that vanish on u, Cartan's formula leaves theta(u_i) =
+        i(u_i) d: the block of d on the rows (i,) + K over the W-subsets K."""
+        cols = self._w_subsets(k)
+        return _differential_matrix(structure, dim_m, [(i,) + K for i in us for K in cols], cols)
 
     def quotient_module(self, p: int, dual: bool = False) -> GModule:
         """Lambda^p of (acting / u) as a u-module through the adjoint
@@ -591,17 +591,12 @@ class AdaptedFrame:
         transpose.
 
         The dual action of u_i is the Lie derivative theta(u_i) on
-        Lambda^p(W)^* with trivial one-dimensional coefficients
-        (`_lie_derivative_matrix`); out of range, p gives the zero module.
+        Lambda^p(W)^* with trivial one-dimensional coefficients (`_theta`);
+        out of range, p gives the zero module.
         """
-        thetas = [
-            _lie_derivative_matrix(self._trivial, 1, self.dim_u, self.codim, p, i)
-            for i in range(self.dim_u)
-        ]
+        thetas = [self._theta(self._trivial, 1, p, [i]) for i in range(self.dim_u)]
         if not dual:
-            thetas = [m.transpose() for m in thetas]
-            for m in thetas:
-                m.data = [{j: (-re, -im) for j, (re, im) in row.items()} for row in m.data]
+            thetas = [_negated(m.transpose()) for m in thetas]
         module = GModule(
             self.u_algebra, len(_subsets(self.codim, p)), [m.to_exact() for m in thetas]
         )
@@ -616,12 +611,11 @@ class AdaptedFrame:
 
         Cochains live on Lambda^k(W)^* tensor M for W the complement block,
         so they vanish on u arguments by construction; invariance under the
-        induced u action (`_lie_derivative_matrix`) is imposed as an exact
-        linear condition, which is what makes the space d-stable.  Since a
-        relative cochain vanishes on u, only the W-components of the
-        brackets [w_s, w_t] enter its differential: d is the
-        `_differential_matrix` of the complement block, with brackets taken
-        modulo u and the actions of the complement vectors.  One sparse
+        induced u action (`_theta`) is imposed as an exact linear condition,
+        which is what makes the space d-stable.  The relative d is the block
+        of d of the adapted algebra on the W-subsets: the terms it drops land
+        on u arguments, where a relative cochain vanishes, so the
+        u-components of the brackets [w_s, w_t] drop out.  One sparse
         product maps each invariant basis B_k.  B_{k+1} is the kernel basis
         with 1 at its own free column and 0 at the others, so the relative
         d is the rows of that product at the free columns, no solve needed.
@@ -637,25 +631,13 @@ class AdaptedFrame:
             for row in ExactMatrix.from_rows(self.coords).matmul(flat).row_list()
         ]
         structure = _integer_structure(self.adapted, adapted_actions)
-        den, brackets, acts = structure
-        block = (
-            den,
-            {
-                (a - dim_u, b - dim_u): [(l - dim_u, c) for l, c in coeffs if l >= dim_u]
-                for (a, b), coeffs in brackets.items()
-                if a >= dim_u
-            },
-            acts[dim_u:],
-        )
 
         # per degree: Theta_k, the Lie derivatives of u on Lambda^k(W)* (x) M
         # stacked, the rows of its kernel basis B_k, and its free columns
         thetas, inv_bases, free = {}, {}, {}
         for k in range(q + 2):
-            size = len(_subsets(q, k)) * dim_m
-            rows = [row for i in range(dim_u)
-                    for row in _lie_derivative_matrix(structure, dim_m, dim_u, q, k, i).data]
-            thetas[k] = ScaledIntMatrix(len(rows), size, den, rows)
+            thetas[k] = self._theta(structure, dim_m, k, range(dim_u))
+            size = thetas[k].cols
             echelon, piv_cols = _bareiss_echelon(thetas[k].echelon_rows(), size)
             kernel = _kernel_vectors(echelon, piv_cols, size)
             inv_bases[k] = ScaledIntMatrix.from_exact(ExactMatrix(len(kernel), size, kernel))
@@ -663,7 +645,8 @@ class AdaptedFrame:
 
         rel_mats = {}
         for k in range(q + 1):
-            images = _differential_matrix(block, q, dim_m, k).matmul(inv_bases[k].transpose())
+            d = _differential_matrix(structure, dim_m, self._w_subsets(k + 1), self._w_subsets(k))
+            images = d.matmul(inv_bases[k].transpose())
             if not thetas[k + 1].matmul(images).is_zero():
                 raise AssertionError("image of invariant cochain is not invariant")
             rows = [images.data[f] for f in free[k + 1]]
@@ -732,45 +715,36 @@ class BigradedComplex:
         )
 
 
-def _row_differential(structure, n: int, dim_m: int, p: int, q: int) -> ScaledIntMatrix:
-    """d' from (p, q) to (p, q + 1): the degree-q Chevalley-Eilenberg
-    differential of the n-dimensional h with coefficients in the dim_m
-    basis functionals zeta_I of Lambda^p(g/h)^* (`structure`), with the
-    columns and rows reordered from (J major, I minor) to (I major, J
-    minor) and multiplied by (-1)^p, the sign of moving d past zeta_I."""
-    ce = _differential_matrix(structure, n, dim_m, q)
-    sign = -1 if p % 2 else 1
-    dom, cod = comb(n, q), comb(n, q + 1)
-    rows = [None] * ce.rows
-    for r, row in enumerate(ce.data):
-        J, a = divmod(r, dim_m)
-        rows[a * cod + J] = {
-            (c % dim_m) * dom + c // dim_m: (sign * re, sign * im) for c, (re, im) in row.items()
-        }
-    return ScaledIntMatrix(ce.rows, ce.cols, ce.den, rows)
-
-
 def _bigraded_row(frame: AdaptedFrame, p: int) -> BigradedComplex:
     """Row p of the bigraded complex of the frame's pair (g, h), as
     CE(h; Lambda^p(g/h)^*) in the basis zeta_I wedge tau_J, verified to
-    square to zero."""
+    square to zero.
+
+    zeta_I wedge tau_J is the ascending subset J + (n + I) of the adapted
+    basis up to the sign (-1)^{pq}, so d' from (p, q) to (p, q + 1) is
+    (-1)^p times the block of d of the adapted algebra with trivial
+    coefficients on those subsets, listed I-major and J-minor.
+    """
     n = frame.dim_u
-    zetas = list(combinations(range(frame.codim), p))
-    module = frame.quotient_module(p, dual=True)
-    structure = _integer_structure(frame.u_algebra, module.actions)
+    cells = {
+        q: [J + I for I in frame._w_subsets(p) for J in combinations(range(n), q)]
+        for q in range(n + 2)
+    }
+    int_dprime = {}
+    for q in range(n + 1):
+        block = _differential_matrix(frame._trivial, 1, cells[q + 1], cells[q])
+        int_dprime[q] = _negated(block) if p % 2 else block
     complex_ = BigradedComplex(
         p=p,
         labels={
             q: [
-                "∧".join([f"ζ{i + 1}" for i in I] + [f"τ{j + 1}" for j in J]) or "1"
-                for I in zetas
-                for J in combinations(range(n), q)
+                "∧".join([f"ζ{s - n + 1}" for s in S if s >= n]
+                         + [f"τ{s + 1}" for s in S if s < n]) or "1"
+                for S in subsets
             ]
-            for q in range(n + 2)
+            for q, subsets in cells.items()
         },
-        int_dprime={
-            q: _row_differential(structure, n, len(zetas), p, q) for q in range(n + 1)
-        },
+        int_dprime=int_dprime,
     )
     complex_.verify()
     return complex_

@@ -155,7 +155,9 @@ class FourierData:
 
 def singular_lattice(mu: Fraction, bound: int):
     """All integer modes with xi - mu eta = 0 and |xi|, |eta| <= bound,
-    ascending; always contains (0, 0)."""
+    ascending; always contains (0, 0).  A negative bound is a TorusError."""
+    if bound < 0:
+        raise TorusError(f"lattice bound must be non-negative, got {bound}")
     mu = Fraction(mu)
     p, q = mu.numerator, mu.denominator
     step = max(abs(p), q)

@@ -61,10 +61,10 @@ def test_broken_d_squared_is_internal_error(monkeypatch, capsys):
     # a nonzero d_0 into C^1(su2) is not killed by the injective d_1
     real = cohomology._differential_matrix
 
-    def broken(ba, actions, dim_m, k):
-        if k == 0:
+    def broken(structure, dim_m, rows, cols):
+        if cols == [()]:
             return ScaledIntMatrix.from_exact(ExactMatrix.from_rows([[1], [0], [0]]))
-        return real(ba, actions, dim_m, k)
+        return real(structure, dim_m, rows, cols)
 
     monkeypatch.setattr(cohomology, "_differential_matrix", broken)
     code, out, err = run(capsys, "cohomology", "--algebra", "builtin:su2", "--json")
@@ -138,9 +138,30 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
              "--inner-product"],
             "malformed Gram JSON: column count mismatch",
         ),
+        (
+            [],
+            ["classify", "--algebra", "builtin:su2", "--subalgebra"],
+            "malformed subalgebra JSON: expected an object, got list",
+        ),
+        (
+            [],
+            ["cohomology", "--algebra", "builtin:su2", "--relative"],
+            "malformed subalgebra JSON: expected an object, got list",
+        ),
+        (
+            "su2",
+            ["classify", "--algebra", "builtin:su2", "--subalgebra"],
+            "malformed subalgebra JSON: expected an object, got str",
+        ),
+        (
+            {"cutoff": -1, "coefficients": []},
+            ["torus-solve", "--mu", "2/3", "--rhs"],
+            "lattice bound must be non-negative, got -1",
+        ),
     ],
     ids=["module", "algebra-bracket", "algebra-coefficient", "subalgebra", "fourier",
-         "algebra-three-names", "algebra-result-list", "subalgebra-vector-list", "gram-ragged"],
+         "algebra-three-names", "algebra-result-list", "subalgebra-vector-list", "gram-ragged",
+         "subalgebra-list", "relative-list", "subalgebra-string", "fourier-negative-cutoff"],
 )
 def test_malformed_json_field_is_validation_error(tmp_path, capsys, data, argv, message):
     path = tmp_path / "malformed.json"
@@ -171,8 +192,11 @@ NOT_LIE = {
         ["cohomology", "--algebra", "{alg}", "--relative", "span{A}"],
         ["cohomology", "--subalgebra", "{sub}"],
         ["decompose", "--algebra", "{alg}", "--subalgebra", "span{A}"],
+        ["classify", "--algebra", "{alg}", "--subalgebra", "span{A}"],
+        ["roots", "--algebra", "{alg}", "--torus", "span{C}"],
     ],
-    ids=["plain", "adjoint", "bigraded", "relative", "inline-algebra", "decompose"],
+    ids=["plain", "adjoint", "bigraded", "relative", "inline-algebra", "decompose", "classify",
+         "roots"],
 )
 def test_non_jacobi_algebra_is_validation_error(tmp_path, capsys, argv):
     alg, sub = tmp_path / "bad.json", tmp_path / "sub.json"
@@ -291,6 +315,14 @@ def test_decompose_reports_disagreement(capsys):
     )
     assert code == EX_OK
     assert "disagreement at (p,q)=(1,1)" in out
+
+
+def test_torus_solve_negative_bound_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"cutoff": 5, "coefficients": []}))
+    code, out, err = run(capsys, "torus-solve", "--mu", "1", "--rhs", str(path), "--bound", "-1")
+    assert (code, out) == (EX_VALIDATION, "")
+    assert err == "liecoh: error [E_VALIDATION] lattice bound must be non-negative, got -1\n"
 
 
 def test_torus_solve_rhs(tmp_path, capsys):

@@ -603,15 +603,16 @@ def test_relative_differentials_are_verified(monkeypatch):
 def test_relative_rejects_a_non_invariant_image(monkeypatch):
     # with Theta_1 replaced by the identity no 1-cochain is invariant, yet d
     # sends the invariant 0-cochain T of the adjoint module to X -> [X, T] != 0
-    real = cohomology._lie_derivative_matrix
+    # Theta_1 is the block of d on the rows (u_0,) + K over the 1-subsets K of W
+    real = cohomology._differential_matrix
 
-    def corrupted(structure, dim_m, dim_u, q, k, i):
-        m = real(structure, dim_m, dim_u, q, k, i)
-        if k == 1:
+    def corrupted(structure, dim_m, rows, cols):
+        m = real(structure, dim_m, rows, cols)
+        if rows == [(0, 1), (0, 2)]:
             m.data = [{r: (m.den, 0)} for r in range(m.rows)]
         return m
 
-    monkeypatch.setattr(cohomology, "_lie_derivative_matrix", corrupted)
+    monkeypatch.setattr(cohomology, "_differential_matrix", corrupted)
     g = su2()
     with pytest.raises(AssertionError, match="image of invariant cochain is not invariant"):
         relative_ce_cohomology(g, parse_span("span{T}", g), GModule.adjoint(g))
@@ -728,18 +729,24 @@ def test_dprime_matches_full_complex_filter():
 # same ones.
 
 
+def adapted_module(frame, module):
+    """The module on the frame's adapted basis: each action is the sum of
+    the acting-basis actions weighted by the adapted vector's coordinates."""
+    actions = []
+    for coords in frame.coords:
+        mat = ExactMatrix.zero(module.dim, module.dim)
+        for j, c in enumerate(coords):
+            mat = mat + module.actions[j].scale(c)
+        actions.append(mat)
+    return GModule(frame.adapted, module.dim, actions)
+
+
 def reference_relative(acting, u, module):
     """(differentials, dims, meta) of the relative complex, from the full
     adapted complex."""
     frame = AdaptedFrame(acting, u)
     n, dim_u, q, dim_m = frame.adapted.dim, frame.dim_u, frame.codim, module.dim
-    actions = []
-    for coords in frame.coords:
-        mat = ExactMatrix.zero(dim_m, dim_m)
-        for j, c in enumerate(coords):
-            mat = mat + module.actions[j].scale(c)
-        actions.append(mat)
-    adapted = GModule(frame.adapted, dim_m, actions)
+    adapted = adapted_module(frame, module)
 
     def cells(k, keep):
         """Positions of the (subset, module index) cells whose subset
@@ -833,6 +840,131 @@ def test_relative_differentials_match_full_adapted_complex(monkeypatch):
         assert (table.dims, table.meta) == (dims, meta)
 
 
+# -- Theta and d' against their former loops ----------------------------------------
+#
+# The Lie derivatives theta(u_i) and the bigraded d' are blocks of the one
+# differential builder.  These references are the loops they replaced: the
+# Lie derivative written out on Lambda^k(W)^* tensor M with the brackets
+# taken modulo u, and d' as CE(h; Lambda^p(g/h)^*) of the dual quotient
+# module, permuted from (J major, I minor) to (I major, J minor) and
+# multiplied by (-1)^p.  Both must agree entry for entry, sparse rows
+# included.  The blocks of d carry the denominator of the whole adapted
+# table, which for a table with fractions can be a multiple f of the one the
+# former loop saw; the integer rows are then f times the reference's.
+
+
+def reference_lie_derivative(structure, dim_m, dim_u, q, k, i):
+    """theta(X_i) on Lambda^k(W)^* tensor M for W the last q vectors of the
+    adapted basis, brackets taken modulo the first dim_u."""
+    den, brackets, acts = structure
+    subs = list(combinations(range(q), k))
+    index = {s: r for r, s in enumerate(subs)}
+    rows = []
+    for K in subs:
+        # module part
+        block = [{index[K] * dim_m + a: x for a, x in entries.items()} for entries in acts[i]]
+        # argument part: replace K[pos] by [X_i, W_{K[pos]}] mod u
+        for pos in range(k):
+            rest = K[:pos] + K[pos + 1:]
+            for l, (re, im) in brackets.get((i, dim_u + K[pos]), ()):
+                wl = l - dim_u
+                if wl < 0 or wl in rest:
+                    continue
+                p_new = sum(1 for x in rest if x < wl)
+                sign = -1 if (pos - p_new) % 2 == 0 else 1
+                for a, target in enumerate(block):
+                    col = index[tuple(sorted(rest + (wl,)))] * dim_m + a
+                    old = target.get(col, (0, 0))
+                    target[col] = (old[0] + sign * re, old[1] + sign * im)
+        rows.extend({j: x for j, x in target.items() if x != (0, 0)} for target in block)
+    return ScaledIntMatrix(len(rows), len(subs) * dim_m, den, rows)
+
+
+def reference_row_differential(frame, p, q):
+    """d' from (p, q) to (p, q + 1), from CE(h; quotient_module(p, dual=True))."""
+    module = frame.quotient_module(p, dual=True)
+    n, dim_m = frame.dim_u, module.dim
+    structure = cohomology._integer_structure(frame.u_algebra, module.actions)
+    ce = cohomology._differential_matrix(
+        structure, dim_m, list(combinations(range(n), q + 1)), list(combinations(range(n), q))
+    )
+    sign = -1 if p % 2 else 1
+    dom, cod = comb(n, q), comb(n, q + 1)
+    rows = [None] * ce.rows
+    for r, row in enumerate(ce.data):
+        J, a = divmod(r, dim_m)
+        rows[a * cod + J] = {
+            (c % dim_m) * dom + c // dim_m: (sign * re, sign * im) for c, (re, im) in row.items()
+        }
+    return ScaledIntMatrix(ce.rows, ce.cols, ce.den, rows)
+
+
+def assert_same_block(block, reference):
+    """Same shape and sparse rows, over a denominator that is an integer
+    multiple of the reference's.  The multiple is returned."""
+    f, r = divmod(block.den, reference.den)
+    assert r == 0
+    assert (block.rows, block.cols) == (reference.rows, reference.cols)
+    assert block.data == [
+        {j: (f * re, f * im) for j, (re, im) in row.items()} for row in reference.data
+    ]
+    return f
+
+
+def _frame_pairs():
+    g2, g3, t2 = su2(), su3(), torus(2)
+    pairs = [
+        (g2, parse_span("span{T}", g2)),
+        (g2, parse_span("span{T, X-iY}", g2)),
+        (g2, parse_span("span{X-iY}", g2)),
+        (g3, parse_span("span{T1, T2}", g3)),
+        (g3, parse_span("span{T1}", g3)),
+        (g3, parse_span("span{X1-iY1, X2-iY2, X3-iY3}", g3)),
+        (g3, parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g3)),
+        (g3, parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1+iT2}", g3)),
+        (t2, parse_span("span{D1-2/3D2}", t2)),
+    ]
+    cases = _algebra_subalgebra_cases(random.Random(1210))
+    pairs += [next(cases) for _ in range(12)]
+    return pairs
+
+
+def test_theta_blocks_match_reference_lie_derivative():
+    checked = 0
+    cases = [(g, u, module) for g, u in _frame_pairs()
+             for module in (GModule.trivial(g), GModule.adjoint(g))]
+    g3 = su3()
+    outer = AdaptedFrame(g3, parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g3))
+    t12 = parse_span("span{T1, T2}", g3)
+    for p in range(outer.codim + 1):
+        for dual in (False, True):
+            cases.append((outer.u_algebra, t12, outer.quotient_module(p, dual)))
+    for acting, u, module in cases:
+        frame = AdaptedFrame(acting, u)
+        adapted = adapted_module(frame, module)
+        structure = cohomology._integer_structure(frame.adapted, adapted.actions)
+        for k in range(frame.codim + 2):
+            for i in range(frame.dim_u):
+                block = frame._theta(structure, module.dim, k, [i])
+                reference = reference_lie_derivative(
+                    structure, module.dim, frame.dim_u, frame.codim, k, i
+                )
+                assert assert_same_block(block, reference) == 1
+                checked += 1
+    assert checked > 400
+
+
+def test_dprime_blocks_match_reference_row_differential():
+    for g, h in _frame_pairs():
+        frame = AdaptedFrame(g, h, complement_basis(g, h))
+        for p in range(frame.codim + 1):
+            row = cohomology._bigraded_row(frame, p)
+            for q in range(frame.dim_u + 1):
+                f = assert_same_block(row.int_dprime[q], reference_row_differential(frame, p, q))
+                # integer tables (su2, su3, tori) keep their denominator
+                assert f == 1 or frame._trivial[0] > 1
+
+
 # -- bigraded cohomology -------------------------------------------------------------
 
 
@@ -906,14 +1038,15 @@ def test_bigraded_dims_independent_of_complement_choice():
 
 def test_corrupted_dprime_is_caught(monkeypatch):
     # d'_1 = [0, -2i] does not kill the corrupted d'_0 = [0, 1]^T
-    real = cohomology._row_differential
+    # d'_0 of row p = 0 is the block of d on the columns [()]
+    real = cohomology._differential_matrix
 
-    def corrupted(structure, n, dim_m, p, q):
-        if (p, q) == (0, 0):
+    def corrupted(structure, dim_m, rows, cols):
+        if cols == [()]:
             return ScaledIntMatrix.from_exact(ExactMatrix.from_rows([[Q(0)], [Q(1)]]))
-        return real(structure, n, dim_m, p, q)
+        return real(structure, dim_m, rows, cols)
 
-    monkeypatch.setattr(cohomology, "_row_differential", corrupted)
+    monkeypatch.setattr(cohomology, "_differential_matrix", corrupted)
     g = su2()
     with pytest.raises(AssertionError, match=r"d' o d' is nonzero at \(p, q\) = \(0, 0\)"):
         bigraded_cohomology(g, parse_span("span{T, X-iY}", g))

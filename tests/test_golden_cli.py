@@ -38,7 +38,13 @@ COMMANDS = {
                            "--json"],
     "relative-su2-borel-torus": ["cohomology", "--algebra", "builtin:su2", "--subalgebra",
                                  "span{T, X-iY}", "--relative", "span{T}"],
+    "relative-su3-adjoint-torus": ["cohomology", "--algebra", "builtin:su3", "--module",
+                                   "adjoint", "--relative", "span{T1, T2}", "--json"],
+    "bigraded-su3-h5-reps": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", H5,
+                             "--representatives", "--json"],
     "decompose-su3-h5": ["decompose", "--algebra", "builtin:su3", "--subalgebra", H5, "--json"],
+    "decompose-su3-h5-both": ["decompose", "--algebra", "builtin:su3", "--subalgebra", H5,
+                              "--module-dual", "both"],
     "decompose-su2-borel": ["decompose", "--algebra", "builtin:su2", "--subalgebra",
                             "span{T, X-iY}"],
     "classify-su3-cr": ["classify", "--algebra", "builtin:su3", "--subalgebra", CR, "--json"],

@@ -50,6 +50,11 @@ def test_lattice_bound_zero():
     assert singular_lattice(Fraction(2, 3), 0) == [(0, 0)]
 
 
+def test_lattice_negative_bound_is_rejected():
+    with pytest.raises(TorusError, match="lattice bound must be non-negative, got -1"):
+        singular_lattice(Fraction(2, 3), -1)
+
+
 def test_lattice_negative_slope():
     assert singular_lattice(Fraction(-1, 2), 4) == [(2, -4), (1, -2), (0, 0), (-1, 2), (-2, 4)]
 
