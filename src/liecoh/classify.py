@@ -2,11 +2,24 @@
 
 A subalgebra h of the complexified algebra g defines an elliptic /
 complex / CR / essentially real structure according to how h sits
-against its conjugate.  The characteristic covectors are the real
-covectors annihilating h; at such a covector xi the Levi form is the
-Hermitian matrix (1/2i) xi([Z_a, conj(Z_b)]) on a basis of h, and its
-inertia feeds the mixed-signature hypocomplexity test.  Left invariance
-makes evaluation at the identity sufficient.
+against its conjugate.  All four flags and the characteristic
+covectors come from one real matrix R = [Re v; Im v], stacked over the
+basis rows v of h:
+
+- rank R = dim_C(h + conj h).  Since v = Re v + i Im v and
+  conj v = Re v - i Im v, the real vectors Re v and Im v span
+  h + conj h over C, and real vectors independent over R stay
+  independent over C.  So dim(h cap conj h) = 2 dim h - rank R.
+- ker R is the characteristic space.  A real covector xi annihilates v
+  exactly when it annihilates Re v and Im v.
+
+At a characteristic covector xi the Levi form is the Hermitian matrix
+(1/2i) xi([Z_a, conj(Z_b)]) on a basis of h, and its inertia feeds the
+mixed-signature hypocomplexity test of Baouendi-Chang-Treves.  With
+the basis fixed, every entry is xi applied to a fixed vector, so L is
+linear in xi: the test forms L once per characteristic basis covector
+and reads each sample as the same combination of those matrices.  Left
+invariance makes evaluation at the identity sufficient.
 """
 
 from __future__ import annotations
@@ -33,6 +46,9 @@ from .scalars import GaussianRational, format_scalar
 VERDICT_ELLIPTIC = "elliptic_hence_hypocomplex"
 VERDICT_BCT = "hypocomplex_by_bct"
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+# entries of the BCT sample grid lie in [-GRID_RADIUS, GRID_RADIUS]
+GRID_RADIUS = 2
 
 
 class NotCharacteristicError(AlgebraError):
@@ -75,24 +91,30 @@ class ClassificationReport:
         }
 
 
-def classify_structure(g: LieAlgebra, h: Subalgebra) -> ClassificationReport:
+def _real_rank_kernel(g: LieAlgebra, h: Subalgebra):
+    """Rank and kernel of the real matrix R = [Re v; Im v] over the basis
+    rows v of h (see the module docstring)."""
     if h.parent != g:
         raise AlgebraError("subalgebra does not belong to the given algebra")
-    hbar = h.conj()
-    total = h.sum_with(hbar)
-    inter = h.intersect(hbar)
-    n = g.dim
-    elliptic = total.dim == n
-    cr = inter.dim == 0
+    vs = h.vectors()
+    rows = [[x.re for x in v] for v in vs] + [[x.im for x in v] for v in vs]
+    return rank_kernel(ExactMatrix(len(rows), g.dim, rows))
+
+
+def classify_structure(g: LieAlgebra, h: Subalgebra) -> ClassificationReport:
+    rank, _ = _real_rank_kernel(g, h)
+    n, k = g.dim, h.dim
+    elliptic = rank == n
+    cr = rank == 2 * k
     return ClassificationReport(
         elliptic=elliptic,
         complex_structure=elliptic and cr,
         cr=cr,
-        essentially_real=h == hbar,
-        dim_h=h.dim,
-        dim_conj=hbar.dim,
-        dim_sum=total.dim,
-        dim_intersection=inter.dim,
+        essentially_real=rank == k,
+        dim_h=k,
+        dim_conj=k,
+        dim_sum=rank,
+        dim_intersection=2 * k - rank,
         ambient_dim=n,
     )
 
@@ -104,16 +126,7 @@ def characteristic_space(g: LieAlgebra, h: Subalgebra):
     basis, in reduced echelon form; the list is empty exactly when the
     structure is elliptic.
     """
-    total = h.sum_with(h.conj())
-    if total.dim == g.dim:
-        return []
-    rows = []
-    for v in total.vectors():
-        rows.append([as_scalar(x.re) for x in v])
-        rows.append([as_scalar(x.im) for x in v])
-    if not rows:
-        return [list(v) for v in ExactMatrix.identity(g.dim).row_list()]
-    _, kernel = rank_kernel(ExactMatrix.from_rows(rows))
+    _, kernel = _real_rank_kernel(g, h)
     if not kernel:
         return []
     canon, _ = rref(ExactMatrix.from_rows(kernel))
@@ -193,13 +206,20 @@ class BctReport:
     Exact verdicts are only possible when the characteristic space has
     dimension <= 1; in higher dimension the report carries inertia
     evidence on a deterministic rational sample grid and is always
-    inconclusive (sampling cannot prove a universal claim).
+    inconclusive (sampling cannot prove a universal claim).  The
+    characteristic basis and the Levi form at each basis covector are
+    kept for the caller and not serialised.
     """
 
     verdict: str
-    characteristic_dim: int
+    characteristic_space: tuple
+    levi_forms: tuple
     samples: tuple
     notes: tuple
+
+    @property
+    def characteristic_dim(self) -> int:
+        return len(self.characteristic_space)
 
     def to_json_dict(self) -> dict:
         return {
@@ -225,60 +245,47 @@ def _primitive_grid(dim: int, radius: int):
     return sorted(seen)
 
 
-def bct_check(g: LieAlgebra, h: Subalgebra, grid_radius: int = 2) -> BctReport:
+def bct_check(g: LieAlgebra, h: Subalgebra) -> BctReport:
     char = characteristic_space(g, h)
-    d = len(char)
-    if d == 0:
-        return BctReport(
-            verdict=VERDICT_ELLIPTIC,
-            characteristic_dim=0,
-            samples=(),
-            notes=("characteristic set is zero: structure is elliptic, hence hypocomplex",),
-        )
-    if d == 1:
-        xi = char[0]
-        samples = []
-        mixed = True
-        for sign in (1, -1):
-            cov = [as_scalar(sign) * x for x in xi]
-            inertia = levi_form(g, h, cov).inertia()
-            samples.append(BctSample(coeffs=(sign,), covector=tuple(cov), inertia=inertia))
-            mixed = mixed and inertia.is_mixed()
-        samples.sort(key=lambda s: s.coeffs)
-        if mixed:
-            return BctReport(
-                verdict=VERDICT_BCT,
-                characteristic_dim=1,
-                samples=tuple(samples),
-                notes=(
-                    "Levi form has at least one positive and one negative eigenvalue "
-                    "at every nonzero characteristic covector (checked at +/- the "
-                    "basis covector; scaling covers the rest)",
-                ),
-            )
-        return BctReport(
-            verdict=VERDICT_INCONCLUSIVE,
-            characteristic_dim=1,
-            samples=tuple(samples),
-            notes=(
-                "mixed-signature hypothesis fails on the 1-dimensional "
-                "characteristic line; the test is only sufficient, so no "
-                "conclusion follows",
-            ),
-        )
-    grid = _primitive_grid(d, grid_radius)
-    covectors = ExactMatrix(len(grid), d, grid).matmul(ExactMatrix(d, g.dim, char)).row_list()
+    d, n, k = len(char), g.dim, h.dim
+    forms = tuple(levi_form(g, h, xi) for xi in char)
+    # covector and Levi form are both linear in xi, so one product of the
+    # grid with the rows [xi_j | L(xi_j) flattened] gives both at each sample
+    table = [xi + [x for row in lf.matrix.row_list() for x in row] for xi, lf in zip(char, forms)]
+    grid = _primitive_grid(d, GRID_RADIUS)
+    combined = ExactMatrix(len(grid), d, grid).matmul(ExactMatrix(d, n + k * k, table))
     samples = []
-    for coeffs, cov in zip(grid, covectors):
-        inertia = levi_form(g, h, cov).inertia()
-        samples.append(BctSample(coeffs=tuple(coeffs), covector=tuple(cov), inertia=inertia))
-    return BctReport(
-        verdict=VERDICT_INCONCLUSIVE,
-        characteristic_dim=d,
-        samples=tuple(samples),
-        notes=(
+    for coeffs, row in zip(grid, combined.row_list()):
+        levi = ExactMatrix(k, k, [row[n + a * k:n + (a + 1) * k] for a in range(k)])
+        samples.append(BctSample(coeffs, tuple(row[:n]), hermitian_inertia(levi)))
+    if d == 0:
+        verdict = VERDICT_ELLIPTIC
+        note = "characteristic set is zero: structure is elliptic, hence hypocomplex"
+    elif d >= 2:
+        verdict = VERDICT_INCONCLUSIVE
+        note = (
             "characteristic space has dimension >= 2: inertia evidence on a "
             "deterministic sample grid only; a universal verdict is not "
-            "claimed from sampling",
-        ),
+            "claimed from sampling"
+        )
+    elif all(s.inertia.is_mixed() for s in samples):
+        verdict = VERDICT_BCT
+        note = (
+            "Levi form has at least one positive and one negative eigenvalue "
+            "at every nonzero characteristic covector (checked at +/- the "
+            "basis covector; scaling covers the rest)"
+        )
+    else:
+        verdict = VERDICT_INCONCLUSIVE
+        note = (
+            "mixed-signature hypothesis fails on the 1-dimensional "
+            "characteristic line; the test is only sufficient, so no "
+            "conclusion follows"
+        )
+    return BctReport(
+        verdict=verdict,
+        characteristic_space=tuple(map(tuple, char)),
+        levi_forms=forms,
+        samples=tuple(samples),
+        notes=(note,),
     )

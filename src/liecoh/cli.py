@@ -163,7 +163,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .classify import bct_check, characteristic_space, classify_structure, levi_form
+    from .classify import bct_check, classify_structure
     from .scalars import format_scalar
 
     g = load_algebra(args.algebra) if args.algebra else None
@@ -173,8 +173,8 @@ def _cmd_classify(args) -> int:
     if witness is not None:
         _fail_validation(f"input is not a subalgebra: witness rows {witness}")
     report = classify_structure(g, h)
-    char = characteristic_space(g, h)
     bct = bct_check(g, h)
+    char = bct.characteristic_space
     out = {
         "command": "classify",
         "algebra": g.name,
@@ -193,8 +193,8 @@ def _cmd_classify(args) -> int:
     )
     lines.append(f"characteristic space dimension: {len(char)}")
     if len(char) == 1:
-        lf = levi_form(g, h, char[0])
-        out["levi_matrix"] = [[format_scalar(x) for x in row] for row in lf.matrix.row_list()]
+        levi = bct.levi_forms[0].matrix
+        out["levi_matrix"] = [[format_scalar(x) for x in row] for row in levi.row_list()]
         lines.append("Levi matrix at the basis covector: " + str(out["levi_matrix"]))
     lines.append(f"hypocomplexity test: {bct.verdict}")
     for s in bct.samples:
@@ -264,7 +264,7 @@ def _load_module(spec: str, acting) -> GModule:
     from .algebra import LieAlgebra
     from .cohomology import GModule
     from .linalg import ExactMatrix
-    from .scalars import parse_scalar
+    from .scalars import json_int, parse_scalar
 
     if spec == "trivial":
         return GModule.trivial(acting)
@@ -274,7 +274,7 @@ def _load_module(spec: str, acting) -> GModule:
         return GModule.adjoint(acting)
     data = _read_json_file(spec)
     try:
-        dim = int(data["dim"])
+        dim = json_int(data["dim"], "dim")
         actions = [
             ExactMatrix.from_rows([[parse_scalar(x) for x in row] for row in mat])
             if mat

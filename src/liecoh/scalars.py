@@ -14,6 +14,7 @@ zero written ``0``), and ``parse(format(x)) == x`` exactly.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 
@@ -234,6 +235,17 @@ def _scan_rat(text: str, pos: int):
             raise ScalarParseError("zero denominator", dstart)
         return Fraction(num, den), i
     return Fraction(num), i
+
+
+def json_int(value, name: str, minimum: int | None = None) -> int:
+    """An integer field of a JSON input.  Floats and booleans are refused,
+    not truncated, with a plain ValueError that the loader reports as
+    malformed JSON."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 def parse_scalar(text: str) -> GaussianRational:

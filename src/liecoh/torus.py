@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import GaussianRational, InputError, ZERO, format_scalar, parse_scalar
+from .scalars import GaussianRational, InputError, ZERO, format_scalar, json_int, parse_scalar
 
 VERDICT_RATIONAL = "rational"
 VERDICT_LIOUVILLE = "liouville_evidence"
@@ -141,10 +141,10 @@ class FourierData:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FourierData":
         try:
-            cutoff = int(data["cutoff"])
+            cutoff = json_int(data["cutoff"], "cutoff", minimum=0)
             coeffs = {}
             for item in data.get("coefficients", []):
-                key = (int(item["xi"]), int(item["eta"]))
+                key = (json_int(item["xi"], "xi"), json_int(item["eta"], "eta"))
                 coeffs[key] = parse_scalar(item["value"])
         except InputError:  # a malformed scalar keeps its own message
             raise

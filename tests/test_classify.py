@@ -4,17 +4,24 @@ import pytest
 
 from liecoh.algebra import Subalgebra, parse_span, su2, su3, torus
 from liecoh.classify import (
+    GRID_RADIUS,
+    BctReport,
+    BctSample,
+    ClassificationReport,
     NotCharacteristicError,
     VERDICT_BCT,
     VERDICT_ELLIPTIC,
     VERDICT_INCONCLUSIVE,
+    _primitive_grid,
     bct_check,
     characteristic_space,
     classify_structure,
     levi_form,
 )
-from liecoh.linalg import hermitian_inertia, vec_dot
+from liecoh.linalg import ExactMatrix, hermitian_inertia, rank_kernel, rref, vec_dot
 from liecoh.scalars import GaussianRational as Q
+
+from property_suites import _algebra_subalgebra_cases
 
 
 def su3_vectors():
@@ -237,3 +244,138 @@ def test_bct_samples_annihilate_h():
     report = bct_check(g, h)
     for s in report.samples:
         assert vec_dot(list(s.covector), h.vectors()[0]).is_zero()
+
+
+# -- oracles: the subspace-algebra classification and per-sample Levi forms ---
+#
+# The library reads the flags and the characteristic space off one real
+# matrix [Re v; Im v] and forms one Levi matrix per characteristic basis
+# covector.  The oracles keep the construction it replaced: conj, sum_with
+# and intersect as subspaces, and a Levi form built from brackets at every
+# sample, with the separate +/- branch on a characteristic line.
+
+
+def reference_classification(g, h):
+    """(ClassificationReport, characteristic space) from h-bar, h + h-bar
+    and h cap h-bar built as subspaces."""
+    hbar = h.conj()
+    total = h.sum_with(hbar)
+    inter = h.intersect(hbar)
+    n = g.dim
+    elliptic = total.dim == n
+    cr = inter.dim == 0
+    report = ClassificationReport(
+        elliptic=elliptic,
+        complex_structure=elliptic and cr,
+        cr=cr,
+        essentially_real=h == hbar,
+        dim_h=h.dim,
+        dim_conj=hbar.dim,
+        dim_sum=total.dim,
+        dim_intersection=inter.dim,
+        ambient_dim=n,
+    )
+    if total.dim == n:
+        return report, []
+    rows = []
+    for v in total.vectors():
+        rows.append([x.re for x in v])
+        rows.append([x.im for x in v])
+    if not rows:
+        return report, ExactMatrix.identity(n).row_list()
+    _, kernel = rank_kernel(ExactMatrix.from_rows(rows))
+    canon, _ = rref(ExactMatrix.from_rows(kernel))
+    return report, canon.row_list()
+
+
+def reference_bct(g, h):
+    """JSON of the hypocomplexity test with the Levi form built from
+    brackets at every sample."""
+    _, char = reference_classification(g, h)
+    d = len(char)
+
+    def sample(coeffs):
+        cov = [sum((c * xi[i] for c, xi in zip(coeffs, char)), Q(0)) for i in range(g.dim)]
+        return BctSample(tuple(coeffs), tuple(cov), levi_form(g, h, cov).inertia())
+
+    if d == 0:
+        verdict, samples = VERDICT_ELLIPTIC, []
+        note = "characteristic set is zero: structure is elliptic, hence hypocomplex"
+    elif d == 1:
+        samples = sorted((sample((sign,)) for sign in (1, -1)), key=lambda s: s.coeffs)
+        if all(s.inertia.is_mixed() for s in samples):
+            verdict = VERDICT_BCT
+            note = (
+                "Levi form has at least one positive and one negative eigenvalue "
+                "at every nonzero characteristic covector (checked at +/- the "
+                "basis covector; scaling covers the rest)"
+            )
+        else:
+            verdict = VERDICT_INCONCLUSIVE
+            note = (
+                "mixed-signature hypothesis fails on the 1-dimensional "
+                "characteristic line; the test is only sufficient, so no "
+                "conclusion follows"
+            )
+    else:
+        verdict = VERDICT_INCONCLUSIVE
+        samples = [sample(c) for c in _primitive_grid(d, GRID_RADIUS)]
+        note = (
+            "characteristic space has dimension >= 2: inertia evidence on a "
+            "deterministic sample grid only; a universal verdict is not "
+            "claimed from sampling"
+        )
+    return BctReport(verdict, tuple(map(tuple, char)), (), tuple(samples), (note,)).to_json_dict()
+
+
+def _oracle_cases():
+    """Seeded random subspaces (some vectors real, some paired with their
+    conjugates), h = 0, a mixed-signature and two complex structures, and
+    nilpotent / solvable pairs of the property suites."""
+    rng = random.Random(1111)
+    cases = []
+    for g in (su2(), su3(), torus(3), torus(4)):
+        cases.append((g, Subalgebra.span(g, [])))  # h = 0: R has no rows
+        for _ in range(10):
+            vecs = []
+            for _ in range(rng.randint(1, g.dim // 2 + 1)):
+                im = (lambda: 0) if rng.random() < 0.3 else (lambda: rng.randint(-1, 1))
+                v = [Q(rng.randint(-1, 1), im()) for _ in range(g.dim)]
+                vecs.append(v)
+                if rng.random() < 0.3:
+                    vecs.append([x.conjugate() for x in v])
+            cases.append((g, Subalgebra.span(g, vecs)))
+    g = su3()
+    U = [Q(0)] * 8
+    U[1] = Q(1)
+    cases.append((g, Subalgebra.span(g, [*su3_vectors(), U])))
+    cases.append((g, parse_span("span{T1+iT2, X1-iY1, X2-iY2, X3+iY3}", g)))
+    cases.append((torus(4), parse_span("span{D1-iD2, D3-iD4}", torus(4))))
+    pairs = _algebra_subalgebra_cases(random.Random(1211))
+    cases.extend(next(pairs) for _ in range(16))
+    return cases
+
+
+def test_classification_matches_subspace_oracle():
+    flags = set()
+    for g, h in _oracle_cases():
+        report, char = reference_classification(g, h)
+        assert classify_structure(g, h).to_json_dict() == report.to_json_dict()
+        assert characteristic_space(g, h) == char
+        flags.update(k for k, v in report.to_json_dict()["flags"].items() if v)
+    assert flags == {"elliptic", "complex", "cr", "essentially_real"}
+
+
+def test_bct_matches_per_sample_levi_oracle():
+    seen = set()
+    for g, h in _oracle_cases():
+        _, char = reference_classification(g, h)
+        if 5 ** len(char) * (1 + h.dim ** 2) > 1000:  # grid size times Levi entries
+            continue
+        report = bct_check(g, h)
+        assert report.to_json_dict() == reference_bct(g, h)
+        assert [list(xi) for xi in report.characteristic_space] == char
+        assert [lf.xi for lf in report.levi_forms] == [tuple(xi) for xi in char]
+        seen.add((report.verdict, min(report.characteristic_dim, 2)))
+    assert {(VERDICT_ELLIPTIC, 0), (VERDICT_BCT, 1), (VERDICT_INCONCLUSIVE, 1),
+            (VERDICT_INCONCLUSIVE, 2)} <= seen

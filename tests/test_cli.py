@@ -156,12 +156,44 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
         (
             {"cutoff": -1, "coefficients": []},
             ["torus-solve", "--mu", "2/3", "--rhs"],
-            "lattice bound must be non-negative, got -1",
+            "malformed Fourier JSON: cutoff must be at least 0, got -1",
+        ),
+        (
+            {"cutoff": -1, "coefficients": []},
+            ["torus-solve", "--mu", "2/3", "--bound", "3", "--rhs"],
+            "malformed Fourier JSON: cutoff must be at least 0, got -1",
+        ),
+        (
+            {"cutoff": 2.9, "coefficients": []},
+            ["torus-solve", "--mu", "2/3", "--rhs"],
+            "malformed Fourier JSON: cutoff must be an integer, got 2.9",
+        ),
+        (
+            {"cutoff": 3, "coefficients": [{"xi": 1.5, "eta": 0, "value": "1"}]},
+            ["torus-solve", "--mu", "2/3", "--rhs"],
+            "malformed Fourier JSON: xi must be an integer, got 1.5",
+        ),
+        (
+            {"cutoff": 3, "coefficients": [{"xi": 1, "eta": True, "value": "1"}]},
+            ["torus-solve", "--mu", "2/3", "--rhs"],
+            "malformed Fourier JSON: eta must be an integer, got true",
+        ),
+        (
+            {"dim": 2.5, "actions": [[["0", "0"], ["0", "0"]]] * 3},
+            ["cohomology", "--algebra", "builtin:su2", "--module"],
+            "malformed module JSON: dim must be an integer, got 2.5",
+        ),
+        (
+            {"dim": True, "actions": [[["0"]]] * 3},
+            ["cohomology", "--algebra", "builtin:su2", "--module"],
+            "malformed module JSON: dim must be an integer, got true",
         ),
     ],
     ids=["module", "algebra-bracket", "algebra-coefficient", "subalgebra", "fourier",
          "algebra-three-names", "algebra-result-list", "subalgebra-vector-list", "gram-ragged",
-         "subalgebra-list", "relative-list", "subalgebra-string", "fourier-negative-cutoff"],
+         "subalgebra-list", "relative-list", "subalgebra-string", "fourier-negative-cutoff",
+         "fourier-negative-cutoff-bound", "fourier-float-cutoff", "fourier-float-xi",
+         "fourier-bool-eta", "module-float-dim", "module-bool-dim"],
 )
 def test_malformed_json_field_is_validation_error(tmp_path, capsys, data, argv, message):
     path = tmp_path / "malformed.json"

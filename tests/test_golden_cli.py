@@ -49,8 +49,17 @@ COMMANDS = {
                             "span{T, X-iY}"],
     "classify-su3-cr": ["classify", "--algebra", "builtin:su3", "--subalgebra", CR, "--json"],
     "classify-su3-levi": ["classify", "--algebra", "builtin:su3", "--subalgebra", LEVI, "--json"],
+    "classify-su2-cr": ["classify", "--algebra", "builtin:su2", "--subalgebra", "span{X-iY}"],
+    "classify-su2-elliptic": ["classify", "--algebra", "builtin:su2", "--subalgebra",
+                              "span{T, X-iY}", "--json"],
+    "classify-su2-real": ["classify", "--algebra", "builtin:su2", "--subalgebra", "span{T}",
+                          "--json"],
+    "classify-torus2-zero": ["classify", "--algebra", "builtin:torus2", "--subalgebra", "span{}",
+                             "--json"],
     "roots-su3-standard": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1, T2}",
                            "--standard", "2", "0", "--json"],
+    "roots-su3-complex": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1, T2}",
+                          "--standard", "0", "2", "--json"],
     "torus-solve-cf": ["torus-solve", "--cf", ",".join(["1"] * 12), "--depth", "8", "--json"],
     "validate-su3": ["validate", "builtin:su3"],
     "relative-not-closed": ["cohomology", "--algebra", "builtin:su3", "--relative",

@@ -132,6 +132,24 @@ def test_fourier_cutoff_enforced():
         FourierData(cutoff=1, coefficients={(2, 0): Q(1)})
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"cutoff": -1, "coefficients": []}, "cutoff must be at least 0, got -1"),
+        ({"cutoff": 2.9}, "cutoff must be an integer, got 2.9"),
+        ({"cutoff": True}, "cutoff must be an integer, got true"),
+        ({"cutoff": "3"}, 'cutoff must be an integer, got "3"'),
+        ({"cutoff": 3, "coefficients": [{"xi": 1.5, "eta": 0, "value": "1"}]},
+         "xi must be an integer, got 1.5"),
+        ({"cutoff": 3, "coefficients": [{"xi": 1, "eta": False, "value": "1"}]},
+         "eta must be an integer, got false"),
+    ],
+)
+def test_fourier_json_integer_fields_are_not_truncated(data, message):
+    with pytest.raises(TorusError, match="^malformed Fourier JSON: " + message):
+        FourierData.from_json_dict(data)
+
+
 # -- continued fractions ------------------------------------------------------------
 
 

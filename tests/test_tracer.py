@@ -3,7 +3,9 @@
 `_bareiss_echelon` among them, and maps `linalg.hermitian_inertia` to the
 structure-survey workload.  Entering it here, on the bigraded, the
 relative (decompose) and the classify path, makes a rename fail in the
-test suite rather than at the next traced benchmark run."""
+test suite rather than at the next traced benchmark run.  The classify
+test also pins how often the Levi form and the characteristic space are
+formed per query."""
 
 import json
 from pathlib import Path
@@ -71,3 +73,8 @@ def test_tracer_records_inertia_on_classify(monkeypatch, capsys):
     assert len(inertia) == 16
     beneath = [span[3] for span in tracer.spans if span[0] == "linalg.char_poly"]
     assert set(beneath) == set(inertia)
+    # one characteristic space, and one Levi form per characteristic basis
+    # covector (d = 2), not one per sample
+    names = [span[0] for span in tracer.spans]
+    assert names.count("classify.characteristic_space") == 1
+    assert names.count("classify.levi_form") == 2
