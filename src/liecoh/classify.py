@@ -73,6 +73,24 @@ class ClassificationReport:
     dim_intersection: int
     ambient_dim: int
 
+    @classmethod
+    def from_rank(cls, n: int, k: int, rank: int) -> "ClassificationReport":
+        """The report for a k-dimensional h in an n-dimensional algebra
+        whose matrix R = [Re v; Im v] has the given rank."""
+        elliptic = rank == n
+        cr = rank == 2 * k
+        return cls(
+            elliptic=elliptic,
+            complex_structure=elliptic and cr,
+            cr=cr,
+            essentially_real=rank == k,
+            dim_h=k,
+            dim_conj=k,
+            dim_sum=rank,
+            dim_intersection=2 * k - rank,
+            ambient_dim=n,
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "flags": {
@@ -103,20 +121,7 @@ def _real_rank_kernel(g: LieAlgebra, h: Subalgebra):
 
 def classify_structure(g: LieAlgebra, h: Subalgebra) -> ClassificationReport:
     rank, _ = _real_rank_kernel(g, h)
-    n, k = g.dim, h.dim
-    elliptic = rank == n
-    cr = rank == 2 * k
-    return ClassificationReport(
-        elliptic=elliptic,
-        complex_structure=elliptic and cr,
-        cr=cr,
-        essentially_real=rank == k,
-        dim_h=k,
-        dim_conj=k,
-        dim_sum=rank,
-        dim_intersection=2 * k - rank,
-        ambient_dim=n,
-    )
+    return ClassificationReport.from_rank(g.dim, h.dim, rank)
 
 
 def characteristic_space(g: LieAlgebra, h: Subalgebra):

@@ -163,7 +163,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .classify import bct_check, classify_structure
+    from .classify import ClassificationReport, bct_check
     from .scalars import format_scalar
 
     g = load_algebra(args.algebra) if args.algebra else None
@@ -172,8 +172,9 @@ def _cmd_classify(args) -> int:
     witness = h.is_subalgebra()
     if witness is not None:
         _fail_validation(f"input is not a subalgebra: witness rows {witness}")
-    report = classify_structure(g, h)
+    # rank R = dim g - dim ker R: no second elimination of R
     bct = bct_check(g, h)
+    report = ClassificationReport.from_rank(g.dim, h.dim, g.dim - bct.characteristic_dim)
     char = bct.characteristic_space
     out = {
         "command": "classify",

@@ -23,10 +23,16 @@ denominators of the bracket table and of the action matrices
 integer product of d_{k+1} and d_k is den_{k+1} * den_k * (d_{k+1} d_k),
 which is zero exactly when d o d is; `_check_square_zero` tests that
 product once per complex, for the plain, relative and bigraded
-complexes alike.  The same rows go to the elimination kernel, and dims
-come from its pivot counts.
-GaussianRational appears only at the boundary: `ce_differential`,
-`CochainComplex.differentials` and `BigradedComplex.dprime` convert to
+complexes alike.
+
+Every complex is a `CochainComplex`: the plain and module complexes
+(`ce_complex`), the relative complex of a pair and each bigraded row
+(`BigradedComplex`, which adds only its row index p and the message of
+its d' o d' check).  Every cohomology is its `cohomology` method, one
+reduction (`_chain_dims`) over its degrees: dims come from the pivot
+counts of the elimination kernel, and representatives from reduced
+echelon forms.  GaussianRational appears only at the boundary:
+`ce_differential` and `CochainComplex.differentials` convert to
 ExactMatrix, and kernel vectors are formed only for representatives and
 for the invariant bases of the relative complex.
 
@@ -333,7 +339,8 @@ class CochainComplex:
     degree k to degree k+1 and consecutive ones compose to zero.
 
     The differentials are held as ScaledIntMatrix (`int_differentials`);
-    `differentials` gives them as ExactMatrix.
+    `differentials` gives them as ExactMatrix.  Every cohomology in the
+    package, plain, relative and bigraded, is `cohomology` of one of these.
     """
 
     labels: dict
@@ -348,6 +355,15 @@ class CochainComplex:
 
     def verify(self):
         _check_square_zero(self.int_differentials, lambda k: f"d o d is nonzero from degree {k}")
+
+    def cohomology(self, representatives: bool = False) -> CohomologyTable:
+        """H^k for every degree k with a differential, by exact ranks; the
+        caller has verified d o d = 0.  `representatives` adds a cocycle
+        basis per degree in RREF normal form modulo the coboundaries."""
+        degrees = sorted(self.int_differentials)
+        dims, reps = _chain_dims(self.int_differentials, degrees, representatives)
+        labels = {k: self.labels[k] for k in degrees} if representatives else None
+        return CohomologyTable(dims=dims, representatives=reps, labels=labels)
 
 
 def _ce_labels(ba: BasisedAlgebra, dim_m: int, k: int):
@@ -436,11 +452,7 @@ class CohomologyTable:
                 ]
             out["representatives"] = reps
         if self.meta:
-            serializable = {
-                k: v for k, v in self.meta.items() if isinstance(v, (str, int, bool, list, dict))
-            }
-            if serializable:
-                out["meta"] = serializable
+            out["meta"] = self.meta
         return out
 
 
@@ -462,8 +474,9 @@ def _quotient_representatives(kernel_vectors, image_rows, ncols):
     return [row for row, p in zip(rows, pivots) if p not in image_pivots]
 
 
-def _chain_dims(matrices, degrees, representatives=False, label_fn=None):
-    """Cohomology dims of a cochain complex given its differentials.
+def _chain_dims(matrices, degrees, representatives=False):
+    """Cohomology dims, and with `representatives` the representatives, of
+    a cochain complex given its differentials (`CochainComplex.cohomology`).
 
     `matrices[k]` is d: degree k -> degree k+1 for k in `degrees`, a
     ScaledIntMatrix; the caller has verified d o d = 0 (each complex is
@@ -474,13 +487,13 @@ def _chain_dims(matrices, degrees, representatives=False, label_fn=None):
     kernels = {}
     for k in degrees:
         m = matrices[k]
-        echelon, piv_cols = _bareiss_echelon(m.echelon_rows(), m.cols)
-        ranks[k] = len(piv_cols)
         if representatives:
-            kernels[k] = _kernel_vectors(echelon, piv_cols, m.cols)
+            piv_cols, kernels[k] = _kernel_vectors(m.echelon_rows(), m.cols)
+        else:
+            _, piv_cols = _bareiss_echelon(m.echelon_rows(), m.cols)
+        ranks[k] = len(piv_cols)
     dims = {}
     reps = {} if representatives else None
-    labels = {} if representatives else None
     for i, k in enumerate(degrees):
         incoming = ranks[degrees[i - 1]] if i > 0 else 0
         dims[k] = matrices[k].cols - ranks[k] - incoming
@@ -488,22 +501,12 @@ def _chain_dims(matrices, degrees, representatives=False, label_fn=None):
             # the image of d_{k-1} is spanned by its columns
             image = matrices[degrees[i - 1]].transpose().echelon_rows() if i > 0 else []
             reps[k] = _quotient_representatives(kernels[k], image, matrices[k].cols)
-            labels[k] = label_fn(k)
-    return dims, reps, labels
+    return dims, reps
 
 
 def ce_cohomology(acting, module: GModule, representatives: bool = False) -> CohomologyTable:
     """H^k(acting; module) for k = 0..dim, by exact rank computations."""
-    ba = basised(acting)
-    n = ba.dim
-    complex_ = ce_complex(acting, module)
-    dims, reps, labels = _chain_dims(
-        complex_.int_differentials,
-        list(range(n + 1)),
-        representatives,
-        lambda k: complex_.labels[k],
-    )
-    return CohomologyTable(dims=dims, representatives=reps, labels=labels)
+    return ce_complex(acting, module).cohomology(representatives)
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +641,7 @@ class AdaptedFrame:
         for k in range(q + 2):
             thetas[k] = self._theta(structure, dim_m, k, range(dim_u))
             size = thetas[k].cols
-            echelon, piv_cols = _bareiss_echelon(thetas[k].echelon_rows(), size)
-            kernel = _kernel_vectors(echelon, piv_cols, size)
+            piv_cols, kernel = _kernel_vectors(thetas[k].echelon_rows(), size)
             inv_bases[k] = ScaledIntMatrix.from_exact(ExactMatrix(len(kernel), size, kernel))
             free[k] = sorted(set(range(size)) - set(piv_cols))
 
@@ -652,15 +654,14 @@ class AdaptedFrame:
             rows = [images.data[f] for f in free[k + 1]]
             rel_mats[k] = ScaledIntMatrix(len(rows), images.cols, images.den, rows)
 
-        CochainComplex(labels={}, int_differentials=rel_mats).verify()
-        dims, _, _ = _chain_dims(rel_mats, list(range(q + 1)))
-        return CohomologyTable(
-            dims=dims,
-            meta={
-                "relative_pair_dim": dim_u,
-                "cochain_dims": {k: inv_bases[k].rows for k in range(q + 1)},
-            },
-        )
+        complex_ = CochainComplex(labels={}, int_differentials=rel_mats)
+        complex_.verify()
+        table = complex_.cohomology()
+        table.meta = {
+            "relative_pair_dim": dim_u,
+            "cochain_dims": {k: inv_bases[k].rows for k in range(q + 1)},
+        }
+        return table
 
 
 def relative_ce_cohomology(acting, u: Subalgebra, module: GModule) -> CohomologyTable:
@@ -687,31 +688,24 @@ def complement_basis(g: LieAlgebra, h: Subalgebra):
 
 
 @dataclass
-class BigradedComplex:
+class BigradedComplex(CochainComplex):
     """The fixed-p row of the quotient complex: bases zeta_I wedge tau_J
     with |I| = p and |J| = q, and the induced differentials d' per q.
 
     Row p is the Chevalley-Eilenberg complex of h with coefficients in
     Lambda^p(g/h)^*, so the (p, q) space has dim C(m, p) * C(n, q) for n
     the subalgebra dimension and m its codimension, and d' o d' = 0
-    exactly.  The d' are held as ScaledIntMatrix (`int_dprime`);
-    `dprime` gives ExactMatrix.
+    exactly.  Degrees are q; only the row index p and the message of a
+    failed d' o d' check are its own.
     """
 
     p: int
-    labels: dict
-    int_dprime: dict
-
-    @property
-    def dprime(self) -> dict:
-        return {q: m.to_exact() for q, m in self.int_dprime.items()}
-
-    def space_dim(self, q: int) -> int:
-        return len(self.labels.get(q, []))
 
     def verify(self):
+        # not a call of CochainComplex.verify: bench/spans.py wraps both by
+        # name, and a call through would count two checks per row
         _check_square_zero(
-            self.int_dprime, lambda q: f"d' o d' is nonzero at (p, q) = ({self.p}, {q})"
+            self.int_differentials, lambda q: f"d' o d' is nonzero at (p, q) = ({self.p}, {q})"
         )
 
 
@@ -730,10 +724,10 @@ def _bigraded_row(frame: AdaptedFrame, p: int) -> BigradedComplex:
         q: [J + I for I in frame._w_subsets(p) for J in combinations(range(n), q)]
         for q in range(n + 2)
     }
-    int_dprime = {}
+    differentials = {}
     for q in range(n + 1):
         block = _differential_matrix(frame._trivial, 1, cells[q + 1], cells[q])
-        int_dprime[q] = _negated(block) if p % 2 else block
+        differentials[q] = _negated(block) if p % 2 else block
     complex_ = BigradedComplex(
         p=p,
         labels={
@@ -744,7 +738,7 @@ def _bigraded_row(frame: AdaptedFrame, p: int) -> BigradedComplex:
             ]
             for q, subsets in cells.items()
         },
-        int_dprime=int_dprime,
+        int_differentials=differentials,
     )
     complex_.verify()
     return complex_
@@ -774,24 +768,16 @@ def bigraded_cohomology(
     if complement is None:
         complement = complement_basis(g, h)
     frame = AdaptedFrame(g, h, complement)
-    n = frame.dim_u
     dims = {}
     reps = {} if representatives else None
     labels = {} if representatives else None
     for p in range(frame.codim + 1):
-        complex_ = _bigraded_row(frame, p)
-        pdims, preps, plabels = _chain_dims(
-            complex_.int_dprime,
-            list(range(n + 1)),
-            representatives,
-            lambda q: complex_.labels[q],
-        )
-        for q, v in pdims.items():
+        row = _bigraded_row(frame, p).cohomology(representatives)
+        for q, v in row.dims.items():
             dims[(p, q)] = v
-        if representatives:
-            for q in preps:
-                reps[(p, q)] = preps[q]
-                labels[(p, q)] = plabels[q]
+            if representatives:
+                reps[(p, q)] = row.representatives[q]
+                labels[(p, q)] = row.labels[q]
     meta = {
         "h_basis": [[format_scalar(x) for x in row] for row in frame.u_algebra.vectors],
         "complement_basis": [[format_scalar(x) for x in row] for row in frame.complement],

@@ -194,18 +194,15 @@ def ideal_complement(g: LieAlgebra, h: Subalgebra, k_sub: Subalgebra, gram: Exac
 @dataclass
 class AssemblyReport:
     """Inputs, factor tables and the assembled H^{p,q} with consistency
-    notes; `output` is the dual-coefficient variant."""
+    notes; the reported dims are the dual-coefficient variant."""
 
-    subalgebra: Subalgebra
     k_sub: Subalgebra
     u_ideal: Subalgebra
-    u_star: Subalgebra
     k_table: CohomologyTable
     fiber_dual: dict
     fiber_nondual: dict
     table_dual: CohomologyTable
     table_nondual: CohomologyTable
-    output: CohomologyTable
     disagreements: list
     p_totals: dict
     riemann_comparison: dict = field(default_factory=dict)
@@ -224,7 +221,7 @@ class AssemblyReport:
                 str(p): {str(r): v for r, v in sorted(t.dims.items())}
                 for p, t in sorted(self.fiber_nondual.items())
             },
-            "dims": self.output.to_json_dict()["dims"],
+            "dims": self.table_dual.to_json_dict()["dims"],
             "dims_nondual": self.table_nondual.to_json_dict()["dims"],
             "disagreements": [
                 {"p": p, "q": q, "dual": a, "nondual": b} for (p, q, a, b) in self.disagreements
@@ -256,11 +253,10 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
             raise AlgebraError(f"Gram matrix is not ad-invariant: witness {witness}")
     k_sub = h.intersect(h.conj())
     u_ideal = ideal_complement(g, h, k_sub, gram)
-    u_star = h
     n = h.dim
     m = g.dim - n
     # one frame per pair serves every p and both coefficient variants
-    outer = AdaptedFrame(g, u_star)
+    outer = AdaptedFrame(g, h)
     inner = AdaptedFrame(outer.u_algebra, k_sub, closure_message=RELATIVE_CLOSURE)
     k_table = ce_cohomology(inner.u_algebra, GModule.trivial(inner.u_algebra))
     fiber_dual = {}
@@ -309,16 +305,13 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
         "non-dual variant is reported alongside and disagreements are listed",
     ]
     return AssemblyReport(
-        subalgebra=h,
         k_sub=k_sub,
         u_ideal=u_ideal,
-        u_star=u_star,
         k_table=k_table,
         fiber_dual=fiber_dual,
         fiber_nondual=fiber_nondual,
         table_dual=table_dual,
         table_nondual=table_nondual,
-        output=table_dual,
         disagreements=disagreements,
         p_totals=p_totals,
         riemann_comparison=riemann,

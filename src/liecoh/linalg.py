@@ -7,10 +7,15 @@ lcm of its denominators and turns it into (re, im) int pairs, and one
 routine, `_bareiss_echelon`, does fraction-free (Bareiss) forward
 elimination with deterministic pivoting: the pivot column is the
 leftmost one with a nonzero entry at or below the current row, and the
-pivot row is the topmost such row.  `rank_kernel`, `solve_linear` and
-`rref` all read that echelon.  `ScaledIntMatrix` (1/den times sparse
-Gaussian-integer rows) is the form in which the cochain engine builds,
-multiplies and eliminates its differentials without GaussianRational.
+pivot row is the topmost such row.  Ranks and pivot columns are read
+off that echelon.  Kernels, solutions and RREF are reads of one reduced
+echelon form R (`_reduced_echelon`, the only back substitution): the
+kernel vector of a free column f has 1 at f and -R[r][f] at the pivot of
+row r (`rank_kernel`), and the solutions of M x = b are the appended
+columns of the RREF of [M | b] (`solve_linear`).  `ScaledIntMatrix`
+(1/den times sparse Gaussian-integer rows) is the form in which the
+cochain engine builds, multiplies and eliminates its differentials
+without GaussianRational.
 
 Every division is exact, and each is checked:
 
@@ -30,10 +35,11 @@ rounded.
 Eigen-splitting computes the characteristic polynomial exactly
 (Faddeev-LeVerrier) and finds roots by exhaustive search over
 Gaussian-integer divisors; it fails loudly when the polynomial has an
-irreducible factor over Q(i).  Hermitian inertia is read off the same
-characteristic polynomial by Descartes' rule of signs, which is exact
-there: the polynomial of a Hermitian matrix is real and has only real
-roots.
+irreducible factor over Q(i).  A coefficient past the search limit stops
+the search with a message that says so, not that the polynomial does not
+split.  Hermitian inertia is read off the same characteristic polynomial
+by Descartes' rule of signs, which is exact there: the polynomial of a
+Hermitian matrix is real and has only real roots.
 """
 
 from __future__ import annotations
@@ -463,70 +469,6 @@ def _pivot_solution(echelon, piv_cols, column):
     ]
 
 
-def _kernel_vectors(echelon, piv_cols, cols):
-    """Kernel basis read from an echelon of `_bareiss_echelon`: the vector
-    for a free column f has 1 at f and 0 at the other free columns."""
-    pivots = set(piv_cols)
-    kernel = []
-    for f in range(cols):
-        if f in pivots:
-            continue
-        y = _pivot_solution(echelon, piv_cols, [(-row[f][0], -row[f][1]) for row in echelon])
-        v = [ZERO] * cols
-        v[f] = ONE
-        for c, z in zip(piv_cols, y):
-            v[c] = z
-        kernel.append(v)
-    return kernel
-
-
-def rank_kernel(M: ExactMatrix):
-    """Exact rank and a kernel basis of M, so rank + len(kernel) == cols.
-
-    Kernel vectors are exact: M v == 0 for every returned v.  The vector
-    for a free column f has 1 at f and 0 at the other free columns.
-    """
-    echelon, piv_cols = _bareiss_echelon(_integer_rows(M._data), M.cols)
-    return len(piv_cols), _kernel_vectors(echelon, piv_cols, M.cols)
-
-
-def _solve_columns(M: ExactMatrix, columns):
-    """Solutions x_t of M x_t = columns[t], all read from one elimination
-    of M augmented with every column.
-
-    Returns (solutions, failed).  `failed` is the index of the first
-    inconsistent column, or None; `solutions` holds one x per column
-    before it.  Pivots come leftmost first, so those in M's columns do
-    not depend on the appended ones, and the first pivot past them marks
-    the first column with a nonzero residual.  Free variables are zero.
-    """
-    n = M.cols
-    aug = [row + [as_scalar(col[i]) for col in columns] for i, row in enumerate(M._data)]
-    echelon, piv_cols = _bareiss_echelon(_integer_rows(aug), n + len(columns))
-    rank_ = sum(1 for c in piv_cols if c < n)
-    failed = piv_cols[rank_] - n if rank_ < len(piv_cols) else None
-    echelon, piv_cols = echelon[:rank_], piv_cols[:rank_]
-    solutions = []
-    for t in range(len(columns) if failed is None else failed):
-        x = [ZERO] * n
-        y = _pivot_solution(echelon, piv_cols, [row[n + t] for row in echelon])
-        for c, z in zip(piv_cols, y):
-            x[c] = z
-        solutions.append(x)
-    return solutions, failed
-
-
-def solve_linear(M: ExactMatrix, b: Vector):
-    """Some exact solution x of M x = b, or None when inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    if len(b) != M.rows:
-        raise ValueError("rhs length mismatch")
-    solutions, failed = _solve_columns(M, [b])
-    return None if failed is not None else solutions[0]
-
-
 def _reduced_echelon(rows, cols):
     """Reduced row echelon form of Gaussian-integer rows (eliminated in
     place) as GaussianRational rows, zero rows dropped, with the pivot
@@ -543,6 +485,69 @@ def _reduced_echelon(rows, cols):
             for r, z in enumerate(_pivot_solution(echelon, piv_cols, [row[j] for row in echelon])):
                 out[r][j] = z
     return out, tuple(piv_cols)
+
+
+def _kernel_vectors(rows, cols):
+    """Pivot columns and a kernel basis of Gaussian-integer rows
+    (eliminated in place), read off their RREF R: the vector for a free
+    column f has 1 at f, -R[r][f] at the pivot of row r and 0 at the
+    other free columns."""
+    reduced, piv_cols = _reduced_echelon(rows, cols)
+    kernel = []
+    for f in sorted(set(range(cols)) - set(piv_cols)):
+        v = [ZERO] * cols
+        v[f] = ONE
+        for row, c in zip(reduced, piv_cols):
+            v[c] = -row[f]
+        kernel.append(v)
+    return piv_cols, kernel
+
+
+def rank_kernel(M: ExactMatrix):
+    """Exact rank and a kernel basis of M, so rank + len(kernel) == cols.
+
+    Kernel vectors are exact: M v == 0 for every returned v.  The vector
+    for a free column f has 1 at f and 0 at the other free columns.
+    """
+    piv_cols, kernel = _kernel_vectors(_integer_rows(M._data), M.cols)
+    return len(piv_cols), kernel
+
+
+def _solve_columns(M: ExactMatrix, columns):
+    """Solutions x_t of M x_t = columns[t], all read from one elimination
+    of M augmented with every column.
+
+    Returns (solutions, failed).  `failed` is the index of the first
+    inconsistent column, or None; `solutions` holds one x per column
+    before it.  Pivots come leftmost first, so those in M's columns do
+    not depend on the appended ones, and the first pivot past them marks
+    the first column with a nonzero residual.  x_t is column n + t of the
+    RREF at the pivots of M (a later pivot has zeros left of it), and
+    zero at the free variables.
+    """
+    n = M.cols
+    aug = [row + [as_scalar(col[i]) for col in columns] for i, row in enumerate(M._data)]
+    reduced, piv_cols = _reduced_echelon(_integer_rows(aug), n + len(columns))
+    rank_ = sum(1 for c in piv_cols if c < n)
+    failed = piv_cols[rank_] - n if rank_ < len(piv_cols) else None
+    solutions = []
+    for t in range(len(columns) if failed is None else failed):
+        x = [ZERO] * n
+        for row, c in zip(reduced, piv_cols[:rank_]):
+            x[c] = row[n + t]
+        solutions.append(x)
+    return solutions, failed
+
+
+def solve_linear(M: ExactMatrix, b: Vector):
+    """Some exact solution x of M x = b, or None when inconsistent.
+
+    Free variables are set to zero, so the answer is deterministic.
+    """
+    if len(b) != M.rows:
+        raise ValueError("rhs length mismatch")
+    solutions, failed = _solve_columns(M, [b])
+    return None if failed is not None else solutions[0]
 
 
 def rref(M: ExactMatrix):
@@ -627,7 +632,10 @@ def _gaussian_divisors(z: GaussianRational):
     if nz == 0:
         raise ValueError("divisors of zero are unbounded")
     if nz > _DIVISOR_NORM_LIMIT:
-        raise NonSplitError(f"coefficient norm {nz} too large for divisor search")
+        raise InputError(
+            f"root search stopped at the divisor-norm limit {_DIVISOR_NORM_LIMIT}: a "
+            f"coefficient has norm {nz}, so splitting over Q(i) is undecided"
+        )
     found = set()
     for m in _integer_divisors(nz):
         for x in range(isqrt(m) + 1):
@@ -656,7 +664,8 @@ def _scale_to_gaussian_integers(coeffs):
 def poly_linear_roots(coeffs):
     """All roots in Q(i) with multiplicity; NonSplitError if some factor
     has no root there (rational-root search over Gaussian-integer
-    divisors after clearing denominators)."""
+    divisors after clearing denominators), InputError if a coefficient's
+    norm is past the divisor-search limit."""
     work = list(coeffs)
     while len(work) > 1 and work[-1].is_zero():
         work.pop()

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 
 class InputError(ValueError):
-    """Base of the five input-error families: ScalarParseError,
-    AlgebraError, NonSplitError, NonHermitianError and TorusError.  The
-    command line reports exactly these as E_VALIDATION, exit 2."""
+    """Base of the five input-error families: ScalarParseError, AlgebraError,
+    NonSplitError, NonHermitianError and TorusError; raised bare at a search
+    limit.  The command line reports exactly these as E_VALIDATION, exit 2."""
 
 
 class ScalarParseError(InputError):

@@ -328,6 +328,16 @@ def test_roots_with_standard(capsys):
     assert data["standard_structure"]["prediction_matches"] is True
 
 
+def test_root_search_limit_is_not_a_nonsplit_verdict(capsys):
+    # ad(T1 + 10 T2) has characteristic polynomial t^2 (t^2+4)(t^2+841)(t^2+961),
+    # so it splits over Q(i), but its t^2 coefficient has norm 3232804^2, past
+    # the divisor-search limit: the search stops and must say so
+    code, out, err = run(capsys, "roots", "--algebra", "builtin:su3", "--torus", "span{T1+10T2}")
+    assert (code, out) == (EX_VALIDATION, "")
+    assert "root search stopped at the divisor-norm limit" in err
+    assert "does not split" not in err
+
+
 def test_roots_positive_override(capsys):
     code, out, _ = run(
         capsys,

@@ -637,7 +637,7 @@ def test_bigraded_complex_dprime_matrix_su2():
     h = parse_span("span{T, X-iY}", g)
     complex_ = bigraded_complex(g, h, 0)
     assert complex_.labels[1] == ["τ1", "τ2"]
-    assert complex_.dprime[1] == ExactMatrix.from_rows([[Q(0), Q(0, -2)]])
+    assert complex_.differentials[1] == ExactMatrix.from_rows([[Q(0), Q(0, -2)]])
     assert complex_.space_dim(1) == comb(2, 1)
 
 
@@ -712,7 +712,7 @@ def test_dprime_matches_full_complex_filter():
         pairs.append((g, random_nilpotent_subalgebra(rng, g, 3, 1)))
     for g, h in pairs:
         for p in range(g.dim - h.dim + 1):
-            assert bigraded_complex(g, h, p).dprime == reference_dprime(g, h, p)
+            assert bigraded_complex(g, h, p).differentials == reference_dprime(g, h, p)
 
 
 # -- relative d against the full complex of the adapted algebra -------------------
@@ -960,7 +960,9 @@ def test_dprime_blocks_match_reference_row_differential():
         for p in range(frame.codim + 1):
             row = cohomology._bigraded_row(frame, p)
             for q in range(frame.dim_u + 1):
-                f = assert_same_block(row.int_dprime[q], reference_row_differential(frame, p, q))
+                f = assert_same_block(
+                    row.int_differentials[q], reference_row_differential(frame, p, q)
+                )
                 # integer tables (su2, su3, tori) keep their denominator
                 assert f == 1 or frame._trivial[0] > 1
 

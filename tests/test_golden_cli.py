@@ -32,6 +32,7 @@ COMMANDS = {
     "bigraded-su3-complex": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", COMPLEX,
                              "--json"],
     "plain-su3": ["cohomology", "--algebra", "builtin:su3", "--json"],
+    "plain-su3-reps": ["cohomology", "--algebra", "builtin:su3", "--representatives", "--json"],
     "adjoint-su2-reps": ["cohomology", "--algebra", "builtin:su2", "--module", "adjoint",
                          "--representatives", "--json"],
     "relative-su3-torus": ["cohomology", "--algebra", "builtin:su3", "--relative", "span{T1, T2}",
@@ -45,6 +46,8 @@ COMMANDS = {
     "decompose-su3-h5": ["decompose", "--algebra", "builtin:su3", "--subalgebra", H5, "--json"],
     "decompose-su3-h5-both": ["decompose", "--algebra", "builtin:su3", "--subalgebra", H5,
                               "--module-dual", "both"],
+    "decompose-su3-h5-plain": ["decompose", "--algebra", "builtin:su3", "--subalgebra", H5,
+                               "--module-dual", "off"],
     "decompose-su2-borel": ["decompose", "--algebra", "builtin:su2", "--subalgebra",
                             "span{T, X-iY}"],
     "classify-su3-cr": ["classify", "--algebra", "builtin:su3", "--subalgebra", CR, "--json"],
@@ -60,6 +63,7 @@ COMMANDS = {
                            "--standard", "2", "0", "--json"],
     "roots-su3-complex": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1, T2}",
                           "--standard", "0", "2", "--json"],
+    "roots-su3-line": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1+3T2}", "--json"],
     "torus-solve-cf": ["torus-solve", "--cf", ",".join(["1"] * 12), "--depth", "8", "--json"],
     "validate-su3": ["validate", "builtin:su3"],
     "relative-not-closed": ["cohomology", "--algebra", "builtin:su3", "--relative",

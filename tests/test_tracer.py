@@ -4,8 +4,8 @@
 structure-survey workload.  Entering it here, on the bigraded, the
 relative (decompose) and the classify path, makes a rename fail in the
 test suite rather than at the next traced benchmark run.  The classify
-test also pins how often the Levi form and the characteristic space are
-formed per query."""
+test also pins how often the Levi form, the characteristic space and the
+real elimination behind both are formed per query."""
 
 import json
 from pathlib import Path
@@ -78,3 +78,6 @@ def test_tracer_records_inertia_on_classify(monkeypatch, capsys):
     names = [span[0] for span in tracer.spans]
     assert names.count("classify.characteristic_space") == 1
     assert names.count("classify.levi_form") == 2
+    # the classification reads the rank off that space: one elimination of
+    # R = [Re v; Im v] per query
+    assert names.count("linalg.rank_kernel") == 1
