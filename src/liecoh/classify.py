@@ -24,7 +24,7 @@ invariance makes evaluation at the identity sufficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -55,23 +55,18 @@ class NotCharacteristicError(AlgebraError):
     pass
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(namedtuple(
+    "ClassificationReport",
+    "elliptic complex_structure cr essentially_real "
+    "dim_h dim_conj dim_sum dim_intersection ambient_dim",
+)):
     """Flags and dimensions classifying h against its conjugate.
 
     complex_structure implies elliptic and cr; essentially_real means
     h equals its conjugate; elliptic means h + conj(h) is everything.
     """
 
-    elliptic: bool
-    complex_structure: bool
-    cr: bool
-    essentially_real: bool
-    dim_h: int
-    dim_conj: int
-    dim_sum: int
-    dim_intersection: int
-    ambient_dim: int
+    __slots__ = ()
 
     @classmethod
     def from_rank(cls, n: int, k: int, rank: int) -> "ClassificationReport":
@@ -138,13 +133,10 @@ def characteristic_space(g: LieAlgebra, h: Subalgebra):
     return canon.row_list()
 
 
-@dataclass(frozen=True)
-class LeviForm:
+class LeviForm(namedtuple("LeviForm", "xi basis matrix")):
     """Hermitian form (1/2i) xi([Z_a, conj(Z_b)]) on a basis Z of h."""
 
-    xi: tuple
-    basis: tuple
-    matrix: ExactMatrix
+    __slots__ = ()
 
     def inertia(self) -> Inertia:
         return hermitian_inertia(self.matrix)
@@ -189,11 +181,11 @@ def levi_form(g: LieAlgebra, h: Subalgebra, xi, basis=None) -> LeviForm:
     return LeviForm(xi=tuple(xi), basis=tuple(tuple(v) for v in rows), matrix=matrix)
 
 
-@dataclass(frozen=True)
-class BctSample:
-    coeffs: tuple  # integer coefficients over the characteristic basis
-    covector: tuple
-    inertia: Inertia
+class BctSample(namedtuple("BctSample", "coeffs covector inertia")):
+    """Inertia of the Levi form at one sample covector; `coeffs` are its
+    integer coefficients over the characteristic basis."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,8 +195,7 @@ class BctSample:
         }
 
 
-@dataclass(frozen=True)
-class BctReport:
+class BctReport(namedtuple("BctReport", "verdict characteristic_space levi_forms samples notes")):
     """Outcome of the mixed-signature (one positive and one negative
     eigenvalue) hypocomplexity test.
 
@@ -216,11 +207,7 @@ class BctReport:
     kept for the caller and not serialised.
     """
 
-    verdict: str
-    characteristic_space: tuple
-    levi_forms: tuple
-    samples: tuple
-    notes: tuple
+    __slots__ = ()
 
     @property
     def characteristic_dim(self) -> int:

@@ -24,10 +24,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .scalars import InputError
 
+# annotations are postponed, so these names are for type checkers only;
+# a local flag in place of typing.TYPE_CHECKING keeps typing unimported
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .algebra import LieAlgebra
     from .cohomology import GModule

@@ -56,7 +56,6 @@ the parts of d that raise p, which the quotient by F^{p+1} forgets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import lcm
 
@@ -333,7 +332,6 @@ def ce_differential(acting, module: GModule, k: int) -> ExactMatrix:
     ).to_exact()
 
 
-@dataclass
 class CochainComplex:
     """Per-degree basis labels and differentials; differentials[k] maps
     degree k to degree k+1 and consecutive ones compose to zero.
@@ -343,8 +341,9 @@ class CochainComplex:
     package, plain, relative and bigraded, is `cohomology` of one of these.
     """
 
-    labels: dict
-    int_differentials: dict
+    def __init__(self, labels: dict, int_differentials: dict):
+        self.labels = labels
+        self.int_differentials = int_differentials
 
     @property
     def differentials(self) -> dict:
@@ -397,15 +396,16 @@ def ce_complex(acting, module: GModule) -> CochainComplex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CohomologyTable:
     """Exact cohomology dimensions keyed by degree k or bidegree (p, q),
     with optional representative cocycles in the stated basis labels."""
 
-    dims: dict
-    representatives: dict | None = None
-    labels: dict | None = None
-    meta: dict = field(default_factory=dict)
+    def __init__(self, dims: dict, representatives: dict | None = None,
+                 labels: dict | None = None, meta: dict | None = None):
+        self.dims = dims
+        self.representatives = representatives
+        self.labels = labels
+        self.meta = {} if meta is None else meta
 
     def dim(self, key) -> int:
         return self.dims.get(key, 0)
@@ -687,7 +687,6 @@ def complement_basis(g: LieAlgebra, h: Subalgebra):
     return extend_to_complement(h.vectors(), candidates)
 
 
-@dataclass
 class BigradedComplex(CochainComplex):
     """The fixed-p row of the quotient complex: bases zeta_I wedge tau_J
     with |I| = p and |J| = q, and the induced differentials d' per q.
@@ -699,7 +698,9 @@ class BigradedComplex(CochainComplex):
     failed d' o d' check are its own.
     """
 
-    p: int
+    def __init__(self, labels: dict, int_differentials: dict, p: int):
+        super().__init__(labels, int_differentials)
+        self.p = p
 
     def verify(self):
         # not a call of CochainComplex.verify: bench/spans.py wraps both by

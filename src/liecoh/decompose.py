@@ -12,8 +12,6 @@ disagreement is reported, not resolved silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import AlgebraError, LieAlgebra, Subalgebra
 from .classify import classify_structure
 from .cohomology import (
@@ -191,22 +189,25 @@ def ideal_complement(g: LieAlgebra, h: Subalgebra, k_sub: Subalgebra, gram: Exac
     return u
 
 
-@dataclass
 class AssemblyReport:
     """Inputs, factor tables and the assembled H^{p,q} with consistency
     notes; the reported dims are the dual-coefficient variant."""
 
-    k_sub: Subalgebra
-    u_ideal: Subalgebra
-    k_table: CohomologyTable
-    fiber_dual: dict
-    fiber_nondual: dict
-    table_dual: CohomologyTable
-    table_nondual: CohomologyTable
-    disagreements: list
-    p_totals: dict
-    riemann_comparison: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+    def __init__(self, k_sub: Subalgebra, u_ideal: Subalgebra, k_table: CohomologyTable,
+                 fiber_dual: dict, fiber_nondual: dict, table_dual: CohomologyTable,
+                 table_nondual: CohomologyTable, disagreements: list, p_totals: dict,
+                 riemann_comparison: dict | None = None, notes: list | None = None):
+        self.k_sub = k_sub
+        self.u_ideal = u_ideal
+        self.k_table = k_table
+        self.fiber_dual = fiber_dual
+        self.fiber_nondual = fiber_nondual
+        self.table_dual = table_dual
+        self.table_nondual = table_nondual
+        self.disagreements = disagreements
+        self.p_totals = p_totals
+        self.riemann_comparison = {} if riemann_comparison is None else riemann_comparison
+        self.notes = [] if notes is None else notes
 
     def to_json_dict(self) -> dict:
         return {

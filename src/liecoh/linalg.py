@@ -45,7 +45,6 @@ Hermitian matrix is real and has only real roots.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -665,7 +664,14 @@ def poly_linear_roots(coeffs):
     """All roots in Q(i) with multiplicity; NonSplitError if some factor
     has no root there (rational-root search over Gaussian-integer
     divisors after clearing denominators), InputError if a coefficient's
-    norm is past the divisor-search limit."""
+    norm is past the divisor-search limit.
+
+    Once the zero roots are pulled out, every root is r/s with r a divisor
+    of the constant and s one of the leading coefficient.  These
+    candidates are enumerated once and tried in one pass, deflating on
+    each hit: a root of a deflated factor is a root of the polynomial, so
+    it is among them, and a candidate that missed once is not a root of
+    any later factor either."""
     work = list(coeffs)
     while len(work) > 1 and work[-1].is_zero():
         work.pop()
@@ -676,40 +682,37 @@ def poly_linear_roots(coeffs):
     while work[0].is_zero():
         roots.append(ZERO)
         work = work[1:]
-    while len(work) > 1:
-        if len(work) == 2:  # linear: a0 + a1 t
-            roots.append(-work[0] / work[1])
-            break
+    if len(work) > 2:
         scaled = _scale_to_gaussian_integers(work)
         numerators = _gaussian_divisors(scaled[0])
-        denominators = _gaussian_divisors(scaled[-1])
-        root = None
-        for s in denominators:
-            # unit multiples of s only rescale the candidate; numerators
-            # already run over all associates
-            for r in numerators:
-                cand = r / s
-                if poly_eval(work, cand).is_zero():
-                    root = cand
-                    break
-            if root is not None:
+        # a unit multiple of s only rescales the candidate, and numerators
+        # run over all associates: one associate of each s will do.  A value
+        # met again is no root by then, as all of its multiplicity is gone.
+        candidates = (
+            r / s for s in _gaussian_divisors(scaled[-1]) if s.re > 0 and s.im >= 0
+            for r in numerators
+        )
+        for cand in candidates:
+            while len(work) > 2 and poly_eval(work, cand).is_zero():
+                roots.append(cand)
+                work = _poly_deflate(work, cand)
+            if len(work) <= 2:
                 break
-        if root is None:
+        else:
             raise NonSplitError(
                 "polynomial factor without a root in Q(i)", residual_degree=len(work) - 1
             )
-        roots.append(root)
-        work = _poly_deflate(work, root)
+    if len(work) == 2:  # linear: a0 + a1 t
+        roots.append(-work[0] / work[1])
     return roots
 
 
-@dataclass(frozen=True)
-class EigenSplit:
+class EigenSplit(namedtuple("EigenSplit", "pairs diagonalizable")):
     """Distinct eigenvalues with exact eigenspaces; diagonalizable iff the
-    eigenspace dimensions add up to the matrix size."""
+    eigenspace dimensions add up to the matrix size.  `pairs` is
+    ((eigenvalue, (vectors...)), ...) sorted by eigenvalue."""
 
-    pairs: tuple  # ((eigenvalue, (vectors...)), ...) sorted by eigenvalue
-    diagonalizable: bool
+    __slots__ = ()
 
 
 def split_eigen(M: ExactMatrix) -> EigenSplit:
@@ -723,8 +726,10 @@ def split_eigen(M: ExactMatrix) -> EigenSplit:
     pairs = []
     total = 0
     for lam in distinct:
-        shifted = M - ExactMatrix.identity(n).scale(lam)
-        _, kernel = rank_kernel(shifted)
+        shifted = M.row_list()  # fresh rows: subtract lam on the diagonal in place
+        for i, row in enumerate(shifted):
+            row[i] = row[i] - lam
+        _, kernel = rank_kernel(ExactMatrix(n, n, shifted))
         total += len(kernel)
         pairs.append((lam, tuple(tuple(v) for v in kernel)))
     return EigenSplit(pairs=tuple(pairs), diagonalizable=total == n)
@@ -735,11 +740,8 @@ def split_eigen(M: ExactMatrix) -> EigenSplit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Inertia:
-    n_pos: int
-    n_neg: int
-    n_zero: int
+class Inertia(namedtuple("Inertia", "n_pos n_neg n_zero")):
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:

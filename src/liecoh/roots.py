@@ -13,10 +13,10 @@ pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import AlgebraError, LieAlgebra, Subalgebra
-from .classify import ClassificationReport, classify_structure
+from .classify import classify_structure
 from .linalg import (
     ExactMatrix,
     NonSplitError,
@@ -53,8 +53,9 @@ class GradingError(AlgebraError):
     pass
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(namedtuple(
+    "RootDatum", "algebra torus roots spaces zero_space torus_is_maximal notes"
+)):
     """Simultaneous eigenspace decomposition of g under a torus t.
 
     roots are tuples of purely imaginary scalars (one per torus
@@ -63,13 +64,7 @@ class RootDatum:
     maximal, recorded in torus_is_maximal).
     """
 
-    algebra: LieAlgebra
-    torus: Subalgebra
-    roots: tuple
-    spaces: dict
-    zero_space: Subalgebra
-    torus_is_maximal: bool
-    notes: tuple
+    __slots__ = ()
 
     def root_of(self, vector):
         """The root whose eigenspace contains `vector`, or None."""
@@ -196,11 +191,10 @@ def _verify_grading(g: LieAlgebra, roots, spaces, zero_space):
                         )
 
 
-@dataclass(frozen=True)
-class PositiveSystem:
+class PositiveSystem(namedtuple("PositiveSystem", "positive_roots")):
     """A choice of exactly one of each +/- root pair, closed under addition."""
 
-    positive_roots: tuple
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"positive_roots": [[format_scalar(x) for x in a] for a in self.positive_roots]}
@@ -258,19 +252,14 @@ def _lex_positive(alpha) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class StandardStructure:
+class StandardStructure(namedtuple(
+    "StandardStructure",
+    "subalgebra torus_part s t positive predicted report prediction_matches",
+)):
     """A standard subalgebra u + (positive root spaces) with its predicted
     and verified classification."""
 
-    subalgebra: Subalgebra
-    torus_part: Subalgebra
-    s: int
-    t: int
-    positive: PositiveSystem
-    predicted: dict
-    report: ClassificationReport
-    prediction_matches: bool
+    __slots__ = ()
 
 
 def build_standard(rd: RootDatum, s: int, t: int, plus: PositiveSystem | None = None) -> StandardStructure:

@@ -12,7 +12,7 @@ along a tail, bounded quotients certify divisors of quadratic size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import GaussianRational, InputError, ZERO, format_scalar, json_int, parse_scalar
@@ -27,14 +27,12 @@ class TorusError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class MuSpec:
-    """The slope mu: an exact rational, or partial quotients of a continued
-    fraction standing for the opening of an irrational expansion."""
+class MuSpec(namedtuple("MuSpec", "kind value quotients", defaults=(None, ()))):
+    """The slope mu: an exact rational (kind "rational", `value` a
+    Fraction), or partial quotients of a continued fraction standing for
+    the opening of an irrational expansion (kind "cf", `quotients`)."""
 
-    kind: str  # "rational" | "cf"
-    value: Fraction | None = None
-    quotients: tuple = ()
+    __slots__ = ()
 
     @classmethod
     def rational(cls, value) -> "MuSpec":
@@ -102,19 +100,16 @@ def rational_to_cf(x: Fraction):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FourierData:
     """Finitely supported Fourier coefficients on Z^2 within |xi|,|eta| <=
     cutoff."""
 
-    cutoff: int
-    coefficients: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, cutoff: int, coefficients: dict | None = None):
+        self.cutoff = cutoff
         clean = {}
-        for (xi, eta), value in self.coefficients.items():
-            if abs(xi) > self.cutoff or abs(eta) > self.cutoff:
-                raise TorusError(f"mode ({xi}, {eta}) exceeds the cutoff {self.cutoff}")
+        for (xi, eta), value in (coefficients or {}).items():
+            if abs(xi) > cutoff or abs(eta) > cutoff:
+                raise TorusError(f"mode ({xi}, {eta}) exceeds the cutoff {cutoff}")
             if not isinstance(value, GaussianRational):
                 value = GaussianRational(value)
             if not value.is_zero():
@@ -165,12 +160,13 @@ def singular_lattice(mu: Fraction, bound: int):
     return [(k * p, k * q) for k in range(-kmax, kmax + 1)]
 
 
-@dataclass
 class DPrimeSolution:
-    solution: FourierData
-    obstructions: list
-    mu_used: Fraction
-    substituted: bool
+    def __init__(self, solution: FourierData, obstructions: list, mu_used: Fraction,
+                 substituted: bool):
+        self.solution = solution
+        self.obstructions = obstructions
+        self.mu_used = mu_used
+        self.substituted = substituted
 
     def to_json_dict(self) -> dict:
         return {
@@ -225,18 +221,11 @@ def apply_operator(mu: Fraction, u: FourierData) -> FourierData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisorEntry:
+class DivisorEntry(namedtuple("DivisorEntry", "j p q window_min window_max bound status")):
     """Certified window for |p_j - mu q_j| against the Liouville benchmark
     (p_j^2 + q_j^2)^(-j); `status` is holds / fails / undetermined."""
 
-    j: int
-    p: int
-    q: int
-    window_min: Fraction
-    window_max: Fraction
-    bound: Fraction
-    status: str
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -249,16 +238,18 @@ class DivisorEntry:
         }
 
 
-@dataclass
 class DivisorReport:
-    verdict: str
-    quotients: tuple
-    convergents: list
-    depth: int
-    entries: list
-    enclosure: tuple | None = None
-    tail_start: int | None = None
-    notes: list = field(default_factory=list)
+    def __init__(self, verdict: str, quotients: tuple, convergents: list, depth: int,
+                 entries: list, enclosure: tuple | None = None, tail_start: int | None = None,
+                 notes: list | None = None):
+        self.verdict = verdict
+        self.quotients = quotients
+        self.convergents = convergents
+        self.depth = depth
+        self.entries = entries
+        self.enclosure = enclosure
+        self.tail_start = tail_start
+        self.notes = [] if notes is None else notes
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,5 +1,6 @@
 """`python -m liecoh.cli` in a fresh interpreter: the same exit code and
-stdout as the in-process `main`, and only the modules the command runs."""
+stdout as the in-process `main`, only the modules the command runs, and
+none of the standard modules that are slow to import."""
 
 import json
 import os
@@ -31,21 +32,31 @@ COMMANDS = [
 ]
 
 
-def run_entry_point(argv):
-    """(exit code, stdout, stderr lines, liecoh modules imported) of a
-    fresh `python -X importtime -m liecoh.cli`."""
+# dataclasses pulls in inspect, ast, dis and tokenize; typing is the
+# other large module that no command needs
+SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
+def run_python(args, *flags):
+    """(exit code, stdout, stderr lines, modules imported) of a fresh
+    `python -X importtime *flags *args`."""
     env = dict(os.environ, PYTHONPATH=str(Path(liecoh.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "liecoh.cli", *argv],
+    done = subprocess.run([sys.executable, *flags, "-X", "importtime", *args],
                           env=env, capture_output=True, text=True, timeout=120)
     imported, other = set(), []
     for line in done.stderr.splitlines():
         if line.startswith("import time:"):
-            name = line.rsplit("|", 1)[1].strip()
-            if name == "liecoh" or name.startswith("liecoh."):
-                imported.add(name)
+            imported.add(line.rsplit("|", 1)[1].strip())
         else:
             other.append(line)
     return done.returncode, done.stdout, other, imported
+
+
+def run_entry_point(argv):
+    """(exit code, stdout, stderr lines, liecoh modules imported) of a
+    fresh `python -X importtime -m liecoh.cli`."""
+    code, out, other, imported = run_python(["-m", "liecoh.cli", *argv])
+    return code, out, other, {m for m in imported if m == "liecoh" or m.startswith("liecoh.")}
 
 
 def run_in_process(capsys, argv):
@@ -78,3 +89,20 @@ def test_entry_point_input_errors_exit_2(tmp_path, capsys):
         assert code == EX_VALIDATION
         assert any("E_VALIDATION" in line for line in err), err
         assert imported == modules
+
+
+@pytest.mark.parametrize("argv", [c[0] for c in COMMANDS] + [None],
+                         ids=[c[0][0] for c in COMMANDS] + ["load-algebra"])
+def test_no_slow_standard_module_is_imported(argv, tmp_path):
+    # -S: no site, so nothing is imported that the interpreter's site
+    # configuration happens to preload
+    if argv is None:  # the start of a library user: import and load an algebra
+        path = tmp_path / "su3.json"
+        path.write_text(json.dumps(liecoh.su3().to_json_dict()))
+        args = ["-c", "import json, sys\nfrom liecoh import LieAlgebra\n"
+                      "LieAlgebra.from_json_dict(json.load(open(sys.argv[1])))", str(path)]
+    else:
+        args = ["-m", "liecoh.cli", *argv, "--json"]
+    code, _, err, imported = run_python(args, "-S")
+    assert code == EX_OK, err
+    assert not imported & SLOW_IMPORTS

@@ -393,6 +393,75 @@ def test_eigen_reassembly_seeded():
                 assert apply(M, v) == [lam * x for x in v]
 
 
+def reference_poly_linear_roots(coeffs):
+    """The root search that enumerates the divisors of both end
+    coefficients again after every deflation and takes the first candidate
+    that is a root of the current factor."""
+    work = list(coeffs)
+    while len(work) > 1 and work[-1].is_zero():
+        work.pop()
+    roots = []
+    while work[0].is_zero():
+        roots.append(Q(0))
+        work = work[1:]
+    while len(work) > 1:
+        if len(work) == 2:
+            roots.append(-work[0] / work[1])
+            break
+        scaled = linalg._scale_to_gaussian_integers(work)
+        numerators = linalg._gaussian_divisors(scaled[0])
+        denominators = linalg._gaussian_divisors(scaled[-1])
+        root = next(
+            (r / s for s in denominators for r in numerators
+             if poly_eval(work, r / s).is_zero()),
+            None,
+        )
+        if root is None:
+            raise NonSplitError("no root", residual_degree=len(work) - 1)
+        roots.append(root)
+        work = linalg._poly_deflate(work, root)
+    return roots
+
+
+def _poly_times(p, q):
+    out = [Q(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _roots_or_residual(find, coeffs):
+    try:
+        return sorted(r.sort_key() for r in find(coeffs))
+    except NonSplitError as exc:
+        return ("nonsplit", exc.residual_degree)
+
+
+def test_poly_linear_roots_matches_per_deflation_oracle_seeded():
+    rng = random.Random(13)
+    root_pool = [Q(0), Q(1), Q(-2), Q(0, 1), Q(0, -3), Q(1, 1), Q(Fraction(1, 2)),
+                 Q(Fraction(-3, 2), Fraction(1, 2)), Q(0, Fraction(2, 3))]
+    # factors without a root in Q(i): t^2 - 2, t^2 + t + 1, t^2 - i, t^3 - 3
+    irreducible_pool = [[Q(-2), Q(0), Q(1)], [Q(1), Q(1), Q(1)],
+                        [Q(0, -1), Q(0), Q(1)], [Q(-3), Q(0), Q(0), Q(1)]]
+    lead_pool = [Q(1), Q(2), Q(-3), Q(1, 1), Q(Fraction(1, 2))]
+    seen = {"repeated": 0, "zero": 0, "nonsplit": 0}
+    for _ in range(60):
+        roots = [rng.choice(root_pool) for _ in range(rng.randint(1, 5))]
+        coeffs = [rng.choice(lead_pool)]
+        for r in roots:
+            coeffs = _poly_times(coeffs, [-r, Q(1)])
+        if rng.random() < 0.3:
+            coeffs = _poly_times(coeffs, rng.choice(irreducible_pool))
+            seen["nonsplit"] += 1
+        seen["repeated"] += len(set(roots)) < len(roots)
+        seen["zero"] += Q(0) in roots
+        expected = _roots_or_residual(reference_poly_linear_roots, coeffs)
+        assert _roots_or_residual(linalg.poly_linear_roots, coeffs) == expected
+    assert all(seen.values()), seen
+
+
 # -- Hermitian inertia -------------------------------------------------------
 
 
