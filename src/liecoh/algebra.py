@@ -10,8 +10,8 @@ identical representations and conjugation is coordinatewise.
 from __future__ import annotations
 
 import re as _re
-from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .linalg import (
     ExactMatrix,
@@ -21,7 +21,7 @@ from .linalg import (
     vec_conj,
     vec_is_zero,
 )
-from .scalars import GaussianRational, InputError, ScalarParseError, ZERO, format_scalar, parse_scalar
+from .scalars import InputError, ScalarParseError, ZERO, format_scalar, parse_scalar
 
 
 class AlgebraError(InputError):
@@ -44,9 +44,10 @@ class LieAlgebra:
     """Real Lie algebra with rational structure constants on a named basis.
 
     Module operations accept coordinate vectors over Q(i); this is the
-    implicit complexification.  The Jacobi identity is not assumed at
-    construction: call validate() (builders that ship with the package
-    do so).
+    implicit complexification.  The constants are stored as real
+    GaussianRationals, so brackets multiply them without conversion.  The
+    Jacobi identity is not assumed at construction: call validate()
+    (builders that ship with the package do so).
     """
 
     def __init__(self, name: str, basis_names, brackets):
@@ -63,8 +64,10 @@ class LieAlgebra:
             for l, c in coeffs.items():
                 if not 0 <= l < n:
                     raise AlgebraError(f"bracket target index {l} out of range")
-                c = Fraction(c)
-                if c != 0:
+                c = as_scalar(c)
+                if not c.is_real():
+                    raise AlgebraError(f"structure constant {c} is not real")
+                if c:
                     entry[l] = c
             if entry:
                 table[(j, k)] = entry
@@ -81,12 +84,24 @@ class LieAlgebra:
             raise AlgebraError(f"unknown basis name {name!r}") from None
 
     def structure_coeffs(self, j: int, k: int):
-        """c_{jk}^l as a sparse dict; antisymmetric in (j, k)."""
+        """c_{jk}^l as a sparse dict of Fractions; antisymmetric in (j, k)."""
         if j == k:
             return {}
         if j < k:
-            return dict(self._table.get((j, k), {}))
-        return {l: -c for l, c in self._table.get((k, j), {}).items()}
+            return {l: c.re for l, c in self._table.get((j, k), {}).items()}
+        return {l: -c.re for l, c in self._table.get((k, j), {}).items()}
+
+    def _integer_table(self):
+        """(den, table): every structure constant times one common
+        denominator den, as ints, with table[(j, k)] for both orders of
+        each stored pair (antisymmetry written out)."""
+        den = lcm(1, *(c._t[2] for coeffs in self._table.values() for c in coeffs.values()))
+        table = {}
+        for (j, k), coeffs in self._table.items():
+            ints = {l: c._t[0] * (den // c._t[2]) for l, c in coeffs.items()}
+            table[(j, k)] = ints
+            table[(k, j)] = {l: -x for l, x in ints.items()}
+        return den, table
 
     def bracket_pairs(self):
         return sorted(self._table.keys())
@@ -129,13 +144,16 @@ class LieAlgebra:
     def validate(self):
         """None when the Jacobi identity holds for every basis triple, else
         the lexicographically first failing (j, k, l).  The X_p-coefficient
-        of [[X_a, X_b], X_c] is sum_m c_{ab}^m c_{mc}^p, read off the table.
+        of [[X_a, X_b], X_c] is sum_m c_{ab}^m c_{mc}^p, read off the table
+        on ints: over the common denominator den every sum is den^2 times
+        the exact one, so it is zero exactly when that one is.
         """
+        _, table = self._integer_table()
         for j, k, l in combinations(range(self.dim), 3):
             total = {}
             for a, b, c in ((j, k, l), (k, l, j), (l, j, k)):
-                for m, x in self.structure_coeffs(a, b).items():
-                    for p, y in self.structure_coeffs(m, c).items():
+                for m, x in table.get((a, b), {}).items():
+                    for p, y in table.get((m, c), {}).items():
                         total[p] = total.get(p, 0) + x * y
             if any(total.values()):
                 return (j, k, l)
@@ -166,7 +184,7 @@ class LieAlgebra:
                 {
                     "on": [self.basis_names[j], self.basis_names[k]],
                     "result": {
-                        self.basis_names[l]: format_scalar(GaussianRational(c))
+                        self.basis_names[l]: format_scalar(c)
                         for l, c in sorted(coeffs.items())
                     },
                 }
@@ -196,7 +214,7 @@ class LieAlgebra:
                         raise AlgebraError(
                             f"structure constant {ctext!r} is not real; algebras are real forms"
                         )
-                    coeffs[index[cname]] = z.re
+                    coeffs[index[cname]] = z
                 table[(j, k)] = coeffs
         except InputError:  # a bad name or scalar keeps its own message
             raise

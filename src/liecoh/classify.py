@@ -25,7 +25,6 @@ invariance makes evaluation at the identity sufficient.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -41,7 +40,7 @@ from .linalg import (
     vec_dot,
     vec_is_zero,
 )
-from .scalars import GaussianRational, format_scalar
+from .scalars import _gauss, format_scalar
 
 VERDICT_ELLIPTIC = "elliptic_hence_hypocomplex"
 VERDICT_BCT = "hypocomplex_by_bct"
@@ -109,8 +108,10 @@ def _real_rank_kernel(g: LieAlgebra, h: Subalgebra):
     rows v of h (see the module docstring)."""
     if h.parent != g:
         raise AlgebraError("subalgebra does not belong to the given algebra")
-    vs = h.vectors()
-    rows = [[x.re for x in v] for v in vs] + [[x.im for x in v] for v in vs]
+    ts = [[x._t for x in v] for v in h.vectors()]
+    rows = [[_gauss(a, 0, d) for a, _, d in t] for t in ts] + [
+        [_gauss(b, 0, d) for _, b, d in t] for t in ts
+    ]
     return rank_kernel(ExactMatrix(len(rows), g.dim, rows))
 
 
@@ -167,7 +168,7 @@ def levi_form(g: LieAlgebra, h: Subalgebra, xi, basis=None) -> LeviForm:
         span_check = Subalgebra.span(g, rows)
         if len(rows) != h.dim or span_check != h:
             raise AlgebraError("explicit basis does not span the subalgebra")
-    half_i_inv = GaussianRational(0, Fraction(-1, 2))  # 1/(2i)
+    half_i_inv = _gauss(0, -1, 2)  # 1/(2i)
     entries = []
     for za in rows:
         row = []

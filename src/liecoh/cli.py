@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .scalars import InputError
 
@@ -384,6 +383,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_torus_solve(args) -> int:
+    from fractions import Fraction
+
     from .scalars import format_scalar
     from .torus import FourierData, MuSpec, liouville_report, singular_lattice, solve_dprime
 

@@ -138,10 +138,7 @@ def basised(acting) -> BasisedAlgebra:
             [acting.basis_vector(k) for k in range(acting.dim)],
             acting.basis_names,
             ExactMatrix.identity(acting.dim),
-            {
-                (j, k): {l: as_scalar(c) for l, c in acting.structure_coeffs(j, k).items()}
-                for j, k in acting.bracket_pairs()
-            },
+            {pair: dict(acting._table[pair]) for pair in acting.bracket_pairs()},
         )
     if isinstance(acting, Subalgebra):
         return BasisedAlgebra(acting.parent, acting.vectors())
@@ -241,15 +238,11 @@ def _integer_structure(ba: BasisedAlgebra, actions):
     (re, im), both den times the exact values."""
     scaled = [ScaledIntMatrix.from_exact(a) for a in actions]
     den = lcm(1, *(a.den for a in scaled), *(
-        d for coeffs in ba._table.values() for c in coeffs.values()
-        for d in (c.re.denominator, c.im.denominator)
+        c._t[2] for coeffs in ba._table.values() for c in coeffs.values()
     ))
     brackets = {
-        pair: [
-            (l, (c.re.numerator * (den // c.re.denominator),
-                 c.im.numerator * (den // c.im.denominator)))
-            for l, c in coeffs.items()
-        ]
+        pair: [(l, (c._t[0] * (den // c._t[2]), c._t[1] * (den // c._t[2])))
+               for l, c in coeffs.items()]
         for pair, coeffs in ba._table.items()
     }
     acts = []

@@ -22,6 +22,7 @@ from .cohomology import (
     ce_cohomology,
 )
 from .linalg import ExactMatrix, rank_kernel, vec_conj, vec_dot
+from .scalars import _gauss
 
 
 class NotEllipticError(AlgebraError):
@@ -112,12 +113,14 @@ def killing_form(g: LieAlgebra) -> ExactMatrix:
 
     Summed from the structure constants: with [X_i, X_a] = sum_b
     c_{ia}^b X_b, B_ij = sum over a, b of c_{ia}^b c_{jb}^a.  It is
-    symmetric in i and j, so only j >= i is summed.
+    symmetric in i and j, so only j >= i is summed, on the constants
+    times their common denominator den; each sum is then divided by den^2.
     """
     n = g.dim
-    # ad[i][(a, b)] = c_{ia}^b, the (b, a) entry of ad_{X_i}
+    den, table = g._integer_table()
+    # ad[i][(a, b)] = den c_{ia}^b, den times the (b, a) entry of ad_{X_i}
     ad = [
-        {(a, b): c for a in range(n) for b, c in g.structure_coeffs(i, a).items()}
+        {(a, b): c for a in range(n) for b, c in table.get((i, a), {}).items()}
         for i in range(n)
     ]
     data = [[0] * n for _ in range(n)]
@@ -128,7 +131,7 @@ def killing_form(g: LieAlgebra) -> ExactMatrix:
                 other = ad[j].get((b, a))
                 if other is not None:
                     acc += c * other
-            data[i][j] = data[j][i] = acc
+            data[i][j] = data[j][i] = _gauss(acc, 0, den * den)
     return ExactMatrix(n, n, data)
 
 

@@ -45,10 +45,9 @@ Hermitian matrix is real and has only real roots.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
-from .scalars import GaussianRational, InputError, ONE, ZERO
+from .scalars import GaussianRational, InputError, ONE, ZERO, _gauss
 
 Vector = list  # list[GaussianRational]
 
@@ -251,18 +250,13 @@ class ScaledIntMatrix:
 
     @classmethod
     def from_exact(cls, M: ExactMatrix) -> "ScaledIntMatrix":
-        den = 1
-        for row in M._data:
-            for x in row:
-                den = lcm(den, x.re.denominator, x.im.denominator)
+        # d of each triple is the lcm of its part denominators, so the lcm
+        # of the d's is the least common denominator of the matrix
+        triples = [[x._t for x in row] for row in M._data]
+        den = lcm(1, *(t[2] for row in triples for t in row))
         data = [
-            {
-                j: (x.re.numerator * (den // x.re.denominator),
-                    x.im.numerator * (den // x.im.denominator))
-                for j, x in enumerate(row)
-                if x.re or x.im
-            }
-            for row in M._data
+            {j: (a * (den // d), b * (den // d)) for j, (a, b, d) in enumerate(row) if a or b}
+            for row in triples
         ]
         return cls(M.rows, M.cols, den, data)
 
@@ -271,7 +265,7 @@ class ScaledIntMatrix:
         out = [[ZERO] * self.cols for _ in range(self.rows)]
         for row, entries in zip(out, self.data):
             for j, (re, im) in entries.items():
-                row[j] = GaussianRational(Fraction(re, den), Fraction(im, den))
+                row[j] = _gauss(re, im, den)
         return ExactMatrix(self.rows, self.cols, out)
 
     def echelon_rows(self):
@@ -326,21 +320,10 @@ def _integer_rows(rows):
     scaled by the lcm of its denominators; zero entries are None."""
     out = []
     for row in rows:
-        parts = []
-        mult = 1
-        for x in row:
-            re, im = x.re, x.im
-            re_num, im_num = re.numerator, im.numerator
-            if re_num or im_num:
-                re_den, im_den = re.denominator, im.denominator
-                if re_den != 1 or im_den != 1:
-                    mult = lcm(mult, re_den, im_den)
-                parts.append((re_num, re_den, im_num, im_den))
-            else:
-                parts.append(None)
+        triples = [x._t for x in row]
+        mult = lcm(1, *(d for _, _, d in triples))
         out.append([
-            None if t is None else (t[0] * (mult // t[1]), t[2] * (mult // t[3]))
-            for t in parts
+            (a * (mult // d), b * (mult // d)) if a or b else None for a, b, d in triples
         ])
     return out
 
@@ -461,11 +444,7 @@ def _pivot_solution(echelon, piv_cols, column):
                 acc_im -= er * wi + ei * wr
         w[r] = _exact_quotient((acc_re, acc_im), row[piv_cols[r]])
     n = dr * dr + di * di
-    return [
-        GaussianRational(Fraction(zr * dr + zi * di, n), Fraction(zi * dr - zr * di, n))
-        if zr or zi else ZERO
-        for zr, zi in w
-    ]
+    return [_gauss(zr * dr + zi * di, zi * dr - zr * di, n) if zr or zi else ZERO for zr, zi in w]
 
 
 def _reduced_echelon(rows, cols):
@@ -624,10 +603,15 @@ def _integer_divisors(n: int):
 
 
 def _gaussian_divisors(z: GaussianRational):
-    """All Gaussian integers dividing z (including unit multiples)."""
-    if not z.is_gaussian_integer():
+    """All Gaussian integers dividing z (including unit multiples).
+
+    A candidate d = x + yi divides z = a + bi exactly when z conj(d) =
+    (ax + by) + (bx - ay)i is divisible by the integer N(d) = x^2 + y^2,
+    so each is tested on ints."""
+    a, b, den = z._t
+    if den != 1:
         raise ValueError("divisor enumeration needs a Gaussian integer")
-    nz = int(z.norm())
+    nz = a * a + b * b
     if nz == 0:
         raise ValueError("divisors of zero are unbounded")
     if nz > _DIVISOR_NORM_LIMIT:
@@ -642,22 +626,17 @@ def _gaussian_divisors(z: GaussianRational):
             y = isqrt(y2)
             if y * y != y2:
                 continue
-            for cand in {(x, y), (x, -y), (-x, y), (-x, -y)}:
-                d = GaussianRational(cand[0], cand[1])
-                if d.is_zero() or cand in found:
-                    continue
-                q = z / d
-                if q.is_gaussian_integer():
-                    found.add(cand)
-    return [GaussianRational(a, b) for a, b in sorted(found)]
+            # m >= 1, so no candidate is zero
+            for cx, cy in {(x, y), (x, -y), (-x, y), (-x, -y)}:
+                if (a * cx + b * cy) % m == 0 and (b * cx - a * cy) % m == 0:
+                    found.add((cx, cy))
+    return [GaussianRational(x, y) for x, y in sorted(found)]
 
 
 def _scale_to_gaussian_integers(coeffs):
-    mult = 1
-    for c in coeffs:
-        for d in (c.re.denominator, c.im.denominator):
-            mult = mult * d // gcd(mult, d)
-    return [c * mult for c in coeffs]
+    triples = [c._t for c in coeffs]
+    mult = lcm(1, *(d for _, _, d in triples))
+    return [GaussianRational(a * (mult // d), b * (mult // d)) for a, b, d in triples]
 
 
 def poly_linear_roots(coeffs):
@@ -689,7 +668,7 @@ def poly_linear_roots(coeffs):
         # run over all associates: one associate of each s will do.  A value
         # met again is no root by then, as all of its multiplicity is gone.
         candidates = (
-            r / s for s in _gaussian_divisors(scaled[-1]) if s.re > 0 and s.im >= 0
+            r / s for s in _gaussian_divisors(scaled[-1]) if s._t[0] > 0 and s._t[1] >= 0
             for r in numerators
         )
         for cand in candidates:
@@ -771,10 +750,11 @@ def hermitian_inertia(H: ExactMatrix) -> Inertia:
     """
     if not H.is_hermitian():
         raise NonHermitianError("matrix is not exactly Hermitian")
-    coeffs = char_poly(H)
-    if any(c.im for c in coeffs):
+    # the sign of a rational part is that of its numerator, as d > 0
+    coeffs = [c._t for c in char_poly(H)]
+    if any(b for _, b, _ in coeffs):
         raise AssertionError("characteristic polynomial of a Hermitian matrix is not real")
-    n_zero = next(k for k, c in enumerate(coeffs) if c.re)
-    signs = [c.re > 0 for c in coeffs[n_zero:] if c.re]
+    n_zero = next(k for k, (a, _, _) in enumerate(coeffs) if a)
+    signs = [a > 0 for a, _, _ in coeffs[n_zero:] if a]
     n_pos = sum(a != b for a, b in zip(signs, signs[1:]))
     return Inertia(n_pos, H.rows - n_zero - n_pos, n_zero)

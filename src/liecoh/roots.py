@@ -143,7 +143,7 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
         raise NonSemisimpleActionError(len(tv) - 1)
     for alpha in roots:
         for x in alpha:
-            if not x.re == 0:
+            if x._t[0] != 0:  # a nonzero real part
                 raise GradingError(
                     f"root component {format_scalar(x)} is not purely imaginary; "
                     "the decomposition expects a compact real form"
@@ -244,10 +244,11 @@ def positive_system(rd: RootDatum, override=None) -> PositiveSystem:
 
 
 def _lex_positive(alpha) -> bool:
+    # the sign of x.im is that of b in the triple (a, b, d), as d > 0
     for x in alpha:
-        if x.im > 0:
+        if x._t[1] > 0:
             return True
-        if x.im < 0:
+        if x._t[1] < 0:
             return False
     return False
 

@@ -1,8 +1,15 @@
 """Exact scalars over Q(i).
 
-Every coefficient in this package is a Gaussian rational a + bi with
-rational a, b kept in lowest terms.  The text format used in all JSON
-interchange is::
+Every coefficient in this package is a Gaussian rational (a + bi)/d,
+held as one triple of ints with d > 0 and gcd(a, b, d) == 1.  That form
+is canonical, so equal values have equal triples, and d is the least
+common denominator of the real part a/d and the imaginary part b/d.
+Each operation does its arithmetic on the ints and one gcd, none when
+d == 1.  `fractions` is imported only where a Fraction goes out or comes
+in: the views `re`, `im`, `norm` and `sort_key` (and `repr`, which shows
+them), and a constructor or operand that is not an int.  So no command
+but `roots` and `torus-solve` loads it.  The text format used in all
+JSON interchange is::
 
     <gauss> ::= <rat> | [<rat>] <sign> [<rat>] "i" | [<rat>] "i"
     <rat>   ::= ["-"] int ["/" posint]
@@ -15,7 +22,7 @@ zero written ``0``), and ``parse(format(x)) == x`` exactly.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from math import gcd
 
 
 class InputError(ValueError):
@@ -32,11 +39,20 @@ class ScalarParseError(InputError):
         self.offset = offset
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _fraction(n: int, d: int):
+    from fractions import Fraction
+
+    return Fraction(n, d)
+
+
+def _ratio(x):
+    """(numerator, denominator) of an int or a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
+    from fractions import Fraction
+
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
@@ -45,128 +61,147 @@ class GaussianRational:
 
     Instances are immutable and hashable; arithmetic accepts plain ints
     and Fractions on either side.  Division by zero raises
-    ZeroDivisionError.
+    ZeroDivisionError.  The value is the slot `_t`, the canonical triple
+    (a, b, d) of the module docstring, which the package's own code reads
+    directly.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if type(re) is int and type(im) is int:
+            _set(self, (re, im, 1))
+            return
+        rn, rd = _ratio(re)
+        imn, imd = _ratio(im)
+        # both parts in lowest terms: over their lcm the triple is canonical
+        d = rd * imd // gcd(rd, imd)
+        _set(self, (rn * (d // rd), imn * (d // imd), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    # -- canonical integer views (denominators always positive, lowest terms)
+    # -- rational views: re, im and norm are Fractions, re_num and the like ints
 
-    @property
-    def re_num(self) -> int:
-        return self.re.numerator
-
-    @property
-    def re_den(self) -> int:
-        return self.re.denominator
-
-    @property
-    def im_num(self) -> int:
-        return self.im.numerator
-
-    @property
-    def im_den(self) -> int:
-        return self.im.denominator
+    re = property(lambda self: _fraction(self._t[0], self._t[2]))
+    im = property(lambda self: _fraction(self._t[1], self._t[2]))
+    re_num = property(lambda self: self._t[0] // gcd(self._t[0], self._t[2]))
+    re_den = property(lambda self: self._t[2] // gcd(self._t[0], self._t[2]))
+    im_num = property(lambda self: self._t[1] // gcd(self._t[1], self._t[2]))
+    im_den = property(lambda self: self._t[2] // gcd(self._t[1], self._t[2]))
 
     # -- predicates
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._t == _ZERO_T
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._t[1] == 0
 
     def is_gaussian_integer(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
+        return self._t[2] == 1
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self._t != _ZERO_T
 
-    # -- arithmetic
+    # -- arithmetic: each result takes one gcd, none over d == 1
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
+    def _plus(self, other):
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._t
+        oa, ob, od = other._t
+        if d == od:
+            a += oa
+            b += ob
+            if d == 1:
+                return _make((a, b, 1))
+        else:
+            a = a * od + oa * d
+            b = b * od + ob * d
+            d *= od
+        g = gcd(a, b, d)
+        return _make((a // g, b // g, d // g))
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
+    # `_plus` is the unpatched name that __sub__ and __rsub__ call, so a
+    # wrapper installed on __add__ counts each subtraction once
+    __add__ = __radd__ = _plus
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        oa, ob, od = other._t
+        return self._plus(_make((-oa, -ob, od)))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return (-self)._plus(o)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._t
+        oa, ob, od = other._t
+        a, b = a * oa - b * ob, a * ob + b * oa
+        if d == 1 and od == 1:
+            return _make((a, b, 1))
+        d *= od
+        g = gcd(a, b, d)
+        return _make((a // g, b // g, d // g))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.norm()
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._t
+        oa, ob, od = other._t
+        # (a + bi)/d / ((oa + ob i)/od) = (a + bi)(oa - ob i) od / (d (oa^2 + ob^2))
+        n = oa * oa + ob * ob
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        return _gauss((a * oa + b * ob) * od, (b * oa - a * ob) * od, d * n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return o.__truediv__(self)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self._t
+        return _make((-a, -b, d))
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self._t
+        return _make((a, -b, d))
 
-    def norm(self) -> Fraction:
-        """The field norm a^2 + b^2 (a nonnegative rational)."""
-        return self.re * self.re + self.im * self.im
+    def norm(self):
+        """The field norm a^2 + b^2 (a nonnegative rational Fraction)."""
+        a, b, d = self._t
+        return _fraction(a * a + b * b, d * d)
 
     # -- comparison / hashing
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._t == other._t
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self._t)
 
     def sort_key(self):
         """Deterministic total order (real part, then imaginary part)."""
@@ -181,38 +216,72 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+_new = object.__new__
+_set = GaussianRational._t.__set__
+_ZERO_T = (0, 0, 1)
+
+
+def _make(t):
+    """The GaussianRational of a triple that is already canonical."""
+    z = _new(GaussianRational)
+    _set(z, t)
+    return z
+
+
+def _gauss(a: int, b: int, d: int) -> GaussianRational:
+    """(a + bi)/d for ints with d > 0, reduced to the canonical triple."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _make((a, b, d))
+
+
+def _coerce(x):
+    """The GaussianRational of an int or Fraction operand, else None."""
+    try:
+        n, d = _ratio(x)
+    except TypeError:
+        return None
+    return _make((n, 0, d))
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def _format_rat(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def _format_rat(n: int, d: int) -> str:
+    g = gcd(n, d)
+    if g == d:
+        return str(n // g)
+    return f"{n // g}/{d // g}"
 
 
 def format_scalar(z: GaussianRational) -> str:
     """Canonical text for a Gaussian rational (inverse of parse_scalar)."""
-    re, im = z.re, z.im
-    if im == 0:
-        return _format_rat(re)
-    if im == 1:
+    a, b, d = z._t
+    if b == 0:
+        return _format_rat(a, d)
+    if b == d:
         im_part = "i"
-    elif im == -1:
+    elif b == -d:
         im_part = "-i"
-    elif im > 0:
-        im_part = f"{_format_rat(im)}i"
+    elif b > 0:
+        im_part = f"{_format_rat(b, d)}i"
     else:
-        im_part = f"-{_format_rat(-im)}i"
-    if re == 0:
+        im_part = f"-{_format_rat(-b, d)}i"
+    if a == 0:
         return im_part
-    sign = "+" if im > 0 else ""
-    return f"{_format_rat(re)}{sign}{im_part}"
+    sign = "+" if b > 0 else ""
+    return f"{_format_rat(a, d)}{sign}{im_part}"
 
 
 def _scan_rat(text: str, pos: int):
-    """Scan ["-"] int ["/" posint] at pos; return (Fraction, new_pos) or None."""
+    """Scan ["-"] int ["/" posint] at pos; return ((num, den), new_pos) with
+    den > 0 (not reduced), or None."""
     i = pos
     n = len(text)
     if i < n and text[i] == "-":
@@ -233,8 +302,14 @@ def _scan_rat(text: str, pos: int):
         den = int(text[dstart:i])
         if den == 0:
             raise ScalarParseError("zero denominator", dstart)
-        return Fraction(num, den), i
-    return Fraction(num), i
+        return (num, den), i
+    return (num, 1), i
+
+
+def _from_parts(re, im) -> GaussianRational:
+    """The Gaussian rational of two (num, den) pairs with den > 0."""
+    (rn, rd), (imn, imd) = re, im
+    return _gauss(rn * imd, imn * rd, rd * imd)
 
 
 def json_int(value, name: str, minimum: int | None = None) -> int:
@@ -255,48 +330,36 @@ def parse_scalar(text: str) -> GaussianRational:
     n = len(text)
     if n == 0:
         raise ScalarParseError("empty scalar", 0)
-    pos = 0
-    first = _scan_rat(text, pos)
-    if first is not None:
+    first = _scan_rat(text, 0)
+    if first is None:
+        # no leading rational: allow [sign] [rat] "i"
+        value, pos = (0, 1), 0
+        missing_i = "expected a rational or 'i'"
+    else:
         value, pos = first
         if pos == n:
-            return GaussianRational(value)
-        c = text[pos]
-        if c == "i":
+            return _from_parts(value, (0, 1))
+        if text[pos] == "i":
             # pure imaginary written without a sign, e.g. "3i" or "-1/2i"
             if pos + 1 != n:
                 raise ScalarParseError("trailing characters after 'i'", pos + 1)
-            return GaussianRational(0, value)
-        if c in "+-":
-            sign = 1 if c == "+" else -1
-            pos += 1
-            mag = _scan_rat(text, pos)
-            if mag is None:
-                magnitude = Fraction(1)
-            else:
-                magnitude, pos = mag
-                if magnitude < 0:
-                    raise ScalarParseError("sign must precede the magnitude", pos)
-            if pos >= n or text[pos] != "i":
-                raise ScalarParseError("expected 'i'", pos)
-            if pos + 1 != n:
-                raise ScalarParseError("trailing characters after 'i'", pos + 1)
-            return GaussianRational(value, sign * magnitude)
-        raise ScalarParseError("unexpected character", pos)
-    # no leading rational: allow [sign] [rat] "i"
+            return _from_parts((0, 1), value)
+        if text[pos] not in "+-":
+            raise ScalarParseError("unexpected character", pos)
+        missing_i = "expected 'i'"
     sign = 1
     if text[pos] in "+-":
         sign = 1 if text[pos] == "+" else -1
         pos += 1
     mag = _scan_rat(text, pos)
     if mag is None:
-        magnitude = Fraction(1)
+        magnitude = (1, 1)
     else:
         magnitude, pos = mag
-        if magnitude < 0:
+        if magnitude[0] < 0:
             raise ScalarParseError("sign must precede the magnitude", pos)
     if pos >= n or text[pos] != "i":
-        raise ScalarParseError("expected a rational or 'i'", pos)
+        raise ScalarParseError(missing_i, pos)
     if pos + 1 != n:
         raise ScalarParseError("trailing characters after 'i'", pos + 1)
-    return GaussianRational(0, sign * magnitude)
+    return _from_parts(value, (sign * magnitude[0], magnitude[1]))

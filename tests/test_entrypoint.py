@@ -91,18 +91,46 @@ def test_entry_point_input_errors_exit_2(tmp_path, capsys):
         assert imported == modules
 
 
+def python_s_args(argv, tmp_path):
+    """Arguments for `python -S` that run the command argv with --json, or,
+    for None, start as a library user: import and load an algebra."""
+    if argv is None:
+        path = tmp_path / "su3.json"
+        path.write_text(json.dumps(liecoh.su3().to_json_dict()))
+        return ["-c", "import json, sys\nfrom liecoh import LieAlgebra\n"
+                      "LieAlgebra.from_json_dict(json.load(open(sys.argv[1])))", str(path)]
+    return ["-m", "liecoh.cli", *argv, "--json"]
+
+
 @pytest.mark.parametrize("argv", [c[0] for c in COMMANDS] + [None],
                          ids=[c[0][0] for c in COMMANDS] + ["load-algebra"])
 def test_no_slow_standard_module_is_imported(argv, tmp_path):
     # -S: no site, so nothing is imported that the interpreter's site
     # configuration happens to preload
-    if argv is None:  # the start of a library user: import and load an algebra
-        path = tmp_path / "su3.json"
-        path.write_text(json.dumps(liecoh.su3().to_json_dict()))
-        args = ["-c", "import json, sys\nfrom liecoh import LieAlgebra\n"
-                      "LieAlgebra.from_json_dict(json.load(open(sys.argv[1])))", str(path)]
-    else:
-        args = ["-m", "liecoh.cli", *argv, "--json"]
-    code, _, err, imported = run_python(args, "-S")
+    code, _, err, imported = run_python(python_s_args(argv, tmp_path), "-S")
     assert code == EX_OK, err
     assert not imported & SLOW_IMPORTS
+
+
+# fractions pulls in decimal and numbers.  Scalars are int triples, and
+# only roots (eigenvalue order) and torus-solve (the slope mu) use Fractions.
+FRACTION_MODULES = {"fractions", "decimal", "numbers"}
+SCALED = str(Path(__file__).with_name("fixtures") / "su2-scaled.json")
+FRACTION_FREE = [
+    ["validate", "builtin:su3"],
+    ["classify", "--algebra", "builtin:su3", "--subalgebra", "span{X1-iY1, X2-iY2, X3-iY3}"],
+    ["cohomology", "--algebra", "builtin:su2", "--module", "adjoint", "--representatives"],
+    ["cohomology", "--algebra", SCALED, "--subalgebra", "span{2X-iY}", "--representatives"],
+    ["decompose", "--algebra", "builtin:su2", "--subalgebra", SU2_ELLIPTIC],
+    None,
+]
+
+
+@pytest.mark.parametrize("argv", FRACTION_FREE, ids=[
+    "validate", "classify-levi", "cohomology-adjoint", "cohomology-fractional-constants",
+    "decompose", "load-algebra",
+])
+def test_fractions_is_not_imported(argv, tmp_path):
+    code, _, err, imported = run_python(python_s_args(argv, tmp_path), "-S")
+    assert code == EX_OK, err
+    assert not imported & FRACTION_MODULES

@@ -1,7 +1,9 @@
 """Golden CLI corpus: the full stdout, stderr and exit code of builtin-only
 commands, compared byte for byte.
 
-`golden_cli.json` holds one entry per command.  A refactor that must not
+`golden_cli.json` holds one entry per command.  Commands that read a file
+name it relative to this directory (the small inputs in `fixtures/`), and
+run from here.  A refactor that must not
 change any output passes this file unchanged.  To record the corpus
 again after an intended output change (and say which in CHANGES.md):
 
@@ -11,6 +13,7 @@ again after an intended output change (and say which in CHANGES.md):
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +27,8 @@ CR = "span{X1-iY1, X2-iY2, X3-iY3}"
 H5 = "span{X1-iY1, X2-iY2, X3-iY3, T1, T2}"
 COMPLEX = "span{T1+iT2, X1-iY1, X2-iY2, X3+iY3}"
 LEVI = "span{X1-iY1, X2-iY2, X3-iY3, 2T1+3T2}"
+# su2 in the basis (T/3, X/2, Y): structure constants 1/3, -4/3 and 3
+SCALED = "fixtures/su2-scaled.json"
 
 COMMANDS = {
     "bigraded-su3-cr-reps": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", CR,
@@ -64,6 +69,13 @@ COMMANDS = {
     "roots-su3-complex": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1, T2}",
                           "--standard", "0", "2", "--json"],
     "roots-su3-line": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1+3T2}", "--json"],
+    "plain-su2-scaled-reps": ["cohomology", "--algebra", SCALED, "--representatives", "--json"],
+    "bigraded-su2-scaled-reps": ["cohomology", "--algebra", SCALED, "--subalgebra",
+                                 "span{2X-iY}", "--representatives", "--json"],
+    "classify-su2-scaled": ["classify", "--algebra", SCALED, "--subalgebra", "span{2X-iY}",
+                            "--json"],
+    "torus-solve-mu-rhs": ["torus-solve", "--mu", "2/3", "--rhs",
+                           "fixtures/fourier-fractional.json", "--json"],
     "torus-solve-cf": ["torus-solve", "--cf", ",".join(["1"] * 12), "--depth", "8", "--json"],
     "validate-su3": ["validate", "builtin:su3"],
     "relative-not-closed": ["cohomology", "--algebra", "builtin:su3", "--relative",
@@ -73,8 +85,13 @@ COMMANDS = {
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+    cwd = os.getcwd()
+    os.chdir(CORPUS.parent)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from liecoh.linalg import (
     split_eigen,
     vec_is_zero,
 )
-from liecoh.scalars import GaussianRational as Q
+from liecoh.scalars import GaussianRational as Q, InputError
 
 from conftest import gauss_integers, random_invertible, rect_matrices, square_matrices
 
@@ -460,6 +461,49 @@ def test_poly_linear_roots_matches_per_deflation_oracle_seeded():
         expected = _roots_or_residual(reference_poly_linear_roots, coeffs)
         assert _roots_or_residual(linalg.poly_linear_roots, coeffs) == expected
     assert all(seen.values()), seen
+
+
+def reference_gaussian_divisors(z):
+    """The divisor search that tries each candidate d by the Gaussian
+    rational division z / d."""
+    if not z.is_gaussian_integer():
+        raise ValueError("divisor enumeration needs a Gaussian integer")
+    found = set()
+    for m in linalg._integer_divisors(int(z.norm())):
+        for x in range(isqrt(m) + 1):
+            y2 = m - x * x
+            y = isqrt(y2)
+            if y * y != y2:
+                continue
+            for cand in {(x, y), (x, -y), (-x, y), (-x, -y)}:
+                d = Q(*cand)
+                if d.is_zero() or cand in found:
+                    continue
+                if (z / d).is_gaussian_integer():
+                    found.add(cand)
+    return [Q(a, b) for a, b in sorted(found)]
+
+
+def test_gaussian_divisors_match_division_oracle_seeded():
+    rng = random.Random(17)
+    # 25600 is the constant term met on roots --torus "span{T1+3T2}" of su3
+    values = [Q(25600), Q(1), Q(0, -1), Q(-7), Q(3, 4), Q(0, 12), Q(-5, 5), Q(2, 1) * Q(2, -1)]
+    while len(values) < 48:
+        z = Q(rng.randint(-80, 80), rng.randint(-80, 80))
+        if z:
+            values.append(z)
+    for z in values:
+        assert linalg._gaussian_divisors(z) == reference_gaussian_divisors(z), z
+    with pytest.raises(ValueError):
+        linalg._gaussian_divisors(Q(Fraction(1, 2)))
+    with pytest.raises(ValueError):
+        linalg._gaussian_divisors(Q(0))
+    with pytest.raises(InputError) as err:
+        linalg._gaussian_divisors(Q(10**6, 1))
+    assert str(err.value) == (
+        "root search stopped at the divisor-norm limit 1000000000000: a coefficient "
+        "has norm 1000000000001, so splitting over Q(i) is undecided"
+    )
 
 
 # -- Hermitian inertia -------------------------------------------------------
