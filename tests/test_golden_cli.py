@@ -1,11 +1,12 @@
-"""Golden CLI corpus: the full stdout, stderr and exit code of builtin-only
-commands, compared byte for byte.
+"""Golden CLI corpus: the full stdout, stderr and exit code of commands on
+builtin algebras and on the small inputs in `fixtures/`, compared byte for
+byte.
 
-`golden_cli.json` holds one entry per command.  Commands that read a file
-name it relative to this directory (the small inputs in `fixtures/`), and
-run from here.  A refactor that must not
-change any output passes this file unchanged.  To record the corpus
-again after an intended output change (and say which in CHANGES.md):
+`golden_cli.json` holds one entry per command.  Every command runs from
+this directory, so fixture paths in the corpus are relative to it.  A
+refactor that must not change any output passes this file unchanged.  To
+record the corpus again after an intended output change (and say which in
+CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 """
