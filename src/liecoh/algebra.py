@@ -304,7 +304,7 @@ class Subalgebra:
             ]
         )
         _, kernel = rank_kernel(combined)
-        coeffs = ExactMatrix(len(kernel), len(a), [kv[: len(a)] for kv in kernel])
+        coeffs = ExactMatrix._of(len(kernel), len(a), [kv[: len(a)] for kv in kernel])
         return Subalgebra.span(self.parent, coeffs.matmul(self.basis).row_list())
 
     def conj(self) -> "Subalgebra":

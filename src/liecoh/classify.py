@@ -112,7 +112,7 @@ def _real_rank_kernel(g: LieAlgebra, h: Subalgebra):
     rows = [[_gauss(a, 0, d) for a, _, d in t] for t in ts] + [
         [_gauss(b, 0, d) for _, b, d in t] for t in ts
     ]
-    return rank_kernel(ExactMatrix(len(rows), g.dim, rows))
+    return rank_kernel(ExactMatrix._of(len(rows), g.dim, rows))
 
 
 def classify_structure(g: LieAlgebra, h: Subalgebra) -> ClassificationReport:
@@ -246,10 +246,10 @@ def bct_check(g: LieAlgebra, h: Subalgebra) -> BctReport:
     # grid with the rows [xi_j | L(xi_j) flattened] gives both at each sample
     table = [xi + [x for row in lf.matrix.row_list() for x in row] for xi, lf in zip(char, forms)]
     grid = _primitive_grid(d, GRID_RADIUS)
-    combined = ExactMatrix(len(grid), d, grid).matmul(ExactMatrix(d, n + k * k, table))
+    combined = ExactMatrix(len(grid), d, grid).matmul(ExactMatrix._of(d, n + k * k, table))
     samples = []
     for coeffs, row in zip(grid, combined.row_list()):
-        levi = ExactMatrix(k, k, [row[n + a * k:n + (a + 1) * k] for a in range(k)])
+        levi = ExactMatrix._of(k, k, [row[n + a * k:n + (a + 1) * k] for a in range(k)])
         samples.append(BctSample(coeffs, tuple(row[:n]), hermitian_inertia(levi)))
     if d == 0:
         verdict = VERDICT_ELLIPTIC

@@ -13,10 +13,12 @@ the complex of h with module coefficients: row p is
 C^q(h; Lambda^p(g/h)^*), written in the basis zeta_I wedge tau_J.
 
 One builder, `_differential_matrix`, writes every differential as a
-block of d of one algebra: the rows and columns are lists of index
-subsets, and a term that lands on a subset outside the columns is
-dropped.  The plain and module differentials and `GModule.validate` take
-all subsets.  The rows go straight into sparse rows of (re, im)
+block of d of one algebra: the rows and columns are lists of cells
+(S, a), the cochain e^S tensor m_a on an index subset S and a module
+index a, and a term that lands on a cell outside the columns is dropped.
+`ce_complex` and `GModule.validate` take all cells; the bigraded rows and
+the Lie derivatives theta take cells (S, 0) and (S, a) on the subsets
+they need.  The rows go straight into sparse rows of (re, im)
 Python-int pairs over one positive denominator per matrix: the lcm of the
 denominators of the bracket table and of the action matrices
 (`ScaledIntMatrix`).  The scale is per matrix, not per row, so the
@@ -25,13 +27,37 @@ which is zero exactly when d o d is; `_check_square_zero` tests that
 product once per complex, for the plain, relative and bigraded
 complexes alike.
 
+Dims of the plain and module complexes come from a smaller complex, the
+cells of weight zero under one element X (`weight_zero.weight_complex`,
+a module of its own that only this route loads).  The Lie
+derivative theta(X) satisfies Cartan's formula theta(X) = d i(X) +
+i(X) d (Koszul, Bull. SMF 78, 1950; Hochschild-Serre, Ann. Math. 57,
+1953), and it commutes with d and with i(X) (as [theta(X), i(Y)] =
+i([X, Y])).  When ad X and the action rho(X) are diagonalizable, the
+cochains split into the eigenspaces of theta(X), and d and i(X) preserve
+each.  On the eigenspace of a weight w != 0 the identity is d h + h d
+for h = i(X)/w, so that block is acyclic, and H^*(g; M) is the
+cohomology of the weight-zero block alone.  On the eigenbases f_s of ad X
+(weight lam_s) and m_a of rho(X) (weight mu_a), the cell e^S tensor m_a
+has weight mu_a - sum of lam_s over S, so the block is spanned by cells.
+X is the first basis element with a nonzero ad, and the route applies
+when ad X and, for a nontrivial module, rho(X) split over Q(i) with full
+eigenbases (`split_eigen`).  That holds on every basis element of su2 and
+su3: su3 keeps 508 of the 11440 entries of d for a regular X.  Where it
+does not hold (an abelian, nilpotent or non-split algebra, or a root
+search past its limit) `ce_cohomology` falls back to the full complex.
+Representatives always take the full complex, as their labels are in the
+acting basis.  Every bracket and action coefficient in the eigenbases is
+checked to respect the weights (an AssertionError otherwise, exit 70),
+and the small complex is checked for d o d = 0 like any other.
+
 Every complex is a `CochainComplex`: the plain and module complexes
-(`ce_complex`), the relative complex of a pair and each bigraded row
-(`BigradedComplex`, which adds only its row index p and the message of
-its d' o d' check).  Every cohomology is its `cohomology` method, one
-reduction (`_chain_dims`) over its degrees: dims come from the pivot
-counts of the elimination kernel, and representatives from reduced
-echelon forms.  GaussianRational appears only at the boundary:
+(`ce_complex` and the weight-zero one), the relative complex of a pair
+and each bigraded row (`BigradedComplex`, which adds only its row index
+p and the message of its d' o d' check).  Every cohomology is its
+`cohomology` method, one reduction (`_chain_dims`) over its degrees:
+dims come from the pivot counts of the elimination kernel, and
+representatives from reduced echelon forms.  GaussianRational appears only at the boundary:
 `ce_differential` and `CochainComplex.differentials` convert to
 ExactMatrix, and kernel vectors are formed only for representatives and
 for the invariant bases of the relative complex.
@@ -204,14 +230,14 @@ class GModule:
         """
         n = self._basis.dim
         structure = _integer_structure(self._basis, self.actions)
-        pairs, singles = _subsets(n, 2), _subsets(n, 1)
-        product = _differential_matrix(structure, self.dim, pairs, singles).matmul(
-            _differential_matrix(structure, self.dim, singles, [()])
+        pairs, singles = _cells(n, 2, self.dim), _cells(n, 1, self.dim)
+        product = _differential_matrix(structure, pairs, singles).matmul(
+            _differential_matrix(structure, singles, _cells(n, 0, self.dim))
         )
         failing = next((r for r, row in enumerate(product.data) if row), None)
         if failing is None:
             return None
-        return pairs[failing // self.dim]
+        return pairs[failing][0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +248,12 @@ class GModule:
 def _subsets(n: int, k: int):
     """The k-subsets of range(n); none for k < 0."""
     return list(combinations(range(n), k)) if k >= 0 else []
+
+
+def _cells(n: int, k: int, dim_m: int):
+    """Every cell (S, a) of degree k: the k-subsets S of range(n), each
+    with the module indices a < dim_m minor."""
+    return [(S, a) for S in _subsets(n, k) for a in range(dim_m)]
 
 
 def _wedge_insert(rest, l):
@@ -252,50 +284,80 @@ def _integer_structure(ba: BasisedAlgebra, actions):
     return den, brackets, acts
 
 
-def _differential_matrix(structure, dim_m: int, rows, cols) -> ScaledIntMatrix:
-    """The block of d: C^k -> C^{k+1} on the (k+1)-subsets `rows` and the
-    k-subsets `cols`, sorted index tuples in the order given, each with the
-    module index minor, as Gaussian-integer rows over the denominator of
-    `structure` (the algebra's `_integer_structure` with the actions).  A
-    term that lands on a subset outside `cols` is dropped."""
+def _rebased_actions(module: GModule, coords):
+    """The actions of the basis vectors sum_k c[k] X_k, one for each row c
+    of `coords` (coordinates in the module's acting basis X_k): one
+    product of `coords` with the actions flattened to rows, cut back into
+    dim x dim blocks."""
+    dim_m = module.dim
+    flat = ExactMatrix._of(len(module.actions), dim_m * dim_m, [
+        [x for r in a._data for x in r] for a in module.actions
+    ])
+    products = ExactMatrix._of(len(coords), len(module.actions), coords).matmul(flat)
+    return [
+        ExactMatrix._of(dim_m, dim_m, [row[r * dim_m:(r + 1) * dim_m] for r in range(dim_m)])
+        for row in products._data
+    ]
+
+
+def _differential_matrix(structure, rows, cols) -> ScaledIntMatrix:
+    """The block of d: C^k -> C^{k+1} on the cells `rows` of degree k + 1
+    and `cols` of degree k, in the order given, as Gaussian-integer rows
+    over the denominator of `structure` (the algebra's
+    `_integer_structure` with the actions).  A cell (S, a) is the cochain
+    e^S tensor m_a: S a sorted index tuple, a a module index.  A term that
+    lands on a cell outside `cols` is dropped.
+
+    The terms of a row depend on its subset J apart from the module
+    index, so they are formed once for each run of rows with the same J
+    (every caller lists the module index minor)."""
     den, brackets, acts = structure
-    dom_index = {s: i for i, s in enumerate(cols)}
+    index = {}  # subset -> {module index: column}
+    for i, (S, a) in enumerate(cols):
+        index.setdefault(S, {})[a] = i
     out = []
-    for J in rows:
-        block = [{} for _ in range(dim_m)]
-        # action terms: remove the t-th argument
-        for t in range(len(J)):
-            c = dom_index.get(J[:t] + J[t + 1:])
-            if c is None:
+    last = None
+    for J, a in rows:
+        if J != last:
+            last = J
+            # action terms: the t-th argument removed, and it acts on m_b
+            removed = [
+                (index.get(J[:t] + J[t + 1:]), 1 if t % 2 == 0 else -1, acts[J[t]])
+                for t in range(len(J))
+            ]
+            # bracket terms: pair (s, t) replaced by [X_s, X_t], signed
+            merged_terms = []
+            for s in range(len(J)):
+                for t in range(s + 1, len(J)):
+                    coeffs = brackets.get((J[s], J[t]))
+                    if not coeffs:
+                        continue
+                    rest = J[:s] + J[s + 1:t] + J[t + 1:]
+                    base_sign = 1 if (s + t) % 2 == 0 else -1
+                    for l, (re, im) in coeffs:
+                        if l in rest:
+                            continue
+                        pos, merged = _wedge_insert(rest, l)
+                        slot = index.get(merged)
+                        if slot is not None:
+                            sign = base_sign if pos % 2 == 0 else -base_sign
+                            merged_terms.append((slot, sign * re, sign * im))
+        row = {}
+        for slot, sign, act in removed:
+            if slot is None:
                 continue
-            col_block = c * dim_m
-            sign = 1 if t % 2 == 0 else -1
-            for target, entries in zip(block, acts[J[t]]):
-                for a, (re, im) in entries.items():
-                    old = target.get(col_block + a, (0, 0))
-                    target[col_block + a] = (old[0] + sign * re, old[1] + sign * im)
-        # bracket terms: pair (s, t) replaced by [X_s, X_t]
-        for s in range(len(J)):
-            for t in range(s + 1, len(J)):
-                coeffs = brackets.get((J[s], J[t]))
-                if not coeffs:
-                    continue
-                rest = J[:s] + J[s + 1:t] + J[t + 1:]
-                base_sign = 1 if (s + t) % 2 == 0 else -1
-                for l, (re, im) in coeffs:
-                    if l in rest:
-                        continue
-                    pos, merged = _wedge_insert(rest, l)
-                    c = dom_index.get(merged)
-                    if c is None:
-                        continue
-                    sign = base_sign * (1 if pos % 2 == 0 else -1)
-                    col_block = c * dim_m
-                    for a, target in enumerate(block):
-                        old = target.get(col_block + a, (0, 0))
-                        target[col_block + a] = (old[0] + sign * re, old[1] + sign * im)
-        out.extend({j: x for j, x in target.items() if x != (0, 0)} for target in block)
-    return ScaledIntMatrix(len(out), len(cols) * dim_m, den, out)
+            for b, (re, im) in act[a].items():
+                c = slot.get(b)
+                if c is not None:
+                    old = row.get(c, (0, 0))
+                    row[c] = (old[0] + sign * re, old[1] + sign * im)
+        for slot, re, im in merged_terms:
+            c = slot.get(a)
+            if c is not None:
+                old = row.get(c, (0, 0))
+                row[c] = (old[0] + re, old[1] + im)
+        out.append({j: x for j, x in row.items() if x != (0, 0)})
+    return ScaledIntMatrix(len(out), len(cols), den, out)
 
 
 def _negated(m: ScaledIntMatrix) -> ScaledIntMatrix:
@@ -321,7 +383,7 @@ def ce_differential(acting, module: GModule, k: int) -> ExactMatrix:
         return ExactMatrix.zero(len(_subsets(ba.dim, 0)) * module.dim, 0)
     structure = _integer_structure(ba, module.actions)
     return _differential_matrix(
-        structure, module.dim, _subsets(ba.dim, k + 1), _subsets(ba.dim, k)
+        structure, _cells(ba.dim, k + 1, module.dim), _cells(ba.dim, k, module.dim)
     ).to_exact()
 
 
@@ -373,11 +435,11 @@ def ce_complex(acting, module: GModule) -> CochainComplex:
     ba = basised(acting)
     n = ba.dim
     structure = _integer_structure(ba, module.actions)
+    cells = [_cells(n, k, module.dim) for k in range(n + 2)]
     complex_ = CochainComplex(
         labels={k: _ce_labels(ba, module.dim, k) for k in range(n + 2)},
         int_differentials={
-            k: _differential_matrix(structure, module.dim, _subsets(n, k + 1), _subsets(n, k))
-            for k in range(n + 1)
+            k: _differential_matrix(structure, cells[k + 1], cells[k]) for k in range(n + 1)
         },
     )
     complex_.verify()
@@ -498,8 +560,20 @@ def _chain_dims(matrices, degrees, representatives=False):
 
 
 def ce_cohomology(acting, module: GModule, representatives: bool = False) -> CohomologyTable:
-    """H^k(acting; module) for k = 0..dim, by exact rank computations."""
-    return ce_complex(acting, module).cohomology(representatives)
+    """H^k(acting; module) for k = 0..dim, by exact rank computations: on
+    the weight-zero subcomplex of one torus element
+    (`weight_zero.weight_complex`) where it applies, else, and always for
+    `representatives`, on the full complex (`ce_complex`), whose labels
+    are in the acting basis."""
+    ba = basised(acting)
+    if not representatives and ba._table:
+        # loaded here: only this route runs it (an abelian algebra has no X)
+        from .weight_zero import weight_complex
+
+        complex_ = weight_complex(ba, module)
+        if complex_ is not None:
+            return complex_.cohomology()
+    return ce_complex(ba, module).cohomology(representatives)
 
 
 # ---------------------------------------------------------------------------
@@ -574,12 +648,17 @@ class AdaptedFrame:
         """The k-subsets of the complement block, in adapted indices."""
         return [tuple(self.dim_u + x for x in K) for K in _subsets(self.codim, k)]
 
+    def _w_cells(self, k: int, dim_m: int):
+        """The cells (K, a) on the k-subsets K of the complement block."""
+        return [(K, a) for K in self._w_subsets(k) for a in range(dim_m)]
+
     def _theta(self, structure, dim_m: int, k: int, us) -> ScaledIntMatrix:
         """theta(u_i) on Lambda^k(W)^* tensor M for each i in `us`, stacked.
         On cochains that vanish on u, Cartan's formula leaves theta(u_i) =
-        i(u_i) d: the block of d on the rows (i,) + K over the W-subsets K."""
-        cols = self._w_subsets(k)
-        return _differential_matrix(structure, dim_m, [(i,) + K for i in us for K in cols], cols)
+        i(u_i) d: the block of d on the rows ((i,) + K, a) over the cells
+        (K, a) on the W-subsets K."""
+        cols = self._w_cells(k, dim_m)
+        return _differential_matrix(structure, [((i,) + K, a) for i in us for K, a in cols], cols)
 
     def quotient_module(self, p: int, dual: bool = False) -> GModule:
         """Lambda^p of (acting / u) as a u-module through the adjoint
@@ -619,14 +698,7 @@ class AdaptedFrame:
         if self.dim_u == 0:
             return ce_cohomology(self.base, module)
         dim_m, dim_u, q = module.dim, self.dim_u, self.codim
-        # actions in the adapted basis: one product of coords with the
-        # actions flattened to rows, cut back into dim_m x dim_m blocks
-        flat = ExactMatrix.from_rows([[x for r in a.row_list() for x in r] for a in module.actions])
-        adapted_actions = [
-            ExactMatrix(dim_m, dim_m, [row[r * dim_m:(r + 1) * dim_m] for r in range(dim_m)])
-            for row in ExactMatrix.from_rows(self.coords).matmul(flat).row_list()
-        ]
-        structure = _integer_structure(self.adapted, adapted_actions)
+        structure = _integer_structure(self.adapted, _rebased_actions(module, self.coords))
 
         # per degree: Theta_k, the Lie derivatives of u on Lambda^k(W)* (x) M
         # stacked, the rows of its kernel basis B_k, and its free columns
@@ -640,7 +712,9 @@ class AdaptedFrame:
 
         rel_mats = {}
         for k in range(q + 1):
-            d = _differential_matrix(structure, dim_m, self._w_subsets(k + 1), self._w_subsets(k))
+            d = _differential_matrix(
+                structure, self._w_cells(k + 1, dim_m), self._w_cells(k, dim_m)
+            )
             images = d.matmul(inv_bases[k].transpose())
             if not thetas[k + 1].matmul(images).is_zero():
                 raise AssertionError("image of invariant cochain is not invariant")
@@ -715,12 +789,12 @@ def _bigraded_row(frame: AdaptedFrame, p: int) -> BigradedComplex:
     """
     n = frame.dim_u
     cells = {
-        q: [J + I for I in frame._w_subsets(p) for J in combinations(range(n), q)]
+        q: [(J + I, 0) for I in frame._w_subsets(p) for J in combinations(range(n), q)]
         for q in range(n + 2)
     }
     differentials = {}
     for q in range(n + 1):
-        block = _differential_matrix(frame._trivial, 1, cells[q + 1], cells[q])
+        block = _differential_matrix(frame._trivial, cells[q + 1], cells[q])
         differentials[q] = _negated(block) if p % 2 else block
     complex_ = BigradedComplex(
         p=p,
@@ -728,7 +802,7 @@ def _bigraded_row(frame: AdaptedFrame, p: int) -> BigradedComplex:
             q: [
                 "∧".join([f"ζ{s - n + 1}" for s in S if s >= n]
                          + [f"τ{s + 1}" for s in S if s < n]) or "1"
-                for S in subsets
+                for S, _ in subsets
             ]
             for q, subsets in cells.items()
         },

@@ -132,7 +132,7 @@ def killing_form(g: LieAlgebra) -> ExactMatrix:
                 if other is not None:
                     acc += c * other
             data[i][j] = data[j][i] = _gauss(acc, 0, den * den)
-    return ExactMatrix(n, n, data)
+    return ExactMatrix._of(n, n, data)
 
 
 def validate_ad_invariant(g: LieAlgebra, gram: ExactMatrix):
@@ -177,7 +177,7 @@ def ideal_complement(g: LieAlgebra, h: Subalgebra, k_sub: Subalgebra, gram: Exac
         paired = [gram.apply(vec_conj(kb)) for kb in k_rows]
         constraint = ExactMatrix.from_rows([[vec_dot(w, la) for la in h_rows] for w in paired])
         _, kern = rank_kernel(constraint)
-        coeffs = ExactMatrix(len(kern), len(h_rows), kern)
+        coeffs = ExactMatrix._of(len(kern), len(h_rows), kern)
         u = Subalgebra.span(g, coeffs.matmul(h.basis).row_list())
     if u.dim + k_sub.dim != h.dim or k_sub.sum_with(u).dim != h.dim:
         raise NoIdealComplementError(

@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import isqrt, lcm
 
-from .scalars import GaussianRational, InputError, ONE, ZERO, _gauss
+from .scalars import GaussianRational, InputError, ONE, ZERO, _gauss, value_key
 
 Vector = list  # list[GaussianRational]
 
@@ -112,6 +112,17 @@ class ExactMatrix:
         self.cols = cols
 
     @classmethod
+    def _of(cls, rows: int, cols: int, data) -> "ExactMatrix":
+        """The matrix on `data`, fresh rows of GaussianRational of the given
+        shape that the caller hands over: nothing is coerced, copied or
+        checked.  Internal; the public constructors coerce every entry."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._data = data
+        return m
+
+    @classmethod
     def from_rows(cls, data) -> "ExactMatrix":
         data = [list(row) for row in data]
         rows = len(data)
@@ -120,11 +131,11 @@ class ExactMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return cls._of(rows, cols, [[ZERO] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     def __getitem__(self, idx) -> GaussianRational:
         i, j = idx
@@ -137,13 +148,13 @@ class ExactMatrix:
         return [list(r) for r in self._data]
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
+        return ExactMatrix._of(
             self.cols, self.rows,
             [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
 
     def conj(self) -> "ExactMatrix":
-        return ExactMatrix(
+        return ExactMatrix._of(
             self.rows, self.cols, [[x.conjugate() for x in row] for row in self._data]
         )
 
@@ -156,7 +167,7 @@ class ExactMatrix:
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return ExactMatrix(
+        return ExactMatrix._of(
             self.rows, self.cols,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
         )
@@ -164,14 +175,14 @@ class ExactMatrix:
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return ExactMatrix(
+        return ExactMatrix._of(
             self.rows, self.cols,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
         )
 
     def scale(self, c) -> "ExactMatrix":
         c = as_scalar(c)
-        return ExactMatrix(
+        return ExactMatrix._of(
             self.rows, self.cols, [[c * x for x in row] for row in self._data]
         )
 
@@ -185,7 +196,7 @@ class ExactMatrix:
                 if nonzeros and not a.is_zero():
                     for j, b in nonzeros:
                         oi[j] = oi[j] + a * b
-        return ExactMatrix(self.rows, other.cols, out)
+        return ExactMatrix._of(self.rows, other.cols, out)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
@@ -266,7 +277,7 @@ class ScaledIntMatrix:
         for row, entries in zip(out, self.data):
             for j, (re, im) in entries.items():
                 row[j] = _gauss(re, im, den)
-        return ExactMatrix(self.rows, self.cols, out)
+        return ExactMatrix._of(self.rows, self.cols, out)
 
     def echelon_rows(self):
         """Fresh dense rows for `_bareiss_echelon`, None for zero."""
@@ -536,7 +547,7 @@ def rref(M: ExactMatrix):
     fraction-free echelon normalised (see `_reduced_echelon`).
     """
     out, pivots = _reduced_echelon(_integer_rows(M._data), M.cols)
-    return ExactMatrix(len(out), M.cols, out), pivots
+    return ExactMatrix._of(len(out), M.cols, out), pivots
 
 
 # ---------------------------------------------------------------------------
@@ -701,14 +712,15 @@ def split_eigen(M: ExactMatrix) -> EigenSplit:
     if n == 0:
         return EigenSplit(pairs=(), diagonalizable=True)
     roots = poly_linear_roots(char_poly(M))
-    distinct = sorted(set(roots), key=lambda z: z.sort_key())
+    values = set(roots)
+    distinct = sorted(values, key=value_key(values))
     pairs = []
     total = 0
     for lam in distinct:
         shifted = M.row_list()  # fresh rows: subtract lam on the diagonal in place
         for i, row in enumerate(shifted):
             row[i] = row[i] - lam
-        _, kernel = rank_kernel(ExactMatrix(n, n, shifted))
+        _, kernel = rank_kernel(ExactMatrix._of(n, n, shifted))
         total += len(kernel)
         pairs.append((lam, tuple(tuple(v) for v in kernel)))
     return EigenSplit(pairs=tuple(pairs), diagonalizable=total == n)

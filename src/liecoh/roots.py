@@ -25,7 +25,7 @@ from .linalg import (
     split_eigen,
     vec_is_zero,
 )
-from .scalars import GaussianRational, ZERO, format_scalar
+from .scalars import GaussianRational, ZERO, format_scalar, value_key
 
 
 class NonAbelianTorusError(AlgebraError):
@@ -87,8 +87,11 @@ class RootDatum(namedtuple(
         }
 
 
-def _root_sort_key(alpha):
-    return tuple(x.sort_key() for x in alpha)
+def _sorted_roots(roots):
+    """Roots in lexicographic order of their components, each by real
+    part, then imaginary part."""
+    key = value_key([x for alpha in roots for x in alpha])
+    return sorted(roots, key=lambda alpha: tuple(map(key, alpha)))
 
 
 def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
@@ -121,9 +124,11 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
                 raise NonSplitActionError(j, str(exc)) from exc
             if not eigen.diagonalizable:
                 raise NonSemisimpleActionError(j)
-            basis = ExactMatrix(len(vectors), n, vectors)
+            basis = ExactMatrix._of(len(vectors), n, vectors)
             for lam, coord_vectors in eigen.pairs:
-                coeffs = ExactMatrix(len(coord_vectors), len(vectors), coord_vectors)
+                coeffs = ExactMatrix._of(
+                    len(coord_vectors), len(vectors), [list(v) for v in coord_vectors]
+                )
                 refined.append((prefix + (lam,), coeffs.matmul(basis).row_list()))
         blocks = refined
     spaces = {}
@@ -148,7 +153,7 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
                     f"root component {format_scalar(x)} is not purely imaginary; "
                     "the decomposition expects a compact real form"
                 )
-    roots.sort(key=_root_sort_key)
+    roots = _sorted_roots(roots)
     _verify_grading(g, roots, spaces, zero_space)
     notes = (
         "adjoint action satisfies [T_j, L] = +i*Lambda_j L on the eigenvectors; "
@@ -240,7 +245,7 @@ def positive_system(rd: RootDatum, override=None) -> PositiveSystem:
         raise PositiveSystemError(
             f"positive system is not closed under addition: witness {violations[0]}"
         )
-    return PositiveSystem(positive_roots=tuple(sorted(chosen_set, key=_root_sort_key)))
+    return PositiveSystem(positive_roots=tuple(_sorted_roots(chosen_set)))
 
 
 def _lex_positive(alpha) -> bool:

@@ -7,9 +7,10 @@ common denominator of the real part a/d and the imaginary part b/d.
 Each operation does its arithmetic on the ints and one gcd, none when
 d == 1.  `fractions` is imported only where a Fraction goes out or comes
 in: the views `re`, `im`, `norm` and `sort_key` (and `repr`, which shows
-them), and a constructor or operand that is not an int.  So no command
-but `roots` and `torus-solve` loads it.  The text format used in all
-JSON interchange is::
+them), and a constructor or operand that is not an int.  The package
+itself orders values by `value_key`, on ints, so no command but
+`torus-solve` loads it.  The text format used in all JSON interchange
+is::
 
     <gauss> ::= <rat> | [<rat>] <sign> [<rat>] "i" | [<rat>] "i"
     <rat>   ::= ["-"] int ["/" posint]
@@ -22,7 +23,7 @@ zero written ``0``), and ``parse(format(x)) == x`` exactly.
 from __future__ import annotations
 
 import json
-from math import gcd
+from math import gcd, lcm
 
 
 class InputError(ValueError):
@@ -237,6 +238,15 @@ def _gauss(a: int, b: int, d: int) -> GaussianRational:
             b //= g
             d //= g
     return _make((a, b, d))
+
+
+def value_key(values):
+    """A sort key on Gaussian rationals whose denominators divide that of
+    some member of `values`, in the order of `GaussianRational.sort_key`
+    (real part, then imaginary part) without a Fraction: over the lcm D of
+    their denominators, (a + bi)/d compares as the int pair (aD/d, bD/d)."""
+    den = lcm(1, *(x._t[2] for x in values))
+    return lambda x: (x._t[0] * (den // x._t[2]), x._t[1] * (den // x._t[2]))
 
 
 def _coerce(x):

@@ -5,6 +5,7 @@ import pytest
 from liecoh import cohomology, linalg
 from liecoh.cli import EX_INTERNAL, EX_NOINPUT, EX_OK, EX_USAGE, EX_VALIDATION, main
 from liecoh.linalg import ExactMatrix, ScaledIntMatrix
+from liecoh.scalars import ONE
 
 
 def run(capsys, *argv):
@@ -58,19 +59,41 @@ def test_unknown_builtin_is_validation_error(capsys):
 
 
 def test_broken_d_squared_is_internal_error(monkeypatch, capsys):
-    # a nonzero d_0 into C^1(su2) is not killed by the injective d_1
+    # a nonzero d_0 into C^1(su2) is not killed by the injective d_1.  It
+    # is sized from its rows: one on the weight-zero complex of the plain
+    # query, three on the full complex that representatives take
     real = cohomology._differential_matrix
 
-    def broken(structure, dim_m, rows, cols):
-        if cols == [()]:
-            return ScaledIntMatrix.from_exact(ExactMatrix.from_rows([[1], [0], [0]]))
-        return real(structure, dim_m, rows, cols)
+    def broken(structure, rows, cols):
+        if cols == [((), 0)]:
+            return ScaledIntMatrix.from_exact(
+                ExactMatrix.from_rows([[1]] + [[0]] * (len(rows) - 1))
+            )
+        return real(structure, rows, cols)
 
     monkeypatch.setattr(cohomology, "_differential_matrix", broken)
+    for extra in ([], ["--representatives"]):
+        code, out, err = run(capsys, "cohomology", "--algebra", "builtin:su2", "--json", *extra)
+        assert code == EX_INTERNAL
+        assert out == ""
+        assert "E_INTERNAL" in err and "d o d is nonzero from degree 0" in err
+
+
+def test_weight_leak_is_internal_error(monkeypatch, capsys):
+    # The weight basis of su2 under ad T has the weights -2i, 0 and 2i, in
+    # that order.  A component of [v1, v3] (weight 0) on v1 (weight -2i)
+    # would make d leak between weight blocks.
+    real = cohomology.BasisedAlgebra.__init__
+
+    def corrupted(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        self._table.setdefault((0, 2), {})[0] = ONE
+
+    monkeypatch.setattr(cohomology.BasisedAlgebra, "__init__", corrupted)
     code, out, err = run(capsys, "cohomology", "--algebra", "builtin:su2", "--json")
     assert code == EX_INTERNAL
     assert out == ""
-    assert "E_INTERNAL" in err and "d o d is nonzero from degree 0" in err
+    assert "E_INTERNAL" in err and "weight leak" in err
 
 
 def test_inexact_elimination_division_is_internal_error(monkeypatch, capsys):

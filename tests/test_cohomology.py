@@ -1,6 +1,8 @@
+import json
 import random
 from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from liecoh.cohomology import (
     relative_ce_cohomology,
 )
 import liecoh.cohomology as cohomology
+import liecoh.weight_zero as weight_zero
 from liecoh.linalg import (
     ExactMatrix,
     ScaledIntMatrix,
@@ -43,7 +46,12 @@ from liecoh.linalg import (
 from liecoh.roots import PositiveSystemError, build_standard, positive_system, root_decomposition
 from liecoh.scalars import GaussianRational as Q
 
-from conftest import diagonal_solvable, random_nilpotent_subalgebra, two_step_nilpotent
+from conftest import (
+    diagonal_solvable,
+    random_nilpotent_subalgebra,
+    signed_permutation,
+    two_step_nilpotent,
+)
 from property_suites import _algebra_subalgebra_cases
 
 
@@ -338,6 +346,102 @@ def test_quotient_representatives_match_two_step_reduction(
     assert len(calls) == degrees
 
 
+# -- the weight-zero route against the full complex ----------------------------------
+#
+# ce_cohomology without representatives runs on the cells of weight zero
+# under one basis element X (weight_zero.weight_complex); every other
+# block is acyclic by Cartan's homotopy formula.  The full complex
+# (ce_complex) is the reference.
+
+
+SCALED = Path(__file__).with_name("fixtures") / "su2-scaled.json"
+
+
+def su2_scaled():
+    return LieAlgebra.from_json_dict(json.loads(SCALED.read_text(encoding="utf-8")))
+
+
+def assert_weight_route(g, module, applies=True):
+    """The weight-zero dims equal the full complex's, and the route
+    applies exactly when `applies` (else ce_cohomology falls back)."""
+    weight = weight_zero.weight_complex(cohomology.basised(g), module)
+    assert (weight is not None) == applies
+    full = ce_complex(g, module).cohomology().dims
+    if applies:
+        assert weight.cohomology().dims == full
+    assert ce_cohomology(g, module).dims == full
+    return weight
+
+
+@pytest.mark.parametrize("algebra", [su2, su3, lambda: torus(3), su2_scaled],
+                         ids=["su2", "su3", "torus3", "su2-scaled"])
+@pytest.mark.parametrize("module", [GModule.trivial, GModule.adjoint], ids=["trivial", "adjoint"])
+def test_weight_route_matches_full_complex(algebra, module):
+    g = algebra()
+    # torus3 is abelian: no basis element has a nonzero ad
+    assert_weight_route(g, module(g), applies=g.name != "torus3")
+
+
+def test_weight_route_on_seeded_su3_presentations():
+    # the signed permutations that the benchmark draws; a regular X (every
+    # basis element but T2) leaves 508 cells of the 11440 in d, the
+    # non-regular T2 leaves 1528
+    rng = random.Random(16)
+    firsts = []
+    for _ in range(24):
+        g = signed_permutation(su3(), rng)
+        weight = assert_weight_route(g, GModule.trivial(g))
+        cells = sum(m.rows * m.cols for m in weight.int_differentials.values())
+        assert cells == (1528 if g.basis_names[0] == "T2" else 508)
+        firsts.append(g.basis_names[0])
+    assert firsts.count("T2") >= 2 and len(set(firsts)) >= 5
+
+
+def test_whitehead_adjoint_cohomology_vanishes_on_the_weight_route():
+    # H^*(g; ad) = 0 for semisimple g (Whitehead); the full su3 complex
+    # with adjoint coefficients is checked in test_weight_route_matches_full_complex
+    rng = random.Random(161)
+    for g in [su2(), su3()] + [signed_permutation(su3(), rng) for _ in range(3)]:
+        weight = weight_zero.weight_complex(cohomology.basised(g), GModule.adjoint(g))
+        assert weight is not None
+        assert weight.cohomology().degree_list() == [0] * (g.dim + 1)
+
+
+def test_weight_route_falls_back_without_a_split_semisimple_element():
+    # ad T has the polynomial t^2 (t^2 - 2), which does not split over Q(i)
+    non_split = LieAlgebra("sqrt2", ("T", "X", "Y"), {(0, 1): {2: 1}, (0, 2): {1: 2}})
+    # ad X of the Heisenberg algebra is nilpotent and nonzero
+    heisenberg = LieAlgebra("heis", ("X", "Y", "Z"), {(0, 1): {2: 1}})
+    for g in (non_split, heisenberg, two_step_nilpotent(random.Random(7), 3, 2)):
+        assert g.validate() is None
+        for module in (GModule.trivial(g), GModule.adjoint(g)):
+            assert_weight_route(g, module, applies=False)
+
+
+def test_weight_route_falls_back_when_the_action_of_x_is_not_semisimple():
+    # [T, X] = X splits, but T acts on the module by a Jordan block
+    g = LieAlgebra("diag1", ("T", "X"), {(0, 1): {1: 1}})
+    jordan = GModule(g, 2, [ExactMatrix.from_rows([[0, 1], [0, 0]]), ExactMatrix.zero(2, 2)])
+    assert jordan.validate() is None
+    assert_weight_route(g, jordan, applies=False)
+    # with T acting diagonally the route applies, on the module's eigenbasis
+    split = GModule(g, 2, [ExactMatrix.from_rows([[1, 1], [0, 2]]), ExactMatrix.zero(2, 2)])
+    assert assert_weight_route(g, split) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-1, 1)), min_size=0, max_size=7),
+       st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 1)), min_size=1, max_size=3))
+def test_weight_zero_cells_are_the_zero_weight_subsets(lam, mu):
+    cells = weight_zero.weight_zero_cells(lam, mu)
+    n = len(lam)
+    for k in range(n + 2):
+        assert cells[k] == [
+            (S, a) for S in combinations(range(n), k) for a, m in enumerate(mu)
+            if (sum(lam[s][0] for s in S), sum(lam[s][1] for s in S)) == m
+        ]
+
+
 # -- module constructors ----------------------------------------------------------
 
 
@@ -603,12 +707,12 @@ def test_relative_differentials_are_verified(monkeypatch):
 def test_relative_rejects_a_non_invariant_image(monkeypatch):
     # with Theta_1 replaced by the identity no 1-cochain is invariant, yet d
     # sends the invariant 0-cochain T of the adjoint module to X -> [X, T] != 0
-    # Theta_1 is the block of d on the rows (u_0,) + K over the 1-subsets K of W
+    # Theta_1 is the block of d on the rows ((u_0,) + K, a) over the 1-subsets K of W
     real = cohomology._differential_matrix
 
-    def corrupted(structure, dim_m, rows, cols):
-        m = real(structure, dim_m, rows, cols)
-        if rows == [(0, 1), (0, 2)]:
+    def corrupted(structure, rows, cols):
+        m = real(structure, rows, cols)
+        if {S for S, _ in rows} == {(0, 1), (0, 2)}:
             m.data = [{r: (m.den, 0)} for r in range(m.rows)]
         return m
 
@@ -886,7 +990,7 @@ def reference_row_differential(frame, p, q):
     n, dim_m = frame.dim_u, module.dim
     structure = cohomology._integer_structure(frame.u_algebra, module.actions)
     ce = cohomology._differential_matrix(
-        structure, dim_m, list(combinations(range(n), q + 1)), list(combinations(range(n), q))
+        structure, cohomology._cells(n, q + 1, dim_m), cohomology._cells(n, q, dim_m)
     )
     sign = -1 if p % 2 else 1
     dom, cod = comb(n, q), comb(n, q + 1)
@@ -1040,13 +1144,13 @@ def test_bigraded_dims_independent_of_complement_choice():
 
 def test_corrupted_dprime_is_caught(monkeypatch):
     # d'_1 = [0, -2i] does not kill the corrupted d'_0 = [0, 1]^T
-    # d'_0 of row p = 0 is the block of d on the columns [()]
+    # d'_0 of row p = 0 is the block of d on the columns [((), 0)]
     real = cohomology._differential_matrix
 
-    def corrupted(structure, dim_m, rows, cols):
-        if cols == [()]:
+    def corrupted(structure, rows, cols):
+        if cols == [((), 0)]:
             return ScaledIntMatrix.from_exact(ExactMatrix.from_rows([[Q(0)], [Q(1)]]))
-        return real(structure, dim_m, rows, cols)
+        return real(structure, rows, cols)
 
     monkeypatch.setattr(cohomology, "_differential_matrix", corrupted)
     g = su2()

@@ -25,7 +25,7 @@ COMMANDS = [
     (["roots", "--algebra", "builtin:su2", "--torus", "span{T}", "--standard", "1", "0"],
      ALGEBRA | {"liecoh.classify", "liecoh.roots"}),
     (["cohomology", "--algebra", "builtin:su2", "--module", "adjoint"],
-     ALGEBRA | {"liecoh.cohomology"}),
+     ALGEBRA | {"liecoh.cohomology", "liecoh.weight_zero"}),
     (["decompose", "--algebra", "builtin:su2", "--subalgebra", SU2_ELLIPTIC],
      ALGEBRA | {"liecoh.classify", "liecoh.cohomology", "liecoh.decompose"}),
     (["torus-solve", "--mu", "2/3", "--depth", "2"], COMMON | {"liecoh.torus"}),
@@ -112,8 +112,8 @@ def test_no_slow_standard_module_is_imported(argv, tmp_path):
     assert not imported & SLOW_IMPORTS
 
 
-# fractions pulls in decimal and numbers.  Scalars are int triples, and
-# only roots (eigenvalue order) and torus-solve (the slope mu) use Fractions.
+# fractions pulls in decimal and numbers.  Scalars are int triples, values
+# are ordered by int keys, and only torus-solve (the slope mu) uses Fractions.
 FRACTION_MODULES = {"fractions", "decimal", "numbers"}
 SCALED = str(Path(__file__).with_name("fixtures") / "su2-scaled.json")
 FRACTION_FREE = [
@@ -123,12 +123,17 @@ FRACTION_FREE = [
     ["cohomology", "--algebra", SCALED, "--subalgebra", "span{2X-iY}", "--representatives"],
     ["decompose", "--algebra", "builtin:su2", "--subalgebra", SU2_ELLIPTIC],
     None,
+    # the weight-zero route splits eigenvalues, as roots does
+    ["cohomology", "--algebra", "builtin:su3"],
+    ["cohomology", "--algebra", "builtin:su3", "--module", "adjoint"],
+    ["roots", "--algebra", "builtin:su3", "--torus", "span{T1, T2}", "--standard", "2", "0"],
 ]
 
 
 @pytest.mark.parametrize("argv", FRACTION_FREE, ids=[
     "validate", "classify-levi", "cohomology-adjoint", "cohomology-fractional-constants",
-    "decompose", "load-algebra",
+    "decompose", "load-algebra", "cohomology-su3-weight", "cohomology-su3-adjoint-weight",
+    "roots-standard",
 ])
 def test_fractions_is_not_imported(argv, tmp_path):
     code, _, err, imported = run_python(python_s_args(argv, tmp_path), "-S")

@@ -39,6 +39,8 @@ COMMANDS = {
                              "--json"],
     "plain-su3": ["cohomology", "--algebra", "builtin:su3", "--json"],
     "plain-su3-reps": ["cohomology", "--algebra", "builtin:su3", "--representatives", "--json"],
+    "adjoint-su3": ["cohomology", "--algebra", "builtin:su3", "--module", "adjoint", "--json"],
+    "adjoint-su3-table": ["cohomology", "--algebra", "builtin:su3", "--module", "adjoint"],
     "adjoint-su2-reps": ["cohomology", "--algebra", "builtin:su2", "--module", "adjoint",
                          "--representatives", "--json"],
     "relative-su3-torus": ["cohomology", "--algebra", "builtin:su3", "--relative", "span{T1, T2}",
@@ -71,6 +73,7 @@ COMMANDS = {
                           "--standard", "0", "2", "--json"],
     "roots-su3-line": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1+3T2}", "--json"],
     "plain-su2-scaled-reps": ["cohomology", "--algebra", SCALED, "--representatives", "--json"],
+    "plain-su2-scaled": ["cohomology", "--algebra", SCALED, "--json"],
     "bigraded-su2-scaled-reps": ["cohomology", "--algebra", SCALED, "--subalgebra",
                                  "span{2X-iY}", "--representatives", "--json"],
     "classify-su2-scaled": ["classify", "--algebra", SCALED, "--subalgebra", "span{2X-iY}",

@@ -25,7 +25,7 @@ from liecoh.linalg import (
     split_eigen,
     vec_is_zero,
 )
-from liecoh.scalars import GaussianRational as Q, InputError
+from liecoh.scalars import GaussianRational as Q, InputError, value_key
 
 from conftest import gauss_integers, random_invertible, rect_matrices, square_matrices
 
@@ -295,6 +295,43 @@ def test_scaled_int_matrix_matches_exact_matrix(M, data):
     if kernel:
         K = ExactMatrix(M.cols, len(kernel), [list(r) for r in zip(*kernel)])
         assert S.matmul(ScaledIntMatrix.from_exact(K)).is_zero()
+
+
+def test_internal_results_are_not_coerced_and_public_constructors_reject_floats(monkeypatch):
+    M = ExactMatrix.from_rows([[Q(Fraction(1, 2)), Q(0, 1)], [Q(3), Q(0, -1)]])
+    calls = []
+    real = linalg.as_scalar
+    monkeypatch.setattr(linalg, "as_scalar", lambda x: calls.append(x) or real(x))
+    product, transposed, conjugated = M.matmul(M), M.transpose(), M.conj()
+    round_trip = ScaledIntMatrix.from_exact(M).to_exact()
+    others = [M + M, M - M, rref(M)[0], ExactMatrix.identity(2), ExactMatrix.zero(2, 2)]
+    assert calls == []
+    monkeypatch.undo()
+    # M = [[1/2, i], [3, -i]]
+    assert product == ExactMatrix.from_rows([
+        [Q(Fraction(1, 4), 3), Q(1, Fraction(1, 2))], [Q(Fraction(3, 2), -3), Q(-1, 3)]
+    ])
+    assert transposed[0, 1] == Q(3) and conjugated[0, 1] == Q(0, -1)
+    assert round_trip == M and others[0] == M.scale(2) and others[1] == ExactMatrix.zero(2, 2)
+    assert others[2] == ExactMatrix.identity(2)
+    for bad in ([[0.5]], [[Q(1), 0.25]]):
+        with pytest.raises(TypeError):
+            ExactMatrix.from_rows(bad)
+        with pytest.raises(TypeError):
+            ExactMatrix(1, len(bad[0]), bad)
+
+
+@given(st.lists(st.builds(Q, st.fractions(max_denominator=12), st.fractions(max_denominator=12)),
+                max_size=8))
+def test_value_key_orders_like_sort_key(values):
+    assert sorted(values, key=value_key(values)) == sorted(values, key=lambda z: z.sort_key())
+
+
+def test_split_eigen_orders_eigenvalues_by_real_then_imaginary_part():
+    d = [Q(0, 1), Q(-1), Q(Fraction(1, 2)), Q(0, -1), Q(Fraction(-1, 3), 2)]
+    M = ExactMatrix(5, 5, [[d[i] if i == j else Q(0) for j in range(5)] for i in range(5)])
+    values = [lam for lam, _ in split_eigen(M).pairs]
+    assert values == sorted(d, key=lambda z: z.sort_key())
 
 
 def test_non_real_previous_pivot():
