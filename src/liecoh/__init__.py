@@ -32,12 +32,11 @@ _EXPORTS = {
         "ClosureError",
         "LieAlgebra",
         "ParentMismatchError",
-        "Subalgebra",
         "builtin_algebra",
-        "parse_span",
         "su2",
         "su3",
     ),
+    "subalgebra": ("Subalgebra", "parse_span"),
     "classify": (
         "BctReport",
         "ClassificationReport",

@@ -1,10 +1,12 @@
-"""Real Lie algebras by structure constants, and their complex subspaces.
+"""Real Lie algebras by structure constants.
 
 An algebra is a real form: a named basis with rational structure
 constants, stored only for index pairs j < k (antisymmetry is
-structural).  Complex subalgebras are row spaces over Q(i) in that real
-basis, kept in reduced row echelon form so that equal subspaces have
-identical representations and conjugation is coordinatewise.
+structural).  Its complex subspaces, `Subalgebra` and the ``span{...}``
+shorthand `parse_span`, live in `liecoh.subalgebra`: loading an
+algebra, which every command and library user does, compiles neither
+them nor `liecoh.linalg`.  Both names are still served from here, on
+first use (PEP 562), for callers outside the package.
 """
 
 from __future__ import annotations
@@ -13,15 +15,7 @@ import re as _re
 from itertools import combinations
 from math import lcm
 
-from .linalg import (
-    ExactMatrix,
-    as_scalar,
-    rank_kernel,
-    rref,
-    vec_conj,
-    vec_is_zero,
-)
-from .scalars import InputError, ScalarParseError, ZERO, format_scalar, parse_scalar
+from .scalars import InputError, ZERO, as_scalar, format_scalar, parse_scalar
 
 
 class AlgebraError(InputError):
@@ -136,6 +130,8 @@ class LieAlgebra:
 
     def ad_matrix(self, v) -> ExactMatrix:
         """Matrix of ad_v = [v, .] in the algebra basis (columns are images)."""
+        from .linalg import ExactMatrix
+
         cols = [self.bracket(v, self.basis_vector(k)) for k in range(self.dim)]
         return ExactMatrix.from_rows(
             [[cols[k][l] for k in range(self.dim)] for l in range(self.dim)]
@@ -223,217 +219,6 @@ class LieAlgebra:
         return cls(name, basis, table)
 
 
-class Subalgebra:
-    """Complex subspace of an algebra in canonical reduced echelon form.
-
-    `basis` rows are coordinates over Q(i) in the parent basis.  The name
-    is aspirational: closure under bracket is checked by is_subalgebra(),
-    and operations that need closure verify it.
-    """
-
-    def __init__(self, parent: LieAlgebra, basis: ExactMatrix):
-        self.parent = parent
-        self.basis = basis
-        # the basis is in reduced echelon form, so each row's first nonzero
-        # entry is a 1 in a column where every other row is 0
-        self._pivots = tuple(next(j for j, x in enumerate(row) if x) for row in basis.row_list())
-
-    @classmethod
-    def span(cls, parent: LieAlgebra, vectors) -> "Subalgebra":
-        vectors = [list(v) for v in vectors]
-        for v in vectors:
-            if len(v) != parent.dim:
-                raise AlgebraError("vector length does not match algebra dimension")
-        if not vectors:
-            return cls(parent, ExactMatrix.zero(0, parent.dim))
-        mat, _ = rref(ExactMatrix.from_rows(vectors))
-        return cls(parent, mat)
-
-    @classmethod
-    def full(cls, parent: LieAlgebra) -> "Subalgebra":
-        return cls(parent, ExactMatrix.identity(parent.dim))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-    def vectors(self):
-        return self.basis.row_list()
-
-    def _require_same_parent(self, other: "Subalgebra"):
-        if self.parent != other.parent:
-            raise ParentMismatchError("subspaces have different parent algebras")
-
-    def contains(self, v) -> bool:
-        return self.coordinates_of(v) is not None
-
-    def coordinates_of(self, v):
-        """Coefficients of v over the echelon basis rows, or None.
-
-        A member's coefficient on a row is its entry at that row's pivot
-        column; the exact residual v - sum of coefficient times row is
-        zero exactly for members.
-        """
-        if len(v) != self.parent.dim:
-            raise AlgebraError("vector length mismatch")
-        residual = [as_scalar(x) for x in v]
-        coords = [residual[j] for j in self._pivots]
-        for c, row in zip(coords, self.basis.row_list()):
-            if c:
-                for j, y in enumerate(row):
-                    if y:
-                        residual[j] = residual[j] - c * y
-        return coords if vec_is_zero(residual) else None
-
-    def sum_with(self, other: "Subalgebra") -> "Subalgebra":
-        self._require_same_parent(other)
-        return Subalgebra.span(self.parent, self.vectors() + other.vectors())
-
-    def intersect(self, other: "Subalgebra") -> "Subalgebra":
-        """Exact intersection via the kernel of the stacked coefficient map."""
-        self._require_same_parent(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subalgebra.span(self.parent, [])
-        n = self.parent.dim
-        a = self.vectors()
-        b = other.vectors()
-        combined = ExactMatrix.from_rows(
-            [
-                [a[j][i] for j in range(len(a))] + [-b[j][i] for j in range(len(b))]
-                for i in range(n)
-            ]
-        )
-        _, kernel = rank_kernel(combined)
-        coeffs = ExactMatrix._of(len(kernel), len(a), [kv[: len(a)] for kv in kernel])
-        return Subalgebra.span(self.parent, coeffs.matmul(self.basis).row_list())
-
-    def conj(self) -> "Subalgebra":
-        """Coordinatewise conjugation (the stored basis spans the real form)."""
-        return Subalgebra.span(self.parent, [vec_conj(v) for v in self.vectors()])
-
-    def is_subalgebra(self):
-        """None when closed under bracket, else the first failing row pair."""
-        vs = self.vectors()
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                if not self.contains(self.parent.bracket(vs[a], vs[b])):
-                    return (a, b)
-        return None
-
-    def __eq__(self, other):
-        if not isinstance(other, Subalgebra):
-            return NotImplemented
-        return self.parent == other.parent and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.parent, self.basis))
-
-    def __repr__(self):
-        return f"Subalgebra(dim={self.dim} of {self.parent.name})"
-
-    # -- JSON interchange
-
-    def to_json_dict(self, inline_algebra: bool = False) -> dict:
-        vectors = []
-        for row in self.vectors():
-            entry = {}
-            for name, x in zip(self.parent.basis_names, row):
-                if not x.is_zero():
-                    entry[name] = format_scalar(x)
-            vectors.append(entry)
-        algebra = self.parent.to_json_dict() if inline_algebra else self.parent.name
-        return {"algebra": algebra, "vectors": vectors}
-
-    @classmethod
-    def from_json_dict(cls, data: dict, parent: LieAlgebra) -> "Subalgebra":
-        try:
-            vectors = []
-            for entry in data["vectors"]:
-                v = [ZERO] * parent.dim
-                for name, text in entry.items():
-                    v[parent.basis_index(name)] = parse_scalar(text)
-                vectors.append(v)
-        except InputError:
-            raise
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise AlgebraError(f"malformed subalgebra JSON: {exc}") from exc
-        return cls.span(parent, vectors)
-
-
-# ---------------------------------------------------------------------------
-# span{...} shorthand
-# ---------------------------------------------------------------------------
-
-
-def parse_span(text: str, parent: LieAlgebra) -> Subalgebra:
-    """Parse ``span{T, X-iY, 2D1+iD2}`` into a subspace of `parent`.
-
-    Each comma-separated entry is a linear combination of basis names
-    with Gaussian-rational coefficients in the scalar grammar.
-    """
-    s = text.strip()
-    if not (s.startswith("span{") and s.endswith("}")):
-        raise AlgebraError("span shorthand must look like span{...}")
-    body = s[len("span{"):-1].strip()
-    vectors = []
-    if body:
-        for chunk in body.split(","):
-            vectors.append(_parse_combination(chunk.strip(), parent))
-    return Subalgebra.span(parent, vectors)
-
-
-def _parse_combination(expr: str, parent: LieAlgebra):
-    """Scan signed terms ``[coeff]['*']name``; every term ends in a basis name."""
-    if not expr:
-        raise AlgebraError("empty span entry")
-    names = sorted(parent.basis_names, key=len, reverse=True)
-    v = [ZERO] * parent.dim
-    i, n = 0, len(expr)
-    while True:
-        while i < n and expr[i].isspace():
-            i += 1
-        if i >= n:
-            raise AlgebraError(f"dangling sign in span entry {expr!r}")
-        sign = as_scalar(1)
-        if expr[i] in "+-":
-            if expr[i] == "-":
-                sign = as_scalar(-1)
-            i += 1
-        matched = False
-        for j in range(i, n):
-            for name in names:
-                if not expr.startswith(name, j):
-                    continue
-                after = j + len(name)
-                if after < n and (expr[after].isalnum() or expr[after] == "_"):
-                    continue  # part of a longer identifier
-                prefix = expr[i:j].strip()
-                if prefix.endswith("*"):
-                    prefix = prefix[:-1].strip()
-                if prefix == "":
-                    coeff = as_scalar(1)
-                else:
-                    try:
-                        coeff = parse_scalar(prefix)
-                    except ScalarParseError:
-                        continue
-                idx = parent.basis_index(name)
-                v[idx] = v[idx] + sign * coeff
-                i = after
-                matched = True
-                break
-            if matched:
-                break
-        if not matched:
-            raise AlgebraError(f"cannot parse span term starting at {expr[i:]!r}")
-        while i < n and expr[i].isspace():
-            i += 1
-        if i >= n:
-            return v
-        if expr[i] not in "+-":
-            raise AlgebraError(f"expected '+' or '-' at {expr[i:]!r} in span entry")
-
-
 # ---------------------------------------------------------------------------
 # builtin algebras
 # ---------------------------------------------------------------------------
@@ -499,16 +284,25 @@ def torus(r: int) -> LieAlgebra:
     return LieAlgebra(f"torus{r}", tuple(f"D{i + 1}" for i in range(r)), {})
 
 
-_TORUS_RE = _re.compile(r"^torus(\d+)$")
-
-
 def builtin_algebra(name: str) -> LieAlgebra:
     """Resolve a builtin name: su2, su3, torus<r>."""
     if name == "su2":
         return su2()
     if name == "su3":
         return su3()
-    m = _TORUS_RE.match(name)
+    m = _re.match(r"^torus(\d+)$", name)
     if m:
         return torus(int(m.group(1)))
     raise AlgebraError(f"unknown builtin algebra {name!r}")
+
+
+def __getattr__(name):
+    # the subspace names that moved to liecoh.subalgebra; no module of the
+    # package reads them here
+    if name not in ("Subalgebra", "parse_span"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import subalgebra
+
+    value = getattr(subalgebra, name)
+    globals()[name] = value
+    return value

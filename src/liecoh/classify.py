@@ -28,7 +28,7 @@ from collections import namedtuple
 from itertools import product
 from math import gcd
 
-from .algebra import AlgebraError, LieAlgebra, Subalgebra
+from .algebra import AlgebraError, LieAlgebra
 from .linalg import (
     ExactMatrix,
     Inertia,
@@ -41,6 +41,7 @@ from .linalg import (
     vec_is_zero,
 )
 from .scalars import _gauss, format_scalar
+from .subalgebra import Subalgebra
 
 VERDICT_ELLIPTIC = "elliptic_hence_hypocomplex"
 VERDICT_BCT = "hypocomplex_by_bct"

@@ -40,10 +40,12 @@ for h = i(X)/w, so that block is acyclic, and H^*(g; M) is the
 cohomology of the weight-zero block alone.  On the eigenbases f_s of ad X
 (weight lam_s) and m_a of rho(X) (weight mu_a), the cell e^S tensor m_a
 has weight mu_a - sum of lam_s over S, so the block is spanned by cells.
-X is the first basis element with a nonzero ad, and the route applies
-when ad X and, for a nontrivial module, rho(X) split over Q(i) with full
-eigenbases (`split_eigen`).  That holds on every basis element of su2 and
-su3: su3 keeps 508 of the 11440 entries of d for a regular X.  Where it
+X is the basis element with the most nonzero brackets with the basis (the
+first of those), a cheap guess at a regular element, and the route
+applies when ad X and, for a nontrivial module, rho(X) split over Q(i)
+with full eigenbases (`split_eigen`).  That holds on every basis element
+of su2 and su3, and su3 keeps 508 of the 11440 entries of d for the X it
+picks, which is regular in every signed permutation of its basis.  Where it
 does not hold (an abelian, nilpotent or non-split algebra, or a root
 search past its limit) `ce_cohomology` falls back to the full complex.
 Representatives always take the full complex, as their labels are in the
@@ -62,22 +64,12 @@ representatives from reduced echelon forms.  GaussianRational appears only at th
 ExactMatrix, and kernel vectors are formed only for representatives and
 for the invariant bases of the relative complex.
 
-Every pair (acting, u) that needs a basis adapted to u, with u's basis
-first and a complement W second, gets one `AdaptedFrame`.  It checks once
-that u lies in the acting algebra and is bracket-closed, picks the
-complement once, solves once for the bracket table in the adapted basis
-and for the coordinates of the adapted vectors, and serves the quotient
-modules Lambda^p(acting/u) (`quotient_module`), the relative complex
-(`relative_cohomology`) and the bigraded rows for every degree and
-module.  All three read blocks of d of the adapted algebra.  By Cartan's
-formula theta(X) = i(X) d + d i(X), and i(u_i) kills a cochain that
-vanishes on u, so the Lie derivative theta(u_i) on Lambda^k(W)^* tensor M
-is the block on the rows (i,) + K over the W-subsets K; the relative d is
-the block on the W-subsets.  In both, the terms dropped land on subsets
-with a u index, where such a cochain vanishes, so the u-components of the
-brackets drop out by themselves.  The bigraded d' of row p is the block
-on the subsets with exactly p complement indices; the terms it drops are
-the parts of d that raise p, which the quotient by F^{p+1} forgets.
+The relative complex and the bigraded rows are blocks of d of an algebra
+written in a basis adapted to u (or h): u's basis first, then a
+complement.  That basis, and the complexes on it, are
+`adapted.AdaptedFrame`, a module of its own that `relative_ce_cohomology`,
+`bigraded_complex` and `bigraded_cohomology` load on first use, so that
+plain and module cohomology do not compile it.
 """
 
 from __future__ import annotations
@@ -85,7 +77,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import lcm
 
-from .algebra import AlgebraError, ClosureError, LieAlgebra, Subalgebra
+from .algebra import AlgebraError, ClosureError, LieAlgebra
 from .linalg import (
     ExactMatrix,
     ScaledIntMatrix,
@@ -97,6 +89,11 @@ from .linalg import (
     as_scalar,
 )
 from .scalars import format_scalar
+
+# annotations are postponed, so this name is for type checkers only
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .subalgebra import Subalgebra
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +163,9 @@ def basised(acting) -> BasisedAlgebra:
             ExactMatrix.identity(acting.dim),
             {pair: dict(acting._table[pair]) for pair in acting.bracket_pairs()},
         )
+    # a Subalgebra was made by its module, so this import finds it loaded
+    from .subalgebra import Subalgebra
+
     if isinstance(acting, Subalgebra):
         return BasisedAlgebra(acting.parent, acting.vectors())
     raise TypeError(f"cannot act with {type(acting).__name__}")
@@ -577,170 +577,18 @@ def ce_cohomology(acting, module: GModule, representatives: bool = False) -> Coh
 
 
 # ---------------------------------------------------------------------------
-# adapted frames and relative cohomology
+# relative cohomology and the bigraded complex of a subalgebra, on one
+# adapted frame (`liecoh.adapted`, loaded on first use)
 # ---------------------------------------------------------------------------
-
-
-RELATIVE_CLOSURE = "relative pair requires a bracket-closed u"
-
-
-class AdaptedFrame:
-    """The adapted basis of a pair (acting, u): the basis rows of u first,
-    then a complement of u in the acting algebra.
-
-    Built once per pair.  `complement` defaults to the greedy pick from
-    the acting basis (`extend_to_complement`).  One elimination finds the
-    coordinates of every adapted vector in the acting basis (`coords`),
-    which checks that u lies in the acting algebra; one more solves for
-    the bracket table in the adapted basis (`adapted`), and closure of u
-    is read off that table.  `u_algebra` is u on its own basis rows, cut
-    from the same table, and the table with trivial coefficients is scaled
-    to integers once.  `quotient_module` and `relative_cohomology` reuse
-    all of this for every degree and module; a module's actions reach the
-    adapted basis by one product with `coords`.
-    """
-
-    def __init__(self, acting, u: Subalgebra, complement=None, closure_message=None):
-        base = basised(acting)
-        if u.parent != base.parent:
-            raise AlgebraError("subalgebra does not belong to the given algebra")
-        u_vectors = u.vectors()
-        dim_u = len(u_vectors)
-        given = complement is not None
-        if given:
-            complement = [list(v) for v in complement]
-            if any(len(v) != base.parent.dim for v in complement):
-                raise AlgebraError("vector length does not match algebra dimension")
-        else:
-            complement = extend_to_complement(u_vectors, base.vectors)
-        coords, failed = _solve_columns(base._cols, u_vectors + complement)
-        if failed is not None and failed < dim_u:
-            raise AlgebraError("u is not contained in the acting algebra")
-        if len(complement) != base.dim - dim_u:
-            raise AlgebraError("complement does not have the right dimension")
-        if failed is not None or (
-            given and len(extend_to_complement(u_vectors, complement)) != len(complement)
-        ):
-            raise AlgebraError("complement does not complete the subalgebra basis")
-        adapted = BasisedAlgebra(base.parent, u_vectors + complement)
-        for pair in combinations(range(dim_u), 2):
-            if any(l >= dim_u for l in adapted.coeffs(*pair)):
-                raise ClosureError(pair, closure_message)
-        self.base = base
-        self.dim_u = dim_u
-        self.codim = len(complement)
-        self.complement = complement
-        self.adapted = adapted
-        self.coords = coords
-        self.u_algebra = BasisedAlgebra._presented(
-            base.parent,
-            u_vectors,
-            adapted.names[:dim_u],
-            u.basis.transpose(),
-            {pair: coeffs for pair, coeffs in adapted._table.items() if pair[1] < dim_u},
-        )
-        # the adapted algebra with one-dimensional trivial coefficients: its
-        # Lie derivatives are the actions of u on Lambda^p(acting / u)^*, and
-        # its p-preserving blocks are the bigraded d'
-        self._trivial = _integer_structure(adapted, GModule.trivial(adapted).actions)
-
-    def _w_subsets(self, k: int):
-        """The k-subsets of the complement block, in adapted indices."""
-        return [tuple(self.dim_u + x for x in K) for K in _subsets(self.codim, k)]
-
-    def _w_cells(self, k: int, dim_m: int):
-        """The cells (K, a) on the k-subsets K of the complement block."""
-        return [(K, a) for K in self._w_subsets(k) for a in range(dim_m)]
-
-    def _theta(self, structure, dim_m: int, k: int, us) -> ScaledIntMatrix:
-        """theta(u_i) on Lambda^k(W)^* tensor M for each i in `us`, stacked.
-        On cochains that vanish on u, Cartan's formula leaves theta(u_i) =
-        i(u_i) d: the block of d on the rows ((i,) + K, a) over the cells
-        (K, a) on the W-subsets K."""
-        cols = self._w_cells(k, dim_m)
-        return _differential_matrix(structure, [((i,) + K, a) for i in us for K, a in cols], cols)
-
-    def quotient_module(self, p: int, dual: bool = False) -> GModule:
-        """Lambda^p of (acting / u) as a u-module through the adjoint
-        action, validated; `dual` takes the contragredient, the negated
-        transpose.
-
-        The dual action of u_i is the Lie derivative theta(u_i) on
-        Lambda^p(W)^* with trivial one-dimensional coefficients (`_theta`);
-        out of range, p gives the zero module.
-        """
-        thetas = [self._theta(self._trivial, 1, p, [i]) for i in range(self.dim_u)]
-        if not dual:
-            thetas = [_negated(m.transpose()) for m in thetas]
-        module = GModule(
-            self.u_algebra, len(_subsets(self.codim, p)), [m.to_exact() for m in thetas]
-        )
-        witness = module.validate()
-        if witness is not None:
-            raise AssertionError(f"adjoint quotient action is not a homomorphism at {witness}")
-        return module
-
-    def relative_cohomology(self, module: GModule) -> CohomologyTable:
-        """H^k(acting, u; module): cohomology of the u-invariant cochains
-        on the quotient of acting by u, for a module of the acting algebra.
-
-        Cochains live on Lambda^k(W)^* tensor M for W the complement block,
-        so they vanish on u arguments by construction; invariance under the
-        induced u action (`_theta`) is imposed as an exact linear condition,
-        which is what makes the space d-stable.  The relative d is the block
-        of d of the adapted algebra on the W-subsets: the terms it drops land
-        on u arguments, where a relative cochain vanishes, so the
-        u-components of the brackets [w_s, w_t] drop out.  One sparse
-        product maps each invariant basis B_k.  B_{k+1} is the kernel basis
-        with 1 at its own free column and 0 at the others, so the relative
-        d is the rows of that product at the free columns, no solve needed.
-        """
-        if self.dim_u == 0:
-            return ce_cohomology(self.base, module)
-        dim_m, dim_u, q = module.dim, self.dim_u, self.codim
-        structure = _integer_structure(self.adapted, _rebased_actions(module, self.coords))
-
-        # per degree: Theta_k, the Lie derivatives of u on Lambda^k(W)* (x) M
-        # stacked, the rows of its kernel basis B_k, and its free columns
-        thetas, inv_bases, free = {}, {}, {}
-        for k in range(q + 2):
-            thetas[k] = self._theta(structure, dim_m, k, range(dim_u))
-            size = thetas[k].cols
-            piv_cols, kernel = _kernel_vectors(thetas[k].echelon_rows(), size)
-            inv_bases[k] = ScaledIntMatrix.from_exact(ExactMatrix(len(kernel), size, kernel))
-            free[k] = sorted(set(range(size)) - set(piv_cols))
-
-        rel_mats = {}
-        for k in range(q + 1):
-            d = _differential_matrix(
-                structure, self._w_cells(k + 1, dim_m), self._w_cells(k, dim_m)
-            )
-            images = d.matmul(inv_bases[k].transpose())
-            if not thetas[k + 1].matmul(images).is_zero():
-                raise AssertionError("image of invariant cochain is not invariant")
-            rows = [images.data[f] for f in free[k + 1]]
-            rel_mats[k] = ScaledIntMatrix(len(rows), images.cols, images.den, rows)
-
-        complex_ = CochainComplex(labels={}, int_differentials=rel_mats)
-        complex_.verify()
-        table = complex_.cohomology()
-        table.meta = {
-            "relative_pair_dim": dim_u,
-            "cochain_dims": {k: inv_bases[k].rows for k in range(q + 1)},
-        }
-        return table
 
 
 def relative_ce_cohomology(acting, u: Subalgebra, module: GModule) -> CohomologyTable:
     """H^k(acting, u; module): `AdaptedFrame.relative_cohomology` on the
     frame of the pair."""
+    from .adapted import RELATIVE_CLOSURE, AdaptedFrame
+
     frame = AdaptedFrame(acting, u, closure_message=RELATIVE_CLOSURE)
     return frame.relative_cohomology(module)
-
-
-# ---------------------------------------------------------------------------
-# bigraded complex of a subalgebra
-# ---------------------------------------------------------------------------
 
 
 def complement_basis(g: LieAlgebra, h: Subalgebra):
@@ -777,44 +625,11 @@ class BigradedComplex(CochainComplex):
         )
 
 
-def _bigraded_row(frame: AdaptedFrame, p: int) -> BigradedComplex:
-    """Row p of the bigraded complex of the frame's pair (g, h), as
-    CE(h; Lambda^p(g/h)^*) in the basis zeta_I wedge tau_J, verified to
-    square to zero.
-
-    zeta_I wedge tau_J is the ascending subset J + (n + I) of the adapted
-    basis up to the sign (-1)^{pq}, so d' from (p, q) to (p, q + 1) is
-    (-1)^p times the block of d of the adapted algebra with trivial
-    coefficients on those subsets, listed I-major and J-minor.
-    """
-    n = frame.dim_u
-    cells = {
-        q: [(J + I, 0) for I in frame._w_subsets(p) for J in combinations(range(n), q)]
-        for q in range(n + 2)
-    }
-    differentials = {}
-    for q in range(n + 1):
-        block = _differential_matrix(frame._trivial, cells[q + 1], cells[q])
-        differentials[q] = _negated(block) if p % 2 else block
-    complex_ = BigradedComplex(
-        p=p,
-        labels={
-            q: [
-                "∧".join([f"ζ{s - n + 1}" for s in S if s >= n]
-                         + [f"τ{s + 1}" for s in S if s < n]) or "1"
-                for S, _ in subsets
-            ]
-            for q, subsets in cells.items()
-        },
-        int_differentials=differentials,
-    )
-    complex_.verify()
-    return complex_
-
-
 def bigraded_complex(g: LieAlgebra, h: Subalgebra, p: int, complement=None) -> BigradedComplex:
     """The fixed-p quotient complex of the subalgebra h, with labels and
     exact d' matrices."""
+    from .adapted import AdaptedFrame, _bigraded_row
+
     if complement is None:
         complement = complement_basis(g, h)
     return _bigraded_row(AdaptedFrame(g, h, complement), p)
@@ -833,6 +648,8 @@ def bigraded_cohomology(
     `complement` overrides the deterministic complement basis (the dims
     are independent of this choice; matrices are not).
     """
+    from .adapted import AdaptedFrame, _bigraded_row
+
     if complement is None:
         complement = complement_basis(g, h)
     frame = AdaptedFrame(g, h, complement)

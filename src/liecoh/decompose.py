@@ -12,17 +12,13 @@ disagreement is reported, not resolved silently.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, LieAlgebra, Subalgebra
+from .adapted import RELATIVE_CLOSURE, AdaptedFrame
+from .algebra import AlgebraError, LieAlgebra
 from .classify import classify_structure
-from .cohomology import (
-    RELATIVE_CLOSURE,
-    AdaptedFrame,
-    CohomologyTable,
-    GModule,
-    ce_cohomology,
-)
+from .cohomology import CohomologyTable, GModule, ce_cohomology
 from .linalg import ExactMatrix, rank_kernel, vec_conj, vec_dot
 from .scalars import _gauss
+from .subalgebra import Subalgebra
 
 
 class NotEllipticError(AlgebraError):

@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import isqrt, lcm
 
-from .scalars import GaussianRational, InputError, ONE, ZERO, _gauss, value_key
+from .scalars import GaussianRational, InputError, ONE, ZERO, _gauss, as_scalar, value_key
 
 Vector = list  # list[GaussianRational]
 
@@ -67,12 +67,6 @@ class NonSplitError(InputError):
 # ---------------------------------------------------------------------------
 # vectors
 # ---------------------------------------------------------------------------
-
-
-def as_scalar(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(x)
 
 
 def vec_is_zero(v: Vector) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import AlgebraError, LieAlgebra, Subalgebra
+from .algebra import AlgebraError, LieAlgebra
 from .classify import classify_structure
 from .linalg import (
     ExactMatrix,
@@ -26,6 +26,7 @@ from .linalg import (
     vec_is_zero,
 )
 from .scalars import GaussianRational, ZERO, format_scalar, value_key
+from .subalgebra import Subalgebra
 
 
 class NonAbelianTorusError(AlgebraError):

@@ -263,6 +263,12 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
+def as_scalar(x) -> GaussianRational:
+    if isinstance(x, GaussianRational):
+        return x
+    return GaussianRational(x)
+
+
 def _format_rat(n: int, d: int) -> str:
     g = gcd(n, d)
     if g == d:

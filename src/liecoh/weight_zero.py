@@ -81,6 +81,21 @@ def _check_weights(structure, lam, mu):
                 )
 
 
+def _most_bracketed(ba):
+    """The basis element with the most nonzero brackets [X, e_k], the
+    first of those: a scan of the bracket table, no elimination.  A
+    regular element of a torus keeps the fewest cells of weight zero, and
+    brackets with more of the basis is a cheap sign of one: on builtin su3,
+    X2 to Y3 (7 each) come before T1, X1, Y1 (6) and the non-regular T2
+    (4)."""
+    counts = [0] * ba.dim
+    for (a, b), coeffs in ba._table.items():
+        if coeffs:
+            counts[a] += 1
+            counts[b] += 1
+    return max(range(ba.dim), key=counts.__getitem__)
+
+
 def weight_complex(ba, module):
     """The weight-zero subcomplex of the cochain complex of the
     `BasisedAlgebra` ba with coefficients in `module`, verified to square
@@ -89,16 +104,16 @@ def weight_complex(ba, module):
     nontrivial module does not split over Q(i) within the root search's
     reach, with a full eigenbasis.
 
-    X is the first basis element with a nonzero ad.  The complex is
-    written on the eigenbases f_s of ad X and m_a of X's action, with
-    int-pair weights lam_s and mu_a over one common denominator; the cell
-    (S, a) has weight mu_a - sum of lam_s over S.  A bracket or action
+    X is `_most_bracketed(ba)`.  The complex is written on the eigenbases
+    f_s of ad X and m_a of X's action, with int-pair weights lam_s and mu_a
+    over one common denominator; the cell (S, a) has weight mu_a - sum of
+    lam_s over S.  A bracket or action
     coefficient that moves a weight, which would make d leak between
     weight blocks, raises AssertionError."""
     if not ba._table:
         return None
     n, dim_m = ba.dim, module.dim
-    x = min(a for a, _ in ba._table)
+    x = _most_bracketed(ba)
     columns = [ba.coeffs(x, k) for k in range(n)]
     ad = ExactMatrix._of(n, n, [[col.get(l, ZERO) for col in columns] for l in range(n)])
     trivial = all(v.is_zero() for a in module.actions for row in a._data for v in row)

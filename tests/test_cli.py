@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liecoh import cohomology, linalg
+from liecoh import cli, cohomology, linalg
 from liecoh.cli import EX_INTERNAL, EX_NOINPUT, EX_OK, EX_USAGE, EX_VALIDATION, main
 from liecoh.linalg import ExactMatrix, ScaledIntMatrix
 from liecoh.scalars import ONE
@@ -453,6 +453,53 @@ def test_json_output_is_deterministic(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == EX_OK
     assert main(["cohomology", "--help"]) == EX_OK
+
+
+# per command, arguments that its parser accepts, and arguments that its
+# own parser rejects with E_USAGE
+ACCEPTED = {
+    "validate": ["builtin:su2"],
+    "classify": ["--subalgebra", "span{T}"],
+    "roots": ["--algebra", "builtin:su2", "--torus", "span{T}"],
+    "cohomology": [],
+    "decompose": ["--subalgebra", "span{T}"],
+    "torus-solve": [],
+}
+USAGE_ERRORS = {
+    "validate": [],  # the algebra is missing
+    "classify": ["--algebra", "builtin:su2"],  # --subalgebra is missing
+    "roots": ["--algebra", "builtin:su2", "--torus"],  # --torus has no value
+    "cohomology": ["--representatives=yes"],  # a flag takes no value
+    "decompose": ["--subalgebra", "span{T}", "--module-dual", "maybe"],  # not a choice
+    "torus-solve": ["--depth", "two"],  # not an int
+}
+
+
+def parse_outcome(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_one_command_parser_prints_what_the_full_parser_prints(name, capsys):
+    # main builds the parser of the named command alone; its help, its
+    # usage line and its usage errors, its own and the top-level
+    # "unrecognized arguments" one, must not tell the two apart
+    full = cli.build_parser()
+    assert cli.build_parser(name).format_usage() == full.format_usage()
+    unknown = [name, *ACCEPTED[name], "--no-such-flag"]
+    for argv in ([name, "--help"], [name, *USAGE_ERRORS[name]], unknown):
+        assert run(capsys, *argv) == parse_outcome(full, argv, capsys)
+    code, out, _ = parse_outcome(full, [name, "--help"], capsys)
+    assert code == EX_OK and out.startswith(f"usage: liecoh {name} ")
+    code, _, err = parse_outcome(full, [name, *USAGE_ERRORS[name]], capsys)
+    assert code == EX_USAGE and f"liecoh {name}: error [E_USAGE]" in err
+    code, _, err = parse_outcome(full, unknown, capsys)
+    assert code == EX_USAGE
+    assert err.startswith("usage: liecoh [-h]") and "{" + ",".join(cli.COMMANDS) + "} ..." in err
+    assert "liecoh: error [E_USAGE] unrecognized arguments: --no-such-flag" in err
 
 
 def test_cohomology_representatives_output(capsys):

@@ -5,8 +5,8 @@ from math import comb
 import pytest
 
 from liecoh.algebra import Subalgebra, parse_span, su2, su3, torus
+from liecoh.adapted import AdaptedFrame
 from liecoh.cohomology import (
-    AdaptedFrame,
     BasisedAlgebra,
     GModule,
     bigraded_cohomology,

@@ -21,10 +21,13 @@ EXPORTED = {
         "EigenSplit", "ExactMatrix", "Inertia", "NonHermitianError", "NonSplitError",
         "char_poly", "hermitian_inertia", "rank_kernel", "solve_linear", "split_eigen",
     ],
+    # Subalgebra and parse_span are defined in liecoh.subalgebra; the
+    # algebra module still serves them, as the same objects
     "algebra": [
         "AlgebraError", "ClosureError", "LieAlgebra", "ParentMismatchError", "Subalgebra",
         "builtin_algebra", "parse_span", "su2", "su3",
     ],
+    "subalgebra": ["Subalgebra", "parse_span"],
     "classify": [
         "BctReport", "ClassificationReport", "LeviForm", "bct_check", "characteristic_space",
         "classify_structure", "levi_form",
@@ -47,8 +50,8 @@ EXPORTED = {
         "solve_dprime",
     ],
 }
-SUBMODULES = ["scalars", "linalg", "algebra", "classify", "roots", "cohomology", "decompose",
-              "torus", "cli"]
+SUBMODULES = ["scalars", "linalg", "algebra", "subalgebra", "classify", "roots", "cohomology",
+              "decompose", "torus", "cli"]
 
 
 def run_fresh(code: str) -> str:

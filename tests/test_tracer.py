@@ -8,6 +8,9 @@ test also pins how often the Levi form, the characteristic space and the
 real elimination behind both are formed per query."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import liecoh.cli as cli
@@ -81,3 +84,49 @@ def test_tracer_records_inertia_on_classify(monkeypatch, capsys):
     # the classification reads the rank off that space: one elimination of
     # R = [Re v; Im v] per query
     assert names.count("linalg.rank_kernel") == 1
+
+
+def test_tracer_resolves_every_target_before_subalgebra_is_loaded():
+    # a fresh interpreter in which nothing has touched Subalgebra yet: the
+    # tracer reaches it by its old name, liecoh.algebra.Subalgebra, and the
+    # subspace eliminations must still be seen and left unwrapped after
+    code = (
+        "import importlib, json, sys\n"
+        "import spans\n"
+        "import liecoh.cli as cli\n"
+        "fresh = 'liecoh.subalgebra' not in sys.modules\n"
+        "def wrapped():\n"
+        "    methods = [getattr(importlib.import_module(f'liecoh.{m}'), c).__dict__[a]\n"
+        "               for m, c, a, _ in spans.METHODS]\n"
+        "    methods = [getattr(f, '__func__', f) for f in methods]\n"
+        "    counted = [getattr(importlib.import_module(f'liecoh.{m}'), a)\n"
+        "               for m, a in spans.COUNT_ONLY]\n"
+        "    return [hasattr(f, '__wrapped__') for f in methods + counted]\n"
+        "def leftovers():\n"
+        "    return sorted(f'{name}.{attr}' for name, mod in list(sys.modules.items())\n"
+        "                  if name.split('.')[0] == 'liecoh'\n"
+        "                  for attr, value in vars(mod).items() if hasattr(value, '__wrapped__'))\n"
+        "tracer = spans.Tracer()\n"
+        "with tracer.installed():\n"
+        "    during = wrapped()\n"
+        "    codes = [cli.main(['cohomology', '--algebra', 'builtin:su3', '--json']),\n"
+        "             cli.main(['cohomology', '--algebra', 'builtin:su3',\n"
+        "                       '--subalgebra', 'span{X1-iY1, X2-iY2, X3-iY3}', '--json'])]\n"
+        "print(json.dumps({'fresh': fresh, 'during': during, 'after': wrapped(), 'codes': codes,\n"
+        "                  'leftovers': leftovers(),\n"
+        "                  'names': sorted({span[0] for span in tracer.spans})}))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(BENCH)]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["fresh"]
+    assert result["during"] and all(result["during"])
+    # and nothing loaded meanwhile keeps a wrapper once it is uninstalled
+    assert not any(result["after"]) and result["leftovers"] == []
+    assert result["codes"] == [cli.EX_OK, cli.EX_OK]
+    # the span of h and its elimination, which subalgebra reads on linalg
+    assert {"cli.main", "cohomology.ce_cohomology", "cohomology.bigraded_cohomology",
+            "cohomology.verify", "algebra.Subalgebra.span", "linalg.rref"} <= set(result["names"])
