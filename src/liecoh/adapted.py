@@ -5,7 +5,7 @@ first and a complement W second, gets one `AdaptedFrame`.  It checks once
 that u lies in the acting algebra and is bracket-closed, picks the
 complement once, solves once for the bracket table in the adapted basis
 and for the coordinates of the adapted vectors, and serves the quotient
-modules Lambda^p(acting/u) (`quotient_module`), the relative complex
+modules Lambda^p(acting/u)^* (`quotient_module`), the relative complex
 (`relative_cohomology`) and the bigraded rows (`_bigraded_row`) for every
 degree and module.  All three read blocks of d of the adapted algebra,
 written by the one builder `cohomology._differential_matrix`.  By Cartan's
@@ -124,18 +124,15 @@ class AdaptedFrame:
             structure, [((i,) + K, a) for i in us for K, a in cols], cols
         )
 
-    def quotient_module(self, p: int, dual: bool = False) -> GModule:
-        """Lambda^p of (acting / u) as a u-module through the adjoint
-        action, validated; `dual` takes the contragredient, the negated
-        transpose.
+    def quotient_module(self, p: int) -> GModule:
+        """Lambda^p(acting / u)^*, the p-forms on the quotient, as a
+        u-module through the adjoint action, validated.
 
-        The dual action of u_i is the Lie derivative theta(u_i) on
+        The action of u_i is the Lie derivative theta(u_i) on
         Lambda^p(W)^* with trivial one-dimensional coefficients (`_theta`);
         out of range, p gives the zero module.
         """
         thetas = [self._theta(self._trivial, 1, p, [i]) for i in range(self.dim_u)]
-        if not dual:
-            thetas = [cohomology._negated(m.transpose()) for m in thetas]
         module = cohomology.GModule(
             self.u_algebra, len(cohomology._subsets(self.codim, p)), [m.to_exact() for m in thetas]
         )

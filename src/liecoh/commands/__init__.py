@@ -49,6 +49,16 @@ def read_json_file(path: str):
         raise Failure(EX_VALIDATION, "E_VALIDATION", f"malformed JSON in {path}: {exc}")
 
 
+def read_matrix_rows(rows) -> list:
+    """The scalar entries of a JSON matrix, row by row; a row that is not a
+    JSON list raises TypeError, so a string is not read as its characters."""
+    from ..scalars import parse_scalar
+
+    if not all(isinstance(row, list) for row in rows):
+        raise TypeError("each matrix row must be a JSON list")
+    return [[parse_scalar(x) for x in row] for row in rows]
+
+
 def load_algebra(spec: str) -> LieAlgebra:
     from ..algebra import LieAlgebra, builtin_algebra
 

@@ -13,6 +13,7 @@ from . import (
     load_subalgebra,
     pq_table_lines,
     read_json_file,
+    read_matrix_rows,
     require_jacobi,
 )
 
@@ -37,7 +38,7 @@ def _load_module(spec: str, acting) -> GModule:
     from ..algebra import LieAlgebra
     from ..cohomology import GModule
     from ..linalg import ExactMatrix
-    from ..scalars import InputError, json_int, parse_scalar
+    from ..scalars import InputError, json_int
 
     if spec == "trivial":
         return GModule.trivial(acting)
@@ -49,7 +50,7 @@ def _load_module(spec: str, acting) -> GModule:
     try:
         dim = json_int(data["dim"], "dim")
         actions = [
-            ExactMatrix.from_rows([[parse_scalar(x) for x in row] for row in mat])
+            ExactMatrix.from_rows(read_matrix_rows(mat))
             if mat
             else ExactMatrix.zero(0, 0)
             for mat in data["actions"]

@@ -12,6 +12,7 @@ from . import (
     load_subalgebra,
     pq_table_lines,
     read_json_file,
+    read_matrix_rows,
     require_jacobi,
 )
 
@@ -22,14 +23,13 @@ def add_arguments(p):
     p.add_argument("--algebra")
     p.add_argument("--subalgebra", required=True)
     p.add_argument("--inner-product", help="JSON file with an ad-invariant Gram matrix")
-    p.add_argument("--module-dual", choices=("on", "off", "both"), default="both")
     p.add_argument("--json", action="store_true")
 
 
 def run(args) -> int:
     from ..decompose import full_assembly
     from ..linalg import ExactMatrix
-    from ..scalars import InputError, parse_scalar
+    from ..scalars import InputError
 
     g = load_algebra(args.algebra) if args.algebra else None
     g, h = load_subalgebra(args.subalgebra, g)
@@ -38,26 +38,19 @@ def run(args) -> int:
     if args.inner_product:
         data = read_json_file(args.inner_product)
         try:
-            gram = ExactMatrix.from_rows(
-                [[parse_scalar(x) for x in row] for row in data["matrix"]]
-            )
+            gram = ExactMatrix.from_rows(read_matrix_rows(data["matrix"]))
         except InputError:
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise Failure(EX_VALIDATION, "E_VALIDATION", f"malformed Gram JSON: {exc}")
     report = full_assembly(g, h, gram=gram)
     out = {"command": "decompose", "algebra": g.name, "assembly": report.to_json_dict()}
-    variant = args.module_dual
-    table = report.table_dual if variant in ("on", "both") else report.table_nondual
-    lines = pq_table_lines(table.dims, "assembled H^{p,q} dims (rows p, columns q)")
+    lines = pq_table_lines(report.table_dual.dims, "assembled H^{p,q} dims (rows p, columns q)")
     lines.append(degree_line(report.k_table.dims, "de Rham factor H^s(k)"))
     lines.append(
         "p-summed totals per q: "
         + ", ".join(f"q={q}: {v}" for q, v in sorted(report.p_totals.items()))
     )
-    if variant == "both" and report.disagreements:
-        for (p, q, a, b) in report.disagreements:
-            lines.append(f"dual/non-dual coefficient disagreement at (p,q)=({p},{q}): {a} vs {b}")
     if report.riemann_comparison:
         lines.append(
             "H^q(K)+H^{q-1}(K) reading: p-summed matches: "

@@ -4,10 +4,10 @@ For an elliptic h with k the intersection of h with its conjugate and an
 ideal complement u (k + u = h directly), the bigraded cohomology factors
 through the quotient by K = exp(k in g_R): a Kunneth convolution of the de Rham
 cohomology of k with fiber cohomologies computed, via the adjoint
-action, as relative cohomology H^r(h, k; Lambda^p(g/h)).  The dual
-exterior power reproduces the Dolbeault numbers of the quotient on the
-worked fixtures; the non-dual variant is computed alongside and any
-disagreement is reported, not resolved silently.
+action, as relative cohomology H^r(h, k; Lambda^p(g/h)^*).  These fiber
+coefficients, p-forms on g/h, are the coefficients of row p of the direct
+bigraded complex, so the assembly is the Leray/Bott route to the same
+H^{p,q} that `cohomology.bigraded_cohomology` computes directly.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ class NoIdealComplementError(AlgebraError):
 # ---------------------------------------------------------------------------
 
 
-def adjoint_quotient_module(amb, u: Subalgebra, p: int, dual: bool = False) -> GModule:
-    """Lambda^p of the quotient (amb / u) as a u-module via the adjoint
-    action; `dual` takes the contragredient.  See
+def adjoint_quotient_module(amb, u: Subalgebra, p: int) -> GModule:
+    """Lambda^p(amb / u)^* as a u-module via the adjoint action.  See
     `AdaptedFrame.quotient_module`."""
-    return AdaptedFrame(amb, u).quotient_module(p, dual)
+    return AdaptedFrame(amb, u).quotient_module(p)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +93,7 @@ def bott_dolbeault(k_alg, u_star: Subalgebra, pair_sub: Subalgebra, p: int) -> C
     computed as H^q(u_star, pair; Lambda^p(k/u_star)^*) with the adjoint
     action."""
     outer = AdaptedFrame(k_alg, u_star)
-    module = outer.quotient_module(p, dual=True)
+    module = outer.quotient_module(p)
     inner = AdaptedFrame(outer.u_algebra, pair_sub, closure_message=RELATIVE_CLOSURE)
     return inner.relative_cohomology(module)
 
@@ -190,20 +189,17 @@ def ideal_complement(g: LieAlgebra, h: Subalgebra, k_sub: Subalgebra, gram: Exac
 
 class AssemblyReport:
     """Inputs, factor tables and the assembled H^{p,q} with consistency
-    notes; the reported dims are the dual-coefficient variant."""
+    notes; `fiber_dual` and `table_dual` carry the p-form coefficients
+    Lambda^p(g/h)^*."""
 
     def __init__(self, k_sub: Subalgebra, u_ideal: Subalgebra, k_table: CohomologyTable,
-                 fiber_dual: dict, fiber_nondual: dict, table_dual: CohomologyTable,
-                 table_nondual: CohomologyTable, disagreements: list, p_totals: dict,
+                 fiber_dual: dict, table_dual: CohomologyTable, p_totals: dict,
                  riemann_comparison: dict | None = None, notes: list | None = None):
         self.k_sub = k_sub
         self.u_ideal = u_ideal
         self.k_table = k_table
         self.fiber_dual = fiber_dual
-        self.fiber_nondual = fiber_nondual
         self.table_dual = table_dual
-        self.table_nondual = table_nondual
-        self.disagreements = disagreements
         self.p_totals = p_totals
         self.riemann_comparison = {} if riemann_comparison is None else riemann_comparison
         self.notes = [] if notes is None else notes
@@ -217,15 +213,7 @@ class AssemblyReport:
                 str(p): {str(r): v for r, v in sorted(t.dims.items())}
                 for p, t in sorted(self.fiber_dual.items())
             },
-            "fiber_nondual": {
-                str(p): {str(r): v for r, v in sorted(t.dims.items())}
-                for p, t in sorted(self.fiber_nondual.items())
-            },
             "dims": self.table_dual.to_json_dict()["dims"],
-            "dims_nondual": self.table_nondual.to_json_dict()["dims"],
-            "disagreements": [
-                {"p": p, "q": q, "dual": a, "nondual": b} for (p, q, a, b) in self.disagreements
-            ],
             "p_summed_totals": {str(q): v for q, v in sorted(self.p_totals.items())},
             "riemann_comparison": self.riemann_comparison,
             "notes": list(self.notes),
@@ -236,9 +224,10 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
     """Assemble H^{p,q}(G; h) for elliptic h on semisimple compact G.
 
     u_star is realized as h itself; the fiber factor in bidegree p is
-    H^r(h, k; Lambda^p(g/h)) with the dual action by default, the de Rham
-    factor is H^s(k).  Both dual and non-dual coefficient variants are
-    assembled and compared.
+    H^r(h, k; Lambda^p(g/h)^*), the de Rham factor is H^s(k), and
+    dims(p, q) is their Kunneth convolution.  A subspace h that is not
+    bracket-closed is refused by the frame of (g, h) before the ideal
+    complement is sought.
     """
     report = classify_structure(g, h)
     if not report.elliptic:
@@ -251,31 +240,17 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
         witness = validate_ad_invariant(g, gram)
         if witness is not None:
             raise AlgebraError(f"Gram matrix is not ad-invariant: witness {witness}")
+    # one frame per pair serves every p
+    outer = AdaptedFrame(g, h)
     k_sub = h.intersect(h.conj())
     u_ideal = ideal_complement(g, h, k_sub, gram)
     n = h.dim
     m = g.dim - n
-    # one frame per pair serves every p and both coefficient variants
-    outer = AdaptedFrame(g, h)
     inner = AdaptedFrame(outer.u_algebra, k_sub, closure_message=RELATIVE_CLOSURE)
     k_table = ce_cohomology(inner.u_algebra, GModule.trivial(inner.u_algebra))
-    fiber_dual = {}
-    fiber_nondual = {}
-    for p in range(m + 1):
-        fiber_dual[p] = inner.relative_cohomology(outer.quotient_module(p, dual=True))
-        fiber_nondual[p] = inner.relative_cohomology(outer.quotient_module(p, dual=False))
-
-    def assemble(fibers):
-        omega = {(p, r): v for p, table in fibers.items() for r, v in table.dims.items()}
-        return kunneth_assemble(omega, k_table)
-
-    table_dual = assemble(fiber_dual)
-    table_nondual = assemble(fiber_nondual)
-    disagreements = [
-        (p, q, table_dual.dims[(p, q)], table_nondual.dims[(p, q)])
-        for (p, q) in sorted(table_dual.dims)
-        if table_dual.dims[(p, q)] != table_nondual.dims[(p, q)]
-    ]
+    fiber_dual = {p: inner.relative_cohomology(outer.quotient_module(p)) for p in range(m + 1)}
+    omega = {(p, r): v for p, table in fiber_dual.items() for r, v in table.dims.items()}
+    table_dual = kunneth_assemble(omega, k_table)
     p_totals = {}
     for (p, q), v in table_dual.dims.items():
         p_totals[q] = p_totals.get(q, 0) + v
@@ -301,19 +276,8 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
         "closed orbits on a connected semisimple compact group, these "
         "algebraic dimensions equal the analytic cohomology dimensions; "
         "outside that regime the comparison map is injective only",
-        "fiber coefficients use the dual exterior power by default; the "
-        "non-dual variant is reported alongside and disagreements are listed",
     ]
     return AssemblyReport(
-        k_sub=k_sub,
-        u_ideal=u_ideal,
-        k_table=k_table,
-        fiber_dual=fiber_dual,
-        fiber_nondual=fiber_nondual,
-        table_dual=table_dual,
-        table_nondual=table_nondual,
-        disagreements=disagreements,
-        p_totals=p_totals,
-        riemann_comparison=riemann,
-        notes=notes,
+        k_sub, u_ideal, k_table, fiber_dual, table_dual, p_totals,
+        riemann_comparison=riemann, notes=notes,
     )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from liecoh.algebra import LieAlgebra, Subalgebra
 from liecoh.linalg import ExactMatrix
+from liecoh.roots import PositiveSystemError, positive_system
 from liecoh.scalars import GaussianRational
 
 
@@ -132,3 +133,17 @@ def diagonal_solvable(rng: random.Random, k: int) -> LieAlgebra:
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+def closed_chambers(rd):
+    """Every positive system of rd: one root of each +- pair, kept when
+    closed under addition."""
+    pairs = [(a, tuple(-x for x in a)) for a in positive_system(rd).positive_roots]
+    chambers = []
+    for mask in range(2 ** len(pairs)):
+        override = [pair[(mask >> i) & 1] for i, pair in enumerate(pairs)]
+        try:
+            chambers.append(positive_system(rd, override=override))
+        except PositiveSystemError:
+            pass
+    return chambers

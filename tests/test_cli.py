@@ -162,6 +162,17 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
             "malformed Gram JSON: column count mismatch",
         ),
         (
+            {"matrix": ["100", "010", "001"]},
+            ["decompose", "--algebra", "builtin:su2", "--subalgebra", "span{T, X-iY}",
+             "--inner-product"],
+            "malformed Gram JSON: each matrix row must be a JSON list",
+        ),
+        (
+            {"dim": 1, "actions": [["0"], ["0"], ["0"]]},
+            ["cohomology", "--algebra", "builtin:su2", "--module"],
+            "malformed module JSON: each matrix row must be a JSON list",
+        ),
+        (
             [],
             ["classify", "--algebra", "builtin:su2", "--subalgebra"],
             "malformed subalgebra JSON: expected an object, got list",
@@ -214,6 +225,7 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
     ],
     ids=["module", "algebra-bracket", "algebra-coefficient", "subalgebra", "fourier",
          "algebra-three-names", "algebra-result-list", "subalgebra-vector-list", "gram-ragged",
+         "gram-string-rows", "module-string-rows",
          "subalgebra-list", "relative-list", "subalgebra-string", "fourier-negative-cutoff",
          "fourier-negative-cutoff-bound", "fourier-float-cutoff", "fourier-float-xi",
          "fourier-bool-eta", "module-float-dim", "module-bool-dim"],
@@ -373,13 +385,26 @@ def test_roots_positive_override(capsys):
     ]
 
 
-def test_decompose_reports_disagreement(capsys):
+def test_decompose_prints_the_p_form_table(capsys):
     code, out, _ = run(
         capsys,
         "decompose", "--algebra", "builtin:su2", "--subalgebra", "span{T, X-iY}",
     )
     assert code == EX_OK
-    assert "disagreement at (p,q)=(1,1)" in out
+    assert "p\\q  0  1  2\n0    1  1  0\n1    0  1  1\n" in out
+    assert "disagreement" not in out and "non-dual" not in out
+
+
+def test_decompose_names_a_subspace_that_is_not_closed(capsys):
+    # the closure check of the frame runs before the ideal complement is
+    # sought, so the fault is not blamed on the Gram matrix
+    code, out, err = run(
+        capsys,
+        "decompose", "--algebra", "builtin:su2", "--subalgebra", "span{X-iY, T+iX}",
+    )
+    assert (code, out) == (EX_VALIDATION, "")
+    assert err == ("liecoh: error [E_VALIDATION] subspace is not bracket-closed: "
+                   "witness rows (0, 1)\n")
 
 
 def test_torus_solve_negative_bound_is_validation_error(tmp_path, capsys):
@@ -470,7 +495,7 @@ USAGE_ERRORS = {
     "classify": ["--algebra", "builtin:su2"],  # --subalgebra is missing
     "roots": ["--algebra", "builtin:su2", "--torus"],  # --torus has no value
     "cohomology": ["--representatives=yes"],  # a flag takes no value
-    "decompose": ["--subalgebra", "span{T}", "--module-dual", "maybe"],  # not a choice
+    "decompose": ["--subalgebra", "span{T}", "--inner-product"],  # no value
     "torus-solve": ["--depth", "two"],  # not an int
 }
 

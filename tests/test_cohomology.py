@@ -44,10 +44,11 @@ from liecoh.linalg import (
     rank_kernel,
     solve_linear,
 )
-from liecoh.roots import PositiveSystemError, build_standard, positive_system, root_decomposition
+from liecoh.roots import build_standard, root_decomposition
 from liecoh.scalars import GaussianRational as Q
 
 from conftest import (
+    closed_chambers,
     diagonal_solvable,
     random_nilpotent_subalgebra,
     signed_permutation,
@@ -915,8 +916,7 @@ def _relative_cases():
     ]
     outer = AdaptedFrame(g3, parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g3))
     for p in range(outer.codim + 1):
-        for dual in (False, True):
-            cases.append((outer.u_algebra, t12, outer.quotient_module(p, dual)))
+        cases.append((outer.u_algebra, t12, outer.quotient_module(p)))
     borel = parse_span("span{T, X-iY}", g2)
     weight = GModule(
         borel, 1, [ExactMatrix.from_rows([[Q(0, 2)]]), ExactMatrix.from_rows([[Q(0)]])]
@@ -987,8 +987,8 @@ def reference_lie_derivative(structure, dim_m, dim_u, q, k, i):
 
 
 def reference_row_differential(frame, p, q):
-    """d' from (p, q) to (p, q + 1), from CE(h; quotient_module(p, dual=True))."""
-    module = frame.quotient_module(p, dual=True)
+    """d' from (p, q) to (p, q + 1), from CE(h; quotient_module(p))."""
+    module = frame.quotient_module(p)
     n, dim_m = frame.dim_u, module.dim
     structure = cohomology._integer_structure(frame.u_algebra, module.actions)
     ce = cohomology._differential_matrix(
@@ -1043,8 +1043,7 @@ def test_theta_blocks_match_reference_lie_derivative():
     outer = AdaptedFrame(g3, parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g3))
     t12 = parse_span("span{T1, T2}", g3)
     for p in range(outer.codim + 1):
-        for dual in (False, True):
-            cases.append((outer.u_algebra, t12, outer.quotient_module(p, dual)))
+        cases.append((outer.u_algebra, t12, outer.quotient_module(p)))
     for acting, u, module in cases:
         frame = AdaptedFrame(acting, u)
         adapted = adapted_module(frame, module)
@@ -1169,20 +1168,6 @@ def bott_kostant_dims(lengths, rank, m, n):
         for p in range(m + 1)
         for q in range(n + 1)
     }
-
-
-def closed_chambers(rd):
-    """Every positive system of rd: one root of each +- pair, kept when
-    closed under addition."""
-    pairs = [(a, tuple(-x for x in a)) for a in positive_system(rd).positive_roots]
-    chambers = []
-    for mask in range(2 ** len(pairs)):
-        override = [pair[(mask >> i) & 1] for i, pair in enumerate(pairs)]
-        try:
-            chambers.append(positive_system(rd, override=override))
-        except PositiveSystemError:
-            pass
-    return chambers
 
 
 @pytest.mark.parametrize(

@@ -25,9 +25,11 @@ from liecoh.decompose import (
     validate_ad_invariant,
 )
 from liecoh.linalg import ExactMatrix, rank_kernel, solve_linear, vec_dot
+from liecoh.roots import build_standard, root_decomposition
 from liecoh.scalars import GaussianRational as Q
 
 from conftest import (
+    closed_chambers,
     diagonal_solvable,
     signed_permutation,
     single_entry_perturbations,
@@ -40,21 +42,19 @@ from property_suites import _algebra_subalgebra_cases
 
 
 def test_quotient_module_su2_weight():
-    # ad_T acts by -2i on g / span{T, L}; the dual negates to +2i
+    # ad_T acts by -2i on g / span{T, L}, so by +2i on its dual
     g = su2()
     u = parse_span("span{T, X-iY}", g)
-    module = adjoint_quotient_module(g, u, 1, dual=True)
+    module = adjoint_quotient_module(g, u, 1)
     assert module.dim == 1
     assert module.actions[0] == ExactMatrix.from_rows([[Q(0, 2)]])
     assert module.actions[1] == ExactMatrix.zero(1, 1)
-    nondual = adjoint_quotient_module(g, u, 1, dual=False)
-    assert nondual.actions[0] == ExactMatrix.from_rows([[Q(0, -2)]])
 
 
 def test_quotient_module_p_zero_is_trivial():
     g = su2()
     u = parse_span("span{T, X-iY}", g)
-    module = adjoint_quotient_module(g, u, 0, dual=True)
+    module = adjoint_quotient_module(g, u, 0)
     assert module.dim == 1
     assert all(a == ExactMatrix.zero(1, 1) for a in module.actions)
 
@@ -71,10 +71,9 @@ def test_quotient_module_out_of_range_degree_is_zero():
     g = su2()
     t = parse_span("span{T}", g)
     for p in (-1, 3):
-        for dual in (False, True):
-            module = adjoint_quotient_module(g, t, p, dual=dual)
-            assert module.dim == 0
-            assert module.actions == [ExactMatrix.zero(0, 0)]
+        module = adjoint_quotient_module(g, t, p)
+        assert module.dim == 0
+        assert module.actions == [ExactMatrix.zero(0, 0)]
     assert bott_dolbeault(g, parse_span("span{T, X-iY}", g), t, -1).dims == {0: 0, 1: 0}
 
 
@@ -82,8 +81,7 @@ def test_quotient_module_homomorphism_check():
     g = su3()
     u = parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g)
     for p in range(4):
-        for dual in (False, True):
-            assert adjoint_quotient_module(g, u, p, dual=dual).validate() is None
+        assert adjoint_quotient_module(g, u, p).validate() is None
 
 
 def _inversion_sign(seq):
@@ -91,11 +89,12 @@ def _inversion_sign(seq):
     return -1 if inversions % 2 else 1
 
 
-def brute_force_quotient_actions(g, u, p, dual):
-    """Lambda^p(ad) on g/u, built from LieAlgebra.bracket: the complement
-    is the greedy pick from the standard basis, [u_i, w_j] is solved in
-    the basis (u, w), and a wedge of complement vectors is re-sorted with
-    its permutation sign."""
+def brute_force_quotient_actions(g, u, p):
+    """Lambda^p(ad) on g/u, built from LieAlgebra.bracket, and its
+    contragredient, the action on Lambda^p(g/u)^*: the complement is the
+    greedy pick from the standard basis, [u_i, w_j] is solved in the basis
+    (u, w), and a wedge of complement vectors is re-sorted with its
+    permutation sign."""
     u_rows = u.vectors()
     comp, rows = [], list(u_rows)
     for j in range(g.dim):
@@ -128,7 +127,7 @@ def brute_force_quotient_actions(g, u, p, dual):
                     term = A[l][K[pos]] * _inversion_sign(replaced)
                     data[index[target]][index[K]] = data[index[target]][index[K]] + term
         M = ExactMatrix(len(subs), len(subs), data)
-        actions.append(M.transpose().scale(-1) if dual else M)
+        actions.append(M.transpose().scale(-1))
     return actions
 
 
@@ -151,9 +150,8 @@ def _quotient_pairs():
 def test_quotient_module_matches_brute_force_exterior_power():
     for g, u in _quotient_pairs():
         for p in range(g.dim - u.dim + 1):
-            for dual in (False, True):
-                module = adjoint_quotient_module(g, u, p, dual=dual)
-                assert module.actions == brute_force_quotient_actions(g, u, p, dual), (g.name, p)
+            module = adjoint_quotient_module(g, u, p)
+            assert module.actions == brute_force_quotient_actions(g, u, p), (g.name, p)
 
 
 def test_relative_wrapper_equals_frame_method():
@@ -165,7 +163,7 @@ def test_relative_wrapper_equals_frame_method():
     ]
     outer = AdaptedFrame(g3, h5)
     for p in range(4):
-        cases.append((outer.u_algebra, parse_span("span{T1, T2}", g3), outer.quotient_module(p, True)))
+        cases.append((outer.u_algebra, parse_span("span{T1, T2}", g3), outer.quotient_module(p)))
     for acting, u, module in cases:
         wrapped = relative_ce_cohomology(acting, u, module)
         direct = AdaptedFrame(acting, u).relative_cohomology(module)
@@ -383,14 +381,6 @@ def test_full_assembly_su2_fixture():
         assert report.table_dual.dims.get(key, 0) == big.dims.get(key, 0)
 
 
-def test_full_assembly_reports_dual_discrepancy():
-    g = su2()
-    h = parse_span("span{T, X-iY}", g)
-    report = full_assembly(g, h)
-    assert (1, 1, 1, 0) in report.disagreements  # dual 1 vs non-dual 0
-    assert report.table_nondual.dims[(1, 1)] == 0
-
-
 def test_full_assembly_p_totals_and_riemann_reading():
     g = su2()
     h = parse_span("span{T, X-iY}", g)
@@ -422,13 +412,22 @@ def test_full_assembly_corollary_column():
 
 
 def test_full_assembly_su3_matches_bigraded_everywhere():
+    # the factor route equals the direct route: on h5, and on the standard
+    # (2, 0) elliptic and (0, 2) complex structures of every chamber
     g = su3()
-    h = parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g)
-    report = full_assembly(g, h)
-    big = bigraded_cohomology(g, h)
-    keys = set(report.table_dual.dims) | set(big.dims)
-    for key in keys:
-        assert report.table_dual.dims.get(key, 0) == big.dims.get(key, 0)
+    structures = [parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g)]
+    rd = root_decomposition(g, parse_span("span{T1, T2}", g))
+    chambers = closed_chambers(rd)
+    assert len(chambers) == 6
+    for plus in chambers:
+        structures += [build_standard(rd, 2, 0, plus).subalgebra,
+                       build_standard(rd, 0, 2, plus).subalgebra]
+    for h in structures:
+        report = full_assembly(g, h)
+        big = bigraded_cohomology(g, h)
+        keys = set(report.table_dual.dims) | set(big.dims)
+        for key in keys:
+            assert report.table_dual.dims.get(key, 0) == big.dims.get(key, 0), (h, key)
 
 
 def test_full_assembly_requires_elliptic():

@@ -52,10 +52,6 @@ COMMANDS = {
     "bigraded-su3-h5-reps": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", H5,
                              "--representatives", "--json"],
     "decompose-su3-h5": ["decompose", "--algebra", "builtin:su3", "--subalgebra", H5, "--json"],
-    "decompose-su3-h5-both": ["decompose", "--algebra", "builtin:su3", "--subalgebra", H5,
-                              "--module-dual", "both"],
-    "decompose-su3-h5-plain": ["decompose", "--algebra", "builtin:su3", "--subalgebra", H5,
-                               "--module-dual", "off"],
     "decompose-su2-borel": ["decompose", "--algebra", "builtin:su2", "--subalgebra",
                             "span{T, X-iY}"],
     "classify-su3-cr": ["classify", "--algebra", "builtin:su3", "--subalgebra", CR, "--json"],

@@ -50,8 +50,8 @@ MUTABLE = [
     (DPrimeSolution, "solution obstructions mu_used substituted", {}),
     (DivisorReport, "verdict quotients convergents depth entries enclosure tail_start notes",
      {"enclosure": None, "tail_start": None, "notes": []}),
-    (AssemblyReport, "k_sub u_ideal k_table fiber_dual fiber_nondual table_dual "
-                     "table_nondual disagreements p_totals riemann_comparison notes",
+    (AssemblyReport, "k_sub u_ideal k_table fiber_dual table_dual p_totals "
+                     "riemann_comparison notes",
      {"riemann_comparison": {}, "notes": []}),
 ]
 RECORDS = FROZEN + MUTABLE

@@ -52,9 +52,8 @@ def test_tracer_records_relative_verify(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["assembly"]["dims"]["1,2"] == 4
     names = [span[0] for span in tracer.spans]
     assert {"cli.main", "decompose.full_assembly"} <= set(names)
-    # one relative complex per p = 0..3 and coefficient variant, plus the
-    # plain complex of k
-    assert names.count("cohomology.verify") == 2 * 4 + 1
+    # one relative complex per p = 0..3, plus the plain complex of k
+    assert names.count("cohomology.verify") == 4 + 1
     assert CochainComplex.verify is verify
 
 
