@@ -30,6 +30,8 @@ COMPLEX = "span{T1+iT2, X1-iY1, X2-iY2, X3+iY3}"
 LEVI = "span{X1-iY1, X2-iY2, X3-iY3, 2T1+3T2}"
 # su2 in the basis (T/3, X/2, Y): structure constants 1/3, -4/3 and 3
 SCALED = "fixtures/su2-scaled.json"
+# the identity, an ad-invariant Gram matrix of the abelian torus2
+GRAM = "fixtures/torus2-identity-gram.json"
 
 COMMANDS = {
     "bigraded-su3-cr-reps": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", CR,
@@ -54,6 +56,12 @@ COMMANDS = {
     "decompose-su3-h5": ["decompose", "--algebra", "builtin:su3", "--subalgebra", H5, "--json"],
     "decompose-su2-borel": ["decompose", "--algebra", "builtin:su2", "--subalgebra",
                             "span{T, X-iY}"],
+    "decompose-su3-complex": ["decompose", "--algebra", "builtin:su3", "--subalgebra", COMPLEX,
+                              "--json"],
+    "decompose-torus2-gram": ["decompose", "--algebra", "builtin:torus2", "--subalgebra",
+                              "span{D1-iD2}", "--inner-product", GRAM],
+    "decompose-su2-not-closed": ["decompose", "--algebra", "builtin:su2", "--subalgebra",
+                                 "span{X-iY, T+iX}"],
     "classify-su3-cr": ["classify", "--algebra", "builtin:su3", "--subalgebra", CR, "--json"],
     "classify-su3-levi": ["classify", "--algebra", "builtin:su3", "--subalgebra", LEVI, "--json"],
     "classify-su2-cr": ["classify", "--algebra", "builtin:su2", "--subalgebra", "span{X-iY}"],
