@@ -68,7 +68,6 @@ _EXPORTS = {
     ),
     "decompose": (
         "AssemblyReport",
-        "adjoint_quotient_module",
         "bott_dolbeault",
         "full_assembly",
         "killing_form",

@@ -1,27 +1,27 @@
 """Adapted frames: the basis of a pair (acting, u) with u's basis first.
 
-Every pair (acting, u) that needs a basis adapted to u, with u's basis
-first and a complement W second, gets one `AdaptedFrame`.  It checks once
-that u lies in the acting algebra and is bracket-closed, picks the
-complement once, solves once for the bracket table in the adapted basis
-and for the coordinates of the adapted vectors, and serves the quotient
-modules Lambda^p(acting/u)^* (`quotient_module`), the relative complex
-(`relative_cohomology`) and the bigraded rows (`_bigraded_row`) for every
-degree and module.  All three read blocks of d of the adapted algebra,
-written by the one builder `cohomology._differential_matrix`.  By Cartan's
-formula theta(X) = i(X) d + d i(X), and i(u_i) kills a cochain that
-vanishes on u, so the Lie derivative theta(u_i) on Lambda^k(W)^* tensor M
-is the block on the rows (i,) + K over the W-subsets K; the relative d is
-the block on the W-subsets.  In both, the terms dropped land on subsets
-with a u index, where such a cochain vanishes, so the u-components of the
-brackets drop out by themselves.  The bigraded d' of row p is the block
-on the subsets with exactly p complement indices; the terms it drops are
-the parts of d that raise p, which the quotient by F^{p+1} forgets.
+One `AdaptedFrame` per pair checks that u lies in the acting algebra and
+is bracket-closed, picks a complement W of u, and solves once for the
+bracket table in the adapted basis [u | W].  With a subalgebra k of u as
+its `pair`, the basis is [k | a complement of k in u | W], and closure of
+k is read off the same table.
 
-The frame is a module of its own because only the bigraded, relative and
-decompose paths run it: `cohomology.bigraded_cohomology`,
-`bigraded_complex` and `relative_ce_cohomology` load it on first use, and
-plain or module cohomology never compiles it.  Names of `cohomology` and
+Every complex is then a block of d of the adapted algebra on lists of
+cells (`cohomology._differential_matrix`).  Row p of the bigraded complex
+(`_bigraded_row`) has the cells (J + I, 0), I a p-subset of W and J a
+subset of u's block (`_row_cells`); the terms its d' drops raise p, which
+the quotient by F^{p+1} forgets.  By Cartan's formula theta(X) = i(X) d +
+d i(X), and i(k_i) kills a cochain that vanishes on k, so theta(k_i) on
+such cochains is the block of d on the rows (i,) + S.  The relative
+complex (`relative_cohomology`: the cells (K, a) on the W-subsets, acting
+indices those of u) and the fiber H^r(u, k; Lambda^p(acting/u)^*)
+(`fiber`: the cells of row p with J past k's block, acting indices those
+of k) are both the cochains on their cells that every such theta kills,
+with the block of d on them (`_invariant_cohomology`); the terms dropped
+land on cells with an index in the pair, where those cochains vanish.
+
+Only the bigraded, relative and decompose paths load this module, so
+plain and module cohomology never compile it.  Names of `cohomology` and
 `linalg` are looked up on those modules when called, so that a wrapper or
 a test double installed there sees these calls too.
 """
@@ -45,27 +45,30 @@ RELATIVE_CLOSURE = "relative pair requires a bracket-closed u"
 
 
 class AdaptedFrame:
-    """The adapted basis of a pair (acting, u): the basis rows of u first,
-    then a complement of u in the acting algebra.
+    """The adapted basis of a pair (acting, u): the basis rows of u first
+    (after those of `pair`, when given), then a complement of u.
 
-    Built once per pair.  `complement` defaults to the greedy pick from
-    the acting basis (`extend_to_complement`).  One elimination finds the
-    coordinates of every adapted vector in the acting basis (`coords`),
-    which checks that u lies in the acting algebra; one more solves for
-    the bracket table in the adapted basis (`adapted`), and closure of u
-    is read off that table.  `u_algebra` is u on its own basis rows, cut
-    from the same table, and the table with trivial coefficients is scaled
-    to integers once.  `quotient_module` and `relative_cohomology` reuse
-    all of this for every degree and module; a module's actions reach the
-    adapted basis by one product with `coords`.
+    `complement` defaults to the greedy pick from the acting basis
+    (`extend_to_complement`).  One elimination finds the coordinates of
+    every adapted vector in the acting basis (`coords`), which checks that
+    u lies in the acting algebra; one more solves for the bracket table in
+    the adapted basis (`adapted`).  The table with trivial coefficients is
+    scaled to integers once; a module's actions reach the adapted basis by
+    one product with `coords`.
     """
 
-    def __init__(self, acting, u: Subalgebra, complement=None, closure_message=None):
+    def __init__(self, acting, u: Subalgebra, complement=None, closure_message=None, pair=None):
         base = cohomology.basised(acting)
-        if u.parent != base.parent:
+        if u.parent != base.parent or (pair is not None and pair.parent != base.parent):
             raise AlgebraError("subalgebra does not belong to the given algebra")
         u_vectors = u.vectors()
         dim_u = len(u_vectors)
+        if pair is not None:
+            k_vectors = pair.vectors()
+            u_vectors = k_vectors + cohomology.extend_to_complement(k_vectors, u_vectors)
+            if len(u_vectors) != dim_u:
+                # the message of the relative pair (u, k)
+                raise AlgebraError("u is not contained in the acting algebra")
         given = complement is not None
         if given:
             complement = [list(v) for v in complement]
@@ -83,25 +86,20 @@ class AdaptedFrame:
         ):
             raise AlgebraError("complement does not complete the subalgebra basis")
         adapted = cohomology.BasisedAlgebra(base.parent, u_vectors + complement)
-        for pair in combinations(range(dim_u), 2):
-            if any(l >= dim_u for l in adapted.coeffs(*pair)):
-                raise ClosureError(pair, closure_message)
+        # the witness is a pair of the caller's rows, not of the adapted ones
+        if _leaves_block(adapted, dim_u):
+            raise ClosureError(u.is_subalgebra(), closure_message)
+        self.dim_k = 0 if pair is None else pair.dim
+        if _leaves_block(adapted, self.dim_k):
+            raise ClosureError(pair.is_subalgebra(), RELATIVE_CLOSURE)
         self.base = base
         self.dim_u = dim_u
         self.codim = len(complement)
         self.complement = complement
         self.adapted = adapted
         self.coords = coords
-        self.u_algebra = cohomology.BasisedAlgebra._presented(
-            base.parent,
-            u_vectors,
-            adapted.names[:dim_u],
-            u.basis.transpose(),
-            {pair: coeffs for pair, coeffs in adapted._table.items() if pair[1] < dim_u},
-        )
-        # the adapted algebra with one-dimensional trivial coefficients: its
-        # Lie derivatives are the actions of u on Lambda^p(acting / u)^*, and
-        # its p-preserving blocks are the bigraded d'
+        # the adapted algebra with one-dimensional trivial coefficients:
+        # its blocks are the bigraded rows, their fibers and k's complex
         self._trivial = cohomology._integer_structure(
             adapted, cohomology.GModule.trivial(adapted).actions
         )
@@ -114,84 +112,89 @@ class AdaptedFrame:
         """The cells (K, a) on the k-subsets K of the complement block."""
         return [(K, a) for K in self._w_subsets(k) for a in range(dim_m)]
 
-    def _theta(self, structure, dim_m: int, k: int, us) -> ScaledIntMatrix:
-        """theta(u_i) on Lambda^k(W)^* tensor M for each i in `us`, stacked.
-        On cochains that vanish on u, Cartan's formula leaves theta(u_i) =
-        i(u_i) d: the block of d on the rows ((i,) + K, a) over the cells
-        (K, a) on the W-subsets K."""
-        cols = self._w_cells(k, dim_m)
-        return cohomology._differential_matrix(
-            structure, [((i,) + K, a) for i in us for K, a in cols], cols
-        )
-
-    def quotient_module(self, p: int) -> GModule:
-        """Lambda^p(acting / u)^*, the p-forms on the quotient, as a
-        u-module through the adjoint action, validated.
-
-        The action of u_i is the Lie derivative theta(u_i) on
-        Lambda^p(W)^* with trivial one-dimensional coefficients (`_theta`);
-        out of range, p gives the zero module.
-        """
-        thetas = [self._theta(self._trivial, 1, p, [i]) for i in range(self.dim_u)]
-        module = cohomology.GModule(
-            self.u_algebra, len(cohomology._subsets(self.codim, p)), [m.to_exact() for m in thetas]
-        )
-        witness = module.validate()
-        if witness is not None:
-            raise AssertionError(f"adjoint quotient action is not a homomorphism at {witness}")
-        return module
+    def _row_cells(self, p: int, start: int, stop: int | None = None):
+        """Row p's cells by degree q = 0 .. stop - start + 1: (J + I, 0)
+        for I a p-subset of the complement block and J a q-subset of
+        range(start, stop), I-major and J-minor; `stop` defaults to dim u."""
+        stop = self.dim_u if stop is None else stop
+        ws = self._w_subsets(p)
+        return [
+            [(J + I, 0) for I in ws for J in combinations(range(start, stop), q)]
+            for q in range(stop - start + 2)
+        ]
 
     def relative_cohomology(self, module: GModule) -> CohomologyTable:
-        """H^k(acting, u; module): cohomology of the u-invariant cochains
-        on the quotient of acting by u, for a module of the acting algebra.
-
-        Cochains live on Lambda^k(W)^* tensor M for W the complement block,
-        so they vanish on u arguments by construction; invariance under the
-        induced u action (`_theta`) is imposed as an exact linear condition,
-        which is what makes the space d-stable.  The relative d is the block
-        of d of the adapted algebra on the W-subsets: the terms it drops land
-        on u arguments, where a relative cochain vanishes, so the
-        u-components of the brackets [w_s, w_t] drop out.  One sparse
-        product maps each invariant basis B_k.  B_{k+1} is the kernel basis
-        with 1 at its own free column and 0 at the others, so the relative
-        d is the rows of that product at the free columns, no solve needed.
-        """
+        """H^k(acting, u; module) for a module of the acting algebra: the
+        u-invariant cochains on Lambda^k(W)^* tensor M, which vanish on u
+        arguments by construction (`_invariant_cohomology`)."""
         if self.dim_u == 0:
             return cohomology.ce_cohomology(self.base, module)
-        dim_m, dim_u, q = module.dim, self.dim_u, self.codim
         structure = cohomology._integer_structure(
             self.adapted, cohomology._rebased_actions(module, self.coords)
         )
+        cells = [self._w_cells(k, module.dim) for k in range(self.codim + 2)]
+        return _invariant_cohomology(structure, cells, range(self.dim_u))
 
-        # per degree: Theta_k, the Lie derivatives of u on Lambda^k(W)* (x) M
-        # stacked, the rows of its kernel basis B_k, and its free columns
-        thetas, inv_bases, free = {}, {}, {}
-        for k in range(q + 2):
-            thetas[k] = self._theta(structure, dim_m, k, range(dim_u))
-            size = thetas[k].cols
-            piv_cols, kernel = linalg._kernel_vectors(thetas[k].echelon_rows(), size)
-            inv_bases[k] = ScaledIntMatrix.from_exact(ExactMatrix(len(kernel), size, kernel))
-            free[k] = sorted(set(range(size)) - set(piv_cols))
+    def fiber(self, p: int) -> CohomologyTable:
+        """H^r(u, k; Lambda^p(acting / u)^*) for k the frame's pair: row p
+        of the bigraded complex made relative to k: the cells of row p
+        whose J avoids k's block, with the acting indices of k.  Out of
+        range, p gives the zero complex."""
+        return _invariant_cohomology(
+            self._trivial, self._row_cells(p, self.dim_k), range(self.dim_k)
+        )
 
-        rel_mats = {}
-        for k in range(q + 1):
-            d = cohomology._differential_matrix(
-                structure, self._w_cells(k + 1, dim_m), self._w_cells(k, dim_m)
-            )
-            images = d.matmul(inv_bases[k].transpose())
-            if not thetas[k + 1].matmul(images).is_zero():
-                raise AssertionError("image of invariant cochain is not invariant")
-            rows = [images.data[f] for f in free[k + 1]]
-            rel_mats[k] = ScaledIntMatrix(len(rows), images.cols, images.den, rows)
+    def pair_cohomology(self) -> CohomologyTable:
+        """H^s(k), trivial coefficients, from the block of k's cells."""
+        return _invariant_cohomology(self._trivial, self._row_cells(0, 0, self.dim_k), ())
 
-        complex_ = cohomology.CochainComplex(labels={}, int_differentials=rel_mats)
-        complex_.verify()
-        table = complex_.cohomology()
-        table.meta = {
-            "relative_pair_dim": dim_u,
-            "cochain_dims": {k: inv_bases[k].rows for k in range(q + 1)},
-        }
-        return table
+
+def _leaves_block(adapted, n: int) -> bool:
+    """Whether a bracket of two of the first n adapted vectors has a
+    component past them."""
+    return any(l >= n for pair in combinations(range(n), 2) for l in adapted.coeffs(*pair))
+
+
+def _invariant_cohomology(structure, cells, acting) -> CohomologyTable:
+    """Cohomology of the cochains on the cells `cells[k]` that every
+    theta(X_i), i in `acting`, kills, with the block of d on those cells.
+
+    theta(X_i) of a cochain that vanishes on X_i is the block of d on the
+    rows ((i,) + S, a) over the cells (S, a), so the invariant cochains of
+    degree k are the kernel of those blocks stacked (Theta_k), and the
+    invariance is what makes the space d-stable.  One sparse product maps
+    each invariant basis B_k.  B_{k+1} is the kernel basis with 1 at its
+    own free column and 0 at the others, so the restricted d is the rows
+    of that product at the free columns, no solve needed.  With no acting
+    indices every cochain on the cells is invariant.
+    """
+    thetas, inv_bases, free = [], [], []
+    for cols in cells:
+        theta = cohomology._differential_matrix(
+            structure, [((i,) + S, a) for i in acting for S, a in cols], cols
+        )
+        piv_cols, kernel = linalg._kernel_vectors(theta.echelon_rows(), theta.cols)
+        thetas.append(theta)
+        inv_bases.append(ScaledIntMatrix.from_exact(ExactMatrix(len(kernel), theta.cols, kernel)))
+        free.append(sorted(set(range(theta.cols)) - set(piv_cols)))
+
+    rel_mats = {}
+    for k in range(len(cells) - 1):
+        d = cohomology._differential_matrix(structure, cells[k + 1], cells[k])
+        images = d.matmul(inv_bases[k].transpose())
+        if not thetas[k + 1].matmul(images).is_zero():
+            raise AssertionError("image of invariant cochain is not invariant")
+        rows = [images.data[f] for f in free[k + 1]]
+        rel_mats[k] = ScaledIntMatrix(len(rows), images.cols, images.den, rows)
+
+    complex_ = cohomology.CochainComplex(labels={}, int_differentials=rel_mats)
+    complex_.verify()
+    table = complex_.cohomology()
+    table.meta = {
+        "relative_pair_dim": len(acting),
+        "cochain_dims": {k: inv_bases[k].rows for k in rel_mats},
+    }
+    return table
 
 
 def _bigraded_row(frame: AdaptedFrame, p: int) -> BigradedComplex:
@@ -205,10 +208,7 @@ def _bigraded_row(frame: AdaptedFrame, p: int) -> BigradedComplex:
     coefficients on those subsets, listed I-major and J-minor.
     """
     n = frame.dim_u
-    cells = {
-        q: [(J + I, 0) for I in frame._w_subsets(p) for J in combinations(range(n), q)]
-        for q in range(n + 2)
-    }
+    cells = frame._row_cells(p, 0)
     differentials = {}
     for q in range(n + 1):
         block = cohomology._differential_matrix(frame._trivial, cells[q + 1], cells[q])
@@ -221,7 +221,7 @@ def _bigraded_row(frame: AdaptedFrame, p: int) -> BigradedComplex:
                          + [f"τ{s + 1}" for s in S if s < n]) or "1"
                 for S, _ in subsets
             ]
-            for q, subsets in cells.items()
+            for q, subsets in enumerate(cells)
         },
         int_differentials=differentials,
     )

@@ -664,7 +664,7 @@ def bigraded_cohomology(
                 reps[(p, q)] = row.representatives[q]
                 labels[(p, q)] = row.labels[q]
     meta = {
-        "h_basis": [[format_scalar(x) for x in row] for row in frame.u_algebra.vectors],
+        "h_basis": [[format_scalar(x) for x in row] for row in frame.adapted.vectors[:frame.dim_u]],
         "complement_basis": [[format_scalar(x) for x in row] for row in frame.complement],
         "note": (
             "left-invariant (algebraic) dimensions; the comparison map into "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import EX_OK, emit, fail_validation, load_algebra, load_subalgebra, require_jacobi
+from . import EX_OK, emit, load_algebra, load_subalgebra, require_jacobi
 
 HELP = "classify a subalgebra and run the Levi-form test"
 
@@ -14,6 +14,7 @@ def add_arguments(p):
 
 
 def run(args) -> int:
+    from ..algebra import ClosureError
     from ..classify import ClassificationReport, bct_check
     from ..scalars import format_scalar
 
@@ -22,7 +23,7 @@ def run(args) -> int:
     require_jacobi(g)
     witness = h.is_subalgebra()
     if witness is not None:
-        fail_validation(f"input is not a subalgebra: witness rows {witness}")
+        raise ClosureError(witness)
     # rank R = dim g - dim ker R: no second elimination of R
     bct = bct_check(g, h)
     report = ClassificationReport.from_rank(g.dim, h.dim, g.dim - bct.characteristic_dim)

@@ -79,6 +79,8 @@ def run(args) -> int:
     out = {"command": "cohomology", "algebra": g.name}
     lines = []
     if args.relative:
+        if args.representatives:
+            fail_validation("relative cohomology reports dims only; drop --representatives")
         acting = h if h is not None else g
         _, u = load_subalgebra(args.relative, g)
         module = _load_module(args.module, acting)

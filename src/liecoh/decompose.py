@@ -3,19 +3,22 @@
 For an elliptic h with k the intersection of h with its conjugate and an
 ideal complement u (k + u = h directly), the bigraded cohomology factors
 through the quotient by K = exp(k in g_R): a Kunneth convolution of the de Rham
-cohomology of k with fiber cohomologies computed, via the adjoint
-action, as relative cohomology H^r(h, k; Lambda^p(g/h)^*).  These fiber
-coefficients, p-forms on g/h, are the coefficients of row p of the direct
-bigraded complex, so the assembly is the Leray/Bott route to the same
-H^{p,q} that `cohomology.bigraded_cohomology` computes directly.
+cohomology of k with the fiber cohomologies H^r(h, k; Lambda^p(g/h)^*)
+(Hochschild-Serre, Ann. Math. 57, 1953; Bott, Ann. Math. 66, 1957).
+The fiber is row p of the direct bigraded complex made relative to k: its
+cochains are the k-invariant ones on the cells of row p that vanish on k.
+So the assembly is the Leray/Bott route to the same H^{p,q} that
+`cohomology.bigraded_cohomology` computes directly, and both read blocks
+of d of one adapted frame of g, on the basis [k | a complement of k in h
+| a complement of h in g] (`AdaptedFrame` with k as its pair), which
+also gives H^s(k).
 """
 
 from __future__ import annotations
 
-from .adapted import RELATIVE_CLOSURE, AdaptedFrame
-from .algebra import AlgebraError, LieAlgebra
-from .classify import classify_structure
-from .cohomology import CohomologyTable, GModule, ce_cohomology
+from .adapted import AdaptedFrame
+from .algebra import AlgebraError, ClosureError, LieAlgebra
+from .cohomology import CohomologyTable
 from .linalg import ExactMatrix, rank_kernel, vec_conj, vec_dot
 from .scalars import _gauss
 from .subalgebra import Subalgebra
@@ -27,17 +30,6 @@ class NotEllipticError(AlgebraError):
 
 class NoIdealComplementError(AlgebraError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# coefficient modules
-# ---------------------------------------------------------------------------
-
-
-def adjoint_quotient_module(amb, u: Subalgebra, p: int) -> GModule:
-    """Lambda^p(amb / u)^* as a u-module via the adjoint action.  See
-    `AdaptedFrame.quotient_module`."""
-    return AdaptedFrame(amb, u).quotient_module(p)
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +83,9 @@ def kunneth_assemble(omega_table, k_table) -> CohomologyTable:
 def bott_dolbeault(k_alg, u_star: Subalgebra, pair_sub: Subalgebra, p: int) -> CohomologyTable:
     """H^q of the quotient complex manifold with p-form coefficients,
     computed as H^q(u_star, pair; Lambda^p(k/u_star)^*) with the adjoint
-    action."""
-    outer = AdaptedFrame(k_alg, u_star)
-    module = outer.quotient_module(p)
-    inner = AdaptedFrame(outer.u_algebra, pair_sub, closure_message=RELATIVE_CLOSURE)
-    return inner.relative_cohomology(module)
+    action: the fiber of row p on the frame of (k_alg, u_star) that lists
+    the pair first."""
+    return AdaptedFrame(k_alg, u_star, pair=pair_sub).fiber(p)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +215,18 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
 
     u_star is realized as h itself; the fiber factor in bidegree p is
     H^r(h, k; Lambda^p(g/h)^*), the de Rham factor is H^s(k), and
-    dims(p, q) is their Kunneth convolution.  A subspace h that is not
-    bracket-closed is refused by the frame of (g, h) before the ideal
-    complement is sought.
+    dims(p, q) is their Kunneth convolution, all on one frame of g.  h is
+    refused when it belongs to another algebra, then when it is not
+    bracket-closed, then when it is not elliptic: h + conj(h) = g, read as
+    2 dim h - dim k = dim g.
     """
-    report = classify_structure(g, h)
-    if not report.elliptic:
+    if h.parent != g:
+        raise AlgebraError("subalgebra does not belong to the given algebra")
+    witness = h.is_subalgebra()
+    if witness is not None:
+        raise ClosureError(witness)
+    k_sub = h.intersect(h.conj())
+    if 2 * h.dim - k_sub.dim != g.dim:
         raise NotEllipticError("full assembly requires an elliptic structure")
     if gram is None:
         gram = default_inner_product(g)
@@ -240,15 +236,13 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
         witness = validate_ad_invariant(g, gram)
         if witness is not None:
             raise AlgebraError(f"Gram matrix is not ad-invariant: witness {witness}")
-    # one frame per pair serves every p
-    outer = AdaptedFrame(g, h)
-    k_sub = h.intersect(h.conj())
     u_ideal = ideal_complement(g, h, k_sub, gram)
     n = h.dim
     m = g.dim - n
-    inner = AdaptedFrame(outer.u_algebra, k_sub, closure_message=RELATIVE_CLOSURE)
-    k_table = ce_cohomology(inner.u_algebra, GModule.trivial(inner.u_algebra))
-    fiber_dual = {p: inner.relative_cohomology(outer.quotient_module(p)) for p in range(m + 1)}
+    # one frame serves H^s(k) and every fiber
+    frame = AdaptedFrame(g, h, pair=k_sub)
+    k_table = frame.pair_cohomology()
+    fiber_dual = {p: frame.fiber(p) for p in range(m + 1)}
     omega = {(p, r): v for p, table in fiber_dual.items() for r, v in table.dims.items()}
     table_dual = kunneth_assemble(omega, k_table)
     p_totals = {}

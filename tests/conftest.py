@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import strategies as st
 
 from liecoh.algebra import LieAlgebra, Subalgebra
-from liecoh.linalg import ExactMatrix
+from liecoh.cohomology import GModule, basised, relative_ce_cohomology
+from liecoh.linalg import ExactMatrix, rank_kernel, solve_linear
 from liecoh.roots import PositiveSystemError, positive_system
 from liecoh.scalars import GaussianRational
 
@@ -147,3 +150,71 @@ def closed_chambers(rd):
         except PositiveSystemError:
             pass
     return chambers
+
+
+# -- the quotient-module route, kept as the oracle of the fibers ---------------
+
+
+def _inversion_sign(seq):
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+def brute_force_quotient_actions(g, u, p, complement=None):
+    """Lambda^p(ad) on g/u, built from LieAlgebra.bracket, and its
+    contragredient, the action on Lambda^p(g/u)^*: the complement is the
+    greedy pick from the standard basis unless given, [u_i, w_j] is solved
+    in the basis (u, w), and a wedge of complement vectors is re-sorted with
+    its permutation sign."""
+    u_rows = u.vectors()
+    if complement is None:
+        comp, rows = [], list(u_rows)
+        for j in range(g.dim):
+            trial = rows + [g.basis_vector(j)]
+            if rank_kernel(ExactMatrix.from_rows(trial))[0] > len(rows):
+                rows = trial
+                comp.append(g.basis_vector(j))
+    else:
+        comp = [list(v) for v in complement]
+    d = len(comp)
+    cols = ExactMatrix.from_rows([[v[i] for v in u_rows + comp] for i in range(g.dim)])
+    subs = list(combinations(range(d), p)) if 0 <= p <= d else []
+    index = {K: i for i, K in enumerate(subs)}
+    actions = []
+    for x in u_rows:
+        # A[l][j]: complement coefficient l of [x, w_j]
+        A = [[None] * d for _ in range(d)]
+        for j, w in enumerate(comp):
+            coords = solve_linear(cols, g.bracket(x, w))
+            for l in range(d):
+                A[l][j] = coords[len(u_rows) + l]
+        data = [[GaussianRational(0)] * len(subs) for _ in subs]
+        for K in subs:
+            for pos in range(p):
+                for l in range(d):
+                    if A[l][K[pos]].is_zero():
+                        continue
+                    replaced = K[:pos] + (l,) + K[pos + 1:]
+                    if len(set(replaced)) < p:
+                        continue
+                    target = tuple(sorted(replaced))
+                    term = A[l][K[pos]] * _inversion_sign(replaced)
+                    data[index[target]][index[K]] = data[index[target]][index[K]] + term
+        M = ExactMatrix(len(subs), len(subs), data)
+        actions.append(M.transpose().scale(-1))
+    return actions
+
+
+def reference_quotient_module(g, u, p, complement=None):
+    """Lambda^p(g/u)^* as a module of u on its basis rows, from the
+    brute-force actions."""
+    dim = comb(g.dim - u.dim, p) if p >= 0 else 0
+    return GModule(basised(u), dim, brute_force_quotient_actions(g, u, p, complement))
+
+
+def reference_fiber(g, u_star, pair, p):
+    """H^r(u_star, pair; Lambda^p(g/u_star)^*) by the route the library
+    took before the fiber was a block of one frame: the quotient module of
+    the brute-force actions, fed to relative cohomology with the pair."""
+    module = reference_quotient_module(g, u_star, p)
+    return relative_ce_cohomology(module.acting_algebra, pair, module)

@@ -396,8 +396,8 @@ def test_decompose_prints_the_p_form_table(capsys):
 
 
 def test_decompose_names_a_subspace_that_is_not_closed(capsys):
-    # the closure check of the frame runs before the ideal complement is
-    # sought, so the fault is not blamed on the Gram matrix
+    # closure is checked before ellipticity and before the ideal complement
+    # is sought, so the fault is not blamed on the Gram matrix
     code, out, err = run(
         capsys,
         "decompose", "--algebra", "builtin:su2", "--subalgebra", "span{X-iY, T+iX}",
@@ -537,3 +537,35 @@ def test_cohomology_representatives_output(capsys):
     reps = data["table"]["representatives"]
     assert reps["0,1"] == [{"τ1": "1"}]
     assert reps["1,2"] == [{"ζ1∧τ1∧τ2": "1"}]
+
+
+def test_every_command_names_a_subspace_that_is_not_closed_alike(capsys):
+    # classify, the bigraded table and decompose refuse the same fault with
+    # the same message
+    message = ("liecoh: error [E_VALIDATION] subspace is not bracket-closed: "
+               "witness rows (0, 1)\n")
+    for name in ("classify", "cohomology", "decompose"):
+        code, out, err = run(
+            capsys, name, "--algebra", "builtin:su2", "--subalgebra", "span{X-iY, T+iX}",
+        )
+        assert (code, out, err) == (EX_VALIDATION, "", message), name
+
+
+def test_decompose_checks_closure_before_ellipticity(capsys):
+    # [X1, X2] = Y3 is not in the span, which is not elliptic either
+    code, out, err = run(
+        capsys, "decompose", "--algebra", "builtin:su3", "--subalgebra", "span{X1, X2}",
+    )
+    assert (code, out) == (EX_VALIDATION, "")
+    assert err == ("liecoh: error [E_VALIDATION] subspace is not bracket-closed: "
+                   "witness rows (0, 1)\n")
+
+
+def test_relative_cohomology_refuses_representatives(capsys):
+    code, out, err = run(
+        capsys, "cohomology", "--algebra", "builtin:su2", "--relative", "span{T}",
+        "--representatives", "--json",
+    )
+    assert (code, out) == (EX_VALIDATION, "")
+    assert err == ("liecoh: error [E_VALIDATION] relative cohomology reports dims only; "
+                   "drop --representatives\n")

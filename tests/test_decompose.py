@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
-from liecoh.algebra import Subalgebra, parse_span, su2, su3, torus
+from liecoh.algebra import ClosureError, Subalgebra, parse_span, su2, su3, torus
 from liecoh.adapted import AdaptedFrame
+import liecoh.cohomology as cohomology
 from liecoh.cohomology import (
     BasisedAlgebra,
     GModule,
@@ -16,7 +17,6 @@ from liecoh.decompose import (
     AlgebraError,
     NoIdealComplementError,
     NotEllipticError,
-    adjoint_quotient_module,
     bott_dolbeault,
     default_inner_product,
     full_assembly,
@@ -24,13 +24,16 @@ from liecoh.decompose import (
     kunneth_assemble,
     validate_ad_invariant,
 )
-from liecoh.linalg import ExactMatrix, rank_kernel, solve_linear, vec_dot
+from liecoh.linalg import ExactMatrix, vec_dot
 from liecoh.roots import build_standard, root_decomposition
 from liecoh.scalars import GaussianRational as Q
 
 from conftest import (
+    brute_force_quotient_actions,
     closed_chambers,
     diagonal_solvable,
+    reference_fiber,
+    reference_quotient_module,
     signed_permutation,
     single_entry_perturbations,
     two_step_nilpotent,
@@ -38,42 +41,55 @@ from conftest import (
 from property_suites import _algebra_subalgebra_cases
 
 
-# -- adjoint quotient modules ---------------------------------------------------
+# -- Lambda^p(g/u)^* as blocks of d --------------------------------------------------
+#
+# The action of u on the p-forms of g/u is not a module object of its own:
+# theta(u_i) on them is the block of d of the frame of (g, u), trivial
+# coefficients, on the rows ((i,) + I) over the p-subsets I of the
+# complement block, and the fibers read these blocks for k's action.
+
+
+def theta_actions(g, u, p):
+    """theta(u_i) on Lambda^p(g/u)^* for each basis row u_i, as the blocks
+    of d that the frame of (g, u) reads."""
+    frame = AdaptedFrame(g, u)
+    cols = frame._w_cells(p, 1)
+    return [
+        cohomology._differential_matrix(
+            frame._trivial, [((i,) + S, a) for S, a in cols], cols
+        ).to_exact()
+        for i in range(frame.dim_u)
+    ]
 
 
 def test_quotient_module_su2_weight():
     # ad_T acts by -2i on g / span{T, L}, so by +2i on its dual
     g = su2()
     u = parse_span("span{T, X-iY}", g)
-    module = adjoint_quotient_module(g, u, 1)
-    assert module.dim == 1
-    assert module.actions[0] == ExactMatrix.from_rows([[Q(0, 2)]])
-    assert module.actions[1] == ExactMatrix.zero(1, 1)
+    actions = theta_actions(g, u, 1)
+    assert actions == [ExactMatrix.from_rows([[Q(0, 2)]]), ExactMatrix.zero(1, 1)]
 
 
 def test_quotient_module_p_zero_is_trivial():
     g = su2()
     u = parse_span("span{T, X-iY}", g)
-    module = adjoint_quotient_module(g, u, 0)
-    assert module.dim == 1
-    assert all(a == ExactMatrix.zero(1, 1) for a in module.actions)
+    assert theta_actions(g, u, 0) == [ExactMatrix.zero(1, 1)] * 2
 
 
 def test_quotient_module_of_full_algebra_vanishes():
     g = su2()
-    assert adjoint_quotient_module(g, Subalgebra.full(g), 1).dim == 0
-    assert adjoint_quotient_module(g, Subalgebra.full(g), 2).dim == 0
+    for p in (1, 2):
+        assert theta_actions(g, Subalgebra.full(g), p) == [ExactMatrix.zero(0, 0)] * 3
 
 
 def test_quotient_module_out_of_range_degree_is_zero():
     # Lambda^p of the 2-dimensional quotient su2 / span{T} is zero for
-    # p < 0 and p > 2; the module keeps one 0x0 action per u vector
+    # p < 0 and p > 2; there is one 0x0 action per u vector
     g = su2()
     t = parse_span("span{T}", g)
     for p in (-1, 3):
-        module = adjoint_quotient_module(g, t, p)
-        assert module.dim == 0
-        assert module.actions == [ExactMatrix.zero(0, 0)]
+        assert theta_actions(g, t, p) == [ExactMatrix.zero(0, 0)]
+        assert reference_quotient_module(g, t, p).dim == 0
     assert bott_dolbeault(g, parse_span("span{T, X-iY}", g), t, -1).dims == {0: 0, 1: 0}
 
 
@@ -81,54 +97,9 @@ def test_quotient_module_homomorphism_check():
     g = su3()
     u = parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g)
     for p in range(4):
-        assert adjoint_quotient_module(g, u, p).validate() is None
-
-
-def _inversion_sign(seq):
-    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
-    return -1 if inversions % 2 else 1
-
-
-def brute_force_quotient_actions(g, u, p):
-    """Lambda^p(ad) on g/u, built from LieAlgebra.bracket, and its
-    contragredient, the action on Lambda^p(g/u)^*: the complement is the
-    greedy pick from the standard basis, [u_i, w_j] is solved in the basis
-    (u, w), and a wedge of complement vectors is re-sorted with its
-    permutation sign."""
-    u_rows = u.vectors()
-    comp, rows = [], list(u_rows)
-    for j in range(g.dim):
-        trial = rows + [g.basis_vector(j)]
-        if rank_kernel(ExactMatrix.from_rows(trial))[0] > len(rows):
-            rows = trial
-            comp.append(g.basis_vector(j))
-    d = len(comp)
-    cols = ExactMatrix.from_rows([[v[i] for v in u_rows + comp] for i in range(g.dim)])
-    subs = list(combinations(range(d), p)) if 0 <= p <= d else []
-    index = {K: i for i, K in enumerate(subs)}
-    actions = []
-    for x in u_rows:
-        # A[l][j]: complement coefficient l of [x, w_j]
-        A = [[None] * d for _ in range(d)]
-        for j, w in enumerate(comp):
-            coords = solve_linear(cols, g.bracket(x, w))
-            for l in range(d):
-                A[l][j] = coords[len(u_rows) + l]
-        data = [[Q(0)] * len(subs) for _ in subs]
-        for K in subs:
-            for pos in range(p):
-                for l in range(d):
-                    if A[l][K[pos]].is_zero():
-                        continue
-                    replaced = K[:pos] + (l,) + K[pos + 1:]
-                    if len(set(replaced)) < p:
-                        continue
-                    target = tuple(sorted(replaced))
-                    term = A[l][K[pos]] * _inversion_sign(replaced)
-                    data[index[target]][index[K]] = data[index[target]][index[K]] + term
-        M = ExactMatrix(len(subs), len(subs), data)
-        actions.append(M.transpose().scale(-1))
-    return actions
+        module = GModule(u, comb(3, p), theta_actions(g, u, p))
+        assert module.validate() is None
+        assert reference_quotient_module(g, u, p).validate() is None
 
 
 def _quotient_pairs():
@@ -150,8 +121,21 @@ def _quotient_pairs():
 def test_quotient_module_matches_brute_force_exterior_power():
     for g, u in _quotient_pairs():
         for p in range(g.dim - u.dim + 1):
-            module = adjoint_quotient_module(g, u, p)
-            assert module.actions == brute_force_quotient_actions(g, u, p), (g.name, p)
+            assert theta_actions(g, u, p) == brute_force_quotient_actions(g, u, p), (g.name, p)
+
+
+def test_bott_fiber_matches_reference_fiber():
+    # the fiber of row p on one frame against the quotient module fed to
+    # relative cohomology, with the pair 0 and with u meet conj(u)
+    checked = 0
+    for g, u in _quotient_pairs():
+        for pair in (Subalgebra.span(g, []), u.intersect(u.conj())):
+            assert pair.is_subalgebra() is None
+            for p in range(-1, g.dim - u.dim + 2):
+                fiber = bott_dolbeault(g, u, pair, p)
+                assert fiber.dims == reference_fiber(g, u, pair, p).dims, (g.name, u, pair, p)
+                checked += 1
+    assert checked > 100
 
 
 def test_relative_wrapper_equals_frame_method():
@@ -161,9 +145,9 @@ def test_relative_wrapper_equals_frame_method():
         (g2, parse_span("span{T}", g2), GModule.adjoint(g2)),
         (g3, parse_span("span{T1, T2}", g3), GModule.trivial(g3)),
     ]
-    outer = AdaptedFrame(g3, h5)
     for p in range(4):
-        cases.append((outer.u_algebra, parse_span("span{T1, T2}", g3), outer.quotient_module(p)))
+        module = reference_quotient_module(g3, h5, p)
+        cases.append((module.acting_algebra, parse_span("span{T1, T2}", g3), module))
     for acting, u, module in cases:
         wrapped = relative_ce_cohomology(acting, u, module)
         direct = AdaptedFrame(acting, u).relative_cohomology(module)
@@ -181,7 +165,7 @@ def test_full_assembly_builds_each_adapted_basis_once(monkeypatch):
     monkeypatch.setattr(BasisedAlgebra, "__init__", counting)
     g = su3()
     full_assembly(g, parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g))
-    assert len(calls) <= 4
+    assert len(calls) == 1
 
 
 # -- Kunneth convolution ----------------------------------------------------------
@@ -434,3 +418,57 @@ def test_full_assembly_requires_elliptic():
     g = su2()
     with pytest.raises(NotEllipticError):
         full_assembly(g, parse_span("span{X-iY}", g))
+
+
+def _assembly_pairs():
+    """h5, the standard (2, 0) and (0, 2) structures of every su3 chamber,
+    su2 span{T, X-iY} and the full su2: (g, h, gram)."""
+    g3, g2 = su3(), su2()
+    pairs = [(g3, parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g3), None)]
+    rd = root_decomposition(g3, parse_span("span{T1, T2}", g3))
+    for plus in closed_chambers(rd):
+        for s, t in ((2, 0), (0, 2)):
+            pairs.append((g3, build_standard(rd, s, t, plus).subalgebra, None))
+    pairs += [(g2, parse_span("span{T, X-iY}", g2), None), (g2, Subalgebra.full(g2), None)]
+    return pairs
+
+
+def test_full_assembly_fibers_match_reference_fiber():
+    t2 = torus(2)
+    cases = _assembly_pairs() + [(t2, parse_span("span{D1-iD2}", t2), ExactMatrix.identity(2))]
+    assert len(cases) == 16
+    for g, h, gram in cases:
+        report = full_assembly(g, h, gram=gram)
+        k = h.intersect(h.conj())
+        assert report.k_sub == k
+        assert sorted(report.fiber_dual) == list(range(g.dim - h.dim + 1))
+        for p, fiber in report.fiber_dual.items():
+            assert fiber.dims == reference_fiber(g, h, k, p).dims, (h, p)
+
+
+def test_full_assembly_refuses_parent_then_closure_then_ellipticity():
+    g2, g3 = su2(), su3()
+    # [X1, X2] = Y3 leaves span{X1, X2}, which is not elliptic either
+    with pytest.raises(ClosureError, match=r"witness rows \(0, 1\)"):
+        full_assembly(g3, parse_span("span{X1, X2}", g3))
+    with pytest.raises(AlgebraError, match="does not belong"):
+        full_assembly(g3, parse_span("span{X, Y}", g2))
+    with pytest.raises(NotEllipticError):
+        full_assembly(g3, parse_span("span{X1-iY1, X2-iY2, X3-iY3}", g3))
+    with pytest.raises(NotEllipticError):
+        full_assembly(g2, parse_span("span{T}", g2))
+
+
+def test_frame_with_a_pair_lists_it_first():
+    g = su3()
+    h = parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g)
+    k = h.intersect(h.conj())
+    frame = AdaptedFrame(g, h, pair=k)
+    assert (frame.dim_k, frame.dim_u, frame.codim) == (2, 5, 3)
+    assert frame.adapted.vectors[:2] == k.vectors()
+    assert Subalgebra.span(g, frame.adapted.vectors[:5]) == h
+    assert frame.pair_cohomology().dims == {0: 1, 1: 2, 2: 1}
+    with pytest.raises(AlgebraError, match="u is not contained"):
+        AdaptedFrame(g, k, pair=h)
+    with pytest.raises(AlgebraError, match="relative pair requires a bracket-closed u"):
+        AdaptedFrame(g, Subalgebra.full(g), pair=parse_span("span{X1, X2}", g))

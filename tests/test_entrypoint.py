@@ -31,8 +31,9 @@ def command(name):
 PLAIN = ALGEBRA | command("cohomology") | {
     "liecoh.linalg", "liecoh.cohomology", "liecoh.weight_zero"}
 BIGRADED = ALGEBRA | SUBSPACES | command("cohomology") | {"liecoh.cohomology", "liecoh.adapted"}
+# the assembly reads ellipticity off dimensions and does not load classify
 DECOMPOSE = ALGEBRA | SUBSPACES | command("decompose") | {
-    "liecoh.classify", "liecoh.cohomology", "liecoh.adapted", "liecoh.decompose"}
+    "liecoh.cohomology", "liecoh.adapted", "liecoh.decompose"}
 
 # modules imported under their own names; liecoh.cli itself runs as __main__
 COMMANDS = [

@@ -42,7 +42,7 @@ EXPORTED = {
         "ce_differential", "relative_ce_cohomology",
     ],
     "decompose": [
-        "AssemblyReport", "adjoint_quotient_module", "bott_dolbeault", "full_assembly",
+        "AssemblyReport", "bott_dolbeault", "full_assembly",
         "killing_form", "kunneth_assemble",
     ],
     "torus": [
