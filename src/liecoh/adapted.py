@@ -2,28 +2,38 @@
 
 One `AdaptedFrame` per pair checks that u lies in the acting algebra and
 is bracket-closed, picks a complement W of u, and solves once for the
-bracket table in the adapted basis [u | W].  With a subalgebra k of u as
-its `pair`, the basis is [k | a complement of k in u | W], and closure of
-k is read off the same table.
+bracket table in the adapted basis [u | W], or [k | a complement of k in
+u | W] with a subalgebra k of u as its `pair`.  Plain and module
+cohomology are the frame with u = 0 (`plain_frame`).
 
-Every complex is then a block of d of the adapted algebra on lists of
-cells (`cohomology._differential_matrix`).  Row p of the bigraded complex
+Every complex is a block of d of the adapted algebra on lists of cells
+(`cohomology._differential_matrix`).  Row p of the bigraded complex
 (`_bigraded_row`) has the cells (J + I, 0), I a p-subset of W and J a
-subset of u's block (`_row_cells`); the terms its d' drops raise p, which
-the quotient by F^{p+1} forgets.  By Cartan's formula theta(X) = i(X) d +
-d i(X), and i(k_i) kills a cochain that vanishes on k, so theta(k_i) on
-such cochains is the block of d on the rows (i,) + S.  The relative
-complex (`relative_cohomology`: the cells (K, a) on the W-subsets, acting
-indices those of u) and the fiber H^r(u, k; Lambda^p(acting/u)^*)
-(`fiber`: the cells of row p with J past k's block, acting indices those
-of k) are both the cochains on their cells that every such theta kills,
-with the block of d on them (`_invariant_cohomology`); the terms dropped
-land on cells with an index in the pair, where those cochains vanish.
+subset of u's block (`_row_cells`); the terms its d' drops raise p.  By
+Cartan's formula theta(X) = i(X) d + d i(X), theta(k_i) on cochains that
+vanish on k is the block of d on the rows (i,) + S.  The relative complex
+(`relative_complex`: cells (K, a) on the W-subsets, acting indices those
+of u) and the fiber H^r(u, k; Lambda^p(acting/u)^*) (`fiber`: the cells
+of row p with J past k's block, acting indices those of k) are the
+cochains on their cells that every such theta kills (`_invariant_complex`).
 
-Only the bigraded, relative and decompose paths load this module, so
-plain and module cohomology never compile it.  Names of `cohomology` and
-`linalg` are looked up on those modules when called, so that a wrapper or
-a test double installed there sees these calls too.
+The torus of a frame is the set of adapted vectors in the acting block
+(u's block, or all when u = 0) whose ad is diagonal on the adapted basis,
+read off the bracket table in one scan.  Such a T, acting diagonally on
+the module too, multiplies the cell (S, a) by its weight mu_a - sum of
+lam_s over S, and theta(T) commutes with d.  Where i(T) acts on a complex
+(T in its acting algebra, or in u for a fiber), a block of weight w != 0
+is acyclic, as d h + h d = 1 there for h = i(T)/w (Koszul, Bull. SMF 78,
+1950), and invariant cochains have weight zero.  So every complex keeps
+only its cells of weight zero (`weight_zero_cells`), `_invariant_complex`
+drops the theta rows of torus elements, and theta(X_i) of the others
+raises weights by lam_i.  A frame with no torus (a CR structure, a
+complement of no weight vectors) keeps every cell.  The weights are
+checked against every bracket and action (`_check_weights`), and every
+complex for d o d = 0.
+
+Names of `cohomology` and `linalg` are looked up on those modules when
+called, so that a wrapper or a test double installed there sees them.
 """
 
 from __future__ import annotations
@@ -31,13 +41,14 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import cohomology, linalg
-from .algebra import AlgebraError, ClosureError
-from .linalg import ExactMatrix, ScaledIntMatrix
+from .algebra import AlgebraError, ClosureError, LieAlgebra
+from .linalg import ExactMatrix, ScaledIntMatrix, as_scalar
+from .scalars import ONE, ZERO, InputError
 
 # annotations are postponed, so these names are for type checkers only
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .cohomology import BigradedComplex, CohomologyTable, GModule
+    from .cohomology import BigradedComplex, CochainComplex, CohomologyTable, GModule
     from .subalgebra import Subalgebra
 
 
@@ -45,23 +56,20 @@ RELATIVE_CLOSURE = "relative pair requires a bracket-closed u"
 
 
 class AdaptedFrame:
-    """The adapted basis of a pair (acting, u): the basis rows of u first
-    (after those of `pair`, when given), then a complement of u.
+    """The adapted basis of a pair (acting, u), u = None the zero
+    subalgebra: u's basis rows (after those of `pair`), then `complement`,
+    by default the greedy pick from the acting basis.  The coordinates of
+    the adapted vectors in the acting basis (`coords`) take an elimination
+    unless the acting basis is a LieAlgebra's own, one more gives the
+    bracket table in the adapted basis (`adapted`), scaled to integers
+    once (`_trivial`) and scanned for the `torus`."""
 
-    `complement` defaults to the greedy pick from the acting basis
-    (`extend_to_complement`).  One elimination finds the coordinates of
-    every adapted vector in the acting basis (`coords`), which checks that
-    u lies in the acting algebra; one more solves for the bracket table in
-    the adapted basis (`adapted`).  The table with trivial coefficients is
-    scaled to integers once; a module's actions reach the adapted basis by
-    one product with `coords`.
-    """
-
-    def __init__(self, acting, u: Subalgebra, complement=None, closure_message=None, pair=None):
+    def __init__(self, acting, u: Subalgebra | None, complement=None, closure_message=None,
+                 pair=None):
         base = cohomology.basised(acting)
-        if u.parent != base.parent or (pair is not None and pair.parent != base.parent):
+        if any(s is not None and s.parent != base.parent for s in (u, pair)):
             raise AlgebraError("subalgebra does not belong to the given algebra")
-        u_vectors = u.vectors()
+        u_vectors = [] if u is None else u.vectors()
         dim_u = len(u_vectors)
         if pair is not None:
             k_vectors = pair.vectors()
@@ -71,12 +79,14 @@ class AdaptedFrame:
                 raise AlgebraError("u is not contained in the acting algebra")
         given = complement is not None
         if given:
-            complement = [list(v) for v in complement]
+            complement = [[as_scalar(x) for x in v] for v in complement]
             if any(len(v) != base.parent.dim for v in complement):
                 raise AlgebraError("vector length does not match algebra dimension")
         else:
             complement = cohomology.extend_to_complement(u_vectors, base.vectors)
-        coords, failed = linalg._solve_columns(base._cols, u_vectors + complement)
+        # a LieAlgebra acts on its standard basis, where vectors are coordinates
+        coords, failed = (u_vectors + complement, None) if isinstance(acting, LieAlgebra) \
+            else linalg._solve_columns(base._cols, u_vectors + complement)
         if failed is not None and failed < dim_u:
             raise AlgebraError("u is not contained in the acting algebra")
         if len(complement) != base.dim - dim_u:
@@ -92,7 +102,6 @@ class AdaptedFrame:
         self.dim_k = 0 if pair is None else pair.dim
         if _leaves_block(adapted, self.dim_k):
             raise ClosureError(pair.is_subalgebra(), RELATIVE_CLOSURE)
-        self.base = base
         self.dim_u = dim_u
         self.codim = len(complement)
         self.complement = complement
@@ -103,50 +112,97 @@ class AdaptedFrame:
         self._trivial = cohomology._integer_structure(
             adapted, cohomology.GModule.trivial(adapted).actions
         )
+        # ad a is diagonal when every [a, b] lies on b: a component on l
+        # of [a, b] = -[b, a] rules out a unless l = b, and b unless l = a
+        off = {x for (a, b), coeffs in self._trivial[1].items() for l, _ in coeffs
+               for x, y in ((a, b), (b, a)) if l != y}
+        self.torus = [t for t in range(dim_u or adapted.dim) if t not in off]
 
-    def _w_subsets(self, k: int):
-        """The k-subsets of the complement block, in adapted indices."""
-        return [tuple(self.dim_u + x for x in K) for K in cohomology._subsets(self.codim, k)]
+    def _grading(self, structure, stop: int, dim_m: int = 1):
+        """(torus, lam, mu): the torus elements among the first `stop`
+        adapted vectors that act diagonally on the dim_m-dimensional module
+        of `structure`, and the packed joint weights (`_pack`) under them of
+        the adapted vectors and the module vectors, checked."""
+        _, brackets, acts = structure
+        torus = [t for t in self.torus
+                 if t < stop and all(set(row) <= {a} for a, row in enumerate(acts[t]))]
+        lam, mu = [[] for _ in acts], [[] for _ in range(dim_m)]
+        for t in torus:
+            for s in range(len(acts)):
+                # [t, s] is lam_s s, and [s, t] = -[t, s]
+                re, im = dict(brackets.get((min(s, t), max(s, t)), ())).get(s, (0, 0))
+                lam[s] += (re, im) if t < s else (-re, -im)
+            for a, row in enumerate(acts[t]):
+                mu[a] += row.get(a, (0, 0))
+        lam, mu = _pack(lam, mu)
+        if torus:
+            _check_weights(structure, lam, mu)
+        return torus, lam, mu
 
-    def _w_cells(self, k: int, dim_m: int):
-        """The cells (K, a) on the k-subsets K of the complement block."""
-        return [(K, a) for K in self._w_subsets(k) for a in range(dim_m)]
+    def _w_cells(self, dim_m: int, grading=None, weight=0):
+        """cells[k] for k = 0 .. codim + 1: the cells (K, a) on the
+        k-subsets K of the complement block, of weight `weight` under
+        `grading` (lam, mu), every cell without one."""
+        lam, mu = grading or ([0] * self.adapted.dim, [0] * dim_m)
+        return weight_zero_cells(
+            range(self.dim_u, self.adapted.dim), lam, [m - weight for m in mu]
+        )
 
-    def _row_cells(self, p: int, start: int, stop: int | None = None):
+    def _row_cells(self, p: int, start: int, stop: int | None = None, lam=None, weight=0):
         """Row p's cells by degree q = 0 .. stop - start + 1: (J + I, 0)
         for I a p-subset of the complement block and J a q-subset of
-        range(start, stop), I-major and J-minor; `stop` defaults to dim u."""
+        range(start, stop), of weight `weight` under `lam` (every cell
+        without it), I-major and J-minor; `stop` defaults to dim u."""
         stop = self.dim_u if stop is None else stop
-        ws = self._w_subsets(p)
-        return [
-            [(J + I, 0) for I in ws for J in combinations(range(start, stop), q)]
-            for q in range(stop - start + 2)
-        ]
+        lam = lam or [0] * self.adapted.dim
+        ws = list(combinations(range(self.dim_u, self.adapted.dim), p)) if p >= 0 else []
+        # the I are the module indices of the J-cells, of weight -weight - lam_I
+        cells = weight_zero_cells(range(start, stop), lam, [-weight - sum(lam[s] for s in I) for I in ws])
+        return [[(J + ws[a], 0) for J, a in sorted(degree, key=lambda c: c[1])] for degree in cells]
 
-    def relative_cohomology(self, module: GModule) -> CohomologyTable:
-        """H^k(acting, u; module) for a module of the acting algebra: the
-        u-invariant cochains on Lambda^k(W)^* tensor M, which vanish on u
-        arguments by construction (`_invariant_cohomology`)."""
-        if self.dim_u == 0:
-            return cohomology.ce_cohomology(self.base, module)
+    def relative_complex(self, module: GModule) -> CochainComplex:
+        """The complex of (acting, u; module): the u-invariant cochains on
+        Lambda^k(W)^* tensor M, on the cells of weight zero under the torus
+        of u (of the acting algebra when u = 0)."""
         structure = cohomology._integer_structure(
             self.adapted, cohomology._rebased_actions(module, self.coords)
         )
-        cells = [self._w_cells(k, module.dim) for k in range(self.codim + 2)]
-        return _invariant_cohomology(structure, cells, range(self.dim_u))
+        torus, lam, mu = self._grading(structure, self.dim_u or self.adapted.dim, module.dim)
+        return _invariant_complex(
+            structure, lambda w: self._w_cells(module.dim, (lam, mu), w),
+            [i for i in range(self.dim_u) if i not in torus], lam,
+        )
+
+    def relative_cohomology(self, module: GModule) -> CohomologyTable:
+        """H^k(acting, u; module) (`relative_complex`); for u != 0 its meta
+        gives dim u and the dimension of the invariant cochains by degree."""
+        complex_ = self.relative_complex(module)
+        table = complex_.cohomology()
+        if self.dim_u:
+            table.meta = {
+                "relative_pair_dim": self.dim_u,
+                "cochain_dims": {k: m.cols for k, m in complex_.int_differentials.items()},
+            }
+        return table
 
     def fiber(self, p: int) -> CohomologyTable:
         """H^r(u, k; Lambda^p(acting / u)^*) for k the frame's pair: row p
         of the bigraded complex made relative to k: the cells of row p
-        whose J avoids k's block, with the acting indices of k.  Out of
-        range, p gives the zero complex."""
-        return _invariant_cohomology(
-            self._trivial, self._row_cells(p, self.dim_k), range(self.dim_k)
-        )
+        whose J avoids k's block, of weight zero under the torus of u,
+        with the acting indices of k outside the torus.  Out of range, p
+        gives the zero complex."""
+        torus, lam, _ = self._grading(self._trivial, self.dim_u)
+        return _invariant_complex(
+            self._trivial, lambda w: self._row_cells(p, self.dim_k, lam=lam, weight=w),
+            [i for i in range(self.dim_k) if i not in torus], lam,
+        ).cohomology()
 
     def pair_cohomology(self) -> CohomologyTable:
         """H^s(k), trivial coefficients, from the block of k's cells."""
-        return _invariant_cohomology(self._trivial, self._row_cells(0, 0, self.dim_k), ())
+        lam = self._grading(self._trivial, self.dim_k)[1]
+        return _invariant_complex(
+            self._trivial, lambda w: self._row_cells(0, 0, self.dim_k, lam, w)
+        ).cohomology()
 
 
 def _leaves_block(adapted, n: int) -> bool:
@@ -155,60 +211,122 @@ def _leaves_block(adapted, n: int) -> bool:
     return any(l >= n for pair in combinations(range(n), 2) for l in adapted.coeffs(*pair))
 
 
-def _invariant_cohomology(structure, cells, acting) -> CohomologyTable:
-    """Cohomology of the cochains on the cells `cells[k]` that every
-    theta(X_i), i in `acting`, kills, with the block of d on those cells.
+def _pack(lam, mu):
+    """Int weight vectors as ints sum w_d B^d, additive and one-to-one on
+    every sum that a cell weight can take, as B is past twice all of them."""
+    base = 2 * sum(abs(x) for w in lam + mu for x in w) + 1
+    return [[sum(x * base ** d for d, x in enumerate(w)) for w in ws] for ws in (lam, mu)]
 
-    theta(X_i) of a cochain that vanishes on X_i is the block of d on the
-    rows ((i,) + S, a) over the cells (S, a), so the invariant cochains of
-    degree k are the kernel of those blocks stacked (Theta_k), and the
-    invariance is what makes the space d-stable.  One sparse product maps
-    each invariant basis B_k.  B_{k+1} is the kernel basis with 1 at its
-    own free column and 0 at the others, so the restricted d is the rows
-    of that product at the free columns, no solve needed.  With no acting
-    indices every cochain on the cells is invariant.
-    """
-    thetas, inv_bases, free = [], [], []
-    for cols in cells:
-        theta = cohomology._differential_matrix(
-            structure, [((i,) + S, a) for i in acting for S, a in cols], cols
-        )
-        piv_cols, kernel = linalg._kernel_vectors(theta.echelon_rows(), theta.cols)
-        thetas.append(theta)
-        inv_bases.append(ScaledIntMatrix.from_exact(ExactMatrix(len(kernel), theta.cols, kernel)))
-        free.append(sorted(set(range(theta.cols)) - set(piv_cols)))
 
-    rel_mats = {}
-    for k in range(len(cells) - 1):
-        d = cohomology._differential_matrix(structure, cells[k + 1], cells[k])
-        images = d.matmul(inv_bases[k].transpose())
-        if not thetas[k + 1].matmul(images).is_zero():
-            raise AssertionError("image of invariant cochain is not invariant")
-        rows = [images.data[f] for f in free[k + 1]]
-        rel_mats[k] = ScaledIntMatrix(len(rows), images.cols, images.den, rows)
+def weight_zero_cells(indices, lam, mu):
+    """cells[k] for k = 0 .. len(indices) + 1: the cells (S, a), S a
+    k-subset of the ascending `indices` and a a module index, of weight
+    mu[a] - sum of lam[s] over S zero (weights that add, such as ints),
+    S-major and a-minor; with zero weights, every cell.  A depth-first
+    walk enters an index only when the weight still missing is a sum over
+    the indices after it (reach), so it enters no branch without a cell."""
+    indices = list(indices)
+    reach = [set() for _ in indices] + [{0}]
+    for i in range(len(indices) - 1, -1, -1):
+        w = lam[indices[i]]
+        reach[i] = reach[i + 1] | {x + w for x in reach[i + 1]}
+    cells = [[] for _ in range(len(indices) + 2)]
 
-    complex_ = cohomology.CochainComplex(labels={}, int_differentials=rel_mats)
+    def walk(start, subset, need, modules):
+        if need == 0:
+            cells[len(subset)].extend((subset, a) for a in modules)
+        for j in range(start, len(indices)):
+            rest = need - lam[indices[j]]
+            if rest in reach[j + 1]:
+                walk(j + 1, subset + (indices[j],), rest, modules)
+
+    targets = {}
+    for a, w in enumerate(mu):
+        targets.setdefault(w, []).append(a)
+    for need, modules in targets.items():
+        if need in reach[0]:
+            walk(0, (), need, modules)
+    return [sorted(degree) for degree in cells]
+
+
+def _check_weights(structure, lam, mu):
+    """AssertionError unless every nonzero bracket and action coefficient
+    of the integer structure respects the packed weights: [f_a, f_b] lies
+    in weight lam_a + lam_b, and f_i moves m_c to weight mu_c + lam_i."""
+    _, brackets, acts = structure
+    for (a, b), coeffs in brackets.items():
+        if any(lam[l] != lam[a] + lam[b] for l, _ in coeffs):
+            raise AssertionError(
+                f"weight leak: the bracket of weight vectors {a + 1} and {b + 1} "
+                "has a component of another weight"
+            )
+    for i, rows in enumerate(acts):
+        for r, row in enumerate(rows):
+            if any(mu[r] != mu[c] + lam[i] for c in row):
+                raise AssertionError(
+                    f"weight leak: weight vector {i + 1} moves a module weight vector onto "
+                    f"module weight vector {r + 1}, of another weight"
+                )
+
+
+def _invariant_complex(structure, cells_of, acting=(), lam=()) -> CochainComplex:
+    """The complex of the cochains on the cells `cells_of(0)[k]` that
+    every theta(X_i), i in `acting`, kills, verified to square to zero;
+    `cells_of(w)` lists the cells of weight w by degree.
+
+    theta(X_i) raises weights by lam[i]: its block of d has the rows
+    ((i,) + S, a) for the cells (S, a) of weight lam[i].  The invariant
+    cochains of degree k are the kernel of those blocks stacked, a
+    d-stable space.  One sparse product maps each invariant basis B_k, and
+    B_{k+1} has 1 at its own free column and 0 at the others, so d is the
+    rows of that product at the free columns.  With no acting indices d is
+    the blocks on the cells."""
+    cells = cells_of(0)
+    degrees = range(len(cells) - 1)
+    if not acting:
+        differentials = {
+            k: cohomology._differential_matrix(structure, cells[k + 1], cells[k]) for k in degrees
+        }
+    else:
+        by_weight = {0: cells}
+        for i in acting:
+            if lam[i] not in by_weight:
+                by_weight[lam[i]] = cells_of(lam[i])
+        thetas, inv_bases, free = [], [], []
+        for k, cols in enumerate(cells):
+            rows = [((i,) + S, a) for i in acting for S, a in by_weight[lam[i]][k]]
+            theta = cohomology._differential_matrix(structure, rows, cols)
+            piv_cols, kernel = linalg._kernel_vectors(theta.echelon_rows(), theta.cols)
+            thetas.append(theta)
+            inv_bases.append(
+                ScaledIntMatrix.from_exact(ExactMatrix(len(kernel), theta.cols, kernel))
+            )
+            free.append(sorted(set(range(theta.cols)) - set(piv_cols)))
+        differentials = {}
+        for k in degrees:
+            d = cohomology._differential_matrix(structure, cells[k + 1], cells[k])
+            images = d.matmul(inv_bases[k].transpose())
+            if not thetas[k + 1].matmul(images).is_zero():
+                raise AssertionError("image of invariant cochain is not invariant")
+            rows = [images.data[f] for f in free[k + 1]]
+            differentials[k] = ScaledIntMatrix(len(rows), images.cols, images.den, rows)
+    complex_ = cohomology.CochainComplex(labels={}, int_differentials=differentials)
     complex_.verify()
-    table = complex_.cohomology()
-    table.meta = {
-        "relative_pair_dim": len(acting),
-        "cochain_dims": {k: inv_bases[k].rows for k in rel_mats},
-    }
-    return table
+    return complex_
 
 
-def _bigraded_row(frame: AdaptedFrame, p: int) -> BigradedComplex:
+def _bigraded_row(frame: AdaptedFrame, p: int, graded: bool = False) -> BigradedComplex:
     """Row p of the bigraded complex of the frame's pair (g, h), as
     CE(h; Lambda^p(g/h)^*) in the basis zeta_I wedge tau_J, verified to
-    square to zero.
+    square to zero; with `graded`, on its cells of weight zero.
 
     zeta_I wedge tau_J is the ascending subset J + (n + I) of the adapted
     basis up to the sign (-1)^{pq}, so d' from (p, q) to (p, q + 1) is
-    (-1)^p times the block of d of the adapted algebra with trivial
-    coefficients on those subsets, listed I-major and J-minor.
-    """
+    (-1)^p times the block of d with trivial coefficients on those
+    subsets, listed I-major and J-minor."""
     n = frame.dim_u
-    cells = frame._row_cells(p, 0)
+    lam = frame._grading(frame._trivial, n)[1] if graded else None
+    cells = frame._row_cells(p, 0, lam=lam)
     differentials = {}
     for q in range(n + 1):
         block = cohomology._differential_matrix(frame._trivial, cells[q + 1], cells[q])
@@ -227,3 +345,61 @@ def _bigraded_row(frame: AdaptedFrame, p: int) -> BigradedComplex:
     )
     complex_.verify()
     return complex_
+
+
+def _most_bracketed(ba):
+    """The first basis element with the most nonzero brackets [X, e_k],
+    a cheap sign of a regular element, which keeps the fewest cells of
+    weight zero: on builtin su3, X2 to Y3 (7 each) come before T1, X1, Y1
+    (6) and the non-regular T2 (4)."""
+    counts = [0] * ba.dim
+    for (a, b), coeffs in ba._table.items():
+        if coeffs:
+            counts[a] += 1
+            counts[b] += 1
+    return max(range(ba.dim), key=counts.__getitem__)
+
+
+def plain_frame(ba, module: GModule):
+    """(frame, module) for H^*(ba; module): the frame of (ba, 0) on an
+    eigenbasis of ad X, X = `_most_bracketed(ba)` placed first in its
+    0-eigenspace so that the torus scan finds it, with the module rebased
+    to an eigenbasis of X's action.  Where ba is abelian, or ad X
+    or X's action on a nontrivial module does not split over Q(i) with a
+    full eigenbasis within the root search's reach, the frame is on ba's
+    own basis and the module as given."""
+    if ba._table:
+        n, x = ba.dim, _most_bracketed(ba)
+        columns = [ba.coeffs(x, k) for k in range(n)]
+        ad = ExactMatrix._of(n, n, [[col.get(l, ZERO) for col in columns] for l in range(n)])
+        trivial = all(v.is_zero() for a in module.actions for row in a._data for v in row)
+        try:
+            split = linalg.split_eigen(ad)
+            module_split = None if trivial else linalg.split_eigen(module.actions[x])
+        except InputError:  # no split over Q(i), or past the root-search limit
+            split = None
+        if split is not None and split.diagonalizable and (
+            trivial or module_split.diagonalizable
+        ):
+            unit = [ONE if k == x else ZERO for k in range(n)]
+            # column x of ad X is zero, so the kernel vector with 1 at the free
+            # column x is the one that X replaces in the 0-eigenspace
+            eigen = []
+            for value, vectors in split.pairs:
+                if value.is_zero():
+                    vectors = [unit] + [v for v in vectors if v[x].is_zero()]
+                eigen += [list(v) for v in vectors]
+            complement = ExactMatrix._of(n, n, eigen).matmul(ba._cols.transpose()).row_list()
+            if not trivial:
+                # W has the eigenvectors m_a as columns; X_k acts by W^-1 rho(X_k) W
+                dim_m = module.dim
+                w = ExactMatrix._of(dim_m, dim_m, [
+                    list(v) for _, vectors in module_split.pairs for v in vectors
+                ]).transpose()
+                inverse, _ = linalg._solve_columns(w, ExactMatrix.identity(dim_m)._data)
+                w_inv = ExactMatrix._of(dim_m, dim_m, inverse).transpose()
+                module = cohomology.GModule(
+                    ba, dim_m, [w_inv.matmul(a).matmul(w) for a in module.actions]
+                )
+            return AdaptedFrame(ba, None, complement), module
+    return AdaptedFrame(ba, None), module

@@ -27,35 +27,17 @@ which is zero exactly when d o d is; `_check_square_zero` tests that
 product once per complex, for the plain, relative and bigraded
 complexes alike.
 
-Dims of the plain and module complexes come from a smaller complex, the
-cells of weight zero under one element X (`weight_zero.weight_complex`,
-a module of its own that only this route loads).  The Lie
-derivative theta(X) satisfies Cartan's formula theta(X) = d i(X) +
-i(X) d (Koszul, Bull. SMF 78, 1950; Hochschild-Serre, Ann. Math. 57,
-1953), and it commutes with d and with i(X) (as [theta(X), i(Y)] =
-i([X, Y])).  When ad X and the action rho(X) are diagonalizable, the
-cochains split into the eigenspaces of theta(X), and d and i(X) preserve
-each.  On the eigenspace of a weight w != 0 the identity is d h + h d
-for h = i(X)/w, so that block is acyclic, and H^*(g; M) is the
-cohomology of the weight-zero block alone.  On the eigenbases f_s of ad X
-(weight lam_s) and m_a of rho(X) (weight mu_a), the cell e^S tensor m_a
-has weight mu_a - sum of lam_s over S, so the block is spanned by cells.
-X is the basis element with the most nonzero brackets with the basis (the
-first of those), a cheap guess at a regular element, and the route
-applies when ad X and, for a nontrivial module, rho(X) split over Q(i)
-with full eigenbases (`split_eigen`).  That holds on every basis element
-of su2 and su3, and su3 keeps 508 of the 11440 entries of d for the X it
-picks, which is regular in every signed permutation of its basis.  Where it
-does not hold (an abelian, nilpotent or non-split algebra, or a root
-search past its limit) `ce_cohomology` falls back to the full complex.
-Representatives always take the full complex, as their labels are in the
-acting basis.  Every bracket and action coefficient in the eigenbases is
-checked to respect the weights (an AssertionError otherwise, exit 70),
-and the small complex is checked for d o d = 0 like any other.
+Plain and module dims come from the adapted frame with u = 0
+(`adapted.plain_frame`) on the eigenbasis of ad X, X the basis element
+with the most nonzero brackets (a cheap guess at a regular element), so
+that its torus scan finds X and keeps the cells of weight zero under it
+(the `adapted` docstring gives the argument): su3 keeps 508 of the 11440
+entries of d.  Representatives take the full complex (`ce_complex`), as
+their labels are in the acting basis.
 
 Every complex is a `CochainComplex`: the plain and module complexes
-(`ce_complex` and the weight-zero one), the relative complex of a pair
-and each bigraded row (`BigradedComplex`, which adds only its row index
+(`ce_complex` and the frame's), the relative complex of a pair and each
+bigraded row (`BigradedComplex`, which adds only its row index
 p and the message of its d' o d' check).  Every cohomology is its
 `cohomology` method, one reduction (`_chain_dims`) over its degrees:
 dims come from the pivot counts of the elimination kernel, and
@@ -64,12 +46,11 @@ representatives from reduced echelon forms.  GaussianRational appears only at th
 ExactMatrix, and kernel vectors are formed only for representatives and
 for the invariant bases of the relative complex.
 
-The relative complex and the bigraded rows are blocks of d of an algebra
-written in a basis adapted to u (or h): u's basis first, then a
-complement.  That basis, and the complexes on it, are
-`adapted.AdaptedFrame`, a module of its own that `relative_ce_cohomology`,
-`bigraded_complex` and `bigraded_cohomology` load on first use, so that
-plain and module cohomology do not compile it.
+Those dims and the relative and bigraded complexes are blocks of d in a
+basis adapted to u (or h, or 0), u's basis first: `adapted.AdaptedFrame`,
+a module that the functions below load on first use.  Bigraded rows are
+graded by the frame's torus, except for representatives and
+`bigraded_complex`, which keep every cell.
 """
 
 from __future__ import annotations
@@ -560,20 +541,16 @@ def _chain_dims(matrices, degrees, representatives=False):
 
 
 def ce_cohomology(acting, module: GModule, representatives: bool = False) -> CohomologyTable:
-    """H^k(acting; module) for k = 0..dim, by exact rank computations: on
-    the weight-zero subcomplex of one torus element
-    (`weight_zero.weight_complex`) where it applies, else, and always for
-    `representatives`, on the full complex (`ce_complex`), whose labels
-    are in the acting basis."""
+    """H^k(acting; module) for k = 0..dim: on the graded frame with u = 0
+    (`adapted.plain_frame`), or for `representatives` on the full complex
+    (`ce_complex`), whose labels are in the acting basis."""
     ba = basised(acting)
-    if not representatives and ba._table:
-        # loaded here: only this route runs it (an abelian algebra has no X)
-        from .weight_zero import weight_complex
+    if representatives:
+        return ce_complex(ba, module).cohomology(representatives)
+    from .adapted import plain_frame
 
-        complex_ = weight_complex(ba, module)
-        if complex_ is not None:
-            return complex_.cohomology()
-    return ce_complex(ba, module).cohomology(representatives)
+    frame, module = plain_frame(ba, module)
+    return frame.relative_cohomology(module)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +634,7 @@ def bigraded_cohomology(
     reps = {} if representatives else None
     labels = {} if representatives else None
     for p in range(frame.codim + 1):
-        row = _bigraded_row(frame, p).cohomology(representatives)
+        row = _bigraded_row(frame, p, graded=not representatives).cohomology(representatives)
         for q, v in row.dims.items():
             dims[(p, q)] = v
             if representatives:

@@ -10,15 +10,15 @@ cochains are the k-invariant ones on the cells of row p that vanish on k.
 So the assembly is the Leray/Bott route to the same H^{p,q} that
 `cohomology.bigraded_cohomology` computes directly, and both read blocks
 of d of one adapted frame of g, on the basis [k | a complement of k in h
-| a complement of h in g] (`AdaptedFrame` with k as its pair), which
-also gives H^s(k).
+| `complement_basis(g, h)`] (`AdaptedFrame` with k as its pair), which
+also gives H^s(k), checks that h is closed and grades both by its torus.
 """
 
 from __future__ import annotations
 
 from .adapted import AdaptedFrame
-from .algebra import AlgebraError, ClosureError, LieAlgebra
-from .cohomology import CohomologyTable
+from .algebra import AlgebraError, LieAlgebra
+from .cohomology import CohomologyTable, complement_basis
 from .linalg import ExactMatrix, rank_kernel, vec_conj, vec_dot
 from .scalars import _gauss
 from .subalgebra import Subalgebra
@@ -220,12 +220,10 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
     bracket-closed, then when it is not elliptic: h + conj(h) = g, read as
     2 dim h - dim k = dim g.
     """
-    if h.parent != g:
-        raise AlgebraError("subalgebra does not belong to the given algebra")
-    witness = h.is_subalgebra()
-    if witness is not None:
-        raise ClosureError(witness)
+    complement = complement_basis(g, h)  # refuses an h of another algebra
     k_sub = h.intersect(h.conj())
+    # one frame serves H^s(k) and every fiber, and checks closure
+    frame = AdaptedFrame(g, h, complement, pair=k_sub)
     if 2 * h.dim - k_sub.dim != g.dim:
         raise NotEllipticError("full assembly requires an elliptic structure")
     if gram is None:
@@ -239,8 +237,6 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
     u_ideal = ideal_complement(g, h, k_sub, gram)
     n = h.dim
     m = g.dim - n
-    # one frame serves H^s(k) and every fiber
-    frame = AdaptedFrame(g, h, pair=k_sub)
     k_table = frame.pair_cohomology()
     fiber_dual = {p: frame.fiber(p) for p in range(m + 1)}
     omega = {(p, r): v for p, table in fiber_dual.items() for r, v in table.dims.items()}

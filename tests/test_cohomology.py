@@ -35,7 +35,6 @@ from liecoh.cohomology import (
 )
 import liecoh.adapted as adapted
 import liecoh.cohomology as cohomology
-import liecoh.weight_zero as weight_zero
 from liecoh.linalg import (
     ExactMatrix,
     ScaledIntMatrix,
@@ -351,10 +350,10 @@ def test_quotient_representatives_match_two_step_reduction(
 
 # -- the weight-zero route against the full complex ----------------------------------
 #
-# ce_cohomology without representatives runs on the cells of weight zero
-# under one basis element X (weight_zero.weight_complex); every other
-# block is acyclic by Cartan's homotopy formula.  The full complex
-# (ce_complex) is the reference.
+# ce_cohomology without representatives runs on the frame with u = 0 on the
+# eigenbasis of ad X for one basis element X (adapted.plain_frame), whose
+# torus scan finds X; the cells of nonzero weight span acyclic blocks by
+# Cartan's homotopy formula.  The full complex (ce_complex) is the reference.
 
 
 SCALED = Path(__file__).with_name("fixtures") / "su2-scaled.json"
@@ -365,13 +364,15 @@ def su2_scaled():
 
 
 def assert_weight_route(g, module, applies=True):
-    """The weight-zero dims equal the full complex's, and the route
-    applies exactly when `applies` (else ce_cohomology falls back)."""
-    weight = weight_zero.weight_complex(cohomology.basised(g), module)
-    assert (weight is not None) == applies
+    """The dims of the frame with u = 0 equal the full complex's, and its
+    grading drops cells exactly when `applies` (else every cell is kept).
+    The graded complex is returned."""
+    frame, rebased = adapted.plain_frame(cohomology.basised(g), module)
+    weight = frame.relative_complex(rebased)
+    cells = sum(m.cols for m in weight.int_differentials.values())
+    assert (cells < 2 ** g.dim * module.dim) == applies
     full = ce_complex(g, module).cohomology().dims
-    if applies:
-        assert weight.cohomology().dims == full
+    assert weight.cohomology().dims == full
     assert ce_cohomology(g, module).dims == full
     return weight
 
@@ -381,7 +382,7 @@ def assert_weight_route(g, module, applies=True):
 @pytest.mark.parametrize("module", [GModule.trivial, GModule.adjoint], ids=["trivial", "adjoint"])
 def test_weight_route_matches_full_complex(algebra, module):
     g = algebra()
-    # torus3 is abelian: no basis element has a nonzero ad
+    # torus3 is abelian: every weight is zero
     assert_weight_route(g, module(g), applies=g.name != "torus3")
 
 
@@ -406,8 +407,9 @@ def test_whitehead_adjoint_cohomology_vanishes_on_the_weight_route():
     # with adjoint coefficients is checked in test_weight_route_matches_full_complex
     rng = random.Random(161)
     for g in [su2(), su3()] + [signed_permutation(su3(), rng) for _ in range(3)]:
-        weight = weight_zero.weight_complex(cohomology.basised(g), GModule.adjoint(g))
-        assert weight is not None
+        frame, module = adapted.plain_frame(cohomology.basised(g), GModule.adjoint(g))
+        assert frame.torus
+        weight = frame.relative_complex(module)
         assert weight.cohomology().degree_list() == [0] * (g.dim + 1)
 
 
@@ -437,8 +439,11 @@ def test_weight_route_falls_back_when_the_action_of_x_is_not_semisimple():
 @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-1, 1)), min_size=0, max_size=7),
        st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 1)), min_size=1, max_size=3))
 def test_weight_zero_cells_are_the_zero_weight_subsets(lam, mu):
-    cells = weight_zero.weight_zero_cells(lam, mu)
+    # int pairs as complex numbers, which add like the packed weights
     n = len(lam)
+    cells = adapted.weight_zero_cells(range(n), [complex(*w) for w in lam],
+                                      [complex(*m) for m in mu])
+    assert len(cells) == n + 2
     for k in range(n + 2):
         assert cells[k] == [
             (S, a) for S in combinations(range(n), k) for a, m in enumerate(mu)
@@ -1052,8 +1057,7 @@ def test_theta_blocks_match_reference_lie_derivative():
         frame = AdaptedFrame(acting, u)
         adapted = adapted_module(frame, module)
         structure = cohomology._integer_structure(frame.adapted, adapted.actions)
-        for k in range(frame.codim + 2):
-            cols = frame._w_cells(k, module.dim)
+        for k, cols in enumerate(frame._w_cells(module.dim)):
             for i in range(frame.dim_u):
                 # theta(u_i): the block of d on the rows ((i,) + K, a)
                 block = cohomology._differential_matrix(
@@ -1153,7 +1157,8 @@ def test_bigraded_dims_independent_of_complement_choice():
 
 def test_corrupted_dprime_is_caught(monkeypatch):
     # d'_1 = [0, -2i] does not kill the corrupted d'_0 = [0, 1]^T
-    # d'_0 of row p = 0 is the block of d on the columns [((), 0)]
+    # d'_0 of row p = 0 is the block of d on the columns [((), 0)]; the
+    # rows of representatives keep every cell (graded, row 0 keeps tau1 alone)
     real = cohomology._differential_matrix
 
     def corrupted(structure, rows, cols):
@@ -1164,7 +1169,7 @@ def test_corrupted_dprime_is_caught(monkeypatch):
     monkeypatch.setattr(cohomology, "_differential_matrix", corrupted)
     g = su2()
     with pytest.raises(AssertionError, match=r"d' o d' is nonzero at \(p, q\) = \(0, 0\)"):
-        bigraded_cohomology(g, parse_span("span{T, X-iY}", g))
+        bigraded_cohomology(g, parse_span("span{T, X-iY}", g), representatives=True)
 
 
 # -- Bott-Kostant: H^{p,q}(g; t_C + n+) = #{w in W : l(w) = p} * C(rank, q - p)

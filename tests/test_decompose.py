@@ -52,7 +52,8 @@ def theta_actions(g, u, p):
     """theta(u_i) on Lambda^p(g/u)^* for each basis row u_i, as the blocks
     of d that the frame of (g, u) reads."""
     frame = AdaptedFrame(g, u)
-    cols = frame._w_cells(p, 1)
+    cells = frame._w_cells(1)
+    cols = cells[p] if 0 <= p < len(cells) else []
     return [
         cohomology._differential_matrix(
             frame._trivial, [((i,) + S, a) for S, a in cols], cols

@@ -26,10 +26,10 @@ def command(name):
     return {"liecoh.commands", f"liecoh.commands.{name}"}
 
 
-# plain and module cohomology load no subspace module, no adapted frame
-# and no other command's module
+# plain and module cohomology load the adapted frame (u = 0) but no
+# subspace module and no other command's module
 PLAIN = ALGEBRA | command("cohomology") | {
-    "liecoh.linalg", "liecoh.cohomology", "liecoh.weight_zero"}
+    "liecoh.linalg", "liecoh.cohomology", "liecoh.adapted"}
 BIGRADED = ALGEBRA | SUBSPACES | command("cohomology") | {"liecoh.cohomology", "liecoh.adapted"}
 # the assembly reads ellipticity off dimensions and does not load classify
 DECOMPOSE = ALGEBRA | SUBSPACES | command("decompose") | {
