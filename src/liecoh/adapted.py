@@ -18,19 +18,19 @@ of row p with J past k's block, acting indices those of k) are the
 cochains on their cells that every such theta kills (`_invariant_complex`).
 
 The torus of a frame is the set of adapted vectors in the acting block
-(u's block, or all when u = 0) whose ad is diagonal on the adapted basis,
-read off the bracket table in one scan.  Such a T, acting diagonally on
-the module too, multiplies the cell (S, a) by its weight mu_a - sum of
-lam_s over S, and theta(T) commutes with d.  Where i(T) acts on a complex
-(T in its acting algebra, or in u for a fiber), a block of weight w != 0
-is acyclic, as d h + h d = 1 there for h = i(T)/w (Koszul, Bull. SMF 78,
-1950), and invariant cochains have weight zero.  So every complex keeps
-only its cells of weight zero (`weight_zero_cells`), `_invariant_complex`
-drops the theta rows of torus elements, and theta(X_i) of the others
-raises weights by lam_i.  A frame with no torus (a CR structure, a
-complement of no weight vectors) keeps every cell.  The weights are
-checked against every bracket and action (`_check_weights`), and every
-complex for d o d = 0.
+(u's block, or all when u = 0) whose ad is diagonal on the adapted
+basis, read off the bracket table in one scan.  Such a T, acting
+diagonally on the module too, multiplies the cell (S, a) by its weight
+mu_a - sum of lam_s over S, and theta(T) commutes with d.  Where i(T)
+acts on a complex (T in its acting algebra, or in u for a fiber), a
+block of weight w != 0 is acyclic, as d h + h d = 1 there for h = i(T)/w
+(Koszul, Bull. SMF 78, 1950), and invariant cochains have weight zero.
+So every complex but H^s(k) keeps only its cells of weight zero
+(`weight_zero_cells`), `_invariant_complex` drops the theta rows of
+torus elements, and theta(X_i) of the others raises weights by lam_i.  A
+frame with no torus (a CR structure, a complement of no weight vectors)
+keeps every cell.  The weights are checked against every bracket and
+action (`_check_weights`), and every complex for d o d = 0.
 
 Names of `cohomology` and `linalg` are looked up on those modules when
 called, so that a wrapper or a test double installed there sees them.
@@ -38,10 +38,11 @@ called, so that a wrapper or a test double installed there sees them.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from . import cohomology, linalg
-from .algebra import AlgebraError, ClosureError, LieAlgebra
+from .algebra import AlgebraError, ClosureError
 from .linalg import ExactMatrix, ScaledIntMatrix, as_scalar
 from .scalars import ONE, ZERO, InputError
 
@@ -59,10 +60,10 @@ class AdaptedFrame:
     """The adapted basis of a pair (acting, u), u = None the zero
     subalgebra: u's basis rows (after those of `pair`), then `complement`,
     by default the greedy pick from the acting basis.  The coordinates of
-    the adapted vectors in the acting basis (`coords`) take an elimination
-    unless the acting basis is a LieAlgebra's own, one more gives the
-    bracket table in the adapted basis (`adapted`), scaled to integers
-    once (`_trivial`) and scanned for the `torus`."""
+    the adapted vectors in the acting basis (`coords`) take one
+    elimination, one more gives the bracket table in the adapted basis
+    (`adapted`), scaled to integers once (`_trivial`) and scanned for the
+    `torus`."""
 
     def __init__(self, acting, u: Subalgebra | None, complement=None, closure_message=None,
                  pair=None):
@@ -84,9 +85,7 @@ class AdaptedFrame:
                 raise AlgebraError("vector length does not match algebra dimension")
         else:
             complement = cohomology.extend_to_complement(u_vectors, base.vectors)
-        # a LieAlgebra acts on its standard basis, where vectors are coordinates
-        coords, failed = (u_vectors + complement, None) if isinstance(acting, LieAlgebra) \
-            else linalg._solve_columns(base._cols, u_vectors + complement)
+        coords, failed = linalg._solve_columns(base._cols, u_vectors + complement)
         if failed is not None and failed < dim_u:
             raise AlgebraError("u is not contained in the acting algebra")
         if len(complement) != base.dim - dim_u:
@@ -138,6 +137,11 @@ class AdaptedFrame:
         if torus:
             _check_weights(structure, lam, mu)
         return torus, lam, mu
+
+    @cached_property
+    def _row_grading(self):
+        """(torus, lam) of u's torus on the rows and fibers, found once."""
+        return self._grading(self._trivial, self.dim_u)[:2]
 
     def _w_cells(self, dim_m: int, grading=None, weight=0):
         """cells[k] for k = 0 .. codim + 1: the cells (K, a) on the
@@ -191,18 +195,16 @@ class AdaptedFrame:
         whose J avoids k's block, of weight zero under the torus of u,
         with the acting indices of k outside the torus.  Out of range, p
         gives the zero complex."""
-        torus, lam, _ = self._grading(self._trivial, self.dim_u)
+        torus, lam = self._row_grading
         return _invariant_complex(
             self._trivial, lambda w: self._row_cells(p, self.dim_k, lam=lam, weight=w),
             [i for i in range(self.dim_k) if i not in torus], lam,
         ).cohomology()
 
     def pair_cohomology(self) -> CohomologyTable:
-        """H^s(k), trivial coefficients, from the block of k's cells."""
-        lam = self._grading(self._trivial, self.dim_k)[1]
-        return _invariant_complex(
-            self._trivial, lambda w: self._row_cells(0, 0, self.dim_k, lam, w)
-        ).cohomology()
+        """H^s(k), trivial coefficients, on all of k's cells: k is a torus
+        or 0 in the standard structures, where every weight is zero."""
+        return _invariant_complex(self._trivial, lambda w: self._row_cells(0, 0, self.dim_k)).cohomology()
 
 
 def _leaves_block(adapted, n: int) -> bool:
@@ -325,8 +327,7 @@ def _bigraded_row(frame: AdaptedFrame, p: int, graded: bool = False) -> Bigraded
     (-1)^p times the block of d with trivial coefficients on those
     subsets, listed I-major and J-minor."""
     n = frame.dim_u
-    lam = frame._grading(frame._trivial, n)[1] if graded else None
-    cells = frame._row_cells(p, 0, lam=lam)
+    cells = frame._row_cells(p, 0, lam=frame._row_grading[1] if graded else None)
     differentials = {}
     for q in range(n + 1):
         block = cohomology._differential_matrix(frame._trivial, cells[q + 1], cells[q])

@@ -27,13 +27,15 @@ which is zero exactly when d o d is; `_check_square_zero` tests that
 product once per complex, for the plain, relative and bigraded
 complexes alike.
 
-Plain and module dims come from the adapted frame with u = 0
+Plain, module, relative and bigraded dims are blocks of d in a basis
+adapted to u (or h, or 0), u's basis first: `adapted.AdaptedFrame`, a
+module loaded on first use, whose complexes keep the cells of weight
+zero under the frame's torus (the `adapted` docstring gives the
+argument).  Plain and module dims take the frame with u = 0
 (`adapted.plain_frame`) on the eigenbasis of ad X, X the basis element
 with the most nonzero brackets (a cheap guess at a regular element), so
-that its torus scan finds X and keeps the cells of weight zero under it
-(the `adapted` docstring gives the argument): su3 keeps 508 of the 11440
-entries of d.  Representatives take the full complex (`ce_complex`), as
-their labels are in the acting basis.
+that the torus is X: su3 keeps 508 of the 11440 entries of d.
+Representatives and `bigraded_complex` keep every cell.
 
 Every complex is a `CochainComplex`: the plain and module complexes
 (`ce_complex` and the frame's), the relative complex of a pair and each
@@ -45,12 +47,6 @@ representatives from reduced echelon forms.  GaussianRational appears only at th
 `ce_differential` and `CochainComplex.differentials` convert to
 ExactMatrix, and kernel vectors are formed only for representatives and
 for the invariant bases of the relative complex.
-
-Those dims and the relative and bigraded complexes are blocks of d in a
-basis adapted to u (or h, or 0), u's basis first: `adapted.AdaptedFrame`,
-a module that the functions below load on first use.  Bigraded rows are
-graded by the frame's torus, except for representatives and
-`bigraded_complex`, which keep every cell.
 """
 
 from __future__ import annotations
@@ -561,10 +557,13 @@ def ce_cohomology(acting, module: GModule, representatives: bool = False) -> Coh
 
 def relative_ce_cohomology(acting, u: Subalgebra, module: GModule) -> CohomologyTable:
     """H^k(acting, u; module): `AdaptedFrame.relative_cohomology` on the
-    frame of the pair."""
+    frame of the pair; for u = 0 the plain route (`ce_cohomology`)."""
+    ba = basised(acting)
+    if u.dim == 0 and u.parent == ba.parent:
+        return ce_cohomology(ba, module)
     from .adapted import RELATIVE_CLOSURE, AdaptedFrame
 
-    frame = AdaptedFrame(acting, u, closure_message=RELATIVE_CLOSURE)
+    frame = AdaptedFrame(ba, u, closure_message=RELATIVE_CLOSURE)
     return frame.relative_cohomology(module)
 
 

@@ -11,7 +11,7 @@ So the assembly is the Leray/Bott route to the same H^{p,q} that
 `cohomology.bigraded_cohomology` computes directly, and both read blocks
 of d of one adapted frame of g, on the basis [k | a complement of k in h
 | `complement_basis(g, h)`] (`AdaptedFrame` with k as its pair), which
-also gives H^s(k), checks that h is closed and grades both by its torus.
+also gives H^s(k), checks that h is closed and grades the fibers by its torus.
 """
 
 from __future__ import annotations

@@ -649,6 +649,25 @@ def test_relative_zero_pair_reduces_to_plain():
     )
 
 
+def test_relative_zero_pair_takes_the_plain_cells(monkeypatch):
+    # u = 0 is the plain route, graded by a regular element: su3 with
+    # adjoint coefficients keeps 22760 entries of d, of the 732160 that
+    # the 2^8 x 8 cells of its input basis give
+    g = su3()
+    module = GModule.adjoint(g)
+    cells = []
+    real = cohomology._chain_dims
+
+    def counted(matrices, degrees, representatives=False):
+        cells.append(sum(matrices[k].rows * matrices[k].cols for k in degrees))
+        return real(matrices, degrees, representatives)
+
+    monkeypatch.setattr(cohomology, "_chain_dims", counted)
+    relative = relative_ce_cohomology(g, Subalgebra.span(g, []), module)
+    assert relative.dims == ce_cohomology(g, module).dims == {k: 0 for k in range(9)}
+    assert cells[0] == cells[1] == 22760
+
+
 def test_relative_weight_line():
     # acting algebra span{T, L} with the 1-dimensional module of T-weight
     # 2i: the invariant line sits in degree one because the quotient slot
@@ -1155,21 +1174,39 @@ def test_bigraded_dims_independent_of_complement_choice():
     assert other.dims == base.dims
 
 
-def test_corrupted_dprime_is_caught(monkeypatch):
-    # d'_1 = [0, -2i] does not kill the corrupted d'_0 = [0, 1]^T
-    # d'_0 of row p = 0 is the block of d on the columns [((), 0)]; the
-    # rows of representatives keep every cell (graded, row 0 keeps tau1 alone)
+def assert_corrupted_row_zero_is_caught(monkeypatch, g, text, blocks, representatives):
+    """d'_q of row p = 0 is the block of d on the columns of degree q;
+    `blocks` replaces those of the given columns."""
     real = cohomology._differential_matrix
 
     def corrupted(structure, rows, cols):
-        if cols == [((), 0)]:
-            return ScaledIntMatrix.from_exact(ExactMatrix.from_rows([[Q(0)], [Q(1)]]))
+        block = blocks.get(tuple(cols))
+        if block is not None:
+            assert len(rows) == len(block)
+            return ScaledIntMatrix.from_exact(ExactMatrix.from_rows(block))
         return real(structure, rows, cols)
 
     monkeypatch.setattr(cohomology, "_differential_matrix", corrupted)
-    g = su2()
     with pytest.raises(AssertionError, match=r"d' o d' is nonzero at \(p, q\) = \(0, 0\)"):
-        bigraded_cohomology(g, parse_span("span{T, X-iY}", g), representatives=True)
+        bigraded_cohomology(g, parse_span(text, g), representatives=representatives)
+
+
+def test_corrupted_dprime_is_caught(monkeypatch):
+    # the rows of representatives keep every cell: d'_1 = [0, -2i] does
+    # not kill the corrupted d'_0 = [0, 1]^T
+    assert_corrupted_row_zero_is_caught(
+        monkeypatch, su2(), "span{T, X-iY}", {(((), 0),): [[Q(0)], [Q(1)]]}, True
+    )
+
+
+def test_corrupted_graded_dprime_is_caught(monkeypatch):
+    # graded by the torus {T1, T2} of h5, row 0 keeps the subsets of
+    # tau1 = T1 and tau2 = T2, where d' is zero; d'_0 = [1, 0]^T and
+    # d'_1 = [1, 0] of that row are corrupted
+    assert_corrupted_row_zero_is_caught(
+        monkeypatch, su3(), "span{X1-iY1, X2-iY2, X3-iY3, T1, T2}",
+        {(((), 0),): [[Q(1)], [Q(0)]], (((0,), 0), ((1,), 0)): [[Q(1), Q(0)]]}, False,
+    )
 
 
 # -- Bott-Kostant: H^{p,q}(g; t_C + n+) = #{w in W : l(w) = p} * C(rank, q - p)

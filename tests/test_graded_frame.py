@@ -11,7 +11,6 @@ subalgebra of a unimodular algebra and depends on neither path.
 import random
 from math import comb
 
-
 from liecoh.adapted import AdaptedFrame, _bigraded_row
 from liecoh.algebra import Subalgebra, parse_span, su2, su3, torus
 from liecoh.cohomology import (
@@ -34,7 +33,8 @@ STANDARD = {"elliptic": (2, 0), "complex": (0, 2), "cr": (0, 0)}
 
 
 def ungraded(frame):
-    """The frame with its torus emptied: every complex keeps every cell."""
+    """The frame with its torus emptied, before it grades a row or a
+    fiber: every complex keeps every cell."""
     frame.torus = []
     return frame
 
