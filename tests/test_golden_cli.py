@@ -76,6 +76,10 @@ COMMANDS = {
     "roots-su3-complex": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1, T2}",
                           "--standard", "0", "2", "--json"],
     "roots-su3-line": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1+3T2}", "--json"],
+    "roots-su3-not-abelian": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1, X1}",
+                              "--json"],
+    "roots-su3-divisor-limit": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1+10T2}",
+                                "--json"],
     "plain-su2-scaled-reps": ["cohomology", "--algebra", SCALED, "--representatives", "--json"],
     "plain-su2-scaled": ["cohomology", "--algebra", SCALED, "--json"],
     "bigraded-su2-scaled-reps": ["cohomology", "--algebra", SCALED, "--subalgebra",
