@@ -349,58 +349,57 @@ def _bigraded_row(frame: AdaptedFrame, p: int, graded: bool = False) -> Bigraded
 
 
 def _most_bracketed(ba):
-    """The first basis element with the most nonzero brackets [X, e_k],
-    a cheap sign of a regular element, which keeps the fewest cells of
-    weight zero: on builtin su3, X2 to Y3 (7 each) come before T1, X1, Y1
-    (6) and the non-regular T2 (4)."""
-    counts = [0] * ba.dim
-    for (a, b), coeffs in ba._table.items():
-        if coeffs:
-            counts[a] += 1
-            counts[b] += 1
+    """The first basis element with the most nonzero brackets [X, e_k], a
+    cheap sign of a regular element: on builtin su3, X2 to Y3 (7 each)
+    come before T1, X1, Y1 (6) and the non-regular T2 (4)."""
+    counts = [sum(a in pair for pair in ba._table) for a in range(ba.dim)]
     return max(range(ba.dim), key=counts.__getitem__)
 
 
+def _ad(ba, v):
+    """ad v on ba's basis, v in ba's coordinates: column k is [v, e_k]."""
+    ad = [[ZERO] * ba.dim for _ in range(ba.dim)]
+    for a, x in enumerate(v):
+        for k in range(ba.dim) if not x.is_zero() else ():
+            for l, c in ba.coeffs(a, k).items():
+                ad[l][k] = ad[l][k] + x * c
+    return ExactMatrix._of(ba.dim, ba.dim, ad)
+
+
 def plain_frame(ba, module: GModule):
-    """(frame, module) for H^*(ba; module): the frame of (ba, 0) on an
-    eigenbasis of ad X, X = `_most_bracketed(ba)` placed first in its
-    0-eigenspace so that the torus scan finds it, with the module rebased
-    to an eigenbasis of X's action.  Where ba is abelian, or ad X
-    or X's action on a nontrivial module does not split over Q(i) with a
-    full eigenbasis within the root search's reach, the frame is on ba's
-    own basis and the module as given."""
-    if ba._table:
-        n, x = ba.dim, _most_bracketed(ba)
-        columns = [ba.coeffs(x, k) for k in range(n)]
-        ad = ExactMatrix._of(n, n, [[col.get(l, ZERO) for col in columns] for l in range(n)])
-        trivial = all(v.is_zero() for a in module.actions for row in a._data for v in row)
+    """(frame, module) for H^*(ba; module): the frame of (ba, 0), and the
+    module, on joint eigenbases of a commuting family, which
+    `linalg.refine_eigen` splits by each member in turn.  The family starts
+    at `_most_bracketed(ba)`; its next member is the first weight-zero
+    vector outside its span, until none is left or a split fails (over
+    Q(i), within the root search's reach, with a full eigenbasis).  It
+    comes first in the weight-zero block, so that the torus scan finds all
+    of it.  If ba is abelian or the first split fails, ba's own basis."""
+    n, dim_m = ba.dim, module.dim
+    trivial = all(x.is_zero() for a in module.actions for row in a._data for x in row)
+    spaces = [[((), ExactMatrix.identity(d).row_list())] for d in ([n] if trivial else [n, dim_m])]
+    family, rest = [], []
+    member = ExactMatrix.identity(n).row_list()[_most_bracketed(ba)] if ba._table else None
+    while member is not None:
+        operators = (_ad(ba, member), cohomology._rebased_actions(module, [member])[0])
         try:
-            split = linalg.split_eigen(ad)
-            module_split = None if trivial else linalg.split_eigen(module.actions[x])
+            refined = [linalg.refine_eigen(blocks, op) for blocks, op in zip(spaces, operators)]
         except InputError:  # no split over Q(i), or past the root-search limit
-            split = None
-        if split is not None and split.diagonalizable and (
-            trivial or module_split.diagonalizable
-        ):
-            unit = [ONE if k == x else ZERO for k in range(n)]
-            # column x of ad X is zero, so the kernel vector with 1 at the free
-            # column x is the one that X replaces in the 0-eigenspace
-            eigen = []
-            for value, vectors in split.pairs:
-                if value.is_zero():
-                    vectors = [unit] + [v for v in vectors if v[x].is_zero()]
-                eigen += [list(v) for v in vectors]
-            complement = ExactMatrix._of(n, n, eigen).matmul(ba._cols.transpose()).row_list()
-            if not trivial:
-                # W has the eigenvectors m_a as columns; X_k acts by W^-1 rho(X_k) W
-                dim_m = module.dim
-                w = ExactMatrix._of(dim_m, dim_m, [
-                    list(v) for _, vectors in module_split.pairs for v in vectors
-                ]).transpose()
-                inverse, _ = linalg._solve_columns(w, ExactMatrix.identity(dim_m)._data)
-                w_inv = ExactMatrix._of(dim_m, dim_m, inverse).transpose()
-                module = cohomology.GModule(
-                    ba, dim_m, [w_inv.matmul(a).matmul(w) for a in module.actions]
-                )
-            return AdaptedFrame(ba, None, complement), module
-    return AdaptedFrame(ba, None), module
+            break
+        if None in refined:
+            break
+        spaces, family = refined, family + [member]
+        zero = next(vectors for prefix, vectors in spaces[0] if not any(prefix))
+        rest = cohomology.extend_to_complement(family, zero) if len(zero) > len(family) else []
+        member = rest[0] if rest else None
+    if not family:
+        return AdaptedFrame(ba, None), module
+    eigen = [v for prefix, vectors in spaces[0] for v in (vectors if any(prefix) else family + rest)]
+    complement = ExactMatrix._of(n, n, eigen).matmul(ba._cols.transpose()).row_list()
+    if not trivial:
+        # W has the eigenvectors m_a as columns; X_k acts by W^-1 rho(X_k) W
+        w = ExactMatrix._of(dim_m, dim_m, [v for _, vectors in spaces[1] for v in vectors]).transpose()
+        inverse, _ = linalg._solve_columns(w, ExactMatrix.identity(dim_m)._data)
+        w_inv = ExactMatrix._of(dim_m, dim_m, inverse).transpose()
+        module = cohomology.GModule(ba, dim_m, [w_inv.matmul(a).matmul(w) for a in module.actions])
+    return AdaptedFrame(ba, None, complement), module

@@ -33,9 +33,10 @@ It raises AssertionError (exit code 70 at the command line) and is never
 rounded.
 
 Eigen-splitting computes the characteristic polynomial exactly
-(Faddeev-LeVerrier) and finds roots by exhaustive search over
-Gaussian-integer divisors; it fails loudly when the polynomial has an
-irreducible factor over Q(i).  A coefficient past the search limit stops
+(Faddeev-LeVerrier on Gaussian integers) and finds roots by exhaustive
+search over Gaussian-integer divisors; it fails loudly when the
+polynomial has an irreducible factor over Q(i).  `refine_eigen` splits
+the blocks of a basis by one matrix at a time.  A coefficient past the search limit stops
 the search with a message that says so, not that the polynomial does not
 split.  Hermitian inertia is read off the same characteristic polynomial
 by Descartes' rule of signs, which is exact there: the polynomial of a
@@ -509,6 +510,8 @@ def _solve_columns(M: ExactMatrix, columns):
     zero at the free variables.
     """
     n = M.cols
+    if M == ExactMatrix.identity(n):  # the solutions are the columns
+        return [[as_scalar(x) for x in col] for col in columns], None
     aug = [row + [as_scalar(col[i]) for col in columns] for i, row in enumerate(M._data)]
     reduced, piv_cols = _reduced_echelon(_integer_rows(aug), n + len(columns))
     rank_ = sum(1 for c in piv_cols if c < n)
@@ -552,22 +555,24 @@ def rref(M: ExactMatrix):
 def char_poly(M: ExactMatrix) -> list:
     """Monic characteristic polynomial det(tI - M), coefficients low to high.
 
-    Computed by the Faddeev-LeVerrier recursion; all divisions are by
-    integers and exact.
-    """
+    The Faddeev-LeVerrier recursion on the Gaussian-integer matrix A =
+    den M, whose coefficients are Gaussian integers, so each division by k
+    is exact; the one of t^(n-k) is den^k times that of M."""
     if M.rows != M.cols:
         raise ValueError("characteristic polynomial of non-square matrix")
     n = M.rows
+    scaled = ScaledIntMatrix.from_exact(M)
+    A = ScaledIntMatrix(n, n, 1, scaled.data)
     coeffs = [ZERO] * n + [ONE]
-    Mk = ExactMatrix.identity(n)
+    Ak = ScaledIntMatrix(n, n, 1, [{i: (1, 0)} for i in range(n)])
     for k in range(1, n + 1):
-        Mk = M.matmul(Mk)
-        c = -(Mk.trace() / k)
-        coeffs[n - k] = c
-        if k < n:
-            # Mk is a fresh product: add c to its diagonal in place
-            for i, row in enumerate(Mk._data):
-                row[i] = row[i] + c
+        Ak = A.matmul(Ak)
+        diagonal = [row.get(i, (0, 0)) for i, row in enumerate(Ak.data)]
+        c = _exact_quotient((-sum(x for x, _ in diagonal), -sum(y for _, y in diagonal)), (k, 0))
+        coeffs[n - k] = _gauss(*c, scaled.den ** k)
+        # Ak is a fresh product: add c to its diagonal in place
+        for i, (row, (x, y)) in enumerate(zip(Ak.data, diagonal)):
+            row[i] = (x + c[0], y + c[1])
     return coeffs
 
 
@@ -718,6 +723,49 @@ def split_eigen(M: ExactMatrix) -> EigenSplit:
         total += len(kernel)
         pairs.append((lam, tuple(tuple(v) for v in kernel)))
     return EigenSplit(pairs=tuple(pairs), diagonalizable=total == n)
+
+
+def _combine(coeffs, vectors):
+    """sum of c v over the coefficients c and the vectors v, skipping zeros."""
+    out = [ZERO] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        for i, x in enumerate(v) if not c.is_zero() else ():
+            if not x.is_zero():
+                out[i] = out[i] + c * x
+    return out
+
+
+def refine_eigen(blocks, M: ExactMatrix):
+    """The blocks (prefix, rows), each split by the square matrix M
+    restricted to the span of its rows: (prefix + (lam,), eigenvector rows)
+    for the eigenvalues lam of `split_eigen`, block by block; None at the
+    first block that M does not map into itself or does not diagonalize.
+    Every row of a block has a unit column, 1 there and 0 in the other
+    rows, as the identity and every block returned have (kernel vectors
+    are 1 at their free column, 0 at the others): coordinates in a block
+    are read there, with no elimination.  A scalar block stays whole."""
+    columns = M.transpose()._data
+    refined = []
+    for prefix, vectors in blocks:
+        units = [next(j for j, x in enumerate(v) if x == ONE and all(
+            w is v or w[j].is_zero() for w in vectors)) for v in vectors]
+        images = [_combine(v, columns) for v in vectors]
+        # restricted[k][j] is coordinate k of M v_j; a full block is invariant
+        restricted = [[image[u] for image in images] for u in units]
+        if len(vectors) < M.cols and any(
+            _combine(c, vectors) != image for c, image in zip(zip(*restricted), images)
+        ):
+            return None
+        lam = restricted[0][0]
+        if all(x == (lam if j == k else ZERO) for k, row in enumerate(restricted)
+               for j, x in enumerate(row)):
+            refined.append((prefix + (lam,), vectors))
+            continue
+        eigen = split_eigen(ExactMatrix._of(len(vectors), len(vectors), restricted))
+        if not eigen.diagonalizable:
+            return None
+        refined += [(prefix + (lam,), [_combine(c, vectors) for c in cs]) for lam, cs in eigen.pairs]
+    return refined
 
 
 # ---------------------------------------------------------------------------

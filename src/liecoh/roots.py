@@ -17,14 +17,7 @@ from collections import namedtuple
 
 from .algebra import AlgebraError, LieAlgebra
 from .classify import classify_structure
-from .linalg import (
-    ExactMatrix,
-    NonSplitError,
-    _solve_columns,
-    as_scalar,
-    split_eigen,
-    vec_is_zero,
-)
+from .linalg import NonSplitError, as_scalar, refine_eigen, vec_is_zero
 from .scalars import GaussianRational, ZERO, format_scalar, value_key
 from .subalgebra import Subalgebra
 
@@ -36,11 +29,8 @@ class NonAbelianTorusError(AlgebraError):
 
 
 class NonSplitActionError(AlgebraError):
-    def __init__(self, j: int, detail: str = ""):
-        msg = f"ad of torus generator {j} does not split over Q(i)"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+    def __init__(self, j: int, detail: str):
+        super().__init__(f"ad of torus generator {j} does not split over Q(i): {detail}")
         self.generator = j
 
 
@@ -96,6 +86,9 @@ def _sorted_roots(roots):
 
 
 def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
+    """The simultaneous eigenspaces of ad t on g: `linalg.refine_eigen`
+    splits the standard basis by each ad T_j in turn, and a T_j whose ad
+    does not split over Q(i), or does not diagonalize, is refused."""
     if t.parent != g:
         raise AlgebraError("torus does not belong to the given algebra")
     tv = t.vectors()
@@ -103,58 +96,23 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
         for b in range(a + 1, len(tv)):
             if not vec_is_zero(g.bracket(tv[a], tv[b])):
                 raise NonAbelianTorusError((a, b))
-    n = g.dim
-    # iterated refinement: split by each ad_{T_j} in turn
-    blocks = [((), [g.basis_vector(k) for k in range(n)])]
+    blocks = [((), [g.basis_vector(k) for k in range(g.dim)])]
     for j, tvec in enumerate(tv):
-        ad = g.ad_matrix(tvec)
-        refined = []
-        for prefix, vectors in blocks:
-            cols = ExactMatrix.from_rows(
-                [[vectors[c][i] for c in range(len(vectors))] for i in range(n)]
-            )
-            sub_cols, failed = _solve_columns(cols, [ad.apply(v) for v in vectors])
-            if failed is not None:
-                raise NonSemisimpleActionError(j)
-            restricted = ExactMatrix.from_rows(
-                [[sub_cols[c][r] for c in range(len(vectors))] for r in range(len(vectors))]
-            )
-            try:
-                eigen = split_eigen(restricted)
-            except NonSplitError as exc:
-                raise NonSplitActionError(j, str(exc)) from exc
-            if not eigen.diagonalizable:
-                raise NonSemisimpleActionError(j)
-            basis = ExactMatrix._of(len(vectors), n, vectors)
-            for lam, coord_vectors in eigen.pairs:
-                coeffs = ExactMatrix._of(
-                    len(coord_vectors), len(vectors), [list(v) for v in coord_vectors]
-                )
-                refined.append((prefix + (lam,), coeffs.matmul(basis).row_list()))
-        blocks = refined
-    spaces = {}
-    zero_key = tuple([ZERO] * len(tv))
-    zero_space = Subalgebra.span(g, [])
-    total = 0
-    roots = []
-    for prefix, vectors in blocks:
-        space = Subalgebra.span(g, vectors)
-        total += space.dim
-        if prefix == zero_key:
-            zero_space = space
-            continue
-        roots.append(prefix)
-        spaces[prefix] = space
-    if total != n:
-        raise NonSemisimpleActionError(len(tv) - 1)
-    for alpha in roots:
-        for x in alpha:
-            if x._t[0] != 0:  # a nonzero real part
-                raise GradingError(
-                    f"root component {format_scalar(x)} is not purely imaginary; "
-                    "the decomposition expects a compact real form"
-                )
-    roots = _sorted_roots(roots)
+        try:
+            blocks = refine_eigen(blocks, g.ad_matrix(tvec))
+        except NonSplitError as exc:
+            raise NonSplitActionError(j, str(exc)) from exc
+        if blocks is None:
+            raise NonSemisimpleActionError(j)
+    spaces = {prefix: Subalgebra.span(g, vectors) for prefix, vectors in blocks}
+    zero_space = spaces.pop(tuple([ZERO] * len(tv)), None) or Subalgebra.span(g, [])
+    real = next((x for alpha in spaces for x in alpha if x._t[0] != 0), None)
+    if real is not None:
+        raise GradingError(
+            f"root component {format_scalar(real)} is not purely imaginary; "
+            "the decomposition expects a compact real form"
+        )
+    roots = _sorted_roots(spaces)
     _verify_grading(g, roots, spaces, zero_space)
     notes = (
         "adjoint action satisfies [T_j, L] = +i*Lambda_j L on the eigenvectors; "
@@ -174,23 +132,15 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
 def _verify_grading(g: LieAlgebra, roots, spaces, zero_space):
     """[g_alpha, g_beta] must land in g_{alpha+beta}, the centralizer when
     alpha + beta = 0, and vanish when alpha + beta is not a root."""
-    root_set = set(roots)
     zero_key = tuple([ZERO] * (len(roots[0]) if roots else 0))
     for alpha in roots:
         for beta in roots:
             target = tuple(a + b for a, b in zip(alpha, beta))
+            space = spaces.get(target, zero_space if target == zero_key else None)
             for u in spaces[alpha].vectors():
                 for v in spaces[beta].vectors():
                     w = g.bracket(u, v)
-                    if vec_is_zero(w):
-                        continue
-                    if target in root_set:
-                        ok = spaces[target].contains(w)
-                    elif target == zero_key:
-                        ok = zero_space.contains(w)
-                    else:
-                        ok = False
-                    if not ok:
+                    if not vec_is_zero(w) and (space is None or not space.contains(w)):
                         raise GradingError(
                             f"bracket of root spaces {alpha} and {beta} leaves the "
                             f"expected component"

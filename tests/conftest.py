@@ -108,6 +108,57 @@ def signed_permutation(g, rng):
     return LieAlgebra(g.name, [g.basis_names[i] for i in perm], table)
 
 
+def matrix_algebra(name, basis):
+    """The real Lie algebra on the named complex matrices `basis`, with its
+    structure constants solved from exact commutators AB - BA and the
+    Jacobi identity checked.  Independent of the builtin tables."""
+    names = list(basis)
+    mats = [ExactMatrix.from_rows(m) for m in basis.values()]
+    flat = ExactMatrix.from_rows([[x for row in m.row_list() for x in row] for m in mats])
+    table = {}
+    for a, b in combinations(range(len(mats)), 2):
+        commutator = mats[a].matmul(mats[b]) - mats[b].matmul(mats[a])
+        coords = solve_linear(flat.transpose(), [x for row in commutator.row_list() for x in row])
+        assert coords is not None and all(x.is_real() for x in coords), (names[a], names[b])
+        table[(a, b)] = {l: x for l, x in enumerate(coords) if not x.is_zero()}
+    g = LieAlgebra(name, names, table)
+    assert g.validate() is None
+    return g
+
+
+def _matrix(n, entries):
+    """The n x n matrix with the given {(row, col): (re, im)} entries."""
+    data = [[GaussianRational(0)] * n for _ in range(n)]
+    for (j, k), (re, im) in entries.items():
+        data[j][k] = GaussianRational(re, im)
+    return data
+
+
+def su(n):
+    """su(n) on H_k = i(E_kk - E_{k+1,k+1}), X_jk = E_jk - E_kj and
+    Y_jk = i(E_jk + E_kj) (j < k, 1-based names), so X_jk - iY_jk = 2E_jk
+    and the elliptic standard structure is span{H_k, X_jk - iY_jk}."""
+    basis = {f"H{k + 1}": _matrix(n, {(k, k): (0, 1), (k + 1, k + 1): (0, -1)})
+             for k in range(n - 1)}
+    for j, k in combinations(range(n), 2):
+        basis[f"X{j + 1}{k + 1}"] = _matrix(n, {(j, k): (1, 0), (k, j): (-1, 0)})
+        basis[f"Y{j + 1}{k + 1}"] = _matrix(n, {(j, k): (0, 1), (k, j): (0, 1)})
+    return matrix_algebra(f"su{n}", basis)
+
+
+# t_C + n^+ of su(4), elliptic, with complement span{X_jk + iY_jk}
+SU4_ELLIPTIC = ("span{H1, H2, H3, X12-iY12, X13-iY13, X14-iY14, X23-iY23, X24-iY24, "
+                "X34-iY34}")
+
+
+def so(n):
+    """so(n) on L_jk = E_jk - E_kj (j < k, 1-based names)."""
+    return matrix_algebra(f"so{n}", {
+        f"L{j + 1}{k + 1}": _matrix(n, {(j, k): (1, 0), (k, j): (-1, 0)})
+        for j, k in combinations(range(n), 2)
+    })
+
+
 def single_entry_perturbations(g, rng, count):
     """Copies of g with one structure constant c_{jk}^l moved by a nonzero
     rational, at seeded positions (present entries and new ones)."""

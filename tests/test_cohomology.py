@@ -350,10 +350,11 @@ def test_quotient_representatives_match_two_step_reduction(
 
 # -- the weight-zero route against the full complex ----------------------------------
 #
-# ce_cohomology without representatives runs on the frame with u = 0 on the
-# eigenbasis of ad X for one basis element X (adapted.plain_frame), whose
-# torus scan finds X; the cells of nonzero weight span acyclic blocks by
-# Cartan's homotopy formula.  The full complex (ce_complex) is the reference.
+# ce_cohomology without representatives runs on the frame with u = 0 on a
+# joint eigenbasis of a commuting family grown from one basis element X
+# (adapted.plain_frame), whose torus scan finds the family; the cells of
+# nonzero weight span acyclic blocks by Cartan's homotopy formula.  The full
+# complex (ce_complex) is the reference.
 
 
 SCALED = Path(__file__).with_name("fixtures") / "su2-scaled.json"
@@ -387,17 +388,18 @@ def test_weight_route_matches_full_complex(algebra, module):
 
 
 def test_weight_route_on_seeded_su3_presentations():
-    # the signed permutations that the benchmark draws; a regular X (every
-    # basis element but T2) leaves 508 cells of the 11440 in d, the
-    # non-regular T2 would leave 1528, and X is regular however the basis
-    # is ordered, also where T2 comes first
+    # the signed permutations that the benchmark draws: the family grows
+    # from a regular X to a maximal torus, two elements, however the basis
+    # is ordered, also where T2 comes first, and its joint weight zero
+    # leaves 244 cells of the 11440 in d (X alone left 508)
     rng = random.Random(16)
     firsts = []
     for _ in range(24):
         g = signed_permutation(su3(), rng)
         weight = assert_weight_route(g, GModule.trivial(g))
         cells = sum(m.rows * m.cols for m in weight.int_differentials.values())
-        assert cells == 508
+        assert cells == 244
+        assert len(adapted.plain_frame(cohomology.basised(g), GModule.trivial(g))[0].torus) == 2
         firsts.append(g.basis_names[0])
     assert firsts.count("T2") >= 2 and len(set(firsts)) >= 5
 
@@ -650,8 +652,8 @@ def test_relative_zero_pair_reduces_to_plain():
 
 
 def test_relative_zero_pair_takes_the_plain_cells(monkeypatch):
-    # u = 0 is the plain route, graded by a regular element: su3 with
-    # adjoint coefficients keeps 22760 entries of d, of the 732160 that
+    # u = 0 is the plain route, graded by a maximal torus: su3 with
+    # adjoint coefficients keeps 8104 entries of d, of the 732160 that
     # the 2^8 x 8 cells of its input basis give
     g = su3()
     module = GModule.adjoint(g)
@@ -665,7 +667,7 @@ def test_relative_zero_pair_takes_the_plain_cells(monkeypatch):
     monkeypatch.setattr(cohomology, "_chain_dims", counted)
     relative = relative_ce_cohomology(g, Subalgebra.span(g, []), module)
     assert relative.dims == ce_cohomology(g, module).dims == {k: 0 for k in range(9)}
-    assert cells[0] == cells[1] == 22760
+    assert cells[0] == cells[1] == 8104
 
 
 def test_relative_weight_line():

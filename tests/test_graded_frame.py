@@ -19,11 +19,18 @@ from liecoh.cohomology import (
     bigraded_cohomology,
     ce_cohomology,
     complement_basis,
+    relative_ce_cohomology,
 )
 from liecoh.decompose import full_assembly
 from liecoh.roots import build_standard, root_decomposition
 
-from conftest import closed_chambers, reference_quotient_module, signed_permutation
+from conftest import (
+    SU4_ELLIPTIC,
+    closed_chambers,
+    reference_quotient_module,
+    signed_permutation,
+    su,
+)
 from property_suites import _algebra_subalgebra_cases
 
 H5 = "span{X1-iY1, X2-iY2, X3-iY3, T1, T2}"
@@ -203,13 +210,16 @@ def test_bigraded_duality():
     cases.append((g2, parse_span("span{X-iY}", g2)))
     cases += [(g, h) for g, structures in seeded_structures(3, seed=2103)
               for h in structures.values()]
+    g4 = su(4)
+    cases.append((g4, parse_span(SU4_ELLIPTIC, g4)))
     for g, h in cases:
         table = bigraded_cohomology(g, h)
         assert sum(table.dims.values()) > 0
         assert dual(table, g.dim - h.dim, h.dim), h
 
 
-def test_plain_and_bigraded_queries_build_one_adapted_basis(monkeypatch):
+def count_presentations(monkeypatch):
+    """The argument lists of every BasisedAlgebra built from now on."""
     calls = []
     real = BasisedAlgebra.__init__
 
@@ -218,6 +228,11 @@ def test_plain_and_bigraded_queries_build_one_adapted_basis(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(BasisedAlgebra, "__init__", counting)
+    return calls
+
+
+def test_plain_and_bigraded_queries_build_one_adapted_basis(monkeypatch):
+    calls = count_presentations(monkeypatch)
     g = su3()
     for run in (lambda: ce_cohomology(g, GModule.trivial(g)),
                 lambda: ce_cohomology(g, GModule.adjoint(g)),
@@ -225,6 +240,17 @@ def test_plain_and_bigraded_queries_build_one_adapted_basis(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == 1
+
+
+def test_a_relative_query_presents_its_acting_subalgebra_once(monkeypatch):
+    # one BasisedAlgebra for h, however often its module and the relative
+    # route ask for it, and one for the adapted basis of the pair
+    calls = count_presentations(monkeypatch)
+    g = su2()
+    h, u = parse_span("span{T, X-iY}", g), parse_span("span{T}", g)
+    table = relative_ce_cohomology(h, u, GModule.trivial(h))
+    assert table.dims == {0: 1, 1: 0}
+    assert len(calls) == 2
 
 
 def test_accepted_assembly_runs_no_closure_check(monkeypatch):

@@ -20,6 +20,7 @@ from liecoh.linalg import (
     hermitian_inertia,
     poly_eval,
     rank_kernel,
+    refine_eigen,
     rref,
     solve_linear,
     split_eigen,
@@ -364,6 +365,42 @@ def test_exact_quotient_divides_and_checks_the_remainder():
 def test_char_poly_rotation():
     M = ExactMatrix.from_rows([[0, -2], [2, 0]])
     assert char_poly(M) == [Q(4), Q(0), Q(1)]
+
+
+def reference_char_poly(M):
+    """Faddeev-LeVerrier on the Gaussian rationals themselves."""
+    n = M.rows
+    coeffs, Mk = [Q(0)] * n + [Q(1)], ExactMatrix.identity(n)
+    for k in range(1, n + 1):
+        Mk = M.matmul(Mk)
+        coeffs[n - k] = -(Mk.trace() / k)
+        Mk = Mk + ExactMatrix.identity(n).scale(coeffs[n - k])
+    return coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(max_n=4))
+def test_char_poly_matches_the_rational_recursion(M):
+    assert char_poly(M) == reference_char_poly(M)
+
+
+def test_refine_eigen_splits_each_block_and_refuses():
+    identity = ExactMatrix.identity(3).row_list()
+    blocks = refine_eigen([((), identity)], ExactMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 0]]))
+    # eigenvalues in split_eigen's order, each block with its prefix
+    assert [(prefix, len(rows)) for prefix, rows in blocks] == [((Q(0),), 1), ((Q(2),), 2)]
+    # a matrix that commutes with the first splits the 2-dimensional block
+    rotation = ExactMatrix.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 5]])
+    refined = refine_eigen(blocks, rotation)
+    assert [prefix for prefix, _ in refined] == [(Q(0), Q(5)), (Q(2), Q(0, -1)), (Q(2), Q(0, 1))]
+    for prefix, rows in refined:
+        assert all(rotation.apply(v) == [prefix[1] * x for x in v] for v in rows)
+    # a block that is not mapped into itself, one not diagonalized, and
+    # one that does not split over Q(i)
+    assert refine_eigen(blocks, ExactMatrix.from_rows([[0, 0, 1], [0, 0, 0], [0, 0, 0]])) is None
+    assert refine_eigen(blocks, ExactMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])) is None
+    with pytest.raises(NonSplitError):
+        refine_eigen(blocks, ExactMatrix.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 0]]))
 
 
 def test_split_rotation_block():
