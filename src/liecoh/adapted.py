@@ -381,7 +381,7 @@ def plain_frame(ba, module: GModule):
     family, rest = [], []
     member = ExactMatrix.identity(n).row_list()[_most_bracketed(ba)] if ba._table else None
     while member is not None:
-        operators = (_ad(ba, member), cohomology._rebased_actions(module, [member])[0])
+        operators = [_ad(ba, member)] + ([] if trivial else cohomology._rebased_actions(module, [member]))
         try:
             refined = [linalg.refine_eigen(blocks, op) for blocks, op in zip(spaces, operators)]
         except InputError:  # no split over Q(i), or past the root-search limit

@@ -15,7 +15,13 @@ import re as _re
 from itertools import combinations
 from math import lcm
 
-from .scalars import InputError, ZERO, as_scalar, format_scalar, parse_scalar
+from .scalars import InputError, ZERO, _gauss, as_scalar, format_scalar, parse_scalar
+
+
+def _integer_support(v):
+    """(d, [(j, (re, im))]): the nonzero entries of v as ints over their lcm d."""
+    d = lcm(1, *(x._t[2] for x in v))
+    return d, [(j, (x._t[0] * (d // x._t[2]), x._t[1] * (d // x._t[2]))) for j, x in enumerate(v) if x]
 
 
 class AlgebraError(InputError):
@@ -66,6 +72,7 @@ class LieAlgebra:
             if entry:
                 table[(j, k)] = entry
         self._table = table
+        self._ints = self._integer_table()
 
     @property
     def dim(self) -> int:
@@ -101,27 +108,21 @@ class LieAlgebra:
         return sorted(self._table.keys())
 
     def bracket(self, v, w):
-        """Bilinear antisymmetric extension of the structure constants."""
+        """Bilinear antisymmetric extension of the structure constants,
+        summed on ints over the denominators of the table, v and w."""
         n = self.dim
         if len(v) != n or len(w) != n:
             raise AlgebraError("coordinate vector length mismatch")
-        out = [ZERO] * n
-        table = self._table
-        w_support = [(k, y) for k, y in enumerate(w) if y]
-        for j, x in enumerate(v):
-            if not x:
-                continue
-            for k, y in w_support:
-                if j < k:
-                    coeffs, factor = table.get((j, k)), x * y
-                elif k < j:
-                    coeffs, factor = table.get((k, j)), -(x * y)
-                else:
-                    continue
-                if coeffs:
-                    for l, c in coeffs.items():
-                        out[l] = out[l] + factor * c
-        return out
+        den, table = self._ints
+        (dv, sv), (dw, sw) = _integer_support(v), _integer_support(w)
+        re, im = [0] * n, [0] * n
+        for j, (a, b) in sv:
+            for k, (c, d) in sw:
+                for l, t in table.get((j, k), {}).items():
+                    re[l] += (a * c - b * d) * t
+                    im[l] += (a * d + b * c) * t
+        den *= dv * dw
+        return [_gauss(x, y, den) if x or y else ZERO for x, y in zip(re, im)]
 
     def basis_vector(self, j: int):
         v = [ZERO] * self.dim
@@ -144,7 +145,7 @@ class LieAlgebra:
         on ints: over the common denominator den every sum is den^2 times
         the exact one, so it is zero exactly when that one is.
         """
-        _, table = self._integer_table()
+        _, table = self._ints
         for j, k, l in combinations(range(self.dim), 3):
             total = {}
             for a, b, c in ((j, k, l), (k, l, j), (l, j, k)):

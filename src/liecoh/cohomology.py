@@ -82,13 +82,11 @@ class BasisedAlgebra:
     """A Lie algebra presented by explicit basis vectors in an ambient
     algebra, with bracket coefficients expressed in that basis."""
 
-    def __init__(self, parent: LieAlgebra, vectors, names=None):
+    def __init__(self, parent: LieAlgebra, vectors):
         self.parent = parent
         self.vectors = [list(v) for v in vectors]
         self.dim = len(self.vectors)
-        self.names = tuple(names) if names is not None else tuple(
-            f"v{i + 1}" for i in range(self.dim)
-        )
+        self.names = tuple(f"v{i + 1}" for i in range(self.dim))
         if self.vectors:
             self._cols = ExactMatrix.from_rows(
                 [[self.vectors[c][i] for c in range(self.dim)] for i in range(parent.dim)]

@@ -555,21 +555,20 @@ def rref(M: ExactMatrix):
 def char_poly(M: ExactMatrix) -> list:
     """Monic characteristic polynomial det(tI - M), coefficients low to high.
 
-    The Faddeev-LeVerrier recursion on the Gaussian-integer matrix A =
-    den M, whose coefficients are Gaussian integers, so each division by k
-    is exact; the one of t^(n-k) is den^k times that of M."""
+    The Faddeev-LeVerrier recursion on the Gaussian-integer matrix A of
+    `ScaledIntMatrix.from_exact`: its coefficients are Gaussian integers, so
+    each division by k is exact, and the one of t^(n-k) is over den^k."""
     if M.rows != M.cols:
         raise ValueError("characteristic polynomial of non-square matrix")
     n = M.rows
-    scaled = ScaledIntMatrix.from_exact(M)
-    A = ScaledIntMatrix(n, n, 1, scaled.data)
+    A = ScaledIntMatrix.from_exact(M)
     coeffs = [ZERO] * n + [ONE]
     Ak = ScaledIntMatrix(n, n, 1, [{i: (1, 0)} for i in range(n)])
     for k in range(1, n + 1):
-        Ak = A.matmul(Ak)
+        Ak = A.matmul(Ak)  # its den is den^k
         diagonal = [row.get(i, (0, 0)) for i, row in enumerate(Ak.data)]
         c = _exact_quotient((-sum(x for x, _ in diagonal), -sum(y for _, y in diagonal)), (k, 0))
-        coeffs[n - k] = _gauss(*c, scaled.den ** k)
+        coeffs[n - k] = _gauss(*c, Ak.den)
         # Ak is a fresh product: add c to its diagonal in place
         for i, (row, (x, y)) in enumerate(zip(Ak.data, diagonal)):
             row[i] = (x + c[0], y + c[1])
@@ -649,6 +648,17 @@ def _scale_to_gaussian_integers(coeffs):
     return [GaussianRational(a * (mult // d), b * (mult // d)) for a, b, d in triples]
 
 
+def _vanishes_at(coeffs, r, s):
+    """Whether the Gaussian-integer polynomial vanishes at r/s: s^n p(r/s)
+    by Horner on (re, im) ints."""
+    (rr, ri, _), (sr, si, _) = r._t, s._t
+    (x, y, _), (p, q) = coeffs[-1]._t, (1, 0)
+    for c in reversed(coeffs[:-1]):
+        (a, b, _), (p, q) = c._t, (p * sr - q * si, p * si + q * sr)
+        x, y = x * rr - y * ri + a * p - b * q, x * ri + y * rr + a * q + b * p
+    return x == y == 0
+
+
 def poly_linear_roots(coeffs):
     """All roots in Q(i) with multiplicity; NonSplitError if some factor
     has no root there (rational-root search over Gaussian-integer
@@ -678,11 +688,12 @@ def poly_linear_roots(coeffs):
         # run over all associates: one associate of each s will do.  A value
         # met again is no root by then, as all of its multiplicity is gone.
         candidates = (
-            r / s for s in _gaussian_divisors(scaled[-1]) if s._t[0] > 0 and s._t[1] >= 0
+            (r, s) for s in _gaussian_divisors(scaled[-1]) if s._t[0] > 0 and s._t[1] >= 0
             for r in numerators
         )
-        for cand in candidates:
-            while len(work) > 2 and poly_eval(work, cand).is_zero():
+        for r, s in candidates:
+            cand = r / s if _vanishes_at(scaled, r, s) else None  # else a root of no factor
+            while cand is not None and len(work) > 2 and poly_eval(work, cand).is_zero():
                 roots.append(cand)
                 work = _poly_deflate(work, cand)
             if len(work) <= 2:
@@ -710,6 +721,9 @@ def split_eigen(M: ExactMatrix) -> EigenSplit:
     n = M.rows
     if n == 0:
         return EigenSplit(pairs=(), diagonalizable=True)
+    lam = M[0, 0]  # a scalar matrix: every vector is an eigenvector
+    if all(x == (lam if i == j else ZERO) for i, row in enumerate(M._data) for j, x in enumerate(row)):
+        return EigenSplit(((lam, tuple(map(tuple, ExactMatrix.identity(n)._data))),), True)
     roots = poly_linear_roots(char_poly(M))
     values = set(roots)
     distinct = sorted(values, key=value_key(values))
@@ -729,8 +743,8 @@ def _combine(coeffs, vectors):
     """sum of c v over the coefficients c and the vectors v, skipping zeros."""
     out = [ZERO] * len(vectors[0])
     for c, v in zip(coeffs, vectors):
-        for i, x in enumerate(v) if not c.is_zero() else ():
-            if not x.is_zero():
+        for i, x in enumerate(v) if c else ():
+            if x:
                 out[i] = out[i] + c * x
     return out
 
@@ -743,24 +757,18 @@ def refine_eigen(blocks, M: ExactMatrix):
     Every row of a block has a unit column, 1 there and 0 in the other
     rows, as the identity and every block returned have (kernel vectors
     are 1 at their free column, 0 at the others): coordinates in a block
-    are read there, with no elimination.  A scalar block stays whole."""
+    are read there, with no elimination."""
     columns = M.transpose()._data
     refined = []
     for prefix, vectors in blocks:
         units = [next(j for j, x in enumerate(v) if x == ONE and all(
-            w is v or w[j].is_zero() for w in vectors)) for v in vectors]
+            w is v or not w[j] for w in vectors)) for v in vectors]
         images = [_combine(v, columns) for v in vectors]
         # restricted[k][j] is coordinate k of M v_j; a full block is invariant
         restricted = [[image[u] for image in images] for u in units]
-        if len(vectors) < M.cols and any(
-            _combine(c, vectors) != image for c, image in zip(zip(*restricted), images)
-        ):
+        if len(vectors) < M.cols and any(_combine(c, vectors) != image
+                                         for c, image in zip(zip(*restricted), images)):
             return None
-        lam = restricted[0][0]
-        if all(x == (lam if j == k else ZERO) for k, row in enumerate(restricted)
-               for j, x in enumerate(row)):
-            refined.append((prefix + (lam,), vectors))
-            continue
         eigen = split_eigen(ExactMatrix._of(len(vectors), len(vectors), restricted))
         if not eigen.diagonalizable:
             return None

@@ -185,17 +185,11 @@ def positive_system(rd: RootDatum, override=None) -> PositiveSystem:
     else:
         chosen = [alpha for alpha in roots if _lex_positive(alpha)]
         chosen_set = set(chosen)
-    violations = []
-    root_set = set(roots)
-    for a in chosen:
-        for b in chosen:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in root_set and s not in chosen_set:
-                violations.append((a, b))
-    if violations:
-        raise PositiveSystemError(
-            f"positive system is not closed under addition: witness {violations[0]}"
-        )
+    outside = set(roots) - chosen_set
+    witness = next(((a, b) for a in chosen for b in chosen
+                    if tuple(x + y for x, y in zip(a, b)) in outside), None)
+    if witness is not None:
+        raise PositiveSystemError(f"positive system is not closed under addition: witness {witness}")
     return PositiveSystem(positive_roots=tuple(_sorted_roots(chosen_set)))
 
 
