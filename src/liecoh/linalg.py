@@ -35,12 +35,12 @@ rounded.
 Eigen-splitting computes the characteristic polynomial exactly
 (Faddeev-LeVerrier on Gaussian integers) and finds roots by exhaustive
 search over Gaussian-integer divisors; it fails loudly when the
-polynomial has an irreducible factor over Q(i).  `refine_eigen` splits
-the blocks of a basis by one matrix at a time.  A coefficient past the search limit stops
-the search with a message that says so, not that the polynomial does not
-split.  Hermitian inertia is read off the same characteristic polynomial
-by Descartes' rule of signs, which is exact there: the polynomial of a
-Hermitian matrix is real and has only real roots.
+polynomial has an irreducible factor over Q(i).  A coefficient past the
+search limit stops the search with a message that says so, not that the
+polynomial does not split.  `refine_eigen` splits the blocks of a basis
+by one matrix at a time.  Hermitian inertia is read off the same
+characteristic polynomial by Descartes' rule of signs, which is exact
+there: the polynomial of a Hermitian matrix is real and has only real roots.
 """
 
 from __future__ import annotations
