@@ -82,11 +82,13 @@ class BasisedAlgebra:
     """A Lie algebra presented by explicit basis vectors in an ambient
     algebra, with bracket coefficients expressed in that basis."""
 
-    def __init__(self, parent: LieAlgebra, vectors):
+    def __init__(self, parent: LieAlgebra, vectors, names=None):
         self.parent = parent
         self.vectors = [list(v) for v in vectors]
         self.dim = len(self.vectors)
-        self.names = tuple(f"v{i + 1}" for i in range(self.dim))
+        self.names = tuple(names) if names is not None else tuple(
+            f"v{i + 1}" for i in range(self.dim)
+        )
         if self.vectors:
             self._cols = ExactMatrix.from_rows(
                 [[self.vectors[c][i] for c in range(self.dim)] for i in range(parent.dim)]
@@ -189,7 +191,8 @@ class GModule:
 
     @classmethod
     def trivial(cls, acting_algebra, dim: int = 1) -> "GModule":
-        return cls(acting_algebra, dim, [ExactMatrix.zero(dim, dim)] * basised(acting_algebra).dim)
+        ba = basised(acting_algebra)
+        return cls(acting_algebra, dim, [ExactMatrix.zero(dim, dim) for _ in range(ba.dim)])
 
     @classmethod
     def adjoint(cls, g: LieAlgebra) -> "GModule":

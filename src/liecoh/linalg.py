@@ -510,8 +510,6 @@ def _solve_columns(M: ExactMatrix, columns):
     zero at the free variables.
     """
     n = M.cols
-    if M == ExactMatrix.identity(n):  # the solutions are the columns
-        return [[as_scalar(x) for x in col] for col in columns], None
     aug = [row + [as_scalar(col[i]) for col in columns] for i, row in enumerate(M._data)]
     reduced, piv_cols = _reduced_echelon(_integer_rows(aug), n + len(columns))
     rank_ = sum(1 for c in piv_cols if c < n)
@@ -682,20 +680,20 @@ def poly_linear_roots(coeffs):
         roots.append(ZERO)
         work = work[1:]
     if len(work) > 2:
-        scaled = _scale_to_gaussian_integers(work)
-        numerators = _gaussian_divisors(scaled[0])
+        # work is kept on Gaussian integers, so candidates are tested on ints
+        work = _scale_to_gaussian_integers(work)
+        numerators = _gaussian_divisors(work[0])
         # a unit multiple of s only rescales the candidate, and numerators
         # run over all associates: one associate of each s will do.  A value
         # met again is no root by then, as all of its multiplicity is gone.
         candidates = (
-            (r, s) for s in _gaussian_divisors(scaled[-1]) if s._t[0] > 0 and s._t[1] >= 0
+            (r, s) for s in _gaussian_divisors(work[-1]) if s._t[0] > 0 and s._t[1] >= 0
             for r in numerators
         )
         for r, s in candidates:
-            cand = r / s if _vanishes_at(scaled, r, s) else None  # else a root of no factor
-            while cand is not None and len(work) > 2 and poly_eval(work, cand).is_zero():
-                roots.append(cand)
-                work = _poly_deflate(work, cand)
+            while len(work) > 2 and _vanishes_at(work, r, s):
+                roots.append(r / s)
+                work = _scale_to_gaussian_integers(_poly_deflate(work, roots[-1]))
             if len(work) <= 2:
                 break
         else:

@@ -29,8 +29,11 @@ class NonAbelianTorusError(AlgebraError):
 
 
 class NonSplitActionError(AlgebraError):
-    def __init__(self, j: int, detail: str):
-        super().__init__(f"ad of torus generator {j} does not split over Q(i): {detail}")
+    def __init__(self, j: int, detail: str = ""):
+        msg = f"ad of torus generator {j} does not split over Q(i)"
+        if detail:
+            msg += f": {detail}"
+        super().__init__(msg)
         self.generator = j
 
 
@@ -96,7 +99,8 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
         for b in range(a + 1, len(tv)):
             if not vec_is_zero(g.bracket(tv[a], tv[b])):
                 raise NonAbelianTorusError((a, b))
-    blocks = [((), [g.basis_vector(k) for k in range(g.dim)])]
+    n = g.dim
+    blocks = [((), [g.basis_vector(k) for k in range(n)])]
     for j, tvec in enumerate(tv):
         try:
             blocks = refine_eigen(blocks, g.ad_matrix(tvec))
@@ -104,15 +108,29 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
             raise NonSplitActionError(j, str(exc)) from exc
         if blocks is None:
             raise NonSemisimpleActionError(j)
-    spaces = {prefix: Subalgebra.span(g, vectors) for prefix, vectors in blocks}
-    zero_space = spaces.pop(tuple([ZERO] * len(tv)), None) or Subalgebra.span(g, [])
-    real = next((x for alpha in spaces for x in alpha if x._t[0] != 0), None)
-    if real is not None:
-        raise GradingError(
-            f"root component {format_scalar(real)} is not purely imaginary; "
-            "the decomposition expects a compact real form"
-        )
-    roots = _sorted_roots(spaces)
+    spaces = {}
+    zero_key = tuple([ZERO] * len(tv))
+    zero_space = Subalgebra.span(g, [])
+    total = 0
+    roots = []
+    for prefix, vectors in blocks:
+        space = Subalgebra.span(g, vectors)
+        total += space.dim
+        if prefix == zero_key:
+            zero_space = space
+            continue
+        roots.append(prefix)
+        spaces[prefix] = space
+    if total != n:
+        raise NonSemisimpleActionError(len(tv) - 1)
+    for alpha in roots:
+        for x in alpha:
+            if x._t[0] != 0:  # a nonzero real part
+                raise GradingError(
+                    f"root component {format_scalar(x)} is not purely imaginary; "
+                    "the decomposition expects a compact real form"
+                )
+    roots = _sorted_roots(roots)
     _verify_grading(g, roots, spaces, zero_space)
     notes = (
         "adjoint action satisfies [T_j, L] = +i*Lambda_j L on the eigenvectors; "
@@ -132,15 +150,23 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
 def _verify_grading(g: LieAlgebra, roots, spaces, zero_space):
     """[g_alpha, g_beta] must land in g_{alpha+beta}, the centralizer when
     alpha + beta = 0, and vanish when alpha + beta is not a root."""
+    root_set = set(roots)
     zero_key = tuple([ZERO] * (len(roots[0]) if roots else 0))
     for alpha in roots:
         for beta in roots:
             target = tuple(a + b for a, b in zip(alpha, beta))
-            space = spaces.get(target, zero_space if target == zero_key else None)
             for u in spaces[alpha].vectors():
                 for v in spaces[beta].vectors():
                     w = g.bracket(u, v)
-                    if not vec_is_zero(w) and (space is None or not space.contains(w)):
+                    if vec_is_zero(w):
+                        continue
+                    if target in root_set:
+                        ok = spaces[target].contains(w)
+                    elif target == zero_key:
+                        ok = zero_space.contains(w)
+                    else:
+                        ok = False
+                    if not ok:
                         raise GradingError(
                             f"bracket of root spaces {alpha} and {beta} leaves the "
                             f"expected component"
@@ -185,11 +211,17 @@ def positive_system(rd: RootDatum, override=None) -> PositiveSystem:
     else:
         chosen = [alpha for alpha in roots if _lex_positive(alpha)]
         chosen_set = set(chosen)
-    outside = set(roots) - chosen_set
-    witness = next(((a, b) for a in chosen for b in chosen
-                    if tuple(x + y for x, y in zip(a, b)) in outside), None)
-    if witness is not None:
-        raise PositiveSystemError(f"positive system is not closed under addition: witness {witness}")
+    violations = []
+    root_set = set(roots)
+    for a in chosen:
+        for b in chosen:
+            s = tuple(x + y for x, y in zip(a, b))
+            if s in root_set and s not in chosen_set:
+                violations.append((a, b))
+    if violations:
+        raise PositiveSystemError(
+            f"positive system is not closed under addition: witness {violations[0]}"
+        )
     return PositiveSystem(positive_roots=tuple(_sorted_roots(chosen_set)))
 
 
