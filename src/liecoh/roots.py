@@ -99,8 +99,7 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
         for b in range(a + 1, len(tv)):
             if not vec_is_zero(g.bracket(tv[a], tv[b])):
                 raise NonAbelianTorusError((a, b))
-    n = g.dim
-    blocks = [((), [g.basis_vector(k) for k in range(n)])]
+    blocks = [((), [g.basis_vector(k) for k in range(g.dim)])]
     for j, tvec in enumerate(tv):
         try:
             blocks = refine_eigen(blocks, g.ad_matrix(tvec))
@@ -111,18 +110,14 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
     spaces = {}
     zero_key = tuple([ZERO] * len(tv))
     zero_space = Subalgebra.span(g, [])
-    total = 0
     roots = []
     for prefix, vectors in blocks:
         space = Subalgebra.span(g, vectors)
-        total += space.dim
         if prefix == zero_key:
             zero_space = space
             continue
         roots.append(prefix)
         spaces[prefix] = space
-    if total != n:
-        raise NonSemisimpleActionError(len(tv) - 1)
     for alpha in roots:
         for x in alpha:
             if x._t[0] != 0:  # a nonzero real part
