@@ -102,7 +102,7 @@ def killing_form(g: LieAlgebra) -> ExactMatrix:
     times their common denominator den; each sum is then divided by den^2.
     """
     n = g.dim
-    den, table = g._integer_table()
+    den, table = g._ints
     # ad[i][(a, b)] = den c_{ia}^b, den times the (b, a) entry of ad_{X_i}
     ad = [
         {(a, b): c for a in range(n) for b, c in table.get((i, a), {}).items()}
