@@ -92,6 +92,13 @@ COMMANDS = {
     "validate-su3": ["validate", "builtin:su3"],
     "relative-not-closed": ["cohomology", "--algebra", "builtin:su3", "--relative",
                             "span{X1, Y1}"],
+    "relative-su3-adjoint-line": ["cohomology", "--algebra", "builtin:su3", "--module",
+                                  "adjoint", "--relative", "span{T1}", "--json"],
+    "relative-su3-h5": ["cohomology", "--algebra", "builtin:su3", "--relative", H5, "--json"],
+    "relative-h5-torus": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", H5,
+                          "--relative", "span{T1, T2}", "--json"],
+    "relative-not-contained": ["cohomology", "--algebra", "builtin:su2", "--subalgebra",
+                               "span{T}", "--relative", "span{X}"],
 }
 
 
