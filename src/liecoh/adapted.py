@@ -4,7 +4,12 @@ One `AdaptedFrame` per pair checks that u lies in the acting algebra and
 is bracket-closed, picks a complement W of u, and solves once for the
 bracket table in the adapted basis [u | W], or [k | a complement of k in
 u | W] with a subalgebra k of u as its `pair`.  Plain and module
-cohomology are the frame with u = 0 (`plain_frame`).
+cohomology are the frame with u = 0.  One rule picks every default W
+(`_weight_complement`): the greedy pick from a joint eigenbasis of ad of a
+commuting family grown inside u (inside the acting algebra when u = 0),
+or from the acting basis where no family splits.  `bigraded_cohomology`
+and `full_assembly` pass `cohomology.complement_basis` instead, whose
+vectors their JSON prints.
 
 Every complex is a block of d of the adapted algebra on lists of cells
 (`cohomology._differential_matrix`).  Row p of the bigraded complex
@@ -20,8 +25,9 @@ cochains on their cells that every such theta kills (`_invariant_complex`).
 The torus of a frame is the set of adapted vectors in the acting block
 (u's block, or all when u = 0) whose ad is diagonal on the adapted
 basis, read off the bracket table in one scan.  Such a T, acting
-diagonally on the module too, multiplies the cell (S, a) by its weight
-mu_a - sum of lam_s over S, and theta(T) commutes with d.  Where i(T)
+diagonally on the module too (`relative_complex` rebases the module to a
+joint eigenbasis of the torus actions), multiplies the cell (S, a) by its
+weight mu_a - sum of lam_s over S, and theta(T) commutes with d.  Where i(T)
 acts on a complex (T in its acting algebra, or in u for a fiber), a
 block of weight w != 0 is acyclic, as d h + h d = 1 there for h = i(T)/w
 (Koszul, Bull. SMF 78, 1950), and invariant cochains have weight zero.
@@ -59,7 +65,7 @@ RELATIVE_CLOSURE = "relative pair requires a bracket-closed u"
 class AdaptedFrame:
     """The adapted basis of a pair (acting, u), u = None the zero
     subalgebra: u's basis rows (after those of `pair`), then `complement`,
-    by default the greedy pick from the acting basis.  The coordinates of
+    by default a weight basis (`_weight_complement`).  The coordinates of
     the adapted vectors in the acting basis (`coords`) take one
     elimination, one more gives the bracket table in the adapted basis
     (`adapted`), scaled to integers once (`_trivial`) and scanned for the
@@ -83,11 +89,13 @@ class AdaptedFrame:
             complement = [[as_scalar(x) for x in v] for v in complement]
             if any(len(v) != base.parent.dim for v in complement):
                 raise AlgebraError("vector length does not match algebra dimension")
-        else:
-            complement = cohomology.extend_to_complement(u_vectors, base.vectors)
-        coords, failed = linalg._solve_columns(base._cols, u_vectors + complement)
+        coords, failed = linalg._solve_columns(base._cols, u_vectors + (complement if given else []))
         if failed is not None and failed < dim_u:
             raise AlgebraError("u is not contained in the acting algebra")
+        if not given:
+            extra = _weight_complement(base, coords)
+            coords = coords + extra
+            complement = [linalg._combine(c, base.vectors) for c in extra]
         if len(complement) != base.dim - dim_u:
             raise AlgebraError("complement does not have the right dimension")
         if failed is not None or (
@@ -167,10 +175,25 @@ class AdaptedFrame:
     def relative_complex(self, module: GModule) -> CochainComplex:
         """The complex of (acting, u; module): the u-invariant cochains on
         Lambda^k(W)^* tensor M, on the cells of weight zero under the torus
-        of u (of the acting algebra when u = 0)."""
-        structure = cohomology._integer_structure(
-            self.adapted, cohomology._rebased_actions(module, self.coords)
-        )
+        of u (of the acting algebra when u = 0).  The module is rebased to a
+        joint eigenbasis of the torus actions, which `linalg.refine_eigen`
+        splits by each in turn; one it cannot split (over Q(i), with a full
+        eigenbasis) is left out, and `_grading` then drops it."""
+        actions = cohomology._rebased_actions(module, self.coords)
+        blocks = [((), ExactMatrix.identity(module.dim).row_list())]
+        for t in self.torus:
+            if any(not x.is_zero() for row in actions[t]._data for x in row):
+                try:
+                    blocks = linalg.refine_eigen(blocks, actions[t]) or blocks
+                except InputError:  # no split over Q(i), or past the root-search limit
+                    pass
+        if len(blocks) > 1:
+            # W has the eigenvectors m_a as columns; X_k acts by W^-1 rho(X_k) W
+            w = ExactMatrix._of(module.dim, module.dim, [v for _, vs in blocks for v in vs]).transpose()
+            inverse, _ = linalg._solve_columns(w, ExactMatrix.identity(module.dim)._data)
+            w_inv = ExactMatrix._of(module.dim, module.dim, inverse).transpose()
+            actions = [w_inv.matmul(a).matmul(w) for a in actions]
+        structure = cohomology._integer_structure(self.adapted, actions)
         torus, lam, mu = self._grading(structure, self.dim_u or self.adapted.dim, module.dim)
         return _invariant_complex(
             structure, lambda w: self._w_cells(module.dim, (lam, mu), w),
@@ -348,19 +371,6 @@ def _bigraded_row(frame: AdaptedFrame, p: int, graded: bool = False) -> Bigraded
     return complex_
 
 
-def _most_bracketed(ba):
-    """The first basis element with the most nonzero brackets [X, e_k],
-    a cheap sign of a regular element, which keeps the fewest cells of
-    weight zero: on builtin su3, X2 to Y3 (7 each) come before T1, X1, Y1
-    (6) and the non-regular T2 (4)."""
-    counts = [0] * ba.dim
-    for (a, b), coeffs in ba._table.items():
-        if coeffs:
-            counts[a] += 1
-            counts[b] += 1
-    return max(range(ba.dim), key=counts.__getitem__)
-
-
 def _ad(ba, v):
     """ad v on ba's basis, v in ba's coordinates: column k is [v, e_k]."""
     ad = [[ZERO] * ba.dim for _ in range(ba.dim)]
@@ -371,40 +381,32 @@ def _ad(ba, v):
     return ExactMatrix._of(ba.dim, ba.dim, ad)
 
 
-def plain_frame(ba, module: GModule):
-    """(frame, module) for H^*(ba; module): the frame of (ba, 0), and the
-    module, on joint eigenbases of a commuting family, which
-    `linalg.refine_eigen` splits by each member in turn.  The family starts
-    at `_most_bracketed(ba)`; its next member is the first weight-zero
-    vector outside its span, until none is left or a split fails (over
-    Q(i), within the root search's reach, with a full eigenbasis).  It
-    comes first in the weight-zero block, so that the torus scan finds all
-    of it.  If ba is abelian or the first split fails, ba's own basis."""
-    n, dim_m = ba.dim, module.dim
-    trivial = all(x.is_zero() for a in module.actions for row in a._data for x in row)
-    spaces = [[((), ExactMatrix.identity(d).row_list())] for d in ([n] if trivial else [n, dim_m])]
-    family, rest = [], []
-    member = ExactMatrix.identity(n).row_list()[_most_bracketed(ba)] if ba._table else None
+def _weight_complement(ba, u):
+    """The default complement of span(u), u rows of coordinates in ba's
+    basis, in those coordinates: the greedy pick from a joint eigenbasis of
+    ad on ba of a commuting family inside u (inside ba when u is empty),
+    listed first in its weight-zero block, so that the torus scan finds it.
+    The family starts at u's first row (ba's first basis vector when u is
+    empty), and `linalg.refine_eigen` splits ba's basis by the ad of each
+    member in turn.  The next member is the first vector of the weight-zero
+    block outside the family's span and inside u, until none is left or a
+    split fails (over Q(i), within the root search's reach, with a full
+    eigenbasis).  With no family, the greedy pick from ba's basis."""
+    basis = ExactMatrix.identity(ba.dim).row_list()
+    blocks, family = [((), basis)], []
+    member = (u or basis)[0] if ba._table else None
     while member is not None:
-        operators = [_ad(ba, member)] + ([] if trivial else cohomology._rebased_actions(module, [member]))
         try:
-            refined = [linalg.refine_eigen(blocks, op) for blocks, op in zip(spaces, operators)]
+            refined = linalg.refine_eigen(blocks, _ad(ba, member))
         except InputError:  # no split over Q(i), or past the root-search limit
             break
-        if None in refined:
+        if refined is None:
             break
-        spaces, family = refined, family + [member]
-        zero = next(vectors for prefix, vectors in spaces[0] if not any(prefix))
-        rest = cohomology.extend_to_complement(family, zero) if len(zero) > len(family) else []
-        member = rest[0] if rest else None
-    if not family:
-        return AdaptedFrame(ba, None), module
-    eigen = [v for prefix, vectors in spaces[0] for v in (vectors if any(prefix) else family + rest)]
-    complement = ExactMatrix._of(n, n, eigen).matmul(ba._cols.transpose()).row_list()
-    if not trivial:
-        # W has the eigenvectors m_a as columns; X_k acts by W^-1 rho(X_k) W
-        w = ExactMatrix._of(dim_m, dim_m, [v for _, vectors in spaces[1] for v in vectors]).transpose()
-        inverse, _ = linalg._solve_columns(w, ExactMatrix.identity(dim_m)._data)
-        w_inv = ExactMatrix._of(dim_m, dim_m, inverse).transpose()
-        module = cohomology.GModule(ba, dim_m, [w_inv.matmul(a).matmul(w) for a in module.actions])
-    return AdaptedFrame(ba, None, complement), module
+        blocks, family = refined, family + [member]
+        zero = next(vectors for prefix, vectors in blocks if not any(prefix))
+        inside = [v for v in zero if not u or not cohomology.extend_to_complement(u, [v])]
+        member = next(iter(cohomology.extend_to_complement(family, inside)), None)
+    if family:
+        basis = [v for prefix, vectors in blocks for v in (
+            vectors if any(prefix) else family + cohomology.extend_to_complement(family, vectors))]
+    return cohomology.extend_to_complement(u, basis)

@@ -31,11 +31,11 @@ Plain, module, relative and bigraded dims are blocks of d in a basis
 adapted to u (or h, or 0), u's basis first: `adapted.AdaptedFrame`, a
 module loaded on first use, whose complexes keep the cells of weight
 zero under the frame's torus (the `adapted` docstring gives the
-argument).  Plain and module dims take the frame with u = 0 on a joint
-eigenbasis of a commuting family grown from the most bracketed basis
-element (`adapted.plain_frame`): on su3 a maximal torus, which keeps 244
-of the 11440 entries of d.  Representatives and `bigraded_complex` keep
-every cell.
+argument).  Plain, module and relative dims take the frame's default
+complement, a joint eigenbasis of a commuting family grown inside u (the
+acting algebra when u = 0): plain su3 grades by a maximal torus, which
+keeps 244 of the 11440 entries of d, and the pair (su3, t) keeps no theta
+block.  Representatives and `bigraded_complex` keep every cell.
 
 Every complex is a `CochainComplex`: the plain and module complexes
 (`ce_complex` and the frame's), the relative complex of a pair and each
@@ -82,13 +82,11 @@ class BasisedAlgebra:
     """A Lie algebra presented by explicit basis vectors in an ambient
     algebra, with bracket coefficients expressed in that basis."""
 
-    def __init__(self, parent: LieAlgebra, vectors, names=None):
+    def __init__(self, parent: LieAlgebra, vectors):
         self.parent = parent
         self.vectors = [list(v) for v in vectors]
         self.dim = len(self.vectors)
-        self.names = tuple(names) if names is not None else tuple(
-            f"v{i + 1}" for i in range(self.dim)
-        )
+        self.names = tuple(f"v{i + 1}" for i in range(self.dim))
         if self.vectors:
             self._cols = ExactMatrix.from_rows(
                 [[self.vectors[c][i] for c in range(self.dim)] for i in range(parent.dim)]
@@ -540,16 +538,16 @@ def _chain_dims(matrices, degrees, representatives=False):
 
 
 def ce_cohomology(acting, module: GModule, representatives: bool = False) -> CohomologyTable:
-    """H^k(acting; module) for k = 0..dim: on the graded frame with u = 0
-    (`adapted.plain_frame`), or for `representatives` on the full complex
-    (`ce_complex`), whose labels are in the acting basis."""
+    """H^k(acting; module) for k = 0..dim: the relative cohomology of the
+    frame with u = 0 (`adapted.AdaptedFrame`), graded by its torus, or for
+    `representatives` the full complex (`ce_complex`), whose labels are in
+    the acting basis."""
     ba = basised(acting)
     if representatives:
         return ce_complex(ba, module).cohomology(representatives)
-    from .adapted import plain_frame
+    from .adapted import AdaptedFrame
 
-    frame, module = plain_frame(ba, module)
-    return frame.relative_cohomology(module)
+    return AdaptedFrame(ba, None).relative_cohomology(module)
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +558,11 @@ def ce_cohomology(acting, module: GModule, representatives: bool = False) -> Coh
 
 def relative_ce_cohomology(acting, u: Subalgebra, module: GModule) -> CohomologyTable:
     """H^k(acting, u; module): `AdaptedFrame.relative_cohomology` on the
-    frame of the pair; for u = 0 the plain route (`ce_cohomology`)."""
-    ba = basised(acting)
-    if u.dim == 0 and u.parent == ba.parent:
-        return ce_cohomology(ba, module)
+    frame of the pair, graded by the torus of u (of the acting algebra
+    when u = 0, where this is `ce_cohomology`)."""
     from .adapted import RELATIVE_CLOSURE, AdaptedFrame
 
-    frame = AdaptedFrame(ba, u, closure_message=RELATIVE_CLOSURE)
+    frame = AdaptedFrame(basised(acting), u, closure_message=RELATIVE_CLOSURE)
     return frame.relative_cohomology(module)
 
 

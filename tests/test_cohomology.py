@@ -351,8 +351,8 @@ def test_quotient_representatives_match_two_step_reduction(
 # -- the weight-zero route against the full complex ----------------------------------
 #
 # ce_cohomology without representatives runs on the frame with u = 0 on a
-# joint eigenbasis of a commuting family grown from one basis element X
-# (adapted.plain_frame), whose torus scan finds the family; the cells of
+# joint eigenbasis of a commuting family grown from the first basis element
+# (adapted.AdaptedFrame), whose torus scan finds the family; the cells of
 # nonzero weight span acyclic blocks by Cartan's homotopy formula.  The full
 # complex (ce_complex) is the reference.
 
@@ -368,8 +368,7 @@ def assert_weight_route(g, module, applies=True):
     """The dims of the frame with u = 0 equal the full complex's, and its
     grading drops cells exactly when `applies` (else every cell is kept).
     The graded complex is returned."""
-    frame, rebased = adapted.plain_frame(cohomology.basised(g), module)
-    weight = frame.relative_complex(rebased)
+    weight = adapted.AdaptedFrame(cohomology.basised(g), None).relative_complex(module)
     cells = sum(m.cols for m in weight.int_differentials.values())
     assert (cells < 2 ** g.dim * module.dim) == applies
     full = ce_complex(g, module).cohomology().dims
@@ -389,8 +388,8 @@ def test_weight_route_matches_full_complex(algebra, module):
 
 def test_weight_route_on_seeded_su3_presentations():
     # the signed permutations that the benchmark draws: the family grows
-    # from a regular X to a maximal torus, two elements, however the basis
-    # is ordered, also where T2 comes first, and its joint weight zero
+    # from the first basis element to a maximal torus, two elements, however
+    # the basis is ordered, also where T2 comes first, and its joint weight zero
     # leaves 244 cells of the 11440 in d (X alone left 508)
     rng = random.Random(16)
     firsts = []
@@ -399,7 +398,7 @@ def test_weight_route_on_seeded_su3_presentations():
         weight = assert_weight_route(g, GModule.trivial(g))
         cells = sum(m.rows * m.cols for m in weight.int_differentials.values())
         assert cells == 244
-        assert len(adapted.plain_frame(cohomology.basised(g), GModule.trivial(g))[0].torus) == 2
+        assert len(adapted.AdaptedFrame(cohomology.basised(g), None).torus) == 2
         firsts.append(g.basis_names[0])
     assert firsts.count("T2") >= 2 and len(set(firsts)) >= 5
 
@@ -409,9 +408,9 @@ def test_whitehead_adjoint_cohomology_vanishes_on_the_weight_route():
     # with adjoint coefficients is checked in test_weight_route_matches_full_complex
     rng = random.Random(161)
     for g in [su2(), su3()] + [signed_permutation(su3(), rng) for _ in range(3)]:
-        frame, module = adapted.plain_frame(cohomology.basised(g), GModule.adjoint(g))
+        frame = adapted.AdaptedFrame(cohomology.basised(g), None)
         assert frame.torus
-        weight = frame.relative_complex(module)
+        weight = frame.relative_complex(GModule.adjoint(g))
         assert weight.cohomology().degree_list() == [0] * (g.dim + 1)
 
 
@@ -737,7 +736,9 @@ def test_relative_differentials_are_verified(monkeypatch):
 def test_relative_rejects_a_non_invariant_image(monkeypatch):
     # with Theta_1 replaced by the identity no 1-cochain is invariant, yet d
     # sends the invariant 0-cochain T of the adjoint module to X -> [X, T] != 0
-    # Theta_1 is the block of d on the rows ((u_0,) + K, a) over the 1-subsets K of W
+    # Theta_1 is the block of d on the rows ((u_0,) + K, a) over the 1-subsets K of W;
+    # on the default complement T is a torus element and has no Theta rows,
+    # so the frame takes the complement [X, Y]
     real = cohomology._differential_matrix
 
     def corrupted(structure, rows, cols):
@@ -748,8 +749,9 @@ def test_relative_rejects_a_non_invariant_image(monkeypatch):
 
     monkeypatch.setattr(cohomology, "_differential_matrix", corrupted)
     g = su2()
+    frame = AdaptedFrame(g, parse_span("span{T}", g), [g.basis_vector(1), g.basis_vector(2)])
     with pytest.raises(AssertionError, match="image of invariant cochain is not invariant"):
-        relative_ce_cohomology(g, parse_span("span{T}", g), GModule.adjoint(g))
+        frame.relative_cohomology(GModule.adjoint(g))
 
 
 # -- complexes as values ---------------------------------------------------------

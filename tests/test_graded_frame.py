@@ -19,6 +19,7 @@ from liecoh.cohomology import (
     bigraded_cohomology,
     ce_cohomology,
     complement_basis,
+    extend_to_complement,
     relative_ce_cohomology,
 )
 from liecoh.decompose import full_assembly
@@ -138,7 +139,7 @@ def test_graded_fibers_match_the_ungraded_frame():
 
 def test_graded_relative_cohomology_matches_every_cell():
     # a complement of weight vectors grades the relative complex by the
-    # torus in u; the greedy complement of the relative command does not
+    # torus in u; the greedy complement from the acting basis does not
     g2, g3 = su2(), su3()
     roots3, roots2 = parse_span(CR, g3).vectors(), parse_span("span{X-iY}", g2).vectors()
     roots3 += [[x.conjugate() for x in row] for row in roots3]
@@ -169,6 +170,24 @@ def test_graded_relative_cohomology_matches_every_cell():
         assert graded.relative_cohomology(module).dims == full.relative_cohomology(module).dims
         checked += 1
     assert checked == 14
+
+
+def test_the_default_complement_grades_the_relative_pair():
+    # the default complement is a joint eigenbasis of a commuting family
+    # grown inside u, so the torus scan finds it; the dims and meta are
+    # those of the pair on the greedy complement from the acting basis,
+    # whose frame finds no torus
+    g2, g3 = su2(), su3()
+    assert AdaptedFrame(g3, parse_span("span{T1, T2}", g3)).torus == [0, 1]
+    assert AdaptedFrame(g3, parse_span("span{T1}", g3)).torus == [0]
+    for g, text in ((g2, "span{T}"), (g3, "span{T1}"), (g3, "span{T1, T2}")):
+        u = parse_span(text, g)
+        greedy = extend_to_complement(u.vectors(), [g.basis_vector(j) for j in range(g.dim)])
+        assert AdaptedFrame(g, u, greedy).torus == []
+        for module in (GModule.trivial(g), GModule.adjoint(g)):
+            graded = AdaptedFrame(g, u).relative_cohomology(module)
+            full = AdaptedFrame(g, u, greedy).relative_cohomology(module)
+            assert (graded.dims, graded.meta) == (full.dims, full.meta), (g.name, text)
 
 
 def test_seeded_row_cells_and_dims():

@@ -7,6 +7,9 @@ for semisimple g (Whitehead).  For the elliptic standard structure
 t_C + n^+ of rank r, H^{p,q} = #{l(w) = p} C(r, q - p) over the Weyl group
 W (Kostant, Ann. Math. 74, 1961): W = S_4 on su4, with length counts
 [1, 3, 5, 6, 5, 3, 1], and W of type B_2 on so5, with [1, 2, 2, 2, 1].
+H^*(g, t) for a maximal torus t is the cohomology of the flag manifold,
+prod (1 + t^2 + ... + t^{2e}) over the exponents (Borel, Ann. Math. 57,
+1953): (1+t^2)(1+t^2+t^4)(1+t^2+t^4+t^6) on su4.
 """
 
 from math import comb
@@ -14,7 +17,7 @@ from math import comb
 import pytest
 
 from liecoh import cohomology
-from liecoh.adapted import plain_frame
+from liecoh.adapted import AdaptedFrame
 from liecoh.cohomology import (
     GModule,
     basised,
@@ -56,7 +59,7 @@ def entries_of_d(monkeypatch, g, module):
 
     monkeypatch.setattr(cohomology, "_chain_dims", counted)
     table = ce_cohomology(g, module)
-    return table, cells[0], len(plain_frame(basised(g), module)[0].torus)
+    return table, cells[0], len(AdaptedFrame(basised(g), None).torus)
 
 
 def test_matrix_algebras_are_semisimple_of_the_expected_dimension():
@@ -73,6 +76,17 @@ def test_su4_cohomology_is_exterior_on_degrees_3_5_7(monkeypatch):
     # the plain frame grades by a maximal torus of su4, whose weight zero
     # keeps 179559 entries of d (a one-element torus keeps far more)
     assert (torus, cells) == (3, 179559)
+
+
+def test_su4_cohomology_relative_to_its_torus_is_the_flag_manifolds():
+    g = su(4)
+    frame = AdaptedFrame(g, parse_span("span{H1, H2, H3}", g))
+    # the default complement is a weight basis, so the torus scan finds all
+    # of t and no theta block is built (on the greedy complement this took
+    # minutes)
+    assert frame.torus == [0, 1, 2]
+    table = frame.relative_cohomology(GModule.trivial(g))
+    assert table.degree_list() == [1, 0, 3, 0, 5, 0, 6, 0, 5, 0, 3, 0, 1]
 
 
 def test_so5_cohomology_is_exterior_on_degrees_3_7_and_matches_the_full_complex():
