@@ -82,8 +82,8 @@ def test_su4_cohomology_relative_to_its_torus_is_the_flag_manifolds():
     g = su(4)
     frame = AdaptedFrame(g, parse_span("span{H1, H2, H3}", g))
     # the default complement is a weight basis, so the torus scan finds all
-    # of t and no theta block is built (on the greedy complement this took
-    # minutes)
+    # of t and no theta block is built; asserted first, because theta
+    # blocks on every cell take minutes
     assert frame.torus == [0, 1, 2]
     table = frame.relative_cohomology(GModule.trivial(g))
     assert table.degree_list() == [1, 0, 3, 0, 5, 0, 6, 0, 5, 0, 3, 0, 1]
