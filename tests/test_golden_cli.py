@@ -99,6 +99,12 @@ COMMANDS = {
                           "--relative", "span{T1, T2}", "--json"],
     "relative-not-contained": ["cohomology", "--algebra", "builtin:su2", "--subalgebra",
                                "span{T}", "--relative", "span{X}"],
+    "bigraded-su3-torus": ["cohomology", "--algebra", "builtin:su3", "--subalgebra",
+                           "span{T1, T2}", "--json"],
+    "bigraded-su3-line-reps": ["cohomology", "--algebra", "builtin:su3", "--subalgebra",
+                               "span{T1, X1-iY1}", "--representatives", "--json"],
+    "bigraded-su3-levi": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", LEVI,
+                          "--json"],
 }
 
 
