@@ -4,12 +4,12 @@ One `AdaptedFrame` per pair checks that u lies in the acting algebra and
 is bracket-closed, picks a complement W of u, and solves once for the
 bracket table in the adapted basis [u | W], or [k | a complement of k in
 u | W] with a subalgebra k of u as its `pair`.  Plain and module
-cohomology are the frame with u = 0.  One rule picks every default W
-(`_weight_complement`): the greedy pick from a joint eigenbasis of ad of a
+cohomology are the frame with u = 0.  One rule picks W for every frame
+(`_weight_complement`): the greedy pick from the conjugates of u's rows
+that lie in the acting algebra, then from a joint eigenbasis of ad of a
 commuting family grown inside u (inside the acting algebra when u = 0),
-or from the acting basis where no family splits.  `bigraded_cohomology`
-and `full_assembly` pass `cohomology.complement_basis` instead, whose
-vectors their JSON prints.
+or from the acting basis where no family splits.  The conjugates fill W
+for elliptic and complex structures, and u = 0 has none.
 
 Every complex is a block of d of the adapted algebra on lists of cells
 (`cohomology._differential_matrix`).  Row p of the bigraded complex
@@ -34,8 +34,8 @@ block of weight w != 0 is acyclic, as d h + h d = 1 there for h = i(T)/w
 So every complex but H^s(k) keeps only its cells of weight zero
 (`weight_zero_cells`), `_invariant_complex` drops the theta rows of
 torus elements, and theta(X_i) of the others raises weights by lam_i.  A
-frame with no torus (a CR structure, a complement of no weight vectors)
-keeps every cell.  The weights are checked against every bracket and
+frame with no torus (a CR structure, an algebra whose family does not
+split) keeps every cell.  The weights are checked against every bracket and
 action (`_check_weights`), and every complex for d o d = 0.
 
 Names of `cohomology` and `linalg` are looked up on those modules when
@@ -49,7 +49,7 @@ from itertools import combinations
 
 from . import cohomology, linalg
 from .algebra import AlgebraError, ClosureError
-from .linalg import ExactMatrix, ScaledIntMatrix, as_scalar
+from .linalg import ExactMatrix, ScaledIntMatrix
 from .scalars import ONE, ZERO, InputError
 
 # annotations are postponed, so these names are for type checkers only
@@ -64,44 +64,33 @@ RELATIVE_CLOSURE = "relative pair requires a bracket-closed u"
 
 class AdaptedFrame:
     """The adapted basis of a pair (acting, u), u = None the zero
-    subalgebra: u's basis rows (after those of `pair`), then `complement`,
-    by default a weight basis (`_weight_complement`).  The coordinates of
-    the adapted vectors in the acting basis (`coords`) take one
-    elimination, one more gives the bracket table in the adapted basis
-    (`adapted`), scaled to integers once (`_trivial`) and scanned for the
-    `torus`."""
+    subalgebra: u's basis rows (after those of `pair`), then a complement
+    W of u (`_weight_complement`).  The coordinates of the adapted vectors
+    in the acting basis (`coords`) take one elimination, which also finds
+    the conjugates of u's rows that lie in the acting algebra; one more
+    gives the bracket table in the adapted basis (`adapted`), scaled to
+    integers once (`_trivial`) and scanned for the `torus`."""
 
-    def __init__(self, acting, u: Subalgebra | None, complement=None, closure_message=None,
-                 pair=None):
+    def __init__(self, acting, u: Subalgebra | None, *, closure_message=None, pair=None):
         base = cohomology.basised(acting)
         if any(s is not None and s.parent != base.parent for s in (u, pair)):
             raise AlgebraError("subalgebra does not belong to the given algebra")
         u_vectors = [] if u is None else u.vectors()
         dim_u = len(u_vectors)
+        conjugates = [[x.conjugate() for x in row] for row in u_vectors]
         if pair is not None:
             k_vectors = pair.vectors()
             u_vectors = k_vectors + cohomology.extend_to_complement(k_vectors, u_vectors)
             if len(u_vectors) != dim_u:
                 # the message of the relative pair (u, k)
                 raise AlgebraError("u is not contained in the acting algebra")
-        given = complement is not None
-        if given:
-            complement = [[as_scalar(x) for x in v] for v in complement]
-            if any(len(v) != base.parent.dim for v in complement):
-                raise AlgebraError("vector length does not match algebra dimension")
-        coords, failed = linalg._solve_columns(base._cols, u_vectors + (complement if given else []))
+        solutions, failed = linalg._solve_columns(base._cols, u_vectors + conjugates)
         if failed is not None and failed < dim_u:
             raise AlgebraError("u is not contained in the acting algebra")
-        if not given:
-            extra = _weight_complement(base, coords)
-            coords = coords + extra
-            complement = [linalg._combine(c, base.vectors) for c in extra]
-        if len(complement) != base.dim - dim_u:
-            raise AlgebraError("complement does not have the right dimension")
-        if failed is not None or (
-            given and len(cohomology.extend_to_complement(u_vectors, complement)) != len(complement)
-        ):
-            raise AlgebraError("complement does not complete the subalgebra basis")
+        coords = solutions[:dim_u]
+        extra = _weight_complement(base, coords, [c for c in solutions[dim_u:] if c is not None])
+        coords = coords + extra
+        complement = [linalg._combine(c, base.vectors) for c in extra]
         adapted = cohomology.BasisedAlgebra(base.parent, u_vectors + complement)
         # the witness is a pair of the caller's rows, not of the adapted ones
         if _leaves_block(adapted, dim_u):
@@ -381,17 +370,22 @@ def _ad(ba, v):
     return ExactMatrix._of(ba.dim, ba.dim, ad)
 
 
-def _weight_complement(ba, u):
-    """The default complement of span(u), u rows of coordinates in ba's
-    basis, in those coordinates: the greedy pick from a joint eigenbasis of
-    ad on ba of a commuting family inside u (inside ba when u is empty),
-    listed first in its weight-zero block, so that the torus scan finds it.
-    The family starts at u's first row (ba's first basis vector when u is
-    empty), and `linalg.refine_eigen` splits ba's basis by the ad of each
-    member in turn.  The next member is the first vector of the weight-zero
-    block outside the family's span and inside u, until none is left or a
-    split fails (over Q(i), within the root search's reach, with a full
-    eigenbasis).  With no family, the greedy pick from ba's basis."""
+def _weight_complement(ba, u, conjugates):
+    """The complement of span(u), u and `conjugates` rows of coordinates
+    in ba's basis, in those coordinates: the greedy pick from the
+    conjugates of u's rows that lie in ba, then, for what they leave, the
+    greedy pick from a joint eigenbasis of ad on ba of a commuting family
+    inside u (inside ba when u is empty), listed first in its weight-zero
+    block, so that the torus scan finds it.  The family starts at u's first
+    row (ba's first basis vector when u is empty), and `linalg.refine_eigen`
+    splits ba's basis by the ad of each member in turn.  The next member is
+    the first vector of the weight-zero block outside the family's span and
+    inside u, until none is left or a split fails (over Q(i), within the
+    root search's reach, with a full eigenbasis).  With no family, the
+    greedy pick from ba's basis."""
+    picked = cohomology.extend_to_complement(u, conjugates) if conjugates else []
+    if len(u) + len(picked) == ba.dim:
+        return picked
     basis = ExactMatrix.identity(ba.dim).row_list()
     blocks, family = [((), basis)], []
     member = (u or basis)[0] if ba._table else None
@@ -409,4 +403,4 @@ def _weight_complement(ba, u):
     if family:
         basis = [v for prefix, vectors in blocks for v in (
             vectors if any(prefix) else family + cohomology.extend_to_complement(family, vectors))]
-    return cohomology.extend_to_complement(u, basis)
+    return picked + cohomology.extend_to_complement(u + picked, basis)

@@ -31,11 +31,13 @@ Plain, module, relative and bigraded dims are blocks of d in a basis
 adapted to u (or h, or 0), u's basis first: `adapted.AdaptedFrame`, a
 module loaded on first use, whose complexes keep the cells of weight
 zero under the frame's torus (the `adapted` docstring gives the
-argument).  Plain, module and relative dims take the frame's default
-complement, a joint eigenbasis of a commuting family grown inside u (the
-acting algebra when u = 0): plain su3 grades by a maximal torus, which
-keeps 244 of the 11440 entries of d, and the pair (su3, t) keeps no theta
-block.  Representatives and `bigraded_complex` keep every cell.
+argument).  Every frame takes its complement by one rule: the conjugates
+of u's rows in the acting algebra first, then a joint eigenbasis of a
+commuting family grown inside u (the acting algebra when u = 0).  Plain
+su3 grades by a maximal torus, which keeps 244 of the 11440 entries of
+d, the pair (su3, t) keeps no theta block, and the bigraded rows of the
+elliptic and complex structures grade by their torus.  Representatives
+and `bigraded_complex` keep every cell.
 
 Every complex is a `CochainComplex`: the plain and module complexes
 (`ce_complex` and the frame's), the relative complex of a pair and each
@@ -566,17 +568,6 @@ def relative_ce_cohomology(acting, u: Subalgebra, module: GModule) -> Cohomology
     return frame.relative_cohomology(module)
 
 
-def complement_basis(g: LieAlgebra, h: Subalgebra):
-    """Deterministic complement of h in g: prefer conjugates of the h basis
-    vectors, then the remaining standard basis vectors."""
-    if h.parent != g:
-        raise AlgebraError("subalgebra does not belong to the given algebra")
-    candidates = [
-        [x.conjugate() for x in row] for row in h.vectors()
-    ] + [g.basis_vector(j) for j in range(g.dim)]
-    return extend_to_complement(h.vectors(), candidates)
-
-
 class BigradedComplex(CochainComplex):
     """The fixed-p row of the quotient complex: bases zeta_I wedge tau_J
     with |I| = p and |J| = q, and the induced differentials d' per q.
@@ -600,34 +591,22 @@ class BigradedComplex(CochainComplex):
         )
 
 
-def bigraded_complex(g: LieAlgebra, h: Subalgebra, p: int, complement=None) -> BigradedComplex:
+def bigraded_complex(g: LieAlgebra, h: Subalgebra, p: int) -> BigradedComplex:
     """The fixed-p quotient complex of the subalgebra h, with labels and
-    exact d' matrices."""
+    exact d' matrices, on the frame of (g, h)."""
     from .adapted import AdaptedFrame, _bigraded_row
 
-    if complement is None:
-        complement = complement_basis(g, h)
-    return _bigraded_row(AdaptedFrame(g, h, complement), p)
+    return _bigraded_row(AdaptedFrame(g, h), p)
 
 
-def bigraded_cohomology(
-    g: LieAlgebra,
-    h: Subalgebra,
-    representatives: bool = False,
-    complement=None,
-) -> CohomologyTable:
+def bigraded_cohomology(g: LieAlgebra, h: Subalgebra, representatives: bool = False) -> CohomologyTable:
     """H^{p,q}(g; h) = H^q(h; Lambda^p(g/h)^*): cohomology of the quotient
     complex with bases zeta_I wedge tau_J (|I| = p complement duals,
-    |J| = q h duals), one `_bigraded_row` per p on one adapted frame.
-
-    `complement` overrides the deterministic complement basis (the dims
-    are independent of this choice; matrices are not).
-    """
+    |J| = q h duals), one `_bigraded_row` per p on the frame of (g, h),
+    whose complement the meta prints."""
     from .adapted import AdaptedFrame, _bigraded_row
 
-    if complement is None:
-        complement = complement_basis(g, h)
-    frame = AdaptedFrame(g, h, complement)
+    frame = AdaptedFrame(g, h)
     dims = {}
     reps = {} if representatives else None
     labels = {} if representatives else None

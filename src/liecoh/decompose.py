@@ -9,16 +9,17 @@ The fiber is row p of the direct bigraded complex made relative to k: its
 cochains are the k-invariant ones on the cells of row p that vanish on k.
 So the assembly is the Leray/Bott route to the same H^{p,q} that
 `cohomology.bigraded_cohomology` computes directly, and both read blocks
-of d of one adapted frame of g, on the basis [k | a complement of k in h
-| `complement_basis(g, h)`] (`AdaptedFrame` with k as its pair), which
-also gives H^s(k), checks that h is closed and grades the fibers by its torus.
+of d of a frame of (g, h) with its one complement rule, the conjugates of
+h's rows first: here on the basis [k | a complement of k in h | W]
+(`AdaptedFrame` with k as its pair), which also gives H^s(k), checks that
+h is closed and grades the fibers by its torus.
 """
 
 from __future__ import annotations
 
 from .adapted import AdaptedFrame
 from .algebra import AlgebraError, LieAlgebra
-from .cohomology import CohomologyTable, complement_basis
+from .cohomology import CohomologyTable
 from .linalg import ExactMatrix, rank_kernel, vec_conj, vec_dot
 from .scalars import _gauss
 from .subalgebra import Subalgebra
@@ -220,10 +221,9 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
     bracket-closed, then when it is not elliptic: h + conj(h) = g, read as
     2 dim h - dim k = dim g.
     """
-    complement = complement_basis(g, h)  # refuses an h of another algebra
     k_sub = h.intersect(h.conj())
-    # one frame serves H^s(k) and every fiber, and checks closure
-    frame = AdaptedFrame(g, h, complement, pair=k_sub)
+    # one frame serves H^s(k) and every fiber, and checks the parent and closure
+    frame = AdaptedFrame(g, h, pair=k_sub)
     if 2 * h.dim - k_sub.dim != g.dim:
         raise NotEllipticError("full assembly requires an elliptic structure")
     if gram is None:

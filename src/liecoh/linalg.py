@@ -501,25 +501,29 @@ def _solve_columns(M: ExactMatrix, columns):
     """Solutions x_t of M x_t = columns[t], all read from one elimination
     of M augmented with every column.
 
-    Returns (solutions, failed).  `failed` is the index of the first
-    inconsistent column, or None; `solutions` holds one x per column
-    before it.  Pivots come leftmost first, so those in M's columns do
-    not depend on the appended ones, and the first pivot past them marks
-    the first column with a nonzero residual.  x_t is column n + t of the
-    RREF at the pivots of M (a later pivot has zeros left of it), and
-    zero at the free variables.
+    Returns (solutions, failed).  `solutions` holds one x per column, None
+    for an inconsistent one, and `failed` is the index of the first
+    inconsistent column, or None.  Pivots come leftmost first, so those
+    in M's columns do not depend on the appended ones.  Row operations
+    keep every linear relation between columns, so a column in M's column
+    space is zero in the rows past M's pivots, and any other column is
+    not.  x_t is column n + t of the RREF at the pivots of M (a later
+    pivot has zeros left of it), and zero at the free variables.
     """
     n = M.cols
     aug = [row + [as_scalar(col[i]) for col in columns] for i, row in enumerate(M._data)]
     reduced, piv_cols = _reduced_echelon(_integer_rows(aug), n + len(columns))
     rank_ = sum(1 for c in piv_cols if c < n)
-    failed = piv_cols[rank_] - n if rank_ < len(piv_cols) else None
     solutions = []
-    for t in range(len(columns) if failed is None else failed):
+    for t in range(len(columns)):
+        if any(row[n + t] for row in reduced[rank_:]):
+            solutions.append(None)
+            continue
         x = [ZERO] * n
         for row, c in zip(reduced, piv_cols[:rank_]):
             x[c] = row[n + t]
         solutions.append(x)
+    failed = next((t for t, x in enumerate(solutions) if x is None), None)
     return solutions, failed
 
 
@@ -530,8 +534,7 @@ def solve_linear(M: ExactMatrix, b: Vector):
     """
     if len(b) != M.rows:
         raise ValueError("rhs length mismatch")
-    solutions, failed = _solve_columns(M, [b])
-    return None if failed is not None else solutions[0]
+    return _solve_columns(M, [b])[0][0]
 
 
 def rref(M: ExactMatrix):

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
+from liecoh import adapted
 from liecoh.algebra import LieAlgebra, Subalgebra
-from liecoh.cohomology import GModule, basised, relative_ce_cohomology
+from liecoh.cohomology import GModule, basised, extend_to_complement, relative_ce_cohomology
 from liecoh.linalg import ExactMatrix, rank_kernel, solve_linear
 from liecoh.roots import PositiveSystemError, positive_system
 from liecoh.scalars import GaussianRational
@@ -201,6 +204,27 @@ def closed_chambers(rd):
         except PositiveSystemError:
             pass
     return chambers
+
+
+# -- complements of a frame -------------------------------------------------------
+
+
+def reference_complement_basis(g, h):
+    """The complement of h in g that bigraded tables and the assembly took
+    before every frame took the default rule: the greedy pick from the
+    conjugates of h's rows, then from g's basis."""
+    candidates = [[x.conjugate() for x in row] for row in h.vectors()]
+    candidates += [g.basis_vector(j) for j in range(g.dim)]
+    return extend_to_complement(h.vectors(), candidates)
+
+
+@contextmanager
+def complement_rule(vectors):
+    """Frames built inside take `vectors`, coordinates in the acting
+    basis, as their complement in place of the default rule."""
+    with mock.patch.object(adapted, "_weight_complement",
+                           lambda ba, u, conjugates: [list(v) for v in vectors]):
+        yield
 
 
 # -- the quotient-module route, kept as the oracle of the fibers ---------------

@@ -18,7 +18,6 @@ from liecoh.cohomology import (
     GModule,
     bigraded_cohomology,
     ce_cohomology,
-    complement_basis,
     extend_to_complement,
     relative_ce_cohomology,
 )
@@ -28,6 +27,8 @@ from liecoh.roots import build_standard, root_decomposition
 from conftest import (
     SU4_ELLIPTIC,
     closed_chambers,
+    complement_rule,
+    reference_complement_basis,
     reference_quotient_module,
     signed_permutation,
     su,
@@ -85,7 +86,8 @@ def test_the_scan_finds_the_torus_of_the_standard_structures():
     g = su3()
     for text, torus_text in ((H5, "span{T1, T2}"), (COMPLEX, "span{T1+iT2}"), (CR, None)):
         h = parse_span(text, g)
-        frame = AdaptedFrame(g, h, complement_basis(g, h))
+        with complement_rule(reference_complement_basis(g, h)):
+            frame = AdaptedFrame(g, h)
         found = [frame.adapted.vectors[t] for t in frame.torus]
         if torus_text is None:
             assert found == []
@@ -93,14 +95,16 @@ def test_the_scan_finds_the_torus_of_the_standard_structures():
             assert Subalgebra.span(g, found) == parse_span(torus_text, g)
     # with k = t listed first, the fibers of h5 keep no theta row
     h = parse_span(H5, g)
-    frame = AdaptedFrame(g, h, complement_basis(g, h), pair=h.intersect(h.conj()))
+    with complement_rule(reference_complement_basis(g, h)):
+        frame = AdaptedFrame(g, h, pair=h.intersect(h.conj()))
     assert frame.dim_k == 2 and frame.torus[:2] == [0, 1]
 
 
 def test_graded_rows_match_the_full_rows():
     checked = 0
     for g, h in _pairs():
-        frame = AdaptedFrame(g, h, complement_basis(g, h))
+        with complement_rule(reference_complement_basis(g, h)):
+            frame = AdaptedFrame(g, h)
         for p in range(frame.codim + 1):
             graded = _bigraded_row(frame, p, graded=True).cohomology().dims
             assert graded == _bigraded_row(frame, p).cohomology().dims, (g.name, h, p)
@@ -110,8 +114,9 @@ def test_graded_rows_match_the_full_rows():
     assert checked > 60
     # h = 0 acts by nothing, so a torus of g does not grade its rows
     g = su3()
-    frame = AdaptedFrame(g, None, complement_basis(g, parse_span(H5, g))
-                         + parse_span(H5, g).vectors())
+    h = parse_span(H5, g)
+    with complement_rule(reference_complement_basis(g, h) + h.vectors()):
+        frame = AdaptedFrame(g, None)
     assert frame.torus
     assert [_bigraded_row(frame, p, graded=True).cohomology().dims for p in range(9)] == [
         {0: comb(8, p)} for p in range(9)]
@@ -128,8 +133,9 @@ def test_graded_fibers_match_the_ungraded_frame():
     for g, u, pair in pairs:
         if pair.is_subalgebra() is not None:
             continue
-        graded = AdaptedFrame(g, u, complement_basis(g, u), pair=pair)
-        full = ungraded(AdaptedFrame(g, u, complement_basis(g, u), pair=pair))
+        with complement_rule(reference_complement_basis(g, u)):
+            graded = AdaptedFrame(g, u, pair=pair)
+            full = ungraded(AdaptedFrame(g, u, pair=pair))
         assert graded.pair_cohomology().dims == full.pair_cohomology().dims
         for p in range(-1, graded.codim + 2):
             assert graded.fiber(p).dims == full.fiber(p).dims, (g.name, u, pair, p)
@@ -153,10 +159,11 @@ def test_graded_relative_cohomology_matches_every_cell():
     ]
     checked = 0
     for g, u, complement in cases:
-        complement = complement_basis(g, u) if complement is None else complement
+        complement = reference_complement_basis(g, u) if complement is None else complement
         for module in (GModule.trivial(g), GModule.adjoint(g)):
-            graded = AdaptedFrame(g, u, complement)
-            full = ungraded(AdaptedFrame(g, u, complement))
+            with complement_rule(complement):
+                graded = AdaptedFrame(g, u)
+                full = ungraded(AdaptedFrame(g, u))
             table = graded.relative_cohomology(module)
             assert (table.dims, table.meta) == (
                 full.relative_cohomology(module).dims, full.relative_cohomology(module).meta)
@@ -183,10 +190,12 @@ def test_the_default_complement_grades_the_relative_pair():
     for g, text in ((g2, "span{T}"), (g3, "span{T1}"), (g3, "span{T1, T2}")):
         u = parse_span(text, g)
         greedy = extend_to_complement(u.vectors(), [g.basis_vector(j) for j in range(g.dim)])
-        assert AdaptedFrame(g, u, greedy).torus == []
+        with complement_rule(greedy):
+            greedy_frame = AdaptedFrame(g, u)
+        assert greedy_frame.torus == []
         for module in (GModule.trivial(g), GModule.adjoint(g)):
             graded = AdaptedFrame(g, u).relative_cohomology(module)
-            full = AdaptedFrame(g, u, greedy).relative_cohomology(module)
+            full = greedy_frame.relative_cohomology(module)
             assert (graded.dims, graded.meta) == (full.dims, full.meta), (g.name, text)
 
 
@@ -196,7 +205,8 @@ def test_seeded_row_cells_and_dims():
     counts = {"elliptic": set(), "complex": set(), "cr": set()}
     for i, (g, structures) in enumerate(seeded_structures(24)):
         for cls, h in structures.items():
-            frame = AdaptedFrame(g, h, complement_basis(g, h))
+            with complement_rule(reference_complement_basis(g, h)):
+                frame = AdaptedFrame(g, h)
             counts[cls].add(row_cells(frame))
             assert row_cells(ungraded(frame)) == 256
             if i < 4:
@@ -205,14 +215,47 @@ def test_seeded_row_cells_and_dims():
     assert counts == {"elliptic": {40}, "complex": {40}, "cr": {256}}
 
 
+def test_the_default_complement_takes_the_conjugates_first():
+    # the conjugates of h's rows fill the complement of the elliptic and
+    # complex structures, so the scan finds their torus in every
+    # presentation and chamber; the CR and Levi spans leave a gap that
+    # the acting basis fills, as the reference does
+    sizes = {"elliptic": set(), "complex": set(), "cr": set()}
+    for g, structures in seeded_structures(24):
+        levi = structures["cr"].sum_with(parse_span("span{2T1+3T2}", g))
+        for cls, h in [*structures.items(), ("levi", levi)]:
+            frame = AdaptedFrame(g, h)
+            assert frame.complement == reference_complement_basis(g, h), (cls, h)
+            sizes.setdefault(cls, set()).add(len(frame.torus))
+    assert sizes == {"elliptic": {2}, "complex": {1}, "cr": {0}, "levi": {1}}
+
+
+def test_conjugates_outside_the_acting_algebra_are_skipped():
+    # conj(X1-iY1) = X1+iY1 lies outside h5, so the pick passes it over and
+    # the complement comes from h5's own basis
+    g = su3()
+    h5 = parse_span(H5, g)
+    for text, torus in (("span{X1-iY1}", []), ("span{T1, X1-iY1}", [0])):
+        u = parse_span(text, g)
+        frame = AdaptedFrame(h5, u)
+        assert frame.torus == torus
+        assert all(h5.contains(v) for v in frame.complement)
+        table = frame.relative_cohomology(GModule.trivial(h5))
+        full = ungraded(AdaptedFrame(h5, u)).relative_cohomology(GModule.trivial(h5))
+        assert (table.dims, table.meta) == (full.dims, full.meta), text
+        assert relative_ce_cohomology(h5, u, GModule.trivial(h5)).dims == table.dims
+
+
 def test_a_complement_of_no_weight_vectors_falls_back_with_the_same_dims():
     g = su3()
     h = parse_span(H5, g)
     other = [g.basis_vector(g.basis_names.index(name)) for name in ("X1", "X2", "X3")]
-    frame = AdaptedFrame(g, h, other)
+    with complement_rule(other):
+        frame = AdaptedFrame(g, h)
+        dims = bigraded_cohomology(g, h).dims
     assert frame.torus == []
     assert row_cells(frame) == 256
-    assert bigraded_cohomology(g, h, complement=other).dims == bigraded_cohomology(g, h).dims
+    assert dims == bigraded_cohomology(g, h).dims
 
 
 def dual(table, n, m):
