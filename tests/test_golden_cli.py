@@ -105,6 +105,14 @@ COMMANDS = {
                                "span{T1, X1-iY1}", "--representatives", "--json"],
     "bigraded-su3-levi": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", LEVI,
                           "--json"],
+    "bigraded-su3-complex-reps": ["cohomology", "--algebra", "builtin:su3", "--subalgebra",
+                                  COMPLEX, "--representatives", "--json"],
+    "bigraded-su3-levi-reps": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", LEVI,
+                               "--representatives", "--json"],
+    "bigraded-su2-borel-reps": ["cohomology", "--algebra", "builtin:su2", "--subalgebra",
+                                "span{T, X-iY}", "--representatives", "--json"],
+    "bigraded-su3-h5-reps-table": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", H5,
+                                   "--representatives"],
 }
 
 
