@@ -9,12 +9,15 @@ cohomology are the frame with u = 0.  One rule picks W for every frame
 that lie in the acting algebra, then from a joint eigenbasis of ad of a
 commuting family grown inside u (inside the acting algebra when u = 0),
 or from the acting basis where no family splits.  The conjugates fill W
-for elliptic and complex structures, and u = 0 has none.
+for elliptic and complex structures, and u = 0 has none.  A family
+stops before a member whose ad is nonzero and nilpotent (`_nilpotent`),
+as a CR structure's first row is: such an ad has no eigenbasis.
 
 Every complex is a block of d of the adapted algebra on lists of cells
 (`cohomology._differential_matrix`).  Row p of the bigraded complex
 (`_bigraded_row`) has the cells (J + I, 0), I a p-subset of W and J a
-subset of u's block (`_row_cells`); the terms its d' drops raise p.  By
+subset of u's block (`_row_cells`); the terms its d' drops raise p, and
+only `cohomology.bigraded_complex` reads its cells of nonzero weight.  By
 Cartan's formula theta(X) = i(X) d + d i(X), theta(k_i) on cochains that
 vanish on k is the block of d on the rows (i,) + S.  The relative complex
 (`relative_complex`: cells (K, a) on the W-subsets, acting indices those
@@ -338,26 +341,21 @@ def _bigraded_row(frame: AdaptedFrame, p: int, graded: bool = False) -> Bigraded
     basis up to the sign (-1)^{pq}, so d' from (p, q) to (p, q + 1) is
     (-1)^p times the block of d with trivial coefficients on those
     subsets, listed I-major and J-minor."""
-    n = frame.dim_u
     cells = frame._row_cells(p, 0, lam=frame._row_grading[1] if graded else None)
     differentials = {}
-    for q in range(n + 1):
+    for q in range(frame.dim_u + 1):
         block = cohomology._differential_matrix(frame._trivial, cells[q + 1], cells[q])
         differentials[q] = cohomology._negated(block) if p % 2 else block
-    complex_ = cohomology.BigradedComplex(
-        p=p,
-        labels={
-            q: [
-                "∧".join([f"ζ{s - n + 1}" for s in S if s >= n]
-                         + [f"τ{s + 1}" for s in S if s < n]) or "1"
-                for S, _ in subsets
-            ]
-            for q, subsets in enumerate(cells)
-        },
-        int_differentials=differentials,
-    )
+    complex_ = cohomology.BigradedComplex(_row_labels(frame, cells), differentials, p)
     complex_.verify()
     return complex_
+
+
+def _row_labels(frame: AdaptedFrame, cells):
+    """The names zeta_I wedge tau_J of a row's cells, by degree q."""
+    n = frame.dim_u
+    return {q: ["∧".join([f"ζ{s - n + 1}" for s in S if s >= n] + [f"τ{s + 1}" for s in S if s < n])
+                or "1" for S, _ in subsets] for q, subsets in enumerate(cells)}
 
 
 def _ad(ba, v):
@@ -370,6 +368,17 @@ def _ad(ba, v):
     return ExactMatrix._of(ba.dim, ba.dim, ad)
 
 
+def _nilpotent(m: ExactMatrix) -> bool:
+    """Whether the square matrix m is nonzero and nilpotent, with no char
+    poly: m^(2^j) = 0 for the least 2^j >= its size, by sparse squaring."""
+    power, reach = ScaledIntMatrix.from_exact(m), 1
+    if power.is_zero():
+        return False
+    while reach < m.rows and not power.is_zero():
+        power, reach = power.matmul(power), 2 * reach
+    return power.is_zero()
+
+
 def _weight_complement(ba, u, conjugates):
     """The complement of span(u), u and `conjugates` rows of coordinates
     in ba's basis, in those coordinates: the greedy pick from the
@@ -380,9 +389,9 @@ def _weight_complement(ba, u, conjugates):
     row (ba's first basis vector when u is empty), and `linalg.refine_eigen`
     splits ba's basis by the ad of each member in turn.  The next member is
     the first vector of the weight-zero block outside the family's span and
-    inside u, until none is left or a split fails (over Q(i), within the
-    root search's reach, with a full eigenbasis).  With no family, the
-    greedy pick from ba's basis."""
+    inside u, until none is left, a member's ad is nonzero and nilpotent,
+    or a split fails (over Q(i), within the root search's reach, with a
+    full eigenbasis).  With no family, the greedy pick from ba's basis."""
     picked = cohomology.extend_to_complement(u, conjugates) if conjugates else []
     if len(u) + len(picked) == ba.dim:
         return picked
@@ -390,8 +399,11 @@ def _weight_complement(ba, u, conjugates):
     blocks, family = [((), basis)], []
     member = (u or basis)[0] if ba._table else None
     while member is not None:
+        ad = _ad(ba, member)
+        if _nilpotent(ad):
+            break
         try:
-            refined = linalg.refine_eigen(blocks, _ad(ba, member))
+            refined = linalg.refine_eigen(blocks, ad)
         except InputError:  # no split over Q(i), or past the root-search limit
             break
         if refined is None:

@@ -36,8 +36,8 @@ of u's rows in the acting algebra first, then a joint eigenbasis of a
 commuting family grown inside u (the acting algebra when u = 0).  Plain
 su3 grades by a maximal torus, which keeps 244 of the 11440 entries of
 d, the pair (su3, t) keeps no theta block, and the bigraded rows of the
-elliptic and complex structures grade by their torus.  Representatives
-and `bigraded_complex` keep every cell.
+elliptic and complex structures grade by their torus, for dims and
+representatives alike.  `bigraded_complex` keeps every cell.
 
 Every complex is a `CochainComplex`: the plain and module complexes
 (`ce_complex` and the frame's), the relative complex of a pair and each
@@ -45,7 +45,7 @@ bigraded row (`BigradedComplex`, which adds only its row index
 p and the message of its d' o d' check).  Every cohomology is its
 `cohomology` method, one reduction (`_chain_dims`) over its degrees:
 dims come from the pivot counts of the elimination kernel, and
-representatives from reduced echelon forms.  GaussianRational appears only at the boundary:
+representatives from one RREF of the kernel per degree.  GaussianRational appears only at the boundary:
 `ce_differential` and `CochainComplex.differentials` convert to
 ExactMatrix, and kernel vectors are formed only for representatives and
 for the invariant bases of the relative complex.
@@ -67,7 +67,7 @@ from .linalg import (
     _solve_columns,
     as_scalar,
 )
-from .scalars import format_scalar
+from .scalars import ZERO, format_scalar
 
 # annotations are postponed, so this name is for type checkers only
 TYPE_CHECKING = False
@@ -495,16 +495,16 @@ def _quotient_representatives(kernel_vectors, image_rows, ncols):
     """Kernel vectors modulo the row space of the Gaussian-integer
     `image_rows`, in reduced echelon normal form (deterministic).
 
-    One reduced echelon form of the image rows stacked on the kernel
-    vectors; its rows whose pivot is not a pivot of the image alone are
-    the answer.  RREF is unique and the pivots of a subspace are among
+    One reduced echelon form of the kernel vectors, whose span holds the
+    image (d o d = 0 is verified); its rows whose pivot is not a pivot of
+    the image are the answer.  RREF is unique and the pivots of a subspace are among
     those of any larger space, so these rows are the RREF of the kernel
     reduced modulo the image: they vanish at every image pivot.
     """
     if not kernel_vectors:
         return []
     _, image_pivots = _bareiss_echelon([list(row) for row in image_rows], ncols)
-    rows, pivots = _reduced_echelon(image_rows + _integer_rows(kernel_vectors), ncols)
+    rows, pivots = _reduced_echelon(_integer_rows(kernel_vectors), ncols)
     image_pivots = set(image_pivots)
     return [row for row, p in zip(rows, pivots) if p not in image_pivots]
 
@@ -602,21 +602,24 @@ def bigraded_complex(g: LieAlgebra, h: Subalgebra, p: int) -> BigradedComplex:
 def bigraded_cohomology(g: LieAlgebra, h: Subalgebra, representatives: bool = False) -> CohomologyTable:
     """H^{p,q}(g; h) = H^q(h; Lambda^p(g/h)^*): cohomology of the quotient
     complex with bases zeta_I wedge tau_J (|I| = p complement duals,
-    |J| = q h duals), one `_bigraded_row` per p on the frame of (g, h),
-    whose complement the meta prints."""
-    from .adapted import AdaptedFrame, _bigraded_row
+    |J| = q h duals), one graded `_bigraded_row` per p on the frame of
+    (g, h), whose complement the meta prints; cells of nonzero weight carry
+    no class (Bott), so representatives are put back in the full row."""
+    from .adapted import AdaptedFrame, _bigraded_row, _row_labels
 
     frame = AdaptedFrame(g, h)
     dims = {}
     reps = {} if representatives else None
     labels = {} if representatives else None
     for p in range(frame.codim + 1):
-        row = _bigraded_row(frame, p, graded=not representatives).cohomology(representatives)
+        row = _bigraded_row(frame, p, graded=True).cohomology(representatives)
+        full = _row_labels(frame, frame._row_cells(p, 0)) if representatives else None
         for q, v in row.dims.items():
             dims[(p, q)] = v
             if representatives:
-                reps[(p, q)] = row.representatives[q]
-                labels[(p, q)] = row.labels[q]
+                graded = [dict(zip(row.labels[q], rep)) for rep in row.representatives[q]]
+                reps[(p, q)] = [[rep.get(name, ZERO) for name in full[q]] for rep in graded]
+                labels[(p, q)] = full[q]
     meta = {
         "h_basis": [[format_scalar(x) for x in row] for row in frame.adapted.vectors[:frame.dim_u]],
         "complement_basis": [[format_scalar(x) for x in row] for row in frame.complement],

@@ -102,8 +102,8 @@ def run(args) -> int:
         out["kind"] = "plain"
         out["table"] = table.to_json_dict()
         lines.append(degree_line(table.dims, f"H^k({g.name}; {args.module}) dims"))
-    if args.representatives and table.representatives is not None:
-        reps = table.to_json_dict().get("representatives", {})
+    if not args.json:
+        reps = out["table"].get("representatives", {})
         for key in sorted(reps):
             for vec in reps[key]:
                 pretty = " + ".join(f"({v})*{name}" for name, v in vec.items()) or "0"

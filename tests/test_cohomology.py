@@ -1193,10 +1193,12 @@ def assert_corrupted_row_zero_is_caught(monkeypatch, g, text, blocks, representa
 
 
 def test_corrupted_dprime_is_caught(monkeypatch):
-    # the rows of representatives keep every cell: d'_1 = [0, -2i] does
-    # not kill the corrupted d'_0 = [0, 1]^T
+    # representatives read the graded row too: row 0 of h5 keeps the
+    # subsets of tau1 = T1 and tau2 = T2, and its corrupted d'_0 = [1, 0]^T
+    # and d'_1 = [1, 0] compose to [1]
     assert_corrupted_row_zero_is_caught(
-        monkeypatch, su2(), "span{T, X-iY}", {(((), 0),): [[Q(0)], [Q(1)]]}, True
+        monkeypatch, su3(), "span{X1-iY1, X2-iY2, X3-iY3, T1, T2}",
+        {(((), 0),): [[Q(1)], [Q(0)]], (((0,), 0), ((1,), 0)): [[Q(1), Q(0)]]}, True,
     )
 
 

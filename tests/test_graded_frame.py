@@ -11,6 +11,7 @@ subalgebra of a unimodular algebra and depends on neither path.
 import random
 from math import comb
 
+from liecoh import linalg
 from liecoh.adapted import AdaptedFrame, _bigraded_row
 from liecoh.algebra import Subalgebra, parse_span, su2, su3, torus
 from liecoh.cohomology import (
@@ -122,6 +123,22 @@ def test_graded_rows_match_the_full_rows():
         {0: comb(8, p)} for p in range(9)]
 
 
+def test_graded_representatives_match_the_full_rows():
+    # the weight-zero cells are a subsequence of the full row's, a block of
+    # nonzero weight is acyclic and the RREF of a direct sum is the union
+    # of the blockwise ones, so the representatives of the graded rows, put
+    # back in the full rows, are those of the full rows
+    seeded = [(g, h) for g, structures in seeded_structures(24) for h in structures.values()]
+    for g, h in seeded + _pairs():
+        table = bigraded_cohomology(g, h, representatives=True)
+        frame = AdaptedFrame(g, h)
+        for p in range(frame.codim + 1):
+            full = _bigraded_row(frame, p).cohomology(representatives=True)
+            for q in full.dims:
+                assert table.labels[(p, q)] == full.labels[q], (g.name, h, p, q)
+                assert table.representatives[(p, q)] == full.representatives[q], (g.name, h, p, q)
+
+
 def test_graded_fibers_match_the_ungraded_frame():
     checked = 0
     g3 = su3()
@@ -228,6 +245,21 @@ def test_the_default_complement_takes_the_conjugates_first():
             assert frame.complement == reference_complement_basis(g, h), (cls, h)
             sizes.setdefault(cls, set()).add(len(frame.torus))
     assert sizes == {"elliptic": {2}, "complex": {1}, "cr": {0}, "levi": {1}}
+
+
+def test_a_nilpotent_first_row_starts_no_family(monkeypatch):
+    # the CR structure's conjugates leave a gap of 2 and its first row is
+    # a root vector, whose nonzero nilpotent ad has no eigenbasis: the
+    # rule tries no split and fills the gap from the acting basis
+    def refused(blocks, m):
+        raise AssertionError("refine_eigen ran")
+
+    g = su3()
+    h = parse_span(CR, g)
+    monkeypatch.setattr(linalg, "refine_eigen", refused)
+    frame = AdaptedFrame(g, h)
+    assert frame.torus == []
+    assert frame.complement == reference_complement_basis(g, h)
 
 
 def test_conjugates_outside_the_acting_algebra_are_skipped():
