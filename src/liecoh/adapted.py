@@ -9,9 +9,9 @@ cohomology are the frame with u = 0.  One rule picks W for every frame
 that lie in the acting algebra, then from a joint eigenbasis of ad of a
 commuting family grown inside u (inside the acting algebra when u = 0),
 or from the acting basis where no family splits.  The conjugates fill W
-for elliptic and complex structures, and u = 0 has none.  A family
-stops before a member whose ad is nonzero and nilpotent (`_nilpotent`),
-as a CR structure's first row is: such an ad has no eigenbasis.
+for elliptic and complex structures, and u = 0 has none.  A family stops
+before a member with no eigenbasis, as a nonzero nilpotent ad such as a
+CR structure's first row has (`_nonzero_nilpotent`).
 
 Every complex is a block of d of the adapted algebra on lists of cells
 (`cohomology._differential_matrix`).  Row p of the bigraded complex
@@ -368,7 +368,7 @@ def _ad(ba, v):
     return ExactMatrix._of(ba.dim, ba.dim, ad)
 
 
-def _nilpotent(m: ExactMatrix) -> bool:
+def _nonzero_nilpotent(m: ExactMatrix) -> bool:
     """Whether the square matrix m is nonzero and nilpotent, with no char
     poly: m^(2^j) = 0 for the least 2^j >= its size, by sparse squaring."""
     power, reach = ScaledIntMatrix.from_exact(m), 1
@@ -400,7 +400,7 @@ def _weight_complement(ba, u, conjugates):
     member = (u or basis)[0] if ba._table else None
     while member is not None:
         ad = _ad(ba, member)
-        if _nilpotent(ad):
+        if _nonzero_nilpotent(ad):
             break
         try:
             refined = linalg.refine_eigen(blocks, ad)
