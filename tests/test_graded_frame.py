@@ -3,7 +3,7 @@
 Each complex of an `AdaptedFrame` keeps only the cells of weight zero
 under the torus elements of its acting algebra.  The oracle is the same
 frame with its torus emptied, which keeps every cell, or the full rows
-that representatives take.  Duality H^{p,q} = H^{N-p, M-q} (N = codim h,
+of `bigraded_complex`.  Duality H^{p,q} = H^{N-p, M-q} (N = codim h,
 M = dim h; Hazewinkel, Math. USSR-Sb. 12, 1970) holds for every
 subalgebra of a unimodular algebra and depends on neither path.
 """
