@@ -113,6 +113,12 @@ COMMANDS = {
                                 "span{T, X-iY}", "--representatives", "--json"],
     "bigraded-su3-h5-reps-table": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", H5,
                                    "--representatives"],
+    "bigraded-su3-cr-reps-table": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", CR,
+                                   "--representatives"],
+    "bigraded-su3-complex-reps-table": ["cohomology", "--algebra", "builtin:su3", "--subalgebra",
+                                        COMPLEX, "--representatives"],
+    "adjoint-su2-reps-table": ["cohomology", "--algebra", "builtin:su2", "--module", "adjoint",
+                               "--representatives"],
 }
 
 
