@@ -67,7 +67,7 @@ from .linalg import (
     _solve_columns,
     as_scalar,
 )
-from .scalars import ZERO, format_scalar
+from .scalars import format_scalar
 
 # annotations are postponed, so this name is for type checkers only
 TYPE_CHECKING = False
@@ -385,7 +385,10 @@ class CochainComplex:
         return {k: m.to_exact() for k, m in self.int_differentials.items()}
 
     def space_dim(self, k: int) -> int:
-        return len(self.labels.get(k, []))
+        """The number of cells of degree k: d_k's columns, or d_{k-1}'s
+        rows at the top degree; labels only name the cells."""
+        d = self.int_differentials
+        return d[k].cols if k in d else d[k - 1].rows if k - 1 in d else 0
 
     def verify(self):
         _check_square_zero(self.int_differentials, lambda k: f"d o d is nonzero from degree {k}")
@@ -393,11 +396,14 @@ class CochainComplex:
     def cohomology(self, representatives: bool = False) -> CohomologyTable:
         """H^k for every degree k with a differential, by exact ranks; the
         caller has verified d o d = 0.  `representatives` adds a cocycle
-        basis per degree in RREF normal form modulo the coboundaries."""
+        basis per degree in RREF normal form modulo the coboundaries, each
+        a map from cell label to its nonzero coefficient, in cell order."""
         degrees = sorted(self.int_differentials)
         dims, reps = _chain_dims(self.int_differentials, degrees, representatives)
-        labels = {k: self.labels[k] for k in degrees} if representatives else None
-        return CohomologyTable(dims=dims, representatives=reps, labels=labels)
+        if representatives:
+            reps = {k: [{name: x for name, x in zip(self.labels[k], row) if not x.is_zero()}
+                        for row in rows] for k, rows in reps.items()}
+        return CohomologyTable(dims=dims, representatives=reps)
 
 
 def _ce_labels(ba: BasisedAlgebra, dim_m: int, k: int):
@@ -433,13 +439,13 @@ def ce_complex(acting, module: GModule) -> CochainComplex:
 
 class CohomologyTable:
     """Exact cohomology dimensions keyed by degree k or bidegree (p, q),
-    with optional representative cocycles in the stated basis labels."""
+    with optional representative cocycles, each a map from cell label to
+    its nonzero coefficient."""
 
     def __init__(self, dims: dict, representatives: dict | None = None,
-                 labels: dict | None = None, meta: dict | None = None):
+                 meta: dict | None = None):
         self.dims = dims
         self.representatives = representatives
-        self.labels = labels
         self.meta = {} if meta is None else meta
 
     def dim(self, key) -> int:
@@ -472,20 +478,12 @@ class CohomologyTable:
             }
         }
         if self.representatives is not None:
-            reps = {}
-            for key, vectors in sorted(
-                self.representatives.items(), key=lambda kv: self._key_str(kv[0])
-            ):
-                names = self.labels[key]
-                reps[self._key_str(key)] = [
-                    {
-                        name: format_scalar(x)
-                        for name, x in zip(names, vec)
-                        if not x.is_zero()
-                    }
-                    for vec in vectors
-                ]
-            out["representatives"] = reps
+            out["representatives"] = {
+                self._key_str(key): [{name: format_scalar(x) for name, x in rep.items()}
+                                     for rep in classes]
+                for key, classes in sorted(self.representatives.items(),
+                                           key=lambda kv: self._key_str(kv[0]))
+            }
         if self.meta:
             out["meta"] = self.meta
         return out
@@ -604,22 +602,18 @@ def bigraded_cohomology(g: LieAlgebra, h: Subalgebra, representatives: bool = Fa
     complex with bases zeta_I wedge tau_J (|I| = p complement duals,
     |J| = q h duals), one graded `_bigraded_row` per p on the frame of
     (g, h), whose complement the meta prints; cells of nonzero weight carry
-    no class (Bott), so representatives are put back in the full row."""
-    from .adapted import AdaptedFrame, _bigraded_row, _row_labels
+    no class (Bott), so each class is a map on the weight-zero cells that
+    carry it, named as in the full row."""
+    from .adapted import AdaptedFrame, _bigraded_row
 
     frame = AdaptedFrame(g, h)
     dims = {}
     reps = {} if representatives else None
-    labels = {} if representatives else None
     for p in range(frame.codim + 1):
         row = _bigraded_row(frame, p, graded=True).cohomology(representatives)
-        full = _row_labels(frame, frame._row_cells(p, 0)) if representatives else None
-        for q, v in row.dims.items():
-            dims[(p, q)] = v
-            if representatives:
-                graded = [dict(zip(row.labels[q], rep)) for rep in row.representatives[q]]
-                reps[(p, q)] = [[rep.get(name, ZERO) for name in full[q]] for rep in graded]
-                labels[(p, q)] = full[q]
+        dims.update({(p, q): v for q, v in row.dims.items()})
+        if representatives:
+            reps.update({(p, q): classes for q, classes in row.representatives.items()})
     meta = {
         "h_basis": [[format_scalar(x) for x in row] for row in frame.adapted.vectors[:frame.dim_u]],
         "complement_basis": [[format_scalar(x) for x in row] for row in frame.complement],
@@ -629,4 +623,4 @@ def bigraded_cohomology(g: LieAlgebra, h: Subalgebra, representatives: bool = Fa
             "theorem-backed cases"
         ),
     }
-    return CohomologyTable(dims=dims, representatives=reps, labels=labels, meta=meta)
+    return CohomologyTable(dims=dims, representatives=reps, meta=meta)

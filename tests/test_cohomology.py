@@ -287,7 +287,7 @@ def test_representatives_are_cocycles_mod_image():
     table = ce_cohomology(g, GModule.trivial(g), representatives=True)
     assert len(table.representatives[0]) == 1
     assert len(table.representatives[3]) == 1
-    assert table.labels[3] == ["T∧X∧Y"]
+    assert list(table.representatives[3][0]) == ["T∧X∧Y"]
 
 
 def reference_quotient_representatives(kernel_vectors, image_rows, ncols):
@@ -780,6 +780,24 @@ def test_bigraded_complex_space_dims():
             assert complex_.space_dim(q) == comb(m, p) * comb(n, q)
 
 
+def test_frame_complexes_count_their_cochains():
+    # the frame's complexes name no cells, and space_dim counts the cochains
+    # their differentials act on.  Plain su3 keeps the weight-zero cells of
+    # a maximal torus: 1, the 2 torus duals, C(2, 2) + 3 root pairs, and
+    # 2 * 3 + the 2 root triples that sum to zero
+    g = su3()
+    plain = AdaptedFrame(cohomology.basised(g), None).relative_complex(GModule.trivial(g))
+    assert [plain.space_dim(k) for k in range(4)] == [1, 2, 4, 8]
+    # relative to the torus: the weight-zero subsets of the 6 roots, and
+    # nothing past the top degree
+    frame = AdaptedFrame(cohomology.basised(g), parse_span("span{T1, T2}", g))
+    relative = frame.relative_complex(GModule.trivial(g))
+    assert [relative.space_dim(k) for k in range(9)] == [1, 0, 3, 2, 3, 0, 1, 0, 0]
+    for complex_ in (plain, relative):
+        dims = complex_.cohomology().dims
+        assert sum((-1) ** k * (complex_.space_dim(k) - d) for k, d in dims.items()) == 0
+
+
 # -- d' against the full trivial-coefficient complex of g ------------------------
 #
 # The reference filters the trivial-coefficient differential of g in the
@@ -1120,8 +1138,8 @@ def test_bigraded_representative_in_degree_01():
     reps = table.representatives[(0, 1)]
     assert len(reps) == 1
     # the class is the dual of T (first h basis vector): coordinates (1, 0)
-    assert reps[0] == [Q(1), Q(0)]
-    assert table.labels[(0, 1)] == ["τ1", "τ2"]
+    # on the cells τ1, τ2
+    assert reps[0] == {"τ1": Q(1)}
 
 
 def test_bigraded_full_subalgebra_collapses_to_de_rham():

@@ -126,17 +126,23 @@ def test_graded_rows_match_the_full_rows():
 def test_graded_representatives_match_the_full_rows():
     # the weight-zero cells are a subsequence of the full row's, a block of
     # nonzero weight is acyclic and the RREF of a direct sum is the union
-    # of the blockwise ones, so the representatives of the graded rows, put
-    # back in the full rows, are those of the full rows
+    # of the blockwise ones, so the classes of the graded rows, as maps
+    # from cell label to coefficient, are those of the full rows
     seeded = [(g, h) for g, structures in seeded_structures(24) for h in structures.values()]
     for g, h in seeded + _pairs():
         table = bigraded_cohomology(g, h, representatives=True)
         frame = AdaptedFrame(g, h)
         for p in range(frame.codim + 1):
-            full = _bigraded_row(frame, p).cohomology(representatives=True)
+            row = _bigraded_row(frame, p)
+            full = row.cohomology(representatives=True)
             for q in full.dims:
-                assert table.labels[(p, q)] == full.labels[q], (g.name, h, p, q)
-                assert table.representatives[(p, q)] == full.representatives[q], (g.name, h, p, q)
+                classes = table.representatives[(p, q)]
+                assert classes == full.representatives[q], (g.name, h, p, q)
+                assert len(classes) == table.dims[(p, q)], (g.name, h, p, q)
+                for rep in classes:
+                    # the keys are the full row's labels, in its cell order
+                    assert list(rep) == [name for name in row.labels[q] if name in rep], (
+                        g.name, h, p, q)
 
 
 def test_graded_fibers_match_the_ungraded_frame():

@@ -44,8 +44,7 @@ FROZEN = [
 MUTABLE = [
     (CochainComplex, "labels int_differentials", {}),
     (BigradedComplex, "labels int_differentials p", {}),
-    (CohomologyTable, "dims representatives labels meta",
-     {"representatives": None, "labels": None, "meta": {}}),
+    (CohomologyTable, "dims representatives meta", {"representatives": None, "meta": {}}),
     (FourierData, "cutoff coefficients", {"coefficients": {}}),
     (DPrimeSolution, "solution obstructions mu_used substituted", {}),
     (DivisorReport, "verdict quotients convergents depth entries enclosure tail_start notes",
