@@ -32,6 +32,9 @@ LEVI = "span{X1-iY1, X2-iY2, X3-iY3, 2T1+3T2}"
 SCALED = "fixtures/su2-scaled.json"
 # the identity, an ad-invariant Gram matrix of the abelian torus2
 GRAM = "fixtures/torus2-identity-gram.json"
+# a torus2 module on which D1 acts as a Jordan block and D2 as 0: H^* has
+# dims (1, 2, 1), every class on a module label
+JORDAN = "fixtures/torus2-jordan-module.json"
 
 COMMANDS = {
     "bigraded-su3-cr-reps": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", CR,
@@ -119,6 +122,8 @@ COMMANDS = {
                                         COMPLEX, "--representatives"],
     "adjoint-su2-reps-table": ["cohomology", "--algebra", "builtin:su2", "--module", "adjoint",
                                "--representatives"],
+    "module-torus2-jordan-reps": ["cohomology", "--algebra", "builtin:torus2", "--module", JORDAN,
+                                  "--representatives", "--json"],
 }
 
 
