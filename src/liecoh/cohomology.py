@@ -44,15 +44,17 @@ Every complex is a `CochainComplex`: the plain and module complexes
 bigraded row (`BigradedComplex`, which adds only its row index
 p and the message of its d' o d' check).  Every cohomology is its
 `cohomology` method, one reduction (`_chain_dims`) over its degrees:
-dims come from the pivot counts of the elimination kernel, and
-representatives from one RREF of the kernel per degree.  GaussianRational appears only at the boundary:
-`ce_differential` and `CochainComplex.differentials` convert to
-ExactMatrix, and kernel vectors are formed only for representatives and
-for the invariant bases of the relative complex.
+dims are pivot counts of one forward elimination per degree, and each
+class is one back substitution on d eliminated with reversed columns.
+GaussianRational appears only at the boundary: `ce_differential` and
+`CochainComplex.differentials` convert to ExactMatrix, and the only
+kernel vectors formed are the printed classes and the invariant bases
+of the relative complex.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from math import lcm
 
@@ -62,12 +64,11 @@ from .linalg import (
     ScaledIntMatrix,
     _bareiss_echelon,
     _integer_rows,
-    _kernel_vectors,
-    _reduced_echelon,
+    _pivot_solution,
     _solve_columns,
     as_scalar,
 )
-from .scalars import format_scalar
+from .scalars import ONE, ZERO, format_scalar
 
 # annotations are postponed, so this name is for type checkers only
 TYPE_CHECKING = False
@@ -397,7 +398,11 @@ class CochainComplex:
         """H^k for every degree k with a differential, by exact ranks; the
         caller has verified d o d = 0.  `representatives` adds a cocycle
         basis per degree in RREF normal form modulo the coboundaries, each
-        a map from cell label to its nonzero coefficient, in cell order."""
+        a map from cell label to its nonzero coefficient, in cell order.
+        The pivots of RREF(ker d) complement the rightmost basis of d's
+        columns, so they are the free columns of d eliminated with its
+        columns reversed; each class is the kernel vector of one of them
+        that is not a pivot of the image, found by back substitution."""
         degrees = sorted(self.int_differentials)
         dims, reps = _chain_dims(self.int_differentials, degrees, representatives)
         if representatives:
@@ -489,51 +494,43 @@ class CohomologyTable:
         return out
 
 
-def _quotient_representatives(kernel_vectors, image_rows, ncols):
-    """Kernel vectors modulo the row space of the Gaussian-integer
-    `image_rows`, in reduced echelon normal form (deterministic).
-
-    One reduced echelon form of the kernel vectors, whose span holds the
-    image (d o d = 0 is verified); its rows whose pivot is not a pivot of
-    the image are the answer.  RREF is unique and the pivots of a subspace are among
-    those of any larger space, so these rows are the RREF of the kernel
-    reduced modulo the image: they vanish at every image pivot.
-    """
-    if not kernel_vectors:
-        return []
-    _, image_pivots = _bareiss_echelon([list(row) for row in image_rows], ncols)
-    rows, pivots = _reduced_echelon(_integer_rows(kernel_vectors), ncols)
-    image_pivots = set(image_pivots)
-    return [row for row, p in zip(rows, pivots) if p not in image_pivots]
-
-
 def _chain_dims(matrices, degrees, representatives=False):
     """Cohomology dims, and with `representatives` the representatives, of
     a cochain complex given its differentials (`CochainComplex.cohomology`).
 
     `matrices[k]` is d: degree k -> degree k+1 for k in `degrees`, a
     ScaledIntMatrix; the caller has verified d o d = 0 (each complex is
-    checked once, when it is built).  Dims come from pivot counts;
-    kernel vectors are formed only for representatives.
+    checked once, when it is built).  Dims come from pivot counts.  The
+    pivots of RREF(ker d_k), a leftmost basis of the dual matroid of d_k's
+    columns, are the complement of their rightmost basis: the free columns
+    of d_k with its columns reversed.  The image pivots are among them and
+    the rows at the other pivots vanish there, so those rows are the classes.
     """
-    ranks = {}
-    kernels = {}
-    for k in degrees:
-        m = matrices[k]
-        if representatives:
-            piv_cols, kernels[k] = _kernel_vectors(m.echelon_rows(), m.cols)
-        else:
-            _, piv_cols = _bareiss_echelon(m.echelon_rows(), m.cols)
-        ranks[k] = len(piv_cols)
     dims = {}
     reps = {} if representatives else None
+    incoming = 0
     for i, k in enumerate(degrees):
-        incoming = ranks[degrees[i - 1]] if i > 0 else 0
-        dims[k] = matrices[k].cols - ranks[k] - incoming
-        if representatives:
+        m = matrices[k]
+        n = m.cols
+        if not representatives:
+            piv_cols = _bareiss_echelon(m.echelon_rows(), n)[1]
+        else:
+            echelon, piv_cols = _bareiss_echelon([row[::-1] for row in m.echelon_rows()], n)
             # the image of d_{k-1} is spanned by its columns
             image = matrices[degrees[i - 1]].transpose().echelon_rows() if i > 0 else []
-            reps[k] = _quotient_representatives(kernels[k], image, matrices[k].cols)
+            skip = set(piv_cols).union(n - 1 - c for c in _bareiss_echelon(image, n)[1])
+            reps[k] = []
+            for f in sorted(set(range(n)) - skip, reverse=True):
+                # echelon rows with a pivot right of f are zero at f
+                t = bisect_left(piv_cols, f)
+                v = [ZERO] * n
+                v[n - 1 - f] = ONE
+                y = _pivot_solution(echelon[:t], piv_cols[:t], [row[f] for row in echelon[:t]])
+                for c, z in zip(piv_cols, y):
+                    v[n - 1 - c] = -z
+                reps[k].append(v)
+        dims[k] = n - len(piv_cols) - incoming
+        incoming = len(piv_cols)
     return dims, reps
 
 

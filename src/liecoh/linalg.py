@@ -8,11 +8,12 @@ routine, `_bareiss_echelon`, does fraction-free (Bareiss) forward
 elimination with deterministic pivoting: the pivot column is the
 leftmost one with a nonzero entry at or below the current row, and the
 pivot row is the topmost such row.  Ranks and pivot columns are read
-off that echelon.  Kernels, solutions and RREF are reads of one reduced
-echelon form R (`_reduced_echelon`, the only back substitution): the
-kernel vector of a free column f has 1 at f and -R[r][f] at the pivot of
-row r (`rank_kernel`), and the solutions of M x = b are the appended
-columns of the RREF of [M | b] (`solve_linear`).  `ScaledIntMatrix`
+off that echelon.  `_pivot_solution` is the one back substitution, used
+by `_reduced_echelon` and by the cochain representatives.  Kernels,
+solutions and RREF are reads of one reduced echelon form R: the kernel
+vector of a free column f has 1 at f and -R[r][f] at the pivot of row r
+(`rank_kernel`), and the solutions of M x = b are the appended columns
+of the RREF of [M | b] (`solve_linear`).  `ScaledIntMatrix`
 (1/den times sparse Gaussian-integer rows) is the form in which the
 cochain engine builds, multiplies and eliminates its differentials
 without GaussianRational.

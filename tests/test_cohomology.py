@@ -328,19 +328,21 @@ def reference_quotient_representatives(kernel_vectors, image_rows, ncols):
 def test_quotient_representatives_match_two_step_reduction(
     monkeypatch, algebra, span, module, degrees
 ):
-    real = cohomology._quotient_representatives
+    # every degree of every reduction with representatives, against the
+    # oracle fed with rank_kernel of d_k and the columns of d_{k-1}
+    real = cohomology._chain_dims
     calls = []
 
-    def checked(kernel_vectors, image_rows, ncols):
-        expected = reference_quotient_representatives(
-            kernel_vectors, [list(row) for row in image_rows], ncols
-        )
-        got = real(kernel_vectors, image_rows, ncols)
-        assert got == expected
-        calls.append(ncols)
-        return got
+    def checked(matrices, keys, representatives=False):
+        dims, reps = real(matrices, keys, representatives)
+        for i, k in enumerate(keys):
+            _, kernel = rank_kernel(matrices[k].to_exact())
+            image = matrices[keys[i - 1]].transpose().echelon_rows() if i > 0 else []
+            assert reps[k] == reference_quotient_representatives(kernel, image, matrices[k].cols)
+            calls.append(k)
+        return dims, reps
 
-    monkeypatch.setattr(cohomology, "_quotient_representatives", checked)
+    monkeypatch.setattr(cohomology, "_chain_dims", checked)
     g = algebra()
     if span is None:
         ce_cohomology(g, module(g), representatives=True)

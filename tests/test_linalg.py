@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecoh import linalg
+from liecoh import cohomology, linalg
 from liecoh.linalg import (
     ExactMatrix,
     ScaledIntMatrix,
@@ -258,6 +258,17 @@ def test_rref_matches_gauss_jordan(M):
     assert pivots == tuple(ref_piv)
     assert (reduced.rows, reduced.cols) == (len(ref_rows), M.cols)
     assert reduced.row_list() == [[_as_q(z) for z in row] for row in ref_rows]
+
+
+@given(oracle_matrices())
+@settings(deadline=None, max_examples=300)
+def test_chain_representatives_are_rref_of_gauss_jordan_kernel(M):
+    # one degree, no image: the representatives are RREF(ker M), read off
+    # the elimination of M with its columns reversed
+    _, reps = cohomology._chain_dims({0: ScaledIntMatrix.from_exact(M)}, [0], True)
+    _, kernel = _ref_kernel(_pairs(M), M.cols)
+    ref_rows, _ = _gauss_jordan([[_pair(x) for x in v] for v in kernel], M.cols)
+    assert reps[0] == [[_as_q(z) for z in row] for row in ref_rows]
 
 
 @given(oracle_matrices(), st.data())
