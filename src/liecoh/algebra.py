@@ -192,16 +192,23 @@ class LieAlgebra:
     def from_json_dict(cls, data: dict) -> "LieAlgebra":
         try:
             name = data["name"]
-            basis = list(data["basis"])
+            basis = data["basis"]
+            # a string is not read as its characters
+            if not isinstance(basis, list):
+                raise TypeError("basis must be a JSON list of names")
             index = {b: i for i, b in enumerate(basis)}
             table = {}
             for item in data.get("brackets", []):
+                if not isinstance(item["on"], list):
+                    raise TypeError("bracket 'on' must be a JSON list of two names")
                 a, b = item["on"]
                 if a not in index or b not in index:
                     raise AlgebraError(f"bracket on unknown basis names {a!r}, {b!r}")
                 j, k = index[a], index[b]
                 if not j < k:
                     raise AlgebraError(f"bracket pair [{a}, {b}] must be in basis order")
+                if (j, k) in table:
+                    raise AlgebraError(f"brackets list the pair [{a}, {b}] twice")
                 coeffs = {}
                 for cname, ctext in item["result"].items():
                     if cname not in index:

@@ -17,9 +17,8 @@ h is closed and grades the fibers by its torus.
 
 from __future__ import annotations
 
-from .adapted import AdaptedFrame
 from .algebra import AlgebraError, LieAlgebra
-from .cohomology import CohomologyTable
+from .cohomology import AdaptedFrame, CohomologyTable
 from .linalg import ExactMatrix, rank_kernel, vec_conj, vec_dot
 from .scalars import _gauss
 from .subalgebra import Subalgebra

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import strategies as st
 
-from liecoh import adapted
+from liecoh import cohomology
 from liecoh.algebra import LieAlgebra, Subalgebra
 from liecoh.cohomology import GModule, basised, extend_to_complement, relative_ce_cohomology
 from liecoh.linalg import ExactMatrix, rank_kernel, solve_linear
@@ -222,7 +222,7 @@ def reference_complement_basis(g, h):
 def complement_rule(vectors):
     """Frames built inside take `vectors`, coordinates in the acting
     basis, as their complement in place of the default rule."""
-    with mock.patch.object(adapted, "_weight_complement",
+    with mock.patch.object(cohomology, "_weight_complement",
                            lambda ba, u, conjugates: [list(v) for v in vectors]):
         yield
 

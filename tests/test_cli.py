@@ -222,13 +222,30 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
             ["cohomology", "--algebra", "builtin:su2", "--module"],
             "malformed module JSON: dim must be an integer, got true",
         ),
+        (
+            {"name": "a", "basis": "TXY", "brackets": []},
+            ["validate"],
+            "malformed algebra JSON: basis must be a JSON list of names",
+        ),
+        (
+            {"name": "a", "basis": ["A", "B"], "brackets": [{"on": "AB", "result": {"A": "1"}}]},
+            ["validate"],
+            "malformed algebra JSON: bracket 'on' must be a JSON list of two names",
+        ),
+        (
+            {"name": "a", "basis": ["A", "B"], "brackets": [
+                {"on": ["A", "B"], "result": {"A": "1"}}, {"on": ["A", "B"], "result": {"B": "1"}}]},
+            ["validate"],
+            "brackets list the pair [A, B] twice",
+        ),
     ],
     ids=["module", "algebra-bracket", "algebra-coefficient", "subalgebra", "fourier",
          "algebra-three-names", "algebra-result-list", "subalgebra-vector-list", "gram-ragged",
          "gram-string-rows", "module-string-rows",
          "subalgebra-list", "relative-list", "subalgebra-string", "fourier-negative-cutoff",
          "fourier-negative-cutoff-bound", "fourier-float-cutoff", "fourier-float-xi",
-         "fourier-bool-eta", "module-float-dim", "module-bool-dim"],
+         "fourier-bool-eta", "module-float-dim", "module-bool-dim", "algebra-string-basis",
+         "algebra-string-pair", "algebra-repeated-pair"],
 )
 def test_malformed_json_field_is_validation_error(tmp_path, capsys, data, argv, message):
     path = tmp_path / "malformed.json"

@@ -18,8 +18,8 @@ from liecoh.algebra import (
     su3,
     torus,
 )
-from liecoh.adapted import AdaptedFrame
 from liecoh.cohomology import (
+    AdaptedFrame,
     BasisedAlgebra,
     CochainComplex,
     CohomologyTable,
@@ -32,7 +32,6 @@ from liecoh.cohomology import (
     extend_to_complement,
     relative_ce_cohomology,
 )
-import liecoh.adapted as adapted
 import liecoh.cohomology as cohomology
 from liecoh.linalg import (
     ExactMatrix,
@@ -355,7 +354,7 @@ def test_quotient_representatives_match_two_step_reduction(
 #
 # ce_cohomology without representatives runs on the frame with u = 0 on a
 # joint eigenbasis of a commuting family grown from the first basis element
-# (adapted.AdaptedFrame), whose torus scan finds the family; the cells of
+# (AdaptedFrame), whose torus scan finds the family; the cells of
 # nonzero weight span acyclic blocks by Cartan's homotopy formula.  The full
 # complex (ce_complex) is the reference.
 
@@ -371,7 +370,7 @@ def assert_weight_route(g, module, applies=True):
     """The dims of the frame with u = 0 equal the full complex's, and its
     grading drops cells exactly when `applies` (else every cell is kept).
     The graded complex is returned."""
-    weight = adapted.AdaptedFrame(cohomology.basised(g), None).relative_complex(module)
+    weight = AdaptedFrame(cohomology.basised(g), None).relative_complex(module)
     cells = sum(m.cols for m in weight.int_differentials.values())
     assert (cells < 2 ** g.dim * module.dim) == applies
     full = ce_complex(g, module).cohomology().dims
@@ -401,7 +400,7 @@ def test_weight_route_on_seeded_su3_presentations():
         weight = assert_weight_route(g, GModule.trivial(g))
         cells = sum(m.rows * m.cols for m in weight.int_differentials.values())
         assert cells == 244
-        assert len(adapted.AdaptedFrame(cohomology.basised(g), None).torus) == 2
+        assert len(AdaptedFrame(cohomology.basised(g), None).torus) == 2
         firsts.append(g.basis_names[0])
     assert firsts.count("T2") >= 2 and len(set(firsts)) >= 5
 
@@ -411,7 +410,7 @@ def test_whitehead_adjoint_cohomology_vanishes_on_the_weight_route():
     # with adjoint coefficients is checked in test_weight_route_matches_full_complex
     rng = random.Random(161)
     for g in [su2(), su3()] + [signed_permutation(su3(), rng) for _ in range(3)]:
-        frame = adapted.AdaptedFrame(cohomology.basised(g), None)
+        frame = AdaptedFrame(cohomology.basised(g), None)
         assert frame.torus
         weight = frame.relative_complex(GModule.adjoint(g))
         assert weight.cohomology().degree_list() == [0] * (g.dim + 1)
@@ -445,8 +444,8 @@ def test_weight_route_falls_back_when_the_action_of_x_is_not_semisimple():
 def test_weight_zero_cells_are_the_zero_weight_subsets(lam, mu):
     # int pairs as complex numbers, which add like the packed weights
     n = len(lam)
-    cells = adapted.weight_zero_cells(range(n), [complex(*w) for w in lam],
-                                      [complex(*m) for m in mu])
+    cells = cohomology.weight_zero_cells(range(n), [complex(*w) for w in lam],
+                                         [complex(*m) for m in mu])
     assert len(cells) == n + 2
     for k in range(n + 2):
         assert cells[k] == [
@@ -1113,7 +1112,7 @@ def test_dprime_blocks_match_reference_row_differential():
         with complement_rule(reference_complement_basis(g, h)):
             frame = AdaptedFrame(g, h)
         for p in range(frame.codim + 1):
-            row = adapted._bigraded_row(frame, p)
+            row = cohomology._bigraded_row(frame, p)
             for q in range(frame.dim_u + 1):
                 f = assert_same_block(
                     row.int_differentials[q], reference_row_differential(g, h, frame, p, q)

@@ -4,9 +4,9 @@ from math import comb
 import pytest
 
 from liecoh.algebra import ClosureError, Subalgebra, parse_span, su2, su3, torus
-from liecoh.adapted import AdaptedFrame
 import liecoh.cohomology as cohomology
 from liecoh.cohomology import (
+    AdaptedFrame,
     BasisedAlgebra,
     GModule,
     bigraded_cohomology,

@@ -26,27 +26,32 @@ def command(name):
     return {"liecoh.commands", f"liecoh.commands.{name}"}
 
 
-# plain and module cohomology load the adapted frame (u = 0) but no
-# subspace module and no other command's module
-PLAIN = ALGEBRA | command("cohomology") | {
-    "liecoh.linalg", "liecoh.cohomology", "liecoh.adapted"}
-BIGRADED = ALGEBRA | SUBSPACES | command("cohomology") | {"liecoh.cohomology", "liecoh.adapted"}
+# plain and module cohomology, with or without representatives, load the
+# cochain engine but no subspace module and no other command's module
+PLAIN = ALGEBRA | command("cohomology") | {"liecoh.linalg", "liecoh.cohomology"}
+# relative and bigraded cohomology read a subalgebra as well
+BIGRADED = ALGEBRA | SUBSPACES | command("cohomology") | {"liecoh.cohomology"}
 # the assembly reads ellipticity off dimensions and does not load classify
-DECOMPOSE = ALGEBRA | SUBSPACES | command("decompose") | {
-    "liecoh.cohomology", "liecoh.adapted", "liecoh.decompose"}
+DECOMPOSE = ALGEBRA | SUBSPACES | command("decompose") | {"liecoh.cohomology", "liecoh.decompose"}
 
-# modules imported under their own names; liecoh.cli itself runs as __main__
-COMMANDS = [
-    (["validate", "builtin:su2"], ALGEBRA | command("validate")),
-    (["classify", "--algebra", "builtin:su2", "--subalgebra", SU2_ELLIPTIC],
-     ALGEBRA | SUBSPACES | command("classify") | {"liecoh.classify"}),
-    (["roots", "--algebra", "builtin:su2", "--torus", "span{T}", "--standard", "1", "0"],
-     ALGEBRA | SUBSPACES | command("roots") | {"liecoh.classify", "liecoh.roots"}),
-    (["cohomology", "--algebra", "builtin:su2", "--module", "adjoint"], PLAIN),
-    (["decompose", "--algebra", "builtin:su2", "--subalgebra", SU2_ELLIPTIC], DECOMPOSE),
-    (["torus-solve", "--mu", "2/3", "--depth", "2"],
-     COMMON | command("torus_solve") | {"liecoh.torus"}),
-]
+# modules imported under their own names, by test id; liecoh.cli itself
+# runs as __main__
+COMMANDS = {
+    "validate": (["validate", "builtin:su2"], ALGEBRA | command("validate")),
+    "classify": (["classify", "--algebra", "builtin:su2", "--subalgebra", SU2_ELLIPTIC],
+                 ALGEBRA | SUBSPACES | command("classify") | {"liecoh.classify"}),
+    "roots": (["roots", "--algebra", "builtin:su2", "--torus", "span{T}", "--standard", "1", "0"],
+              ALGEBRA | SUBSPACES | command("roots") | {"liecoh.classify", "liecoh.roots"}),
+    "cohomology": (["cohomology", "--algebra", "builtin:su2", "--module", "adjoint"], PLAIN),
+    "cohomology-representatives": (
+        ["cohomology", "--algebra", "builtin:su2", "--representatives"], PLAIN),
+    "cohomology-relative": (
+        ["cohomology", "--algebra", "builtin:su2", "--relative", "span{T}"], BIGRADED),
+    "decompose": (["decompose", "--algebra", "builtin:su2", "--subalgebra", SU2_ELLIPTIC],
+                  DECOMPOSE),
+    "torus-solve": (["torus-solve", "--mu", "2/3", "--depth", "2"],
+                    COMMON | command("torus_solve") | {"liecoh.torus"}),
+}
 
 # the query shapes of bench/workloads.py, on files: {algebra} is su3 as
 # JSON, {elliptic} and {cr} are subalgebra files
@@ -113,7 +118,7 @@ def run_in_process(capsys, argv):
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv,modules", COMMANDS, ids=[c[0][0] for c in COMMANDS])
+@pytest.mark.parametrize("argv,modules", list(COMMANDS.values()), ids=list(COMMANDS))
 def test_entry_point_matches_main_and_loads_only_its_modules(argv, modules, capsys):
     argv = argv + ["--json"]
     code, out, err, imported = run_entry_point(argv)
@@ -196,8 +201,8 @@ def python_s_args(argv, tmp_path):
     return ["-m", "liecoh.cli", *argv, "--json"]
 
 
-@pytest.mark.parametrize("argv", [c[0] for c in COMMANDS] + [None],
-                         ids=[c[0][0] for c in COMMANDS] + ["load-algebra"])
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS.values()] + [None],
+                         ids=[*COMMANDS, "load-algebra"])
 def test_no_slow_standard_module_is_imported(argv, tmp_path):
     # -S: no site, so nothing is imported that the interpreter's site
     # configuration happens to preload

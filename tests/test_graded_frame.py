@@ -12,11 +12,12 @@ import random
 from math import comb
 
 from liecoh import linalg
-from liecoh.adapted import AdaptedFrame, _bigraded_row
 from liecoh.algebra import Subalgebra, parse_span, su2, su3, torus
 from liecoh.cohomology import (
+    AdaptedFrame,
     BasisedAlgebra,
     GModule,
+    _bigraded_row,
     bigraded_cohomology,
     ce_cohomology,
     extend_to_complement,

@@ -17,8 +17,8 @@ from math import comb
 import pytest
 
 from liecoh import cohomology
-from liecoh.adapted import AdaptedFrame
 from liecoh.cohomology import (
+    AdaptedFrame,
     GModule,
     basised,
     bigraded_cohomology,
