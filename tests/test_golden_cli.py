@@ -44,6 +44,7 @@ COMMANDS = {
                              "--json"],
     "plain-su3": ["cohomology", "--algebra", "builtin:su3", "--json"],
     "plain-su3-reps": ["cohomology", "--algebra", "builtin:su3", "--representatives", "--json"],
+    "plain-su3-reps-table": ["cohomology", "--algebra", "builtin:su3", "--representatives"],
     "adjoint-su3": ["cohomology", "--algebra", "builtin:su3", "--module", "adjoint", "--json"],
     "adjoint-su3-table": ["cohomology", "--algebra", "builtin:su3", "--module", "adjoint"],
     "adjoint-su2-reps": ["cohomology", "--algebra", "builtin:su2", "--module", "adjoint",
@@ -83,6 +84,7 @@ COMMANDS = {
                               "--json"],
     "roots-su3-divisor-limit": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1+10T2}",
                                 "--json"],
+    "roots-su2-non-split": ["roots", "--algebra", "builtin:su2", "--torus", "span{T+X}"],
     "plain-su2-scaled-reps": ["cohomology", "--algebra", SCALED, "--representatives", "--json"],
     "plain-su2-scaled": ["cohomology", "--algebra", SCALED, "--json"],
     "bigraded-su2-scaled-reps": ["cohomology", "--algebra", SCALED, "--subalgebra",

@@ -195,3 +195,42 @@ def test_relative_imports_form_no_cycle_but_the_subalgebra_shim():
         if (importer, target, function) != SHIM:
             graph.setdefault(importer, set()).add(target)
     assert find_cycle(graph) is None
+
+
+# liecoh.cli re-exports the exit codes for callers of main; it reads only
+# some of them itself
+REEXPORTED = {"liecoh.cli": {"EX_OK", "EX_NOINPUT"}}
+
+
+def module_level_imports(tree):
+    """(bound name, line) for every import at module level, outside any
+    function or class body; `from __future__` imports bind no name."""
+    found = []
+
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((a.asname or a.name.partition(".")[0], child.lineno)
+                             for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+                found.extend((a.asname or a.name, child.lineno) for a in child.names)
+            else:
+                walk(child)
+
+    walk(tree)
+    return found
+
+
+def test_no_unused_module_imports():
+    root = Path(liecoh.__file__).parent
+    unused = []
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend(f"{name}:{line} {bound}" for bound, line in module_level_imports(tree)
+                      if bound not in used and bound not in REEXPORTED.get(name, ()))
+    assert unused == []
