@@ -193,8 +193,10 @@ class LieAlgebra:
         try:
             name = data["name"]
             basis = data["basis"]
+            if not isinstance(name, str):
+                raise TypeError("name must be a JSON string")
             # a string is not read as its characters
-            if not isinstance(basis, list):
+            if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
                 raise TypeError("basis must be a JSON list of names")
             index = {b: i for i, b in enumerate(basis)}
             table = {}

@@ -16,9 +16,10 @@ One builder, `_differential_matrix`, writes every differential as a
 block of d of one algebra: the rows and columns are lists of cells
 (S, a), the cochain e^S tensor m_a on an index subset S and a module
 index a, and a term that lands on a cell outside the columns is dropped.
-`ce_complex` and `GModule.validate` take all cells; the bigraded rows and
-the Lie derivatives theta take cells (S, 0) and (S, a) on the subsets
-they need.  The rows go straight into sparse rows of (re, im)
+`GModule.validate` takes all cells of degrees 0 to 2 (`_cells`) and
+`ce_complex` all cells, as `_invariant_complex` with no acting indices;
+the bigraded rows and the Lie derivatives theta take cells (S, 0) and
+(S, a) on the subsets they need.  The rows go straight into sparse rows of (re, im)
 Python-int pairs over one positive denominator per matrix: the lcm of the
 denominators of the bracket table and of the action matrices
 (`ScaledIntMatrix`).  The scale is per matrix, not per row, so the
@@ -251,15 +252,10 @@ class GModule:
 # ---------------------------------------------------------------------------
 
 
-def _subsets(n: int, k: int):
-    """The k-subsets of range(n); none for k < 0."""
-    return list(combinations(range(n), k)) if k >= 0 else []
-
-
 def _cells(n: int, k: int, dim_m: int):
     """Every cell (S, a) of degree k: the k-subsets S of range(n), each
     with the module indices a < dim_m minor."""
-    return [(S, a) for S in _subsets(n, k) for a in range(dim_m)]
+    return [(S, a) for S in combinations(range(n), k) for a in range(dim_m)]
 
 
 def _wedge_insert(rest, l):
@@ -386,7 +382,7 @@ def ce_differential(acting, module: GModule, k: int) -> ExactMatrix:
     coefficients in `module`."""
     ba = basised(acting)
     if k < 0:
-        return ExactMatrix.zero(len(_subsets(ba.dim, 0)) * module.dim, 0)
+        return ExactMatrix.zero(module.dim, 0)
     structure = _integer_structure(ba, module.actions)
     return _differential_matrix(
         structure, _cells(ba.dim, k + 1, module.dim), _cells(ba.dim, k, module.dim)
@@ -436,29 +432,16 @@ class CochainComplex:
         return CohomologyTable(dims=dims, representatives=reps)
 
 
-def _ce_labels(ba: BasisedAlgebra, dim_m: int, k: int):
-    out = []
-    for subset in _subsets(ba.dim, k):
-        base = "∧".join(ba.names[j] for j in subset) if subset else "1"
-        for a in range(dim_m):
-            out.append(base if dim_m == 1 else f"{base}⊗m{a + 1}")
-    return out
-
-
 def ce_complex(acting, module: GModule) -> CochainComplex:
     """The full cochain complex of `acting` with coefficients in `module`,
-    verified to square to zero."""
+    verified to square to zero: `_invariant_complex` on every cell, each
+    named by its basis elements (1 for none), then its module index."""
     ba = basised(acting)
-    n = ba.dim
-    structure = _integer_structure(ba, module.actions)
-    cells = [_cells(n, k, module.dim) for k in range(n + 2)]
-    complex_ = CochainComplex(
-        labels={k: _ce_labels(ba, module.dim, k) for k in range(n + 2)},
-        int_differentials={
-            k: _differential_matrix(structure, cells[k + 1], cells[k]) for k in range(n + 1)
-        },
-    )
-    complex_.verify()
+    cells = [_cells(ba.dim, k, module.dim) for k in range(ba.dim + 2)]
+    complex_ = _invariant_complex(_integer_structure(ba, module.actions), lambda w: cells)
+    complex_.labels = {k: [("∧".join(ba.names[j] for j in S) if S else "1")
+                           + (f"⊗m{a + 1}" if module.dim > 1 else "") for S, a in c]
+                       for k, c in enumerate(cells)}
     return complex_
 
 

@@ -46,7 +46,7 @@ def read_json_file(path: str):
     except FileNotFoundError:
         raise Failure(EX_NOINPUT, "E_NOINPUT", f"input file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise Failure(EX_VALIDATION, "E_VALIDATION", f"malformed JSON in {path}: {exc}")
+        fail_validation(f"malformed JSON in {path}: {exc}")
 
 
 def read_matrix_rows(rows) -> list:

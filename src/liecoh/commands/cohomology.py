@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from . import (
     EX_OK,
-    EX_VALIDATION,
-    Failure,
     degree_line,
     emit,
     fail_validation,
@@ -58,7 +56,7 @@ def _load_module(spec: str, acting) -> GModule:
     except InputError:  # a malformed scalar keeps its own message
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise Failure(EX_VALIDATION, "E_VALIDATION", f"malformed module JSON: {exc}")
+        fail_validation(f"malformed module JSON: {exc}")
     module = GModule(acting, dim, actions)
     witness = module.validate()
     if witness is not None:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from . import (
     EX_OK,
-    EX_VALIDATION,
-    Failure,
     degree_line,
     emit,
+    fail_validation,
     load_algebra,
     load_subalgebra,
     pq_table_lines,
@@ -42,7 +41,7 @@ def run(args) -> int:
         except InputError:
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise Failure(EX_VALIDATION, "E_VALIDATION", f"malformed Gram JSON: {exc}")
+            fail_validation(f"malformed Gram JSON: {exc}")
     report = full_assembly(g, h, gram=gram)
     out = {"command": "decompose", "algebra": g.name, "assembly": report.to_json_dict()}
     lines = pq_table_lines(report.table_dual.dims, "assembled H^{p,q} dims (rows p, columns q)")

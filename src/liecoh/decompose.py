@@ -37,30 +37,9 @@ class NoIdealComplementError(AlgebraError):
 # ---------------------------------------------------------------------------
 
 
-def _as_pq_dims(table) -> dict:
-    dims = table.dims if isinstance(table, CohomologyTable) else dict(table)
-    out = {}
-    for key, v in dims.items():
-        if not isinstance(key, tuple):
-            raise AlgebraError("expected (p, r)-keyed dimensions")
-        out[key] = v
-    return out
-
-
-def _as_degree_dims(table) -> dict:
-    dims = table.dims if isinstance(table, CohomologyTable) else dict(table)
-    out = {}
-    for key, v in dims.items():
-        if isinstance(key, tuple):
-            raise AlgebraError("expected degree-keyed dimensions")
-        out[int(key)] = v
-    return out
-
-
-def kunneth_assemble(omega_table, k_table) -> CohomologyTable:
-    """dims(p, q) = sum_{r+s=q} omega(p, r) * k(s)."""
-    omega = _as_pq_dims(omega_table)
-    k_dims = _as_degree_dims(k_table)
+def kunneth_assemble(omega: dict, k_dims: dict) -> CohomologyTable:
+    """dims(p, q) = sum_{r+s=q} omega(p, r) * k(s), for omega keyed by
+    (p, r) and k_dims by degree s."""
     dims = {}
     if omega and k_dims:
         max_p = max(p for (p, _) in omega)
@@ -239,7 +218,7 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
     k_table = frame.pair_cohomology()
     fiber_dual = {p: frame.fiber(p) for p in range(m + 1)}
     omega = {(p, r): v for p, table in fiber_dual.items() for r, v in table.dims.items()}
-    table_dual = kunneth_assemble(omega, k_table)
+    table_dual = kunneth_assemble(omega, k_table.dims)
     p_totals = {}
     for (p, q), v in table_dual.dims.items():
         p_totals[q] = p_totals.get(q, 0) + v

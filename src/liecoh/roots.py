@@ -29,11 +29,8 @@ class NonAbelianTorusError(AlgebraError):
 
 
 class NonSplitActionError(AlgebraError):
-    def __init__(self, j: int, detail: str = ""):
-        msg = f"ad of torus generator {j} does not split over Q(i)"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+    def __init__(self, j: int, detail: str):
+        super().__init__(f"ad of torus generator {j} does not split over Q(i): {detail}")
         self.generator = j
 
 

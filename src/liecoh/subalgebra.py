@@ -128,7 +128,7 @@ class Subalgebra:
 
     # -- JSON interchange
 
-    def to_json_dict(self, inline_algebra: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         vectors = []
         for row in self.vectors():
             entry = {}
@@ -136,8 +136,7 @@ class Subalgebra:
                 if not x.is_zero():
                     entry[name] = format_scalar(x)
             vectors.append(entry)
-        algebra = self.parent.to_json_dict() if inline_algebra else self.parent.name
-        return {"algebra": algebra, "vectors": vectors}
+        return {"algebra": self.parent.name, "vectors": vectors}
 
     @classmethod
     def from_json_dict(cls, data: dict, parent: LieAlgebra) -> "Subalgebra":

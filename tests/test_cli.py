@@ -238,6 +238,18 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
             ["validate"],
             "brackets list the pair [A, B] twice",
         ),
+        *(
+            ({"name": name, "basis": ["A"], "brackets": []}, ["validate"],
+             "malformed algebra JSON: name must be a JSON string")
+            for name in (5, None, True, ["x"])
+        ),
+        *(
+            ({"name": "a", "basis": [1, 2], "brackets": []}, argv,
+             "malformed algebra JSON: basis must be a JSON list of names")
+            for argv in (["validate"],
+                         ["cohomology", "--representatives", "--json", "--algebra"],
+                         ["cohomology", "--subalgebra", "span{1}", "--algebra"])
+        ),
     ],
     ids=["module", "algebra-bracket", "algebra-coefficient", "subalgebra", "fourier",
          "algebra-three-names", "algebra-result-list", "subalgebra-vector-list", "gram-ragged",
@@ -245,7 +257,9 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
          "subalgebra-list", "relative-list", "subalgebra-string", "fourier-negative-cutoff",
          "fourier-negative-cutoff-bound", "fourier-float-cutoff", "fourier-float-xi",
          "fourier-bool-eta", "module-float-dim", "module-bool-dim", "algebra-string-basis",
-         "algebra-string-pair", "algebra-repeated-pair"],
+         "algebra-string-pair", "algebra-repeated-pair", "algebra-int-name", "algebra-null-name",
+         "algebra-bool-name", "algebra-list-name", "algebra-int-basis",
+         "algebra-int-basis-representatives", "algebra-int-basis-span"],
 )
 def test_malformed_json_field_is_validation_error(tmp_path, capsys, data, argv, message):
     path = tmp_path / "malformed.json"
