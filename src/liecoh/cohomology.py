@@ -19,14 +19,14 @@ index a, and a term that lands on a cell outside the columns is dropped.
 `GModule.validate` takes all cells of degrees 0 to 2 (`_cells`) and
 `ce_complex` all cells, as `_invariant_complex` with no acting indices;
 the bigraded rows and the Lie derivatives theta take cells (S, 0) and
-(S, a) on the subsets they need.  The rows go straight into sparse rows of (re, im)
-Python-int pairs over one positive denominator per matrix: the lcm of the
-denominators of the bracket table and of the action matrices
-(`ScaledIntMatrix`).  The scale is per matrix, not per row, so the
-integer product of d_{k+1} and d_k is den_{k+1} * den_k * (d_{k+1} d_k),
-which is zero exactly when d o d is; `_check_square_zero` tests that
-product once per complex, for the plain, relative and bigraded
-complexes alike.
+(S, a) on the subsets they need.  The rows go straight into sparse rows
+of (re, im) Python-int pairs over one positive denominator per matrix:
+the lcm of the denominators of the bracket table and of the action
+matrices (`ScaledIntMatrix`).  The scale is per matrix, not per row, so
+the integer product of d_{k+1} and d_k is den_{k+1} * den_k *
+(d_{k+1} d_k), which is zero exactly when d o d is; `_check_square_zero`
+tests that product once per complex, for the plain, relative and
+bigraded complexes alike.
 
 Plain, module, relative and bigraded dims are blocks of d in the basis
 of one `AdaptedFrame` of a pair (acting, u): u's basis first, after that
