@@ -17,16 +17,15 @@ At a characteristic covector xi the Levi form is the Hermitian matrix
 (1/2i) xi([Z_a, conj(Z_b)]) on a basis of h, and its inertia feeds the
 mixed-signature hypocomplexity test of Baouendi-Chang-Treves.  With
 the basis fixed, every entry is xi applied to a fixed vector, so L is
-linear in xi: the test forms L once per characteristic basis covector
-and reads each sample as the same combination of those matrices.  Left
-invariance makes evaluation at the identity sufficient.
+linear in xi and L(-xi) = -L(xi): the test forms L once per
+characteristic basis covector xi_j, and the inertia at -xi_j is the one
+at xi_j with its signs swapped.  Left invariance makes evaluation at the
+identity sufficient.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
-from math import gcd
 
 from .algebra import AlgebraError, LieAlgebra
 from .linalg import (
@@ -46,9 +45,6 @@ from .subalgebra import Subalgebra
 VERDICT_ELLIPTIC = "elliptic_hence_hypocomplex"
 VERDICT_BCT = "hypocomplex_by_bct"
 VERDICT_INCONCLUSIVE = "inconclusive"
-
-# entries of the BCT sample grid lie in [-GRID_RADIUS, GRID_RADIUS]
-GRID_RADIUS = 2
 
 
 class NotCharacteristicError(AlgebraError):
@@ -201,12 +197,13 @@ class BctReport(namedtuple("BctReport", "verdict characteristic_space levi_forms
     """Outcome of the mixed-signature (one positive and one negative
     eigenvalue) hypocomplexity test.
 
-    Exact verdicts are only possible when the characteristic space has
-    dimension <= 1; in higher dimension the report carries inertia
-    evidence on a deterministic rational sample grid and is always
-    inconclusive (sampling cannot prove a universal claim).  The
-    characteristic basis and the Levi form at each basis covector are
-    kept for the caller and not serialised.
+    The samples are +/- each characteristic basis covector, sorted by
+    their coefficients.  Exact verdicts are only possible when the
+    characteristic space has dimension <= 1; in higher dimension the
+    samples are evidence only and the verdict is always inconclusive
+    (sampling cannot prove a universal claim).  The characteristic basis
+    and the Levi form at each basis covector are kept for the caller and
+    not serialised.
     """
 
     __slots__ = ()
@@ -224,43 +221,27 @@ class BctReport(namedtuple("BctReport", "verdict characteristic_space levi_forms
         }
 
 
-def _primitive_grid(dim: int, radius: int):
-    """Integer tuples with entries in [-radius, radius], deduplicated up to
-    positive scaling, lexicographically ordered."""
-    seen = set()
-    for coeffs in product(range(-radius, radius + 1), repeat=dim):
-        if all(c == 0 for c in coeffs):
-            continue
-        g = 0
-        for c in coeffs:
-            g = gcd(g, abs(c))
-        primitive = tuple(c // g for c in coeffs)
-        seen.add(primitive)
-    return sorted(seen)
-
-
 def bct_check(g: LieAlgebra, h: Subalgebra) -> BctReport:
     char = characteristic_space(g, h)
-    d, n, k = len(char), g.dim, h.dim
+    d = len(char)
     forms = tuple(levi_form(g, h, xi) for xi in char)
-    # covector and Levi form are both linear in xi, so one product of the
-    # grid with the rows [xi_j | L(xi_j) flattened] gives both at each sample
-    table = [xi + [x for row in lf.matrix.row_list() for x in row] for xi, lf in zip(char, forms)]
-    grid = _primitive_grid(d, GRID_RADIUS)
-    combined = ExactMatrix(len(grid), d, grid).matmul(ExactMatrix._of(d, n + k * k, table))
     samples = []
-    for coeffs, row in zip(grid, combined.row_list()):
-        levi = ExactMatrix._of(k, k, [row[n + a * k:n + (a + 1) * k] for a in range(k)])
-        samples.append(BctSample(coeffs, tuple(row[:n]), hermitian_inertia(levi)))
+    for j, (xi, lf) in enumerate(zip(char, forms)):
+        unit = tuple(int(i == j) for i in range(d))
+        inertia = lf.inertia()
+        samples.append(BctSample(unit, tuple(xi), inertia))
+        # L(-xi) = -L(xi): the same inertia with its signs swapped
+        samples.append(BctSample(tuple(-c for c in unit), tuple(-x for x in xi), inertia.swapped()))
+    samples.sort(key=lambda s: s.coeffs)
     if d == 0:
         verdict = VERDICT_ELLIPTIC
         note = "characteristic set is zero: structure is elliptic, hence hypocomplex"
     elif d >= 2:
         verdict = VERDICT_INCONCLUSIVE
         note = (
-            "characteristic space has dimension >= 2: inertia evidence on a "
-            "deterministic sample grid only; a universal verdict is not "
-            "claimed from sampling"
+            "characteristic space has dimension >= 2: inertia evidence at "
+            "+/- each characteristic basis covector only; a universal verdict "
+            "is not claimed from sampling"
         )
     elif all(s.inertia.is_mixed() for s in samples):
         verdict = VERDICT_BCT

@@ -184,15 +184,14 @@ def _parse_combination(expr: str, parent: LieAlgebra):
     v = [ZERO] * parent.dim
     i, n = 0, len(expr)
     while True:
-        while i < n and expr[i].isspace():
-            i += 1
-        if i >= n:
-            raise AlgebraError(f"dangling sign in span entry {expr!r}")
+        # expr is stripped and every later pass starts at a sign
         sign = as_scalar(1)
         if expr[i] in "+-":
             if expr[i] == "-":
                 sign = as_scalar(-1)
             i += 1
+            if i >= n:
+                raise AlgebraError(f"dangling sign in span entry {expr!r}")
         matched = False
         for j in range(i, n):
             for name in names:

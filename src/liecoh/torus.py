@@ -81,17 +81,15 @@ def convergents(quotients):
 
 
 def rational_to_cf(x: Fraction):
-    """Canonical partial quotients of a rational (last quotient >= 2 when
-    the expansion has length > 1)."""
+    """Canonical partial quotients of a rational.  Euclid's algorithm
+    already ends in a quotient >= 2 when the expansion has length > 1:
+    the last step divides num by a proper divisor den < num."""
     quotients = []
     num, den = x.numerator, x.denominator
     while den:
         a, rem = divmod(num, den)
         quotients.append(a)
         num, den = den, rem
-    if len(quotients) > 1 and quotients[-1] == 1:
-        quotients.pop()
-        quotients[-1] += 1
     return quotients
 
 
@@ -115,9 +113,6 @@ class FourierData:
             if not value.is_zero():
                 clean[(int(xi), int(eta))] = value
         self.coefficients = clean
-
-    def support(self):
-        return sorted(self.coefficients)
 
     def __eq__(self, other):
         if not isinstance(other, FourierData):

@@ -360,12 +360,23 @@ def test_parse_span_torus_names():
 
 
 def test_parse_span_rejects_garbage():
+    g = su2()
+    with pytest.raises(AlgebraError, match=r"^dangling sign in span entry 'T\+'$"):
+        parse_span("span{T+}", g)
+    with pytest.raises(AlgebraError, match=r"^dangling sign in span entry '-'$"):
+        parse_span("span{-}", g)
+    with pytest.raises(AlgebraError, match=r"^expected '\+' or '-' at 'Y' in span entry$"):
+        parse_span("span{X Y}", g)
+    # a basis name inside a longer identifier is not a term
+    with pytest.raises(AlgebraError, match=r"^cannot parse span term starting at 'XX'$"):
+        parse_span("span{XX}", g)
+    with pytest.raises(AlgebraError, match=r"^empty span entry$"):
+        parse_span("span{X,,Y}", g)
     with pytest.raises(AlgebraError):
-        parse_span("span{T+}", su2())
+        parse_span("span{Q}", g)
     with pytest.raises(AlgebraError):
-        parse_span("span{Q}", su2())
-    with pytest.raises(AlgebraError):
-        parse_span("T, X", su2())
+        parse_span("T, X", g)
+    assert parse_span("span{2*X}", g) == parse_span("span{X}", g)
 
 
 def test_builtin_registry():

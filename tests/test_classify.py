@@ -4,7 +4,6 @@ import pytest
 
 from liecoh.algebra import Subalgebra, parse_span, su2, su3, torus
 from liecoh.classify import (
-    GRID_RADIUS,
     BctReport,
     BctSample,
     ClassificationReport,
@@ -12,7 +11,6 @@ from liecoh.classify import (
     VERDICT_BCT,
     VERDICT_ELLIPTIC,
     VERDICT_INCONCLUSIVE,
-    _primitive_grid,
     bct_check,
     characteristic_space,
     classify_structure,
@@ -230,12 +228,8 @@ def test_bct_high_dimensional_never_positive():
     assert report.verdict == VERDICT_INCONCLUSIVE
     assert report.characteristic_dim == 2  # duals of D2 and D3
     assert all(s.inertia.as_tuple() == (0, 0, 1) for s in report.samples)
-    # grid is deduplicated up to positive scaling and sorted
-    coeffs = [s.coeffs for s in report.samples]
-    assert coeffs == sorted(coeffs)
-    assert (2, 2) not in coeffs and (1, 1) in coeffs
-    # both signs of a line are kept (they are not positive multiples)
-    assert (1, 0) in coeffs and (-1, 0) in coeffs
+    # +/- each characteristic basis covector, sorted by coefficients
+    assert [s.coeffs for s in report.samples] == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
 def test_bct_samples_annihilate_h():
@@ -250,9 +244,10 @@ def test_bct_samples_annihilate_h():
 #
 # The library reads the flags and the characteristic space off one real
 # matrix [Re v; Im v] and forms one Levi matrix per characteristic basis
-# covector.  The oracles keep the construction it replaced: conj, sum_with
-# and intersect as subspaces, and a Levi form built from brackets at every
-# sample, with the separate +/- branch on a characteristic line.
+# covector, reading the inertia at its negative as the swapped one.  The
+# oracles keep the construction it replaced: conj, sum_with and intersect
+# as subspaces, and a Levi form built from brackets at every sample,
+# +/- each characteristic basis covector.
 
 
 def reference_classification(g, h):
@@ -298,11 +293,12 @@ def reference_bct(g, h):
         cov = [sum((c * xi[i] for c, xi in zip(coeffs, char)), Q(0)) for i in range(g.dim)]
         return BctSample(tuple(coeffs), tuple(cov), levi_form(g, h, cov).inertia())
 
+    units = [tuple(sign * int(i == j) for i in range(d)) for j in range(d) for sign in (1, -1)]
+    samples = sorted((sample(c) for c in units), key=lambda s: s.coeffs)
     if d == 0:
-        verdict, samples = VERDICT_ELLIPTIC, []
+        verdict = VERDICT_ELLIPTIC
         note = "characteristic set is zero: structure is elliptic, hence hypocomplex"
     elif d == 1:
-        samples = sorted((sample((sign,)) for sign in (1, -1)), key=lambda s: s.coeffs)
         if all(s.inertia.is_mixed() for s in samples):
             verdict = VERDICT_BCT
             note = (
@@ -319,11 +315,10 @@ def reference_bct(g, h):
             )
     else:
         verdict = VERDICT_INCONCLUSIVE
-        samples = [sample(c) for c in _primitive_grid(d, GRID_RADIUS)]
         note = (
-            "characteristic space has dimension >= 2: inertia evidence on a "
-            "deterministic sample grid only; a universal verdict is not "
-            "claimed from sampling"
+            "characteristic space has dimension >= 2: inertia evidence at "
+            "+/- each characteristic basis covector only; a universal verdict "
+            "is not claimed from sampling"
         )
     return BctReport(verdict, tuple(map(tuple, char)), (), tuple(samples), (note,)).to_json_dict()
 
@@ -370,8 +365,6 @@ def test_bct_matches_per_sample_levi_oracle():
     seen = set()
     for g, h in _oracle_cases():
         _, char = reference_classification(g, h)
-        if 5 ** len(char) * (1 + h.dim ** 2) > 1000:  # grid size times Levi entries
-            continue
         report = bct_check(g, h)
         assert report.to_json_dict() == reference_bct(g, h)
         assert [list(xi) for xi in report.characteristic_space] == char

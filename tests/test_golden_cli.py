@@ -75,6 +75,8 @@ COMMANDS = {
                           "--json"],
     "classify-torus2-zero": ["classify", "--algebra", "builtin:torus2", "--subalgebra", "span{}",
                              "--json"],
+    "classify-su3-zero": ["classify", "--algebra", "builtin:su3", "--subalgebra", "span{}",
+                          "--json"],
     "roots-su3-standard": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1, T2}",
                            "--standard", "2", "0", "--json"],
     "roots-su3-complex": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1, T2}",

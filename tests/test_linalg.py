@@ -709,22 +709,25 @@ def test_inertia_matches_congruence_oracle_seeded():
     assert seen_singular >= 10
 
 
-def test_inertia_matches_congruence_oracle_on_levi_forms(monkeypatch):
-    # every Levi form the hypocomplexity test samples, on the su3 CR
-    # structure and on the benchmark's Levi span
-    from liecoh import classify
+def test_inertia_matches_congruence_oracle_on_levi_forms():
+    # the Levi forms of the su3 CR structure (d = 2) and the benchmark's
+    # Levi span (d = 1) at every primitive integer combination of the
+    # characteristic basis with entries in [-2, 2]
+    from itertools import product
+    from math import gcd
+
     from liecoh.algebra import parse_span, su3
+    from liecoh.classify import characteristic_space, levi_form
 
-    forms = []
-
-    def recording(H):
-        forms.append(H)
-        return hermitian_inertia(H)
-
-    monkeypatch.setattr(classify, "hermitian_inertia", recording)
     g = su3()
+    forms = []
     for span in ("span{X1-iY1, X2-iY2, X3-iY3}", "span{X1-iY1, X2-iY2, X3-iY3, 2T1+3T2}"):
-        classify.bct_check(g, parse_span(span, g))
+        h = parse_span(span, g)
+        char = characteristic_space(g, h)
+        grid = {tuple(c // gcd(*cs) for c in cs) for cs in product(range(-2, 3), repeat=len(char)) if any(cs)}
+        for cs in sorted(grid):
+            cov = [sum((c * xi[i] for c, xi in zip(cs, char)), Q(0)) for i in range(g.dim)]
+            forms.append(levi_form(g, h, cov).matrix)
     assert len(forms) == 16 + 2
     for H in forms:
         assert hermitian_inertia(H).as_tuple() == reference_inertia(H)

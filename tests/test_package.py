@@ -234,3 +234,37 @@ def test_no_unused_module_imports():
         unused.extend(f"{name}:{line} {bound}" for bound, line in module_level_imports(tree)
                       if bound not in used and bound not in REEXPORTED.get(name, ()))
     assert unused == []
+
+
+def module_level_private_names(tree):
+    """(name, line) for every function, class or constant with a leading
+    underscore (dunders aside) that a module defines at module level."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((t.id, node.lineno) for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name))
+    return [(n, line) for n, line in found if n.startswith("_") and not n.startswith("__")]
+
+
+def test_no_unused_private_module_names():
+    # a private helper that a deletion leaves behind: no module of the
+    # package loads it as a name, an attribute or an import
+    root = Path(liecoh.__file__).parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(root.rglob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    unused = [f"{path.relative_to(root.parent)}:{line} {name}"
+              for path, tree in trees.items()
+              for name, line in module_level_private_names(tree) if name not in read]
+    assert unused == []
