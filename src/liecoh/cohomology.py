@@ -853,17 +853,6 @@ def _ad(ba, v):
     return ExactMatrix._of(ba.dim, ba.dim, ad)
 
 
-def _nonzero_nilpotent(m: ExactMatrix) -> bool:
-    """Whether the square matrix m is nonzero and nilpotent, with no char
-    poly: m^(2^j) = 0 for the least 2^j >= its size, by sparse squaring."""
-    power, reach = ScaledIntMatrix.from_exact(m), 1
-    if power.is_zero():
-        return False
-    while reach < m.rows and not power.is_zero():
-        power, reach = power.matmul(power), 2 * reach
-    return power.is_zero()
-
-
 def _weight_complement(ba, u, conjugates):
     """The complement of span(u), u and `conjugates` rows of coordinates
     in ba's basis, in those coordinates: the greedy pick from the
@@ -874,9 +863,10 @@ def _weight_complement(ba, u, conjugates):
     row (ba's first basis vector when u is empty), and `linalg.refine_eigen`
     splits ba's basis by the ad of each member in turn.  The next member is
     the first vector of the weight-zero block outside the family's span and
-    inside u, until none is left, a member's ad is nonzero and nilpotent,
-    or a split fails (over Q(i), within the root search's reach, with a
-    full eigenbasis).  With no family, the greedy pick from ba's basis."""
+    inside u, until none is left or a member's ad has no eigenbasis over
+    Q(i) within the root search's reach, where the split fails (a nonzero
+    nilpotent ad among them).  With no family, the greedy pick from ba's
+    basis."""
     picked = extend_to_complement(u, conjugates) if conjugates else []
     if len(u) + len(picked) == ba.dim:
         return picked
@@ -884,11 +874,8 @@ def _weight_complement(ba, u, conjugates):
     blocks, family = [((), basis)], []
     member = (u or basis)[0] if ba._table else None
     while member is not None:
-        ad = _ad(ba, member)
-        if _nonzero_nilpotent(ad):
-            break
         try:
-            refined = linalg.refine_eigen(blocks, ad)
+            refined = linalg.refine_eigen(blocks, _ad(ba, member))
         except InputError:  # no split over Q(i), or past the root-search limit
             break
         if refined is None:

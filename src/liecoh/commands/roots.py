@@ -30,8 +30,7 @@ def _parse_root_list(text: str):
 
 
 def run(args) -> int:
-    from ..roots import build_standard, positive_system, root_decomposition
-    from ..scalars import format_scalar
+    from ..roots import build_standard, format_root, positive_system, root_decomposition
 
     g = load_algebra(args.algebra)
     g, t = load_subalgebra(args.torus, g)
@@ -47,10 +46,10 @@ def run(args) -> int:
     }
     lines = [
         f"roots ({len(rd.roots)}): "
-        + "  ".join("(" + ",".join(format_scalar(x) for x in a) + ")" for a in rd.roots),
+        + "  ".join(map(format_root, rd.roots)),
         f"zero space dim: {rd.zero_space.dim} (torus maximal: {rd.torus_is_maximal})",
         "positive system: "
-        + "  ".join("(" + ",".join(format_scalar(x) for x in a) + ")" for a in ps.positive_roots),
+        + "  ".join(map(format_root, ps.positive_roots)),
     ]
     if args.standard:
         s, tcount = args.standard

@@ -160,9 +160,14 @@ def _verify_grading(g: LieAlgebra, roots, spaces, zero_space):
                         ok = False
                     if not ok:
                         raise GradingError(
-                            f"bracket of root spaces {alpha} and {beta} leaves the "
-                            f"expected component"
+                            f"bracket of root spaces {format_root(alpha)} and {format_root(beta)} "
+                            f"leaves the expected component"
                         )
+
+
+def format_root(alpha) -> str:
+    """A root as the `roots` command prints it: (i,3i)."""
+    return "(" + ",".join(format_scalar(x) for x in alpha) + ")"
 
 
 class PositiveSystem(namedtuple("PositiveSystem", "positive_roots")):
@@ -189,7 +194,7 @@ def positive_system(rd: RootDatum, override=None) -> PositiveSystem:
         for alpha in override:
             alpha = tuple(as_scalar(x) for x in alpha)
             if alpha not in root_set:
-                raise PositiveSystemError(f"override entry {alpha} is not a root")
+                raise PositiveSystemError(f"override entry {format_root(alpha)} is not a root")
             chosen.append(alpha)
         chosen_set = set(chosen)
         if len(chosen_set) != len(chosen):
@@ -211,9 +216,9 @@ def positive_system(rd: RootDatum, override=None) -> PositiveSystem:
             if s in root_set and s not in chosen_set:
                 violations.append((a, b))
     if violations:
-        raise PositiveSystemError(
-            f"positive system is not closed under addition: witness {violations[0]}"
-        )
+        a, b = violations[0]
+        raise PositiveSystemError(f"positive system is not closed under addition: "
+                                  f"witness {format_root(a)} + {format_root(b)}")
     return PositiveSystem(positive_roots=tuple(_sorted_roots(chosen_set)))
 
 

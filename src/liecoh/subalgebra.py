@@ -177,7 +177,7 @@ def parse_span(text: str, parent: LieAlgebra) -> Subalgebra:
 
 
 def _parse_combination(expr: str, parent: LieAlgebra):
-    """Scan signed terms ``[coeff]['*']name``; every term ends in a basis name."""
+    """Scan signed terms ``[coeff['*']]name``; every term ends in a basis name."""
     if not expr:
         raise AlgebraError("empty span entry")
     names = sorted(parent.basis_names, key=len, reverse=True)
@@ -201,13 +201,13 @@ def _parse_combination(expr: str, parent: LieAlgebra):
                 if after < n and (expr[after].isalnum() or expr[after] == "_"):
                     continue  # part of a longer identifier
                 prefix = expr[i:j].strip()
-                if prefix.endswith("*"):
-                    prefix = prefix[:-1].strip()
                 if prefix == "":
                     coeff = as_scalar(1)
                 else:
+                    # a '*' must follow a coefficient: with none, the empty text fails
+                    text = prefix[:-1].strip() if prefix.endswith("*") else prefix
                     try:
-                        coeff = parse_scalar(prefix)
+                        coeff = parse_scalar(text)
                     except ScalarParseError:
                         continue
                 idx = parent.basis_index(name)

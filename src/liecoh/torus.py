@@ -143,15 +143,21 @@ class FourierData:
         return cls(cutoff=cutoff, coefficients=coeffs)
 
 
+LATTICE_LIMIT = 10**5
+
+
 def singular_lattice(mu: Fraction, bound: int):
     """All integer modes with xi - mu eta = 0 and |xi|, |eta| <= bound,
-    ascending; always contains (0, 0).  A negative bound is a TorusError."""
+    ascending; always contains (0, 0).  A negative bound, or one that
+    holds more than LATTICE_LIMIT of them, is a TorusError."""
     if bound < 0:
         raise TorusError(f"lattice bound must be non-negative, got {bound}")
     mu = Fraction(mu)
     p, q = mu.numerator, mu.denominator
-    step = max(abs(p), q)
-    kmax = bound // step if step else 0
+    kmax = bound // max(abs(p), q)
+    if 2 * kmax + 1 > LATTICE_LIMIT:
+        raise TorusError(f"singular lattice within bound {bound} has {2 * kmax + 1} points, "
+                         f"past the limit of {LATTICE_LIMIT}")
     return [(k * p, k * q) for k in range(-kmax, kmax + 1)]
 
 

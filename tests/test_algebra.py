@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -376,7 +377,15 @@ def test_parse_span_rejects_garbage():
         parse_span("span{Q}", g)
     with pytest.raises(AlgebraError):
         parse_span("T, X", g)
+    # a '*' follows a coefficient; with none before it the term is refused
+    for text, rest in (("span{*X-iY}", "*X-iY"), ("span{X+*Y}", "*Y"), ("span{ * X}", "* X"),
+                       ("span{-*X}", "*X")):
+        message = f"cannot parse span term starting at '{rest}'"
+        with pytest.raises(AlgebraError, match=f"^{re.escape(message)}$"):
+            parse_span(text, g)
     assert parse_span("span{2*X}", g) == parse_span("span{X}", g)
+    assert parse_span("span{2 * X}", g) == parse_span("span{X}", g)
+    assert parse_span("span{i*X}", g) == parse_span("span{iX}", g)
 
 
 def test_builtin_registry():

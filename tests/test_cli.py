@@ -446,6 +446,54 @@ def test_torus_solve_negative_bound_is_validation_error(tmp_path, capsys):
     assert err == "liecoh: error [E_VALIDATION] lattice bound must be non-negative, got -1\n"
 
 
+SL2 = {
+    "name": "sl2",
+    "basis": ["H", "E", "F"],
+    "brackets": [
+        {"on": ["H", "E"], "result": {"E": "2"}},
+        {"on": ["H", "F"], "result": {"F": "-2"}},
+        {"on": ["E", "F"], "result": {"H": "1"}},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "data, argv, message",
+    [
+        ({"name": "a", "basis": ["A", "A"], "brackets": []}, ["validate", "{file}"],
+         "duplicate basis names"),
+        (SL2, ["roots", "--algebra", "{file}", "--torus", "span{H}"],
+         "root component -2 is not purely imaginary; the decomposition expects a compact "
+         "real form"),
+        ({"matrix": [["1", "0"], ["0", "1"]]},
+         ["decompose", "--algebra", "builtin:su2", "--subalgebra", "span{T, X-iY}",
+          "--inner-product", "{file}"],
+         "Gram matrix shape mismatch"),
+        (None, ["cohomology", "--algebra", "builtin:su2", "--subalgebra", "span{X, Y}",
+                "--relative", "span{}"],
+         "subspace is not bracket-closed: witness rows (0, 1)"),
+        ({"dim": 1, "actions": [[["0"]], [["0"]]]},
+         ["cohomology", "--algebra", "builtin:su2", "--module", "{file}"],
+         "one action matrix per acting basis element is required"),
+        ({"dim": 2, "actions": [[["0"]], [["0"]], [["0"]]]},
+         ["cohomology", "--algebra", "builtin:su2", "--module", "{file}"],
+         "action matrix shape mismatch"),
+        ({"cutoff": 10**9, "coefficients": []}, ["torus-solve", "--mu", "0", "--rhs", "{file}"],
+         "singular lattice within bound 1000000000 has 2000000001 points, past the limit of "
+         "100000"),
+    ],
+    ids=["validate-duplicate-basis", "roots-real-root", "decompose-gram-shape",
+         "relative-not-closed-subalgebra", "module-action-count", "module-action-shape",
+         "torus-solve-lattice-limit"],
+)
+def test_refusal_is_a_validation_error_with_its_message(tmp_path, capsys, data, argv, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *(str(path) if a == "{file}" else a for a in argv))
+    assert (code, out) == (EX_VALIDATION, "")
+    assert err == f"liecoh: error [E_VALIDATION] {message}\n"
+
+
 def test_torus_solve_rhs(tmp_path, capsys):
     rhs = {
         "cutoff": 5,

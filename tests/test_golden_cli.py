@@ -87,6 +87,10 @@ COMMANDS = {
     "roots-su3-divisor-limit": ["roots", "--algebra", "builtin:su3", "--torus", "span{T1+10T2}",
                                 "--json"],
     "roots-su2-non-split": ["roots", "--algebra", "builtin:su2", "--torus", "span{T+X}"],
+    "roots-su2-positive-not-a-root": ["roots", "--algebra", "builtin:su2", "--torus", "span{T}",
+                                      "--positive", "5i"],
+    "roots-su3-positive-not-closed": ["roots", "--algebra", "builtin:su3", "--torus",
+                                      "span{T1, T2}", "--positive", "i,3i;i,-3i;-2i,0"],
     "plain-su2-scaled-reps": ["cohomology", "--algebra", SCALED, "--representatives", "--json"],
     "plain-su2-scaled": ["cohomology", "--algebra", SCALED, "--json"],
     "bigraded-su2-scaled-reps": ["cohomology", "--algebra", SCALED, "--subalgebra",
@@ -157,6 +161,14 @@ def test_corpus_covers_every_command():
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_output(name):
     assert run(COMMANDS[name]) == _corpus()[name]
+
+
+def test_no_output_prints_a_python_repr():
+    # scalars and roots are printed in scalar syntax, refusals included
+    printed = [(name, entry[stream]) for name, entry in _corpus().items()
+               for stream in ("stdout", "stderr")]
+    assert [name for name, text in printed
+            if "GaussianRational(" in text or "Fraction(" in text] == []
 
 
 if __name__ == "__main__":

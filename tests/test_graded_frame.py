@@ -256,15 +256,21 @@ def test_the_default_complement_takes_the_conjugates_first():
 
 def test_a_nilpotent_first_row_starts_no_family(monkeypatch):
     # the CR structure's conjugates leave a gap of 2 and its first row is
-    # a root vector, whose nonzero nilpotent ad has no eigenbasis: the
-    # rule tries no split and fills the gap from the acting basis
-    def refused(blocks, m):
-        raise AssertionError("refine_eigen ran")
+    # a root vector, whose nonzero nilpotent ad has no eigenbasis: the one
+    # split the rule tries returns None, and the gap is filled from the
+    # acting basis
+    results = []
+    split = linalg.refine_eigen
+
+    def recorded(blocks, m):
+        results.append(split(blocks, m))
+        return results[-1]
 
     g = su3()
     h = parse_span(CR, g)
-    monkeypatch.setattr(linalg, "refine_eigen", refused)
+    monkeypatch.setattr(linalg, "refine_eigen", recorded)
     frame = AdaptedFrame(g, h)
+    assert results == [None]
     assert frame.torus == []
     assert frame.complement == reference_complement_basis(g, h)
 

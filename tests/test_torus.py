@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from liecoh.scalars import GaussianRational as Q
 from liecoh.torus import (
     FourierData,
     InsufficientDepthError,
+    LATTICE_LIMIT,
     MuSpec,
     TorusError,
     VERDICT_DIOPHANTINE,
@@ -57,6 +59,22 @@ def test_lattice_negative_bound_is_rejected():
 
 def test_lattice_negative_slope():
     assert singular_lattice(Fraction(-1, 2), 4) == [(2, -4), (1, -2), (0, 0), (-1, 2), (-2, 4)]
+
+
+def test_lattice_past_the_limit_is_refused_before_it_is_built():
+    # slope 0 has one mode per eta: bound 50000 holds 100001 modes, one past
+    # the limit, and the refusal comes before any of them is listed
+    assert LATTICE_LIMIT == 10**5
+    tracemalloc.start()
+    try:
+        with pytest.raises(TorusError) as refused:
+            singular_lattice(Fraction(0), LATTICE_LIMIT // 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == ("singular lattice within bound 50000 has 100001 points, "
+                                  "past the limit of 100000")
+    assert peak < 64 * 1024
 
 
 # -- modewise solve ---------------------------------------------------------------
