@@ -12,7 +12,6 @@ first use (PEP 562), for callers outside the package.
 from __future__ import annotations
 
 import re as _re
-from itertools import combinations
 from math import lcm
 
 from .scalars import InputError, ZERO, _gauss, as_scalar, format_scalar, parse_scalar
@@ -84,14 +83,6 @@ class LieAlgebra:
         except ValueError:
             raise AlgebraError(f"unknown basis name {name!r}") from None
 
-    def structure_coeffs(self, j: int, k: int):
-        """c_{jk}^l as a sparse dict of Fractions; antisymmetric in (j, k)."""
-        if j == k:
-            return {}
-        if j < k:
-            return {l: c.re for l, c in self._table.get((j, k), {}).items()}
-        return {l: -c.re for l, c in self._table.get((k, j), {}).items()}
-
     def _integer_table(self):
         """(den, table): every structure constant times one common
         denominator den, as ints, with table[(j, k)] for both orders of
@@ -143,10 +134,14 @@ class LieAlgebra:
         the lexicographically first failing (j, k, l).  The X_p-coefficient
         of [[X_a, X_b], X_c] is sum_m c_{ab}^m c_{mc}^p, read off the table
         on ints: over the common denominator den every sum is den^2 times
-        the exact one, so it is zero exactly when that one is.
+        the exact one, so it is zero exactly when that one is.  Only the
+        triples holding a stored pair are visited: on any other all three
+        brackets vanish.
         """
         _, table = self._ints
-        for j, k, l in combinations(range(self.dim), 3):
+        triples = {tuple(sorted((j, k, l))) for j, k in self._table
+                   for l in range(self.dim) if l != j and l != k}
+        for j, k, l in sorted(triples):
             total = {}
             for a, b, c in ((j, k, l), (k, l, j), (l, j, k)):
                 for m, x in table.get((a, b), {}).items():

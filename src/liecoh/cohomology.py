@@ -406,12 +406,6 @@ class CochainComplex:
     def differentials(self) -> dict:
         return {k: m.to_exact() for k, m in self.int_differentials.items()}
 
-    def space_dim(self, k: int) -> int:
-        """The number of cells of degree k: d_k's columns, or d_{k-1}'s
-        rows at the top degree; labels only name the cells."""
-        d = self.int_differentials
-        return d[k].cols if k in d else d[k - 1].rows if k - 1 in d else 0
-
     def verify(self):
         _check_square_zero(self.int_differentials, lambda k: f"d o d is nonzero from degree {k}")
 
@@ -460,16 +454,6 @@ class CohomologyTable:
         self.dims = dims
         self.representatives = representatives
         self.meta = {} if meta is None else meta
-
-    def dim(self, key) -> int:
-        return self.dims.get(key, 0)
-
-    def degree_list(self):
-        """Dims as a list over 0..max for integer-keyed tables."""
-        if not self.dims:
-            return [0]
-        top = max(self.dims)
-        return [self.dims.get(k, 0) for k in range(top + 1)]
 
     def row(self, p: int):
         """Dims as a list over q for (p, q)-keyed tables."""
@@ -570,8 +554,7 @@ class AdaptedFrame:
             k_vectors = pair.vectors()
             u_vectors = k_vectors + extend_to_complement(k_vectors, u_vectors)
             if len(u_vectors) != dim_u:
-                # the message of the relative pair (u, k)
-                raise AlgebraError("u is not contained in the acting algebra")
+                raise AlgebraError("the pair is not contained in u")
         solutions, failed = linalg._solve_columns(base._cols, u_vectors + conjugates)
         if failed is not None and failed < dim_u:
             raise AlgebraError("u is not contained in the acting algebra")

@@ -28,8 +28,10 @@ def run(args) -> int:
     if args.mu is not None:
         try:
             mu = MuSpec.rational(Fraction(args.mu))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             fail_validation(f"bad --mu: {exc}")
+        except ZeroDivisionError:
+            fail_validation(f"bad --mu: the denominator of {args.mu} is zero")
     elif args.cf is not None:
         try:
             mu = MuSpec.from_cf([int(x) for x in args.cf.split(",")])

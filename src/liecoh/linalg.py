@@ -137,9 +137,6 @@ class ExactMatrix:
         i, j = idx
         return self._data[i][j]
 
-    def col(self, j: int) -> Vector:
-        return [self._data[i][j] for i in range(self.rows)]
-
     def row_list(self):
         return [list(r) for r in self._data]
 
@@ -205,14 +202,6 @@ class ExactMatrix:
                     acc = acc + self._data[i][j] * x
             out.append(acc)
         return out
-
-    def trace(self) -> GaussianRational:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self._data[i][i]
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -577,13 +566,6 @@ def char_poly(M: ExactMatrix) -> list:
     return coeffs
 
 
-def poly_eval(coeffs, x: GaussianRational) -> GaussianRational:
-    acc = ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _poly_deflate(coeffs, root):
     """Divide a polynomial by (t - root); remainder must be zero."""
     n = len(coeffs) - 1
@@ -785,10 +767,6 @@ def refine_eigen(blocks, M: ExactMatrix):
 
 class Inertia(namedtuple("Inertia", "n_pos n_neg n_zero")):
     __slots__ = ()
-
-    @property
-    def dimension(self) -> int:
-        return self.n_pos + self.n_neg + self.n_zero
 
     def swapped(self) -> "Inertia":
         return Inertia(self.n_neg, self.n_pos, self.n_zero)

@@ -57,13 +57,6 @@ class RootDatum(namedtuple(
 
     __slots__ = ()
 
-    def root_of(self, vector):
-        """The root whose eigenspace contains `vector`, or None."""
-        for alpha in self.roots:
-            if self.spaces[alpha].contains(vector):
-                return alpha
-        return None
-
     def to_json_dict(self) -> dict:
         return {
             "torus": self.torus.to_json_dict(),

@@ -99,9 +99,6 @@ class GaussianRational:
     def is_real(self) -> bool:
         return self._t[1] == 0
 
-    def is_gaussian_integer(self) -> bool:
-        return self._t[2] == 1
-
     def __bool__(self) -> bool:
         return self._t != _ZERO_T
 

@@ -95,6 +95,12 @@ def random_nilpotent_subalgebra(rng: random.Random, g: LieAlgebra, base_dim: int
     return Subalgebra.span(g, vectors)
 
 
+def bracket_coeffs(g, j, k):
+    """c_{jk}^l of g as a sparse dict over l: the bracket of basis vectors
+    j and k."""
+    return {l: c for l, c in enumerate(g.bracket(g.basis_vector(j), g.basis_vector(k))) if c}
+
+
 def signed_permutation(g, rng):
     """g on the basis e'_i = s_i e_{perm[i]}, as the benchmark presents su3."""
     perm = list(range(g.dim))
@@ -104,7 +110,7 @@ def signed_permutation(g, rng):
     table = {}
     for a in range(g.dim):
         for b in range(a + 1, g.dim):
-            coeffs = g.structure_coeffs(perm[a], perm[b])
+            coeffs = bracket_coeffs(g, perm[a], perm[b])
             table[(a, b)] = {
                 where[l]: signs[a] * signs[b] * signs[where[l]] * c for l, c in coeffs.items()
             }
@@ -167,7 +173,7 @@ def single_entry_perturbations(g, rng, count):
     rational, at seeded positions (present entries and new ones)."""
     out = []
     for _ in range(count):
-        table = {pair: g.structure_coeffs(*pair) for pair in g.bracket_pairs()}
+        table = {pair: bracket_coeffs(g, *pair) for pair in g.bracket_pairs()}
         j, k = sorted(rng.sample(range(g.dim), 2))
         l = rng.randrange(g.dim)
         entry = table.setdefault((j, k), {})

@@ -23,6 +23,14 @@ def test_validate_builtin_ok(capsys):
     assert "Jacobi" in out
 
 
+def test_validate_a_large_abelian_algebra(capsys):
+    # no bracket is stored, so validate visits no basis triple; over all
+    # C(2000, 3) of them the run took about 25 minutes
+    code, out, err = run(capsys, "validate", "builtin:torus2000")
+    assert (code, err) == (EX_OK, "")
+    assert out == "ok: torus2000 satisfies the Jacobi identity on all basis triples\n"
+
+
 def test_validate_perturbed_file(tmp_path, capsys):
     bad = {
         "name": "perturbed-su2",

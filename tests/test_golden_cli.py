@@ -100,6 +100,10 @@ COMMANDS = {
     "torus-solve-mu-rhs": ["torus-solve", "--mu", "2/3", "--rhs",
                            "fixtures/fourier-fractional.json", "--json"],
     "torus-solve-cf": ["torus-solve", "--cf", ",".join(["1"] * 12), "--depth", "8", "--json"],
+    # the bound (p^2+q^2)^-150 would print with about 9500 digits
+    "torus-solve-cf-too-deep": ["torus-solve", "--cf", ",".join(["1"] * 152), "--depth", "150",
+                                "--json"],
+    "torus-solve-mu-zero-denominator": ["torus-solve", "--mu", "0/0"],
     "validate-su3": ["validate", "builtin:su3"],
     "relative-not-closed": ["cohomology", "--algebra", "builtin:su3", "--relative",
                             "span{X1, Y1}"],

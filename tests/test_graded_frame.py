@@ -305,7 +305,7 @@ def test_a_complement_of_no_weight_vectors_falls_back_with_the_same_dims():
 
 def dual(table, n, m):
     """Whether dims (p, q) and (N - p, M - q) agree everywhere."""
-    return all(table.dim((p, q)) == table.dim((n - p, m - q))
+    return all(table.dims.get((p, q), 0) == table.dims.get((n - p, m - q), 0)
                for p in range(n + 1) for q in range(m + 1))
 
 

@@ -18,7 +18,6 @@ from liecoh.linalg import (
     NonSplitError,
     char_poly,
     hermitian_inertia,
-    poly_eval,
     rank_kernel,
     refine_eigen,
     rref,
@@ -384,7 +383,7 @@ def reference_char_poly(M):
     coeffs, Mk = [Q(0)] * n + [Q(1)], ExactMatrix.identity(n)
     for k in range(1, n + 1):
         Mk = M.matmul(Mk)
-        coeffs[n - k] = -(Mk.trace() / k)
+        coeffs[n - k] = -(sum((Mk[i, i] for i in range(n)), Q(0)) / k)
         Mk = Mk + ExactMatrix.identity(n).scale(coeffs[n - k])
     return coeffs
 
@@ -479,6 +478,14 @@ def test_eigen_reassembly_seeded():
                 assert apply(M, v) == [lam * x for x in v]
 
 
+def horner(coeffs, x):
+    """The polynomial with coefficients `coeffs`, lowest degree first, at x."""
+    acc = Q(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def reference_poly_linear_roots(coeffs):
     """The root search that enumerates the divisors of both end
     coefficients again after every deflation and takes the first candidate
@@ -499,7 +506,7 @@ def reference_poly_linear_roots(coeffs):
         denominators = linalg._gaussian_divisors(scaled[-1])
         root = next(
             (r / s for s in denominators for r in numerators
-             if poly_eval(work, r / s).is_zero()),
+             if horner(work, r / s).is_zero()),
             None,
         )
         if root is None:
@@ -551,7 +558,7 @@ def test_poly_linear_roots_matches_per_deflation_oracle_seeded():
 def reference_gaussian_divisors(z):
     """The divisor search that tries each candidate d by the Gaussian
     rational division z / d."""
-    if not z.is_gaussian_integer():
+    if z.re_den != 1 or z.im_den != 1:
         raise ValueError("divisor enumeration needs a Gaussian integer")
     found = set()
     for m in linalg._integer_divisors(int(z.norm())):
@@ -564,7 +571,7 @@ def reference_gaussian_divisors(z):
                 d = Q(*cand)
                 if d.is_zero() or cand in found:
                     continue
-                if (z / d).is_gaussian_integer():
+                if (z / d).re_den == (z / d).im_den == 1:
                     found.add(cand)
     return [Q(a, b) for a, b in sorted(found)]
 
@@ -766,9 +773,3 @@ def test_char_poly_annihilates(M):
         acc = acc + power.scale(c)
         power = power.matmul(M)
     assert acc == ExactMatrix.zero(n, n)
-
-
-def test_poly_eval_matches_horner():
-    coeffs = [Q(4), Q(0), Q(1)]
-    assert poly_eval(coeffs, Q(0, 2)) == Q(0)
-    assert poly_eval(coeffs, Q(1)) == Q(5)

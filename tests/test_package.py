@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -250,11 +251,15 @@ def module_level_private_names(tree):
     return [(n, line) for n, line in found if n.startswith("_") and not n.startswith("__")]
 
 
-def test_no_unused_private_module_names():
-    # a private helper that a deletion leaves behind: no module of the
-    # package loads it as a name, an attribute or an import
+def package_trees():
     root = Path(liecoh.__file__).parent
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(root.rglob("*.py"))}
+    return {path.relative_to(root.parent): ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(root.rglob("*.py"))}
+
+
+def names_read(trees):
+    """Every name that a module of the package loads as a name, an
+    attribute or an import."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -264,7 +269,46 @@ def test_no_unused_private_module_names():
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(a.name for a in node.names)
-    unused = [f"{path.relative_to(root.parent)}:{line} {name}"
-              for path, tree in trees.items()
+    return read
+
+
+def test_no_unused_private_module_names():
+    # a private helper that a deletion leaves behind: no module of the
+    # package loads it as a name, an attribute or an import
+    trees = package_trees()
+    read = names_read(trees)
+    unused = [f"{path}:{line} {name}" for path, tree in trees.items()
               for name, line in module_level_private_names(tree) if name not in read]
     assert unused == []
+
+
+def public_functions(tree):
+    """(name, line) for every public function at module level and every
+    public method of a public class; a private class's methods are not
+    public, whatever their names."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found.extend((f"{node.name}.{item.name}", item.lineno) for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return [(n, line) for n, line in found if not n.rpartition(".")[2].startswith("_")]
+
+
+def readme_names():
+    """The identifiers in README's code: inline code and code blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]+`", text, re.S)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def test_no_unused_public_functions():
+    # a public function or method that the package never reads, that
+    # liecoh does not export and that README does not name is a second way
+    # to read what the rest of the API gives
+    trees = package_trees()
+    kept = names_read(trees) | set(liecoh.__all__) | readme_names()
+    unused = [f"{path}:{line} {name}" for path, tree in trees.items()
+              for name, line in public_functions(tree) if name.rpartition(".")[2] not in kept]
+    assert not unused, "\n".join(["read by nothing:"] + unused)

@@ -43,9 +43,9 @@ def test_su3_weight_matrix():
     L2[4], L2[5] = Q(1), Q(0, -1)
     L3 = [Q(0)] * 8
     L3[6], L3[7] = Q(1), Q(0, -1)
-    assert rd.root_of(L1) == imag_tuple(2, 0)
-    assert rd.root_of(L2) == imag_tuple(1, 3)
-    assert rd.root_of(L3) == imag_tuple(-1, 3)
+    assert rd.spaces[imag_tuple(2, 0)].contains(L1)
+    assert rd.spaces[imag_tuple(1, 3)].contains(L2)
+    assert rd.spaces[imag_tuple(-1, 3)].contains(L3)
     assert rd.torus_is_maximal
 
 

@@ -154,7 +154,6 @@ def assert_matches(z, ref):
     assert repr(z) == f"GaussianRational({ref.re!r}, {ref.im!r})"
     assert z.is_zero() == (not z) == (ref.re == 0 and ref.im == 0)
     assert z.is_real() == (ref.im == 0)
-    assert z.is_gaussian_integer() == (ref.re.denominator == ref.im.denominator == 1)
 
 
 wide_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)

@@ -6,6 +6,7 @@ import pytest
 
 from liecoh.scalars import GaussianRational as Q
 from liecoh.torus import (
+    BOUND_DIGITS_LIMIT,
     FourierData,
     InsufficientDepthError,
     LATTICE_LIMIT,
@@ -260,6 +261,20 @@ def test_insufficient_depth():
         liouville_report(MuSpec.from_cf([1, 1, 1]), 5)
     with pytest.raises(InsufficientDepthError):
         liouville_report(MuSpec.from_cf([1, 1, 1]), 0)
+
+
+def test_a_depth_whose_bound_cannot_print_is_refused():
+    # for all-ones quotients the bound at depth j has about 0.42 j^2 digits:
+    # 4292 at depth 101, which prints, and 4377 at depth 102
+    mu = MuSpec.from_cf([1] * 152)
+    last = liouville_report(mu, 101).to_json_dict()["entries"][-1]
+    assert len(last["bound"]) == len("1/") + 4292
+    for depth in (102, 150):
+        with pytest.raises(TorusError) as refused:
+            liouville_report(mu, depth)
+        assert str(refused.value) == (
+            f"depth {depth} is too deep to print: the bound (p_j^2+q_j^2)^-j at j = {depth} "
+            f"has more than {BOUND_DIGITS_LIMIT} digits")
 
 
 def test_divisor_windows_strictly_decrease():
