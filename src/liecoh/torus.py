@@ -12,6 +12,7 @@ along a tail, bounded quotients certify divisors of quadratic size.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -271,11 +272,6 @@ class InsufficientDepthError(TorusError):
     pass
 
 
-# the report prints every bound, and CPython converts no int of more than
-# 4300 digits to a string (its default int_max_str_digits)
-BOUND_DIGITS_LIMIT = 4300
-
-
 def cf_enclosure(quotients):
     """Open interval containing every infinite expansion opening with these
     quotients: endpoints are the deepest convergent and the mediant with
@@ -300,8 +296,8 @@ def liouville_report(mu: MuSpec, depth: int) -> DivisorReport:
     liouville_evidence, while a_{j+1} <= q_j for every computed j
     certifies divisors of quadratic size (bounded-quotient behaviour,
     diophantine_evidence).  Evidence only: finite data cannot decide the
-    limit property.  A depth whose last bound has a denominator of more than
-    BOUND_DIGITS_LIMIT digits is a TorusError.
+    limit property.  A depth whose last bound has a denominator of more
+    digits than the interpreter converts to a string is a TorusError.
     """
     if depth < 1:
         raise InsufficientDepthError("depth must be at least 1")
@@ -326,10 +322,13 @@ def liouville_report(mu: MuSpec, depth: int) -> DivisorReport:
             f"need at least depth+1 = {depth + 1} quotients, got {len(mu.quotients)}"
         )
     lo, hi, ps, qs = cf_enclosure(mu.quotients)
-    # the bounds shrink with j, so the last has the longest denominator
-    if (ps[depth] ** 2 + qs[depth] ** 2) ** depth >= 10**BOUND_DIGITS_LIMIT:
+    # the report prints every bound, and the bounds shrink with j, so the
+    # last has the longest denominator; CPython converts no int of more
+    # digits than its limit to a string (0: no limit, as before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and (ps[depth] ** 2 + qs[depth] ** 2) ** depth >= 10**limit:
         raise TorusError(f"depth {depth} is too deep to print: the bound (p_j^2+q_j^2)^-j at "
-                         f"j = {depth} has more than {BOUND_DIGITS_LIMIT} digits")
+                         f"j = {depth} has more than {limit} digits")
     entries = []
     holds = {}
     for j in range(1, depth + 1):

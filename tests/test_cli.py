@@ -24,8 +24,8 @@ def test_validate_builtin_ok(capsys):
 
 
 def test_validate_a_large_abelian_algebra(capsys):
-    # no bracket is stored, so validate visits no basis triple; over all
-    # C(2000, 3) of them the run took about 25 minutes
+    # no bracket is stored, so validate visits no basis triple; a loop over
+    # all C(2000, 3) ~ 1.3e9 of them does not finish in a test run
     code, out, err = run(capsys, "validate", "builtin:torus2000")
     assert (code, err) == (EX_OK, "")
     assert out == "ok: torus2000 satisfies the Jacobi identity on all basis triples\n"

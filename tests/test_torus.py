@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -6,7 +7,6 @@ import pytest
 
 from liecoh.scalars import GaussianRational as Q
 from liecoh.torus import (
-    BOUND_DIGITS_LIMIT,
     FourierData,
     InsufficientDepthError,
     LATTICE_LIMIT,
@@ -274,7 +274,21 @@ def test_a_depth_whose_bound_cannot_print_is_refused():
             liouville_report(mu, depth)
         assert str(refused.value) == (
             f"depth {depth} is too deep to print: the bound (p_j^2+q_j^2)^-j at j = {depth} "
-            f"has more than {BOUND_DIGITS_LIMIT} digits")
+            "has more than 4300 digits")
+
+
+def test_the_depth_refusal_follows_the_interpreters_digit_limit():
+    # a limit of 640, as PYTHONINTMAXSTRDIGITS=640 sets it: the bound has
+    # 615 digits at depth 38 and 647 at depth 39
+    mu = MuSpec.from_cf([1] * 50)
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        liouville_report(mu, 38).to_json_dict()
+        with pytest.raises(TorusError, match="at j = 39 has more than 640 digits"):
+            liouville_report(mu, 39)
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_divisor_windows_strictly_decrease():
