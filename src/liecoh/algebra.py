@@ -12,15 +12,8 @@ first use (PEP 562), for callers outside the package.
 from __future__ import annotations
 
 import re as _re
-from math import lcm
 
-from .scalars import InputError, ZERO, _gauss, as_scalar, format_scalar, parse_scalar
-
-
-def _integer_support(v):
-    """(d, [(j, (re, im))]): the nonzero entries of v as ints over their lcm d."""
-    d = lcm(1, *(x._t[2] for x in v))
-    return d, [(j, (x._t[0] * (d // x._t[2]), x._t[1] * (d // x._t[2]))) for j, x in enumerate(v) if x]
+from .scalars import InputError, ZERO, _gauss, as_scalar, format_scalar, integer_form, parse_scalar
 
 
 class AlgebraError(InputError):
@@ -87,10 +80,11 @@ class LieAlgebra:
         """(den, table): every structure constant times one common
         denominator den, as ints, with table[(j, k)] for both orders of
         each stored pair (antisymmetry written out)."""
-        den = lcm(1, *(c._t[2] for coeffs in self._table.values() for c in coeffs.values()))
+        den, pairs = integer_form([c for coeffs in self._table.values() for c in coeffs.values()])
+        pairs = iter(pairs)
         table = {}
         for (j, k), coeffs in self._table.items():
-            ints = {l: c._t[0] * (den // c._t[2]) for l, c in coeffs.items()}
+            ints = {l: next(pairs)[0] for l in coeffs}
             table[(j, k)] = ints
             table[(k, j)] = {l: -x for l, x in ints.items()}
         return den, table
@@ -105,10 +99,11 @@ class LieAlgebra:
         if len(v) != n or len(w) != n:
             raise AlgebraError("coordinate vector length mismatch")
         den, table = self._ints
-        (dv, sv), (dw, sw) = _integer_support(v), _integer_support(w)
+        (dv, pv), (dw, pw) = integer_form(v), integer_form(w)
+        sw = [(k, p) for k, p in enumerate(pw) if p != (0, 0)]
         re, im = [0] * n, [0] * n
-        for j, (a, b) in sv:
-            for k, (c, d) in sw:
+        for j, (a, b) in enumerate(pv):
+            for k, (c, d) in sw if a or b else ():
                 for l, t in table.get((j, k), {}).items():
                     re[l] += (a * c - b * d) * t
                     im[l] += (a * d + b * c) * t

@@ -39,7 +39,7 @@ from .linalg import (
     vec_dot,
     vec_is_zero,
 )
-from .scalars import _gauss, format_scalar
+from .scalars import _gauss, format_scalar, integer_form
 from .subalgebra import Subalgebra
 
 VERDICT_ELLIPTIC = "elliptic_hence_hypocomplex"
@@ -105,9 +105,9 @@ def _real_rank_kernel(g: LieAlgebra, h: Subalgebra):
     rows v of h (see the module docstring)."""
     if h.parent != g:
         raise AlgebraError("subalgebra does not belong to the given algebra")
-    ts = [[x._t for x in v] for v in h.vectors()]
-    rows = [[_gauss(a, 0, d) for a, _, d in t] for t in ts] + [
-        [_gauss(b, 0, d) for _, b, d in t] for t in ts
+    forms = [integer_form(v) for v in h.vectors()]
+    rows = [[_gauss(a, 0, den) for a, _ in pairs] for den, pairs in forms] + [
+        [_gauss(b, 0, den) for _, b in pairs] for den, pairs in forms
     ]
     return rank_kernel(ExactMatrix._of(len(rows), g.dim, rows))
 

@@ -20,9 +20,10 @@ index a, and a term that lands on a cell outside the columns is dropped.
 `ce_complex` all cells, as `_invariant_complex` with no acting indices;
 the bigraded rows and the Lie derivatives theta take cells (S, 0) and
 (S, a) on the subsets they need.  The rows go straight into sparse rows
-of (re, im) Python-int pairs over one positive denominator per matrix:
-the lcm of the denominators of the bracket table and of the action
-matrices (`ScaledIntMatrix`).  The scale is per matrix, not per row, so
+of (re, im) Python-int pairs over one positive denominator per matrix
+(`ScaledIntMatrix`): the least common denominator of the bracket table
+and the action matrices together, taken by one `scalars.integer_form`
+(`_integer_structure`).  The scale is per matrix, not per row, so
 the integer product of d_{k+1} and d_k is den_{k+1} * den_k *
 (d_{k+1} d_k), which is zero exactly when d o d is; `_check_square_zero`
 tests that product once per complex, for the plain, relative and
@@ -80,8 +81,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import combinations
-from math import lcm
+from itertools import combinations, islice
 
 from . import linalg
 from .algebra import AlgebraError, ClosureError, LieAlgebra
@@ -94,7 +94,7 @@ from .linalg import (
     _solve_columns,
     as_scalar,
 )
-from .scalars import ONE, ZERO, InputError, format_scalar
+from .scalars import ONE, ZERO, InputError, format_scalar, integer_form
 
 # annotations are postponed, so this name is for type checkers only
 TYPE_CHECKING = False
@@ -270,19 +270,12 @@ def _integer_structure(ba: BasisedAlgebra, actions):
     denominator: (den, brackets, acts), where brackets[(a, b)] for a < b
     lists (l, (re, im)) and acts[j] holds one dict per row, column ->
     (re, im), both den times the exact values."""
-    scaled = [ScaledIntMatrix.from_exact(a) for a in actions]
-    den = lcm(1, *(a.den for a in scaled), *(
-        c._t[2] for coeffs in ba._table.values() for c in coeffs.values()
-    ))
-    brackets = {
-        pair: [(l, (c._t[0] * (den // c._t[2]), c._t[1] * (den // c._t[2])))
-               for l, c in coeffs.items()]
-        for pair, coeffs in ba._table.items()
-    }
-    acts = []
-    for a in scaled:
-        f = den // a.den
-        acts.append([{j: (re * f, im * f) for j, (re, im) in row.items()} for row in a.data])
+    den, pairs = integer_form([c for coeffs in ba._table.values() for c in coeffs.values()]
+                              + [x for a in actions for row in a._data for x in row])
+    pairs = iter(pairs)
+    brackets = {pair: [(l, next(pairs)) for l in coeffs] for pair, coeffs in ba._table.items()}
+    acts = [[{j: p for j, p in enumerate(islice(pairs, a.cols)) if p != (0, 0)}
+             for _ in range(a.rows)] for a in actions]
     return den, brackets, acts
 
 

@@ -46,7 +46,7 @@ def _load_module(spec: str, acting) -> GModule:
         return GModule.adjoint(acting)
     data = read_json_file(spec)
     try:
-        dim = json_int(data["dim"], "dim")
+        dim = json_int(data["dim"], "dim", minimum=0)
         actions = [
             ExactMatrix.from_rows(read_matrix_rows(mat))
             if mat

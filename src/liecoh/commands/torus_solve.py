@@ -25,6 +25,8 @@ def run(args) -> int:
 
     if args.mu is not None and args.cf is not None:
         raise Failure(EX_USAGE, "E_USAGE", "give either --mu or --cf, not both")
+    if args.bound is not None and not args.rhs:
+        raise Failure(EX_USAGE, "E_USAGE", "--bound needs --rhs: only the solve prints a lattice")
     if args.mu is not None:
         try:
             mu = MuSpec.rational(Fraction(args.mu))

@@ -2,8 +2,9 @@
 
 Matrices and vectors hold GaussianRational entries (`ExactMatrix`), and
 every public function takes and returns GaussianRational.  Elimination
-works on Gaussian integers inside: `_integer_rows` scales each row by the
-lcm of its denominators and turns it into (re, im) int pairs, and one
+works on Gaussian integers inside: `_integer_rows` takes each row's
+`scalars.integer_form`, (re, im) int pairs over the least common
+denominator of that row alone, and one
 routine, `_bareiss_echelon`, does fraction-free (Bareiss) forward
 elimination with deterministic pivoting: the pivot column is the
 leftmost one with a nonzero entry at or below the current row, and the
@@ -47,9 +48,10 @@ there: the polynomial of a Hermitian matrix is real and has only real roots.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isqrt, lcm
+from itertools import islice
+from math import isqrt
 
-from .scalars import GaussianRational, InputError, ONE, ZERO, _gauss, as_scalar, value_key
+from .scalars import GaussianRational, InputError, ONE, ZERO, _gauss, as_scalar, integer_form, value_key
 
 Vector = list  # list[GaussianRational]
 
@@ -246,14 +248,10 @@ class ScaledIntMatrix:
 
     @classmethod
     def from_exact(cls, M: ExactMatrix) -> "ScaledIntMatrix":
-        # d of each triple is the lcm of its part denominators, so the lcm
-        # of the d's is the least common denominator of the matrix
-        triples = [[x._t for x in row] for row in M._data]
-        den = lcm(1, *(t[2] for row in triples for t in row))
-        data = [
-            {j: (a * (den // d), b * (den // d)) for j, (a, b, d) in enumerate(row) if a or b}
-            for row in triples
-        ]
+        den, pairs = integer_form([x for row in M._data for x in row])
+        pairs = iter(pairs)
+        data = [{j: p for j, p in enumerate(islice(pairs, M.cols)) if p != (0, 0)}
+                for _ in range(M.rows)]
         return cls(M.rows, M.cols, den, data)
 
     def to_exact(self) -> ExactMatrix:
@@ -314,14 +312,7 @@ _GZERO = GaussianInteger(0, 0)
 def _integer_rows(rows):
     """Rows of Gaussian rationals as lists of (re, im) int pairs, each row
     scaled by the lcm of its denominators; zero entries are None."""
-    out = []
-    for row in rows:
-        triples = [x._t for x in row]
-        mult = lcm(1, *(d for _, _, d in triples))
-        out.append([
-            (a * (mult // d), b * (mult // d)) if a or b else None for a, b, d in triples
-        ])
-    return out
+    return [[p if p != (0, 0) else None for p in integer_form(row)[1]] for row in rows]
 
 
 def _exact_quotient(a, b):
@@ -601,7 +592,7 @@ def _gaussian_divisors(z: GaussianRational):
     A candidate d = x + yi divides z = a + bi exactly when z conj(d) =
     (ax + by) + (bx - ay)i is divisible by the integer N(d) = x^2 + y^2,
     so each is tested on ints."""
-    a, b, den = z._t
+    den, ((a, b),) = integer_form([z])
     if den != 1:
         raise ValueError("divisor enumeration needs a Gaussian integer")
     nz = a * a + b * b
@@ -626,19 +617,14 @@ def _gaussian_divisors(z: GaussianRational):
     return [GaussianRational(x, y) for x, y in sorted(found)]
 
 
-def _scale_to_gaussian_integers(coeffs):
-    triples = [c._t for c in coeffs]
-    mult = lcm(1, *(d for _, _, d in triples))
-    return [GaussianRational(a * (mult // d), b * (mult // d)) for a, b, d in triples]
-
-
-def _vanishes_at(coeffs, r, s):
-    """Whether the Gaussian-integer polynomial vanishes at r/s: s^n p(r/s)
-    by Horner on (re, im) ints."""
-    (rr, ri, _), (sr, si, _) = r._t, s._t
-    (x, y, _), (p, q) = coeffs[-1]._t, (1, 0)
-    for c in reversed(coeffs[:-1]):
-        (a, b, _), (p, q) = c._t, (p * sr - q * si, p * si + q * sr)
+def _vanishes_at(ints, r, s):
+    """Whether the polynomial with Gaussian-integer coefficients `ints`,
+    (re, im) pairs, vanishes at r/s for Gaussian integers r and s: s^n p(r/s)
+    by Horner on ints."""
+    _, ((rr, ri), (sr, si)) = integer_form((r, s))
+    (x, y), (p, q) = ints[-1], (1, 0)
+    for a, b in reversed(ints[:-1]):
+        p, q = p * sr - q * si, p * si + q * sr
         x, y = x * rr - y * ri + a * p - b * q, x * ri + y * rr + a * q + b * p
     return x == y == 0
 
@@ -666,20 +652,21 @@ def poly_linear_roots(coeffs):
         roots.append(ZERO)
         work = work[1:]
     if len(work) > 2:
-        # work is kept on Gaussian integers, so candidates are tested on ints
-        work = _scale_to_gaussian_integers(work)
-        numerators = _gaussian_divisors(work[0])
+        # candidates are tested on the integer form of work
+        _, ints = integer_form(work)
+        numerators = _gaussian_divisors(_gauss(*ints[0], 1))
         # a unit multiple of s only rescales the candidate, and numerators
         # run over all associates: one associate of each s will do.  A value
         # met again is no root by then, as all of its multiplicity is gone.
         candidates = (
-            (r, s) for s in _gaussian_divisors(work[-1]) if s._t[0] > 0 and s._t[1] >= 0
-            for r in numerators
+            (r, s) for s in _gaussian_divisors(_gauss(*ints[-1], 1))
+            if s.re_num > 0 and s.im_num >= 0 for r in numerators
         )
         for r, s in candidates:
-            while len(work) > 2 and _vanishes_at(work, r, s):
+            while len(work) > 2 and _vanishes_at(ints, r, s):
                 roots.append(r / s)
-                work = _scale_to_gaussian_integers(_poly_deflate(work, roots[-1]))
+                work = _poly_deflate(work, roots[-1])
+                _, ints = integer_form(work)
             if len(work) <= 2:
                 break
         else:
@@ -792,11 +779,11 @@ def hermitian_inertia(H: ExactMatrix) -> Inertia:
     """
     if not H.is_hermitian():
         raise NonHermitianError("matrix is not exactly Hermitian")
-    # the sign of a rational part is that of its numerator, as d > 0
-    coeffs = [c._t for c in char_poly(H)]
-    if any(b for _, b, _ in coeffs):
+    # over a positive common denominator the coefficients keep their signs
+    _, coeffs = integer_form(char_poly(H))
+    if any(b for _, b in coeffs):
         raise AssertionError("characteristic polynomial of a Hermitian matrix is not real")
-    n_zero = next(k for k, (a, _, _) in enumerate(coeffs) if a)
-    signs = [a > 0 for a, _, _ in coeffs[n_zero:] if a]
+    n_zero = next(k for k, (a, _) in enumerate(coeffs) if a)
+    signs = [a > 0 for a, _ in coeffs[n_zero:] if a]
     n_pos = sum(a != b for a, b in zip(signs, signs[1:]))
     return Inertia(n_pos, H.rows - n_zero - n_pos, n_zero)

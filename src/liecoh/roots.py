@@ -110,7 +110,7 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
         spaces[prefix] = space
     for alpha in roots:
         for x in alpha:
-            if x._t[0] != 0:  # a nonzero real part
+            if x.re_num != 0:  # a nonzero real part
                 raise GradingError(
                     f"root component {format_scalar(x)} is not purely imaginary; "
                     "the decomposition expects a compact real form"
@@ -216,12 +216,9 @@ def positive_system(rd: RootDatum, override=None) -> PositiveSystem:
 
 
 def _lex_positive(alpha) -> bool:
-    # the sign of x.im is that of b in the triple (a, b, d), as d > 0
     for x in alpha:
-        if x._t[1] > 0:
-            return True
-        if x._t[1] < 0:
-            return False
+        if x.im_num:
+            return x.im_num > 0
     return False
 
 

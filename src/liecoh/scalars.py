@@ -5,9 +5,13 @@ held as one triple of ints with d > 0 and gcd(a, b, d) == 1.  That form
 is canonical, so equal values have equal triples, and d is the least
 common denominator of the real part a/d and the imaginary part b/d.
 Each operation does its arithmetic on the ints and one gcd, none when
-d == 1.  `fractions` is imported only where a Fraction goes out or comes
-in: the views `re`, `im`, `norm` and `sort_key` (and `repr`, which shows
-them), and a constructor or operand that is not an int.  The package
+d == 1.  Only this module reads the triple.  The rest of the package
+turns Gaussian rationals into Gaussian integers with `integer_form`,
+(re, im) int pairs over their least common denominator, which is the one
+such conversion, and reads a sign off `re_num` or `im_num`.  `fractions`
+is imported only where a Fraction goes out or comes in: the views `re`,
+`im`, `norm` and `sort_key` (and `repr`, which shows them), and a
+constructor or operand that is not an int.  The package
 itself orders values by `value_key`, on ints, so no command but
 `torus-solve` loads it.  The text format used in all JSON interchange
 is::
@@ -63,8 +67,7 @@ class GaussianRational:
     Instances are immutable and hashable; arithmetic accepts plain ints
     and Fractions on either side.  Division by zero raises
     ZeroDivisionError.  The value is the slot `_t`, the canonical triple
-    (a, b, d) of the module docstring, which the package's own code reads
-    directly.
+    (a, b, d) of the module docstring, which only this module reads.
     """
 
     __slots__ = ("_t",)
@@ -235,6 +238,15 @@ def _gauss(a: int, b: int, d: int) -> GaussianRational:
             b //= g
             d //= g
     return _make((a, b, d))
+
+
+def integer_form(values):
+    """(den, pairs): the Gaussian rationals `values` as Gaussian integers
+    over their least common denominator den, pairs[k] = (re, im) being den
+    times values[k] as ints.  den is 1 for no values."""
+    ts = [x._t for x in values]
+    den = lcm(1, *(d for _, _, d in ts))
+    return den, [(a * (den // d), b * (den // d)) for a, b, d in ts]
 
 
 def value_key(values):

@@ -136,6 +136,8 @@ class FourierData:
             coeffs = {}
             for item in data.get("coefficients", []):
                 key = (json_int(item["xi"], "xi"), json_int(item["eta"], "eta"))
+                if key in coeffs:
+                    raise TorusError(f"coefficients list the mode (xi, eta) = {key} twice")
                 coeffs[key] = parse_scalar(item["value"])
         except InputError:  # a malformed scalar keeps its own message
             raise

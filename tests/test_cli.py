@@ -231,6 +231,11 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
             "malformed module JSON: dim must be an integer, got true",
         ),
         (
+            {"dim": -1, "actions": [[], [], []]},
+            ["cohomology", "--algebra", "builtin:su2", "--module"],
+            "malformed module JSON: dim must be at least 0, got -1",
+        ),
+        (
             {"name": "a", "basis": "TXY", "brackets": []},
             ["validate"],
             "malformed algebra JSON: basis must be a JSON list of names",
@@ -264,7 +269,8 @@ def test_malformed_json_is_validation_error(tmp_path, capsys):
          "gram-string-rows", "module-string-rows",
          "subalgebra-list", "relative-list", "subalgebra-string", "fourier-negative-cutoff",
          "fourier-negative-cutoff-bound", "fourier-float-cutoff", "fourier-float-xi",
-         "fourier-bool-eta", "module-float-dim", "module-bool-dim", "algebra-string-basis",
+         "fourier-bool-eta", "module-float-dim", "module-bool-dim", "module-negative-dim",
+         "algebra-string-basis",
          "algebra-string-pair", "algebra-repeated-pair", "algebra-int-name", "algebra-null-name",
          "algebra-bool-name", "algebra-list-name", "algebra-int-basis",
          "algebra-int-basis-representatives", "algebra-int-basis-span"],
@@ -523,6 +529,23 @@ def test_torus_solve_rhs(tmp_path, capsys):
 def test_torus_solve_requires_slope(capsys):
     code, _, err = run(capsys, "torus-solve")
     assert code == EX_USAGE
+
+
+@pytest.mark.parametrize("slope", [["--cf", "1,1,1"], ["--mu", "1/2", "--depth", "2"]])
+def test_torus_solve_bound_without_rhs_is_usage_error(capsys, slope):
+    # only the solve of --rhs prints a singular lattice
+    code, out, err = run(capsys, "torus-solve", *slope, "--bound", "3")
+    assert (code, out) == (EX_USAGE, "")
+    assert err == "liecoh: error [E_USAGE] --bound needs --rhs: only the solve prints a lattice\n"
+
+
+def test_module_of_dimension_zero(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dim": 0, "actions": [[], [], []]}))
+    code, out, _ = run(capsys, "cohomology", "--algebra", "builtin:su2", "--module", str(path),
+                       "--json")
+    assert code == EX_OK
+    assert json.loads(out)["table"]["dims"] == {"0": 0, "1": 0, "2": 0, "3": 0}
 
 
 def test_torus_solve_cf_report(capsys):

@@ -104,6 +104,9 @@ COMMANDS = {
     "torus-solve-cf-too-deep": ["torus-solve", "--cf", ",".join(["1"] * 152), "--depth", "150",
                                 "--json"],
     "torus-solve-mu-zero-denominator": ["torus-solve", "--mu", "0/0"],
+    # the mode (1, 1) is listed twice, with values 1 and 2
+    "torus-solve-duplicate-mode": ["torus-solve", "--mu", "1/2", "--rhs",
+                                   "fixtures/fourier-duplicate-mode.json", "--json"],
     "validate-su3": ["validate", "builtin:su3"],
     "relative-not-closed": ["cohomology", "--algebra", "builtin:su3", "--relative",
                             "span{X1, Y1}"],

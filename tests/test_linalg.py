@@ -25,7 +25,7 @@ from liecoh.linalg import (
     split_eigen,
     vec_is_zero,
 )
-from liecoh.scalars import GaussianRational as Q, InputError, value_key
+from liecoh.scalars import GaussianRational as Q, InputError, integer_form, value_key
 
 from conftest import gauss_integers, random_invertible, rect_matrices, square_matrices
 
@@ -501,7 +501,7 @@ def reference_poly_linear_roots(coeffs):
         if len(work) == 2:
             roots.append(-work[0] / work[1])
             break
-        scaled = linalg._scale_to_gaussian_integers(work)
+        scaled = [Q(*p) for p in integer_form(work)[1]]
         numerators = linalg._gaussian_divisors(scaled[0])
         denominators = linalg._gaussian_divisors(scaled[-1])
         root = next(

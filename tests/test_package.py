@@ -282,6 +282,16 @@ def test_no_unused_private_module_names():
     assert unused == []
 
 
+def test_only_scalars_reads_the_private_triple():
+    # outside scalars a Gaussian rational is read through integer_form and
+    # the views (re_num, im_num, ...), never through its slot _t
+    readers = sorted({(str(path), node.lineno) for path, tree in package_trees().items()
+                      if path.name != "scalars.py" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "_t"})
+    assert not readers, "\n".join(["read GaussianRational._t:"]
+                                   + [f"{path}:{line}" for path, line in readers])
+
+
 def public_functions(tree):
     """(name, line) for every public function at module level and every
     public method of a public class; a private class's methods are not

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -9,6 +9,7 @@ from liecoh.scalars import (
     GaussianRational,
     ScalarParseError,
     format_scalar,
+    integer_form,
     parse_scalar,
 )
 
@@ -234,3 +235,17 @@ def test_repr_and_str_are_unchanged():
     assert str(z) == "-2/3+3/4i"
     assert repr(GaussianRational(2)) == "GaussianRational(Fraction(2, 1), Fraction(0, 1))"
     assert str(GaussianRational(0, -1)) == "-i"
+
+
+def test_integer_form_fixtures():
+    values = [parse_scalar(t) for t in ("1/2", "1/3+1/4i", "0")]
+    assert integer_form(values) == (12, [(6, 0), (4, 3), (0, 0)])
+    assert integer_form([GaussianRational(0)] * 2) == (1, [(0, 0), (0, 0)])
+    assert integer_form([]) == (1, [])
+
+
+@given(st.lists(scalars, max_size=6))
+def test_integer_form_is_each_value_over_the_least_common_denominator(values):
+    den, pairs = integer_form(values)
+    assert den == lcm(1, *(d for x in values for d in (x.re_den, x.im_den)))
+    assert [GaussianRational(a, b) / den for a, b in pairs] == values
