@@ -40,7 +40,6 @@ _EXPORTS = {
     "classify": (
         "BctReport",
         "ClassificationReport",
-        "LeviForm",
         "bct_check",
         "characteristic_space",
         "classify_structure",

@@ -14,13 +14,15 @@ basis rows v of h:
   exactly when it annihilates Re v and Im v.
 
 At a characteristic covector xi the Levi form is the Hermitian matrix
-(1/2i) xi([Z_a, conj(Z_b)]) on a basis of h, and its inertia feeds the
+L(xi) = (1/2i) xi([Z_a, conj(Z_b)]) on the echelon basis Z of h, and
+`levi_form` returns just that matrix.  Its inertia feeds the
 mixed-signature hypocomplexity test of Baouendi-Chang-Treves.  With
 the basis fixed, every entry is xi applied to a fixed vector, so L is
-linear in xi and L(-xi) = -L(xi): the test forms L once per
-characteristic basis covector xi_j, and the inertia at -xi_j is the one
-at xi_j with its signs swapped.  Left invariance makes evaluation at the
-identity sufficient.
+linear in xi: L(xi + 2 xi') = L(xi) + 2 L(xi') and L(-xi) = -L(xi).  The
+test forms L once per characteristic basis covector xi_j, keeps those
+matrices, and takes the inertia at -xi_j as the one at xi_j with its
+signs swapped.  Left invariance makes evaluation at the identity
+sufficient.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from collections import namedtuple
 from .algebra import AlgebraError, LieAlgebra
 from .linalg import (
     ExactMatrix,
-    Inertia,
     as_scalar,
     hermitian_inertia,
     rank_kernel,
@@ -131,21 +132,9 @@ def characteristic_space(g: LieAlgebra, h: Subalgebra):
     return canon.row_list()
 
 
-class LeviForm(namedtuple("LeviForm", "xi basis matrix")):
-    """Hermitian form (1/2i) xi([Z_a, conj(Z_b)]) on a basis Z of h."""
-
-    __slots__ = ()
-
-    def inertia(self) -> Inertia:
-        return hermitian_inertia(self.matrix)
-
-
-def levi_form(g: LieAlgebra, h: Subalgebra, xi, basis=None) -> LeviForm:
-    """Levi form of h at the nonzero characteristic covector xi.
-
-    `basis` defaults to the canonical echelon basis of h; an explicit
-    basis (rows spanning h) may be passed to control the matrix ordering.
-    """
+def levi_form(g: LieAlgebra, h: Subalgebra, xi) -> ExactMatrix:
+    """Levi form (1/2i) xi([Z_a, conj(Z_b)]) of h at the nonzero
+    characteristic covector xi, on the canonical echelon basis Z of h."""
     if h.parent != g:
         raise AlgebraError("subalgebra does not belong to the given algebra")
     xi = [as_scalar(x) for x in xi]
@@ -155,28 +144,17 @@ def levi_form(g: LieAlgebra, h: Subalgebra, xi, basis=None) -> LeviForm:
         raise NotCharacteristicError("characteristic covector must be nonzero")
     if any(not x.is_real() for x in xi):
         raise NotCharacteristicError("characteristic covectors are real")
-    for v in h.vectors():
+    rows = h.vectors()
+    for v in rows:
         if not vec_dot(xi, v).is_zero():
             raise NotCharacteristicError("covector does not annihilate the subalgebra")
-    if basis is None:
-        rows = h.vectors()
-    else:
-        rows = [[as_scalar(x) for x in v] for v in basis]
-        span_check = Subalgebra.span(g, rows)
-        if len(rows) != h.dim or span_check != h:
-            raise AlgebraError("explicit basis does not span the subalgebra")
     half_i_inv = _gauss(0, -1, 2)  # 1/(2i)
-    entries = []
-    for za in rows:
-        row = []
-        for zb in rows:
-            w = g.bracket(za, vec_conj(zb))
-            row.append(half_i_inv * vec_dot(xi, w))
-        entries.append(row)
-    matrix = ExactMatrix.from_rows(entries)
+    matrix = ExactMatrix.from_rows(
+        [[half_i_inv * vec_dot(xi, g.bracket(za, vec_conj(zb))) for zb in rows] for za in rows]
+    )
     if not matrix.is_hermitian():
         raise AssertionError("Levi form failed the exact Hermitian check")
-    return LeviForm(xi=tuple(xi), basis=tuple(tuple(v) for v in rows), matrix=matrix)
+    return matrix
 
 
 class BctSample(namedtuple("BctSample", "coeffs covector inertia")):
@@ -202,7 +180,7 @@ class BctReport(namedtuple("BctReport", "verdict characteristic_space levi_forms
     characteristic space has dimension <= 1; in higher dimension the
     samples are evidence only and the verdict is always inconclusive
     (sampling cannot prove a universal claim).  The characteristic basis
-    and the Levi form at each basis covector are kept for the caller and
+    and the Levi matrix at each basis covector are kept for the caller and
     not serialised.
     """
 
@@ -226,9 +204,9 @@ def bct_check(g: LieAlgebra, h: Subalgebra) -> BctReport:
     d = len(char)
     forms = tuple(levi_form(g, h, xi) for xi in char)
     samples = []
-    for j, (xi, lf) in enumerate(zip(char, forms)):
+    for j, (xi, form) in enumerate(zip(char, forms)):
         unit = tuple(int(i == j) for i in range(d))
-        inertia = lf.inertia()
+        inertia = hermitian_inertia(form)
         samples.append(BctSample(unit, tuple(xi), inertia))
         # L(-xi) = -L(xi): the same inertia with its signs swapped
         samples.append(BctSample(tuple(-c for c in unit), tuple(-x for x in xi), inertia.swapped()))

@@ -205,7 +205,6 @@ class GModule:
     element of the acting algebra."""
 
     def __init__(self, acting_algebra, dim: int, actions):
-        self.acting_algebra = acting_algebra
         self.dim = dim
         self.actions = list(actions)
         ba = basised(acting_algebra)
@@ -217,9 +216,9 @@ class GModule:
         self._basis = ba
 
     @classmethod
-    def trivial(cls, acting_algebra, dim: int = 1) -> "GModule":
+    def trivial(cls, acting_algebra) -> "GModule":
         ba = basised(acting_algebra)
-        return cls(acting_algebra, dim, [ExactMatrix.zero(dim, dim) for _ in range(ba.dim)])
+        return cls(acting_algebra, 1, [ExactMatrix.zero(1, 1) for _ in range(ba.dim)])
 
     @classmethod
     def adjoint(cls, g: LieAlgebra) -> "GModule":
@@ -479,7 +478,7 @@ class CohomologyTable:
         return out
 
 
-def _chain_dims(matrices, degrees, representatives=False):
+def _chain_dims(matrices, degrees, representatives):
     """Cohomology dims, and with `representatives` the representatives, of
     a cochain complex given its differentials (`CochainComplex.cohomology`).
 
@@ -604,11 +603,10 @@ class AdaptedFrame:
         """(torus, lam) of u's torus on the rows and fibers, found once."""
         return self._grading(self._trivial, self.dim_u)[:2]
 
-    def _w_cells(self, dim_m: int, grading=None, weight=0):
+    def _w_cells(self, lam, mu, weight):
         """cells[k] for k = 0 .. codim + 1: the cells (K, a) on the
         k-subsets K of the complement block, of weight `weight` under
-        `grading` (lam, mu), every cell without one."""
-        lam, mu = grading or ([0] * self.adapted.dim, [0] * dim_m)
+        the grading lam on the algebra and mu on the module."""
         return weight_zero_cells(
             range(self.dim_u, self.adapted.dim), lam, [m - weight for m in mu]
         )
@@ -649,7 +647,7 @@ class AdaptedFrame:
         structure = _integer_structure(self.adapted, actions)
         torus, lam, mu = self._grading(structure, self.dim_u or self.adapted.dim, module.dim)
         return _invariant_complex(
-            structure, lambda w: self._w_cells(module.dim, (lam, mu), w),
+            structure, lambda w: self._w_cells(lam, mu, w),
             [i for i in range(self.dim_u) if i not in torus], lam,
         )
 

@@ -90,6 +90,12 @@ def load_subalgebra(spec: str, g: LieAlgebra | None):
             g = load_algebra(declared if ":" in declared else f"builtin:{declared}")
         else:
             fail_validation(f"{spec}: no algebra given and none declared inline")
+    elif isinstance(declared, dict) and LieAlgebra.from_json_dict(declared) != g:
+        name = declared["name"]
+        fail_validation(
+            f"{spec} declares algebra {name!r} but --algebra is {g.name!r}"
+            + (", with another basis or brackets" if name == g.name else "")
+        )
     elif isinstance(declared, str) and declared not in (g.name, f"builtin:{g.name}"):
         fail_validation(
             f"{spec} declares algebra {declared!r} but --algebra is {g.name!r}"

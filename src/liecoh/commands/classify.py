@@ -46,8 +46,7 @@ def run(args) -> int:
     )
     lines.append(f"characteristic space dimension: {len(char)}")
     if len(char) == 1:
-        levi = bct.levi_forms[0].matrix
-        out["levi_matrix"] = [[format_scalar(x) for x in row] for row in levi.row_list()]
+        out["levi_matrix"] = [[format_scalar(x) for x in row] for row in bct.levi_forms[0].row_list()]
         lines.append("Levi matrix at the basis covector: " + str(out["levi_matrix"]))
     lines.append(f"hypocomplexity test: {bct.verdict}")
     for s in bct.samples:

@@ -224,7 +224,7 @@ def _lex_positive(alpha) -> bool:
 
 class StandardStructure(namedtuple(
     "StandardStructure",
-    "subalgebra torus_part s t positive predicted report prediction_matches",
+    "subalgebra positive predicted report prediction_matches",
 )):
     """A standard subalgebra u + (positive root spaces) with its predicted
     and verified classification."""
@@ -239,7 +239,9 @@ def build_standard(rd: RootDatum, s: int, t: int, plus: PositiveSystem | None = 
 
     Predicted classification: elliptic iff s + t = rank, complex iff
     s = 0 and t = rank, CR iff s = 0, essentially real iff t = 0 and
-    there are no roots; the prediction is cross-checked exactly.
+    there are no roots; the prediction is cross-checked exactly.  The
+    record holds h, the positive system and both classifications; the
+    caller already has s and t.
     """
     g = rd.algebra
     rank = rd.torus.dim
@@ -251,14 +253,11 @@ def build_standard(rd: RootDatum, s: int, t: int, plus: PositiveSystem | None = 
     for row in rows:
         if any(not x.is_real() for x in row):
             raise AlgebraError("standard construction needs a real torus basis")
-    u_vectors = [rows[i] for i in range(s)]
+    vectors = rows[:s]  # u, then the positive root spaces
     for a in range(s, s + t, 2):
-        u_vectors.append(
-            [x + GaussianRational(0, 1) * y for x, y in zip(rows[a], rows[a + 1])]
-        )
+        vectors.append([x + GaussianRational(0, 1) * y for x, y in zip(rows[a], rows[a + 1])])
     if plus is None:
         plus = positive_system(rd)
-    vectors = list(u_vectors)
     for alpha in plus.positive_roots:
         vectors.extend(rd.spaces[alpha].vectors())
     h = Subalgebra.span(g, vectors)
@@ -280,9 +279,6 @@ def build_standard(rd: RootDatum, s: int, t: int, plus: PositiveSystem | None = 
     }
     return StandardStructure(
         subalgebra=h,
-        torus_part=Subalgebra.span(g, u_vectors),
-        s=s,
-        t=t,
         positive=plus,
         predicted=predicted,
         report=report,

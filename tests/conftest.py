@@ -298,4 +298,4 @@ def reference_fiber(g, u_star, pair, p):
     took before the fiber was a block of one frame: the quotient module of
     the brute-force actions, fed to relative cohomology with the pair."""
     module = reference_quotient_module(g, u_star, p)
-    return relative_ce_cohomology(module.acting_algebra, pair, module)
+    return relative_ce_cohomology(basised(u_star), pair, module)

@@ -97,11 +97,11 @@ def test_criterion_3_levi_fixtures():
     g2 = su2()
     h_cr = parse_span("span{X-iY}", g2)
     tau = [Q(1), Q(0), Q(0)]
-    assert levi_form(g2, h_cr, tau).matrix.row_list() == [[Q(2)]]
+    assert levi_form(g2, h_cr, tau).row_list() == [[Q(2)]]
     g3, h_prime = su3_h_prime(0, 1)
     xi = [Q(0)] * 8
     xi[0] = Q(-1)  # -b tau1 + a tau2 at (a, b) = (0, 1)
-    inertia = hermitian_inertia(levi_form(g3, h_prime, xi).matrix)
+    inertia = hermitian_inertia(levi_form(g3, h_prime, xi))
     assert inertia.as_tuple() == (1, 2, 1)
     assert bct_check(g3, h_prime).verdict == VERDICT_BCT
     report = bct_check(g2, h_cr)

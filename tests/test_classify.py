@@ -103,27 +103,28 @@ def test_levi_su2_cr_is_two():
     g = su2()
     h = parse_span("span{X-iY}", g)
     tau = [Q(1), Q(0), Q(0)]
-    lf = levi_form(g, h, tau)
-    assert lf.matrix.row_list() == [[Q(2)]]
+    assert levi_form(g, h, tau).row_list() == [[Q(2)]]
 
 
 @pytest.mark.parametrize("a,b", [(0, 1), (1, 1), (2, -3)])
 def test_levi_su3_family(a, b):
-    # h' = span{L1, L2, L3, aT1 + bT2}; at xi = -b tau1 + a tau2 the form is
-    # diag(-2b, a-b, a+b, 0) on the basis (L1, L2, L3, U)
+    # h' = span{L1, L2, L3, U = aT1 + bT2}; at xi = -b tau1 + a tau2 the form
+    # is diag(0, -2b, a-b, a+b) on h's echelon basis (a multiple of U, L1,
+    # L2, L3): U brackets to zero with conj(U) and into root spaces with
+    # each conj(L_j)
     g = su3()
     L1, L2, L3 = su3_vectors()
     U = [Q(0)] * 8
     U[0], U[1] = Q(a), Q(b)
     h = Subalgebra.span(g, [L1, L2, L3, U])
     assert h.is_subalgebra() is None
+    assert h.vectors()[1:] == [L1, L2, L3]
     xi = [Q(0)] * 8
     xi[0], xi[1] = Q(-b), Q(a)
-    lf = levi_form(g, h, xi, basis=[L1, L2, L3, U])
-    expected = [Q(-2 * b), Q(a - b), Q(a + b), Q(0)]
-    for i in range(4):
-        for j in range(4):
-            assert lf.matrix[i, j] == (expected[i] if i == j else Q(0))
+    expected = [Q(0), Q(-2 * b), Q(a - b), Q(a + b)]
+    assert levi_form(g, h, xi) == ExactMatrix.from_rows(
+        [[expected[i] if i == j else Q(0) for j in range(4)] for i in range(4)]
+    )
 
 
 def test_levi_su3_inertia_at_0_1():
@@ -134,16 +135,26 @@ def test_levi_su3_inertia_at_0_1():
     h = Subalgebra.span(g, [L1, L2, L3, U])
     xi = [Q(0)] * 8
     xi[0] = Q(-1)
-    lf = levi_form(g, h, xi)
-    assert hermitian_inertia(lf.matrix).as_tuple() == (1, 2, 1)
+    assert hermitian_inertia(levi_form(g, h, xi)).as_tuple() == (1, 2, 1)
 
 
 def test_levi_scales_linearly():
     g = su2()
     h = parse_span("span{X-iY}", g)
-    one = levi_form(g, h, [Q(1), Q(0), Q(0)]).matrix
-    two = levi_form(g, h, [Q(2), Q(0), Q(0)]).matrix
+    one = levi_form(g, h, [Q(1), Q(0), Q(0)])
+    two = levi_form(g, h, [Q(2), Q(0), Q(0)])
     assert two == one.scale(Q(2))
+
+
+def test_levi_is_additive_in_xi():
+    # the su3 CR structure has characteristic dimension 2: L(xi1 + 2 xi2)
+    # = L(xi1) + 2 L(xi2) on its two characteristic basis covectors
+    g = su3()
+    h = Subalgebra.span(g, list(su3_vectors()))
+    xi1, xi2 = characteristic_space(g, h)
+    combined = levi_form(g, h, [x + Q(2) * y for x, y in zip(xi1, xi2)])
+    assert combined == levi_form(g, h, xi1) + levi_form(g, h, xi2).scale(2)
+    assert combined != levi_form(g, h, xi1)
 
 
 def test_levi_is_exactly_hermitian():
@@ -152,7 +163,7 @@ def test_levi_is_exactly_hermitian():
     h = Subalgebra.span(g, [L1, L2, L3])
     cov = characteristic_space(g, h)
     for xi in cov:
-        m = levi_form(g, h, xi).matrix
+        m = levi_form(g, h, xi)
         assert m == m.conj_transpose()
 
 
@@ -167,16 +178,6 @@ def test_levi_rejects_non_characteristic():
         levi_form(g, h, [Q(0, 1), Q(0), Q(0)])  # not real
 
 
-def test_levi_explicit_basis_must_span():
-    g = su2()
-    h = parse_span("span{X-iY}", g)
-    tau = [Q(1), Q(0), Q(0)]
-    with pytest.raises(Exception):
-        levi_form(g, h, tau, basis=[[Q(1), Q(0), Q(0)]])  # spans span{T}, not h
-    doubled = levi_form(g, h, tau, basis=[[Q(0), Q(2), Q(0, -2)]])  # 2L
-    assert doubled.matrix.row_list() == [[Q(8)]]  # |2|^2 * 2
-
-
 def test_inertia_swaps_under_negation():
     g = su3()
     L1, L2, L3 = su3_vectors()
@@ -185,8 +186,8 @@ def test_inertia_swaps_under_negation():
     h = Subalgebra.span(g, [L1, L2, L3, U])
     xi = [Q(0)] * 8
     xi[0] = Q(-1)
-    plus = hermitian_inertia(levi_form(g, h, xi).matrix)
-    minus = hermitian_inertia(levi_form(g, h, [-x for x in xi]).matrix)
+    plus = hermitian_inertia(levi_form(g, h, xi))
+    minus = hermitian_inertia(levi_form(g, h, [-x for x in xi]))
     assert minus.as_tuple() == plus.swapped().as_tuple()
 
 
@@ -291,7 +292,7 @@ def reference_bct(g, h):
 
     def sample(coeffs):
         cov = [sum((c * xi[i] for c, xi in zip(coeffs, char)), Q(0)) for i in range(g.dim)]
-        return BctSample(tuple(coeffs), tuple(cov), levi_form(g, h, cov).inertia())
+        return BctSample(tuple(coeffs), tuple(cov), hermitian_inertia(levi_form(g, h, cov)))
 
     units = [tuple(sign * int(i == j) for i in range(d)) for j in range(d) for sign in (1, -1)]
     samples = sorted((sample(c) for c in units), key=lambda s: s.coeffs)
@@ -368,7 +369,7 @@ def test_bct_matches_per_sample_levi_oracle():
         report = bct_check(g, h)
         assert report.to_json_dict() == reference_bct(g, h)
         assert [list(xi) for xi in report.characteristic_space] == char
-        assert [lf.xi for lf in report.levi_forms] == [tuple(xi) for xi in char]
+        assert list(report.levi_forms) == [levi_form(g, h, xi) for xi in char]
         seen.add((report.verdict, min(report.characteristic_dim, 2)))
     assert {(VERDICT_ELLIPTIC, 0), (VERDICT_BCT, 1), (VERDICT_INCONCLUSIVE, 1),
             (VERDICT_INCONCLUSIVE, 2)} <= seen

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from liecoh import cli, cohomology, linalg
+from liecoh.algebra import su2
 from liecoh.cli import EX_INTERNAL, EX_NOINPUT, EX_OK, EX_USAGE, EX_VALIDATION, main
 from liecoh.linalg import ExactMatrix, ScaledIntMatrix
 from liecoh.scalars import ONE
@@ -574,6 +575,31 @@ def test_subalgebra_file_with_inline_algebra(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", "--subalgebra", str(path), "--json")
     assert code == EX_OK
     assert json.loads(out)["classification"]["flags"]["cr"] is True
+
+
+def test_subalgebra_file_must_declare_the_given_algebra(tmp_path, capsys):
+    # an inline algebra or a name in the file is checked against --algebra;
+    # the suffix of the refusal, or None where the file is accepted
+    path = tmp_path / "h.json"
+    same = su2().to_json_dict()
+    cases = [
+        ("other", ""),
+        ({"name": "other", "basis": ["T", "X", "Y"], "brackets": []}, ""),
+        (dict(same, brackets=[]), ", with another basis or brackets"),
+        (same, None),
+        ("su2", None),
+    ]
+    for declared, suffix in cases:
+        path.write_text(json.dumps({"algebra": declared, "vectors": [{"T": "1"}]}))
+        code, out, err = run(capsys, "classify", "--algebra", "builtin:su2", "--subalgebra",
+                             str(path), "--json")
+        if suffix is None:
+            assert (code, err) == (EX_OK, ""), declared
+            continue
+        name = declared if isinstance(declared, str) else declared["name"]
+        assert (code, out) == (EX_VALIDATION, "")
+        assert err == (f"liecoh: error [E_VALIDATION] {path} declares algebra {name!r} "
+                       f"but --algebra is 'su2'{suffix}\n")
 
 
 def test_json_output_is_deterministic(capsys):

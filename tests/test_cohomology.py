@@ -522,7 +522,7 @@ def test_validate_witness_matches_dense_oracle_at_several_pairs():
     assert witnesses == [(0, 2), (1, 2), (1, 4), (0, 3), (0, 4), (0, 6)]
     for module in (
         GModule.trivial(g),
-        GModule.trivial(g, 3),
+        GModule(g, 3, [ExactMatrix.zero(3, 3)] * g.dim),
         GModule(g, 0, [ExactMatrix.zero(0, 0)] * g.dim),
     ):
         assert module.validate() is None is dense_validate(module)
@@ -957,7 +957,7 @@ def _relative_cases():
     h5 = parse_span("span{X1-iY1, X2-iY2, X3-iY3, T1, T2}", g3)
     for p in range(4):
         module = reference_quotient_module(g3, h5, p)
-        cases.append((module.acting_algebra, t12, module))
+        cases.append((cohomology.basised(h5), t12, module))
     borel = parse_span("span{T, X-iY}", g2)
     weight = GModule(
         borel, 1, [ExactMatrix.from_rows([[Q(0, 2)]]), ExactMatrix.from_rows([[Q(0)]])]
@@ -1032,7 +1032,7 @@ def reference_row_differential(g, h, frame, p, q):
     brute-force quotient module on the frame's complement."""
     module = reference_quotient_module(g, h, p, frame.complement)
     n, dim_m = frame.dim_u, module.dim
-    structure = cohomology._integer_structure(module.acting_algebra, module.actions)
+    structure = cohomology._integer_structure(cohomology.basised(h), module.actions)
     ce = cohomology._differential_matrix(
         structure, cohomology._cells(n, q + 1, dim_m), cohomology._cells(n, q, dim_m)
     )
@@ -1086,12 +1086,12 @@ def test_theta_blocks_match_reference_lie_derivative():
     t12 = parse_span("span{T1, T2}", g3)
     for p in range(4):
         module = reference_quotient_module(g3, h5, p)
-        cases.append((module.acting_algebra, t12, module))
+        cases.append((cohomology.basised(h5), t12, module))
     for acting, u, module in cases:
         frame = AdaptedFrame(acting, u)
         adapted = adapted_module(frame, module)
         structure = cohomology._integer_structure(frame.adapted, adapted.actions)
-        for k, cols in enumerate(frame._w_cells(module.dim)):
+        for k, cols in enumerate(frame._w_cells([0] * frame.adapted.dim, [0] * module.dim, 0)):
             for i in range(frame.dim_u):
                 # theta(u_i): the block of d on the rows ((i,) + K, a)
                 block = cohomology._differential_matrix(

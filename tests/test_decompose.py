@@ -52,7 +52,7 @@ def theta_actions(g, u, p):
     """theta(u_i) on Lambda^p(g/u)^* for each basis row u_i, as the blocks
     of d that the frame of (g, u) reads."""
     frame = AdaptedFrame(g, u)
-    cells = frame._w_cells(1)
+    cells = frame._w_cells([0] * frame.adapted.dim, [0], 0)
     cols = cells[p] if 0 <= p < len(cells) else []
     return [
         cohomology._differential_matrix(
@@ -150,7 +150,7 @@ def test_relative_wrapper_equals_frame_method():
     ]
     for p in range(4):
         module = reference_quotient_module(g3, h5, p)
-        cases.append((module.acting_algebra, parse_span("span{T1, T2}", g3), module))
+        cases.append((cohomology.basised(h5), parse_span("span{T1, T2}", g3), module))
     for acting, u, module in cases:
         wrapped = relative_ce_cohomology(acting, u, module)
         direct = AdaptedFrame(acting, u).relative_cohomology(module)

@@ -35,6 +35,8 @@ GRAM = "fixtures/torus2-identity-gram.json"
 # a torus2 module on which D1 acts as a Jordan block and D2 as 0: H^* has
 # dims (1, 2, 1), every class on a module label
 JORDAN = "fixtures/torus2-jordan-module.json"
+# a subalgebra file whose inline algebra is abelian, named "other"
+OTHER = "fixtures/su2-subalgebra-other-algebra.json"
 
 COMMANDS = {
     "bigraded-su3-cr-reps": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", CR,
@@ -97,6 +99,8 @@ COMMANDS = {
                                  "span{2X-iY}", "--representatives", "--json"],
     "classify-su2-scaled": ["classify", "--algebra", SCALED, "--subalgebra", "span{2X-iY}",
                             "--json"],
+    "classify-su2-other-inline-algebra": ["classify", "--algebra", "builtin:su2", "--subalgebra",
+                                          OTHER, "--json"],
     "torus-solve-mu-rhs": ["torus-solve", "--mu", "2/3", "--rhs",
                            "fixtures/fourier-fractional.json", "--json"],
     "torus-solve-cf": ["torus-solve", "--cf", ",".join(["1"] * 12), "--depth", "8", "--json"],

@@ -18,6 +18,7 @@ from liecoh.cohomology import (
     BasisedAlgebra,
     GModule,
     _bigraded_row,
+    basised,
     bigraded_cohomology,
     ce_cohomology,
     extend_to_complement,
@@ -196,8 +197,8 @@ def test_graded_relative_cohomology_matches_every_cell():
     h5, t12 = parse_span(H5, g3), parse_span("span{T1, T2}", g3)
     for p in range(4):
         module = reference_quotient_module(g3, h5, p)
-        graded = AdaptedFrame(module.acting_algebra, t12)
-        full = ungraded(AdaptedFrame(module.acting_algebra, t12))
+        graded = AdaptedFrame(basised(h5), t12)
+        full = ungraded(AdaptedFrame(basised(h5), t12))
         assert graded.relative_cohomology(module).dims == full.relative_cohomology(module).dims
         checked += 1
     assert checked == 14

@@ -31,7 +31,7 @@ EXPORTED = {
     ],
     "subalgebra": ["Subalgebra", "parse_span"],
     "classify": [
-        "BctReport", "ClassificationReport", "LeviForm", "bct_check", "characteristic_space",
+        "BctReport", "ClassificationReport", "bct_check", "characteristic_space",
         "classify_structure", "levi_form",
     ],
     "roots": [
@@ -257,19 +257,22 @@ def package_trees():
             for path in sorted(root.rglob("*.py"))}
 
 
-def names_read(trees):
-    """Every name that a module of the package loads as a name, an
-    attribute or an import."""
-    read = set()
+def reads(trees):
+    """(kind, name) for every name that a module of the package loads as
+    a name, an attribute or an import, kind being the node's class."""
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                yield ast.Name, node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                yield ast.Attribute, node.attr
             elif isinstance(node, ast.ImportFrom):
-                read.update(a.name for a in node.names)
-    return read
+                yield from ((ast.ImportFrom, a.name) for a in node.names)
+
+
+def names_read(trees):
+    """The names that `reads` finds, whatever their kind."""
+    return {name for _, name in reads(trees)}
 
 
 def test_no_unused_private_module_names():
@@ -322,3 +325,26 @@ def test_no_unused_public_functions():
     unused = [f"{path}:{line} {name}" for path, tree in trees.items()
               for name, line in public_functions(tree) if name.rpartition(".")[2] not in kept]
     assert not unused, "\n".join(["read by nothing:"] + unused)
+
+
+def record_fields(tree):
+    """(record.field, line) for every field of every namedtuple that a
+    module defines, its field names given as one string or as a list."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "namedtuple":
+            name, fields = (ast.literal_eval(arg) for arg in node.args[:2])
+            if isinstance(fields, str):
+                fields = fields.replace(",", " ").split()
+            found.extend((f"{name}.{field}", node.lineno) for field in fields)
+    return found
+
+
+def test_every_record_field_is_read():
+    # a field that no module of the package reads as an attribute echoes
+    # an input back or keeps what nothing uses
+    trees = package_trees()
+    read = {name for kind, name in reads(trees) if kind is ast.Attribute}
+    unread = [f"{path}:{line} {field}" for path, tree in trees.items()
+              for field, line in record_fields(tree) if field.rpartition(".")[2] not in read]
+    assert not unread, "\n".join(["record fields read by nothing:"] + unread)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from liecoh.algebra import parse_span, su2
-from liecoh.classify import BctReport, BctSample, ClassificationReport, LeviForm
+from liecoh.classify import BctReport, BctSample, ClassificationReport
 from liecoh.cohomology import BigradedComplex, CochainComplex, CohomologyTable
 from liecoh.decompose import AssemblyReport, full_assembly
 from liecoh.linalg import EigenSplit, Inertia
@@ -31,13 +31,11 @@ FROZEN = [
     (Inertia, "n_pos n_neg n_zero", {}),
     (ClassificationReport, "elliptic complex_structure cr essentially_real dim_h dim_conj "
                            "dim_sum dim_intersection ambient_dim", {}),
-    (LeviForm, "xi basis matrix", {}),
     (BctSample, "coeffs covector inertia", {}),
     (BctReport, "verdict characteristic_space levi_forms samples notes", {}),
     (RootDatum, "algebra torus roots spaces zero_space torus_is_maximal notes", {}),
     (PositiveSystem, "positive_roots", {}),
-    (StandardStructure, "subalgebra torus_part s t positive predicted report "
-                        "prediction_matches", {}),
+    (StandardStructure, "subalgebra positive predicted report prediction_matches", {}),
     (MuSpec, "kind value quotients", {"value": None, "quotients": ()}),
     (DivisorEntry, "j p q window_min window_max bound status", {}),
 ]
