@@ -27,8 +27,8 @@ class ParentMismatchError(AlgebraError):
 class ClosureError(AlgebraError):
     """A subspace that must be bracket-closed is not; witness is a row pair."""
 
-    def __init__(self, witness, message: str | None = None):
-        super().__init__(message or f"subspace is not bracket-closed: witness rows {witness}")
+    def __init__(self, witness):
+        super().__init__(f"subspace is not bracket-closed: witness rows {witness}")
         self.witness = witness
 
 

@@ -48,10 +48,6 @@ VERDICT_BCT = "hypocomplex_by_bct"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-class NotCharacteristicError(AlgebraError):
-    pass
-
-
 class ClassificationReport(namedtuple(
     "ClassificationReport",
     "elliptic complex_structure cr essentially_real "
@@ -141,13 +137,13 @@ def levi_form(g: LieAlgebra, h: Subalgebra, xi) -> ExactMatrix:
     if len(xi) != g.dim:
         raise AlgebraError("covector length mismatch")
     if vec_is_zero(xi):
-        raise NotCharacteristicError("characteristic covector must be nonzero")
+        raise AlgebraError("characteristic covector must be nonzero")
     if any(not x.is_real() for x in xi):
-        raise NotCharacteristicError("characteristic covectors are real")
+        raise AlgebraError("characteristic covectors are real")
     rows = h.vectors()
     for v in rows:
         if not vec_dot(xi, v).is_zero():
-            raise NotCharacteristicError("covector does not annihilate the subalgebra")
+            raise AlgebraError("covector does not annihilate the subalgebra")
     half_i_inv = _gauss(0, -1, 2)  # 1/(2i)
     matrix = ExactMatrix.from_rows(
         [[half_i_inv * vec_dot(xi, g.bracket(za, vec_conj(zb))) for zb in rows] for za in rows]

@@ -523,9 +523,6 @@ def _chain_dims(matrices, degrees, representatives):
 # ---------------------------------------------------------------------------
 
 
-RELATIVE_CLOSURE = "relative pair requires a bracket-closed u"
-
-
 class AdaptedFrame:
     """The adapted basis of a pair (acting, u), u = None the zero
     subalgebra: u's basis rows (after those of `pair`), then a complement
@@ -535,7 +532,7 @@ class AdaptedFrame:
     gives the bracket table in the adapted basis (`adapted`), scaled to
     integers once (`_trivial`) and scanned for the `torus`."""
 
-    def __init__(self, acting, u: Subalgebra | None, *, closure_message=None, pair=None):
+    def __init__(self, acting, u: Subalgebra | None, *, pair=None):
         base = basised(acting)
         if any(s is not None and s.parent != base.parent for s in (u, pair)):
             raise AlgebraError("subalgebra does not belong to the given algebra")
@@ -557,10 +554,10 @@ class AdaptedFrame:
         adapted = BasisedAlgebra(base.parent, u_vectors + complement)
         # the witness is a pair of the caller's rows, not of the adapted ones
         if _leaves_block(adapted, dim_u):
-            raise ClosureError(u.is_subalgebra(), closure_message)
+            raise ClosureError(u.is_subalgebra())
         self.dim_k = 0 if pair is None else pair.dim
         if _leaves_block(adapted, self.dim_k):
-            raise ClosureError(pair.is_subalgebra(), RELATIVE_CLOSURE)
+            raise ClosureError(pair.is_subalgebra())
         self.dim_u = dim_u
         self.codim = len(complement)
         self.complement = complement
@@ -884,8 +881,7 @@ def relative_ce_cohomology(acting, u: Subalgebra, module: GModule) -> Cohomology
     """H^k(acting, u; module): `AdaptedFrame.relative_cohomology` on the
     frame of the pair, graded by the torus of u (of the acting algebra
     when u = 0, where this is `ce_cohomology`)."""
-    frame = AdaptedFrame(basised(acting), u, closure_message=RELATIVE_CLOSURE)
-    return frame.relative_cohomology(module)
+    return AdaptedFrame(basised(acting), u).relative_cohomology(module)
 
 
 class BigradedComplex(CochainComplex):

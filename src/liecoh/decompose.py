@@ -24,14 +24,6 @@ from .scalars import _gauss
 from .subalgebra import Subalgebra
 
 
-class NotEllipticError(AlgebraError):
-    pass
-
-
-class NoIdealComplementError(AlgebraError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Kunneth convolution
 # ---------------------------------------------------------------------------
@@ -122,9 +114,7 @@ def default_inner_product(g: LieAlgebra) -> ExactMatrix:
     B = killing_form(g).scale(-1)
     r, _ = rank_kernel(B)
     if r != g.dim:
-        raise NoIdealComplementError(
-            "the Killing form is degenerate; supply an ad-invariant Gram matrix"
-        )
+        raise AlgebraError("the Killing form is degenerate; supply an ad-invariant Gram matrix")
     return B
 
 
@@ -144,13 +134,11 @@ def ideal_complement(g: LieAlgebra, h: Subalgebra, k_sub: Subalgebra, gram: Exac
         coeffs = ExactMatrix._of(len(kern), len(h_rows), kern)
         u = Subalgebra.span(g, coeffs.matmul(h.basis).row_list())
     if u.dim + k_sub.dim != h.dim or k_sub.sum_with(u).dim != h.dim:
-        raise NoIdealComplementError(
-            "orthocomplement of k in h is not a complement (degenerate restriction)"
-        )
+        raise AlgebraError("orthocomplement of k in h is not a complement (degenerate restriction)")
     for a, hv in enumerate(h_rows):
         for b, uv in enumerate(u.vectors()):
             if not u.contains(g.bracket(hv, uv)):
-                raise NoIdealComplementError(
+                raise AlgebraError(
                     f"orthocomplement is not an ideal in h: witness rows ({a}, {b})"
                 )
     return u
@@ -203,7 +191,7 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
     # one frame serves H^s(k) and every fiber, and checks the parent and closure
     frame = AdaptedFrame(g, h, pair=k_sub)
     if 2 * h.dim - k_sub.dim != g.dim:
-        raise NotEllipticError("full assembly requires an elliptic structure")
+        raise AlgebraError("full assembly requires an elliptic structure")
     if gram is None:
         gram = default_inner_product(g)
     else:

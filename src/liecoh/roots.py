@@ -22,28 +22,6 @@ from .scalars import GaussianRational, ZERO, format_scalar, value_key
 from .subalgebra import Subalgebra
 
 
-class NonAbelianTorusError(AlgebraError):
-    def __init__(self, witness):
-        super().__init__(f"torus is not abelian: bracket of basis rows {witness} is nonzero")
-        self.witness = witness
-
-
-class NonSplitActionError(AlgebraError):
-    def __init__(self, j: int, detail: str):
-        super().__init__(f"ad of torus generator {j} does not split over Q(i): {detail}")
-        self.generator = j
-
-
-class NonSemisimpleActionError(AlgebraError):
-    def __init__(self, j: int):
-        super().__init__(f"ad of torus generator {j} is not diagonalizable")
-        self.generator = j
-
-
-class GradingError(AlgebraError):
-    pass
-
-
 class RootDatum(namedtuple(
     "RootDatum", "algebra torus roots spaces zero_space torus_is_maximal notes"
 )):
@@ -88,15 +66,17 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
     for a in range(len(tv)):
         for b in range(a + 1, len(tv)):
             if not vec_is_zero(g.bracket(tv[a], tv[b])):
-                raise NonAbelianTorusError((a, b))
+                raise AlgebraError(
+                    f"torus is not abelian: bracket of basis rows ({a}, {b}) is nonzero")
     blocks = [((), [g.basis_vector(k) for k in range(g.dim)])]
     for j, tvec in enumerate(tv):
         try:
             blocks = refine_eigen(blocks, g.ad_matrix(tvec))
         except NonSplitError as exc:
-            raise NonSplitActionError(j, str(exc)) from exc
+            raise AlgebraError(
+                f"ad of torus generator {j} does not split over Q(i): {exc}") from exc
         if blocks is None:
-            raise NonSemisimpleActionError(j)
+            raise AlgebraError(f"ad of torus generator {j} is not diagonalizable")
     spaces = {}
     zero_key = tuple([ZERO] * len(tv))
     zero_space = Subalgebra.span(g, [])
@@ -111,7 +91,7 @@ def root_decomposition(g: LieAlgebra, t: Subalgebra) -> RootDatum:
     for alpha in roots:
         for x in alpha:
             if x.re_num != 0:  # a nonzero real part
-                raise GradingError(
+                raise AlgebraError(
                     f"root component {format_scalar(x)} is not purely imaginary; "
                     "the decomposition expects a compact real form"
                 )
@@ -152,7 +132,7 @@ def _verify_grading(g: LieAlgebra, roots, spaces, zero_space):
                     else:
                         ok = False
                     if not ok:
-                        raise GradingError(
+                        raise AlgebraError(
                             f"bracket of root spaces {format_root(alpha)} and {format_root(beta)} "
                             f"leaves the expected component"
                         )
@@ -263,7 +243,7 @@ def build_standard(rd: RootDatum, s: int, t: int, plus: PositiveSystem | None = 
     h = Subalgebra.span(g, vectors)
     witness = h.is_subalgebra()
     if witness is not None:
-        raise GradingError(f"standard structure is not bracket-closed: witness rows {witness}")
+        raise AlgebraError(f"standard structure is not bracket-closed: witness rows {witness}")
     predicted = {
         "elliptic": s + t == rank,
         "complex": s == 0 and t == rank,

@@ -85,14 +85,12 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    # -- rational views: re, im and norm are Fractions, re_num and the like ints
+    # -- rational views: re, im and norm are Fractions, re_num and im_num ints
 
     re = property(lambda self: _fraction(self._t[0], self._t[2]))
     im = property(lambda self: _fraction(self._t[1], self._t[2]))
     re_num = property(lambda self: self._t[0] // gcd(self._t[0], self._t[2]))
-    re_den = property(lambda self: self._t[2] // gcd(self._t[0], self._t[2]))
     im_num = property(lambda self: self._t[1] // gcd(self._t[1], self._t[2]))
-    im_den = property(lambda self: self._t[2] // gcd(self._t[1], self._t[2]))
 
     # -- predicates
 

@@ -270,10 +270,6 @@ class DivisorReport:
         }
 
 
-class InsufficientDepthError(TorusError):
-    pass
-
-
 def cf_enclosure(quotients):
     """Open interval containing every infinite expansion opening with these
     quotients: endpoints are the deepest convergent and the mediant with
@@ -302,7 +298,7 @@ def liouville_report(mu: MuSpec, depth: int) -> DivisorReport:
     digits than the interpreter converts to a string is a TorusError.
     """
     if depth < 1:
-        raise InsufficientDepthError("depth must be at least 1")
+        raise TorusError("depth must be at least 1")
     if mu.kind == "rational":
         quotients = tuple(rational_to_cf(mu.value))
         ps, qs = convergents(quotients)
@@ -320,7 +316,7 @@ def liouville_report(mu: MuSpec, depth: int) -> DivisorReport:
             ],
         )
     if len(mu.quotients) < depth + 1:
-        raise InsufficientDepthError(
+        raise TorusError(
             f"need at least depth+1 = {depth + 1} quotients, got {len(mu.quotients)}"
         )
     lo, hi, ps, qs = cf_enclosure(mu.quotients)
@@ -363,39 +359,28 @@ def liouville_report(mu: MuSpec, depth: int) -> DivisorReport:
         if all(holds[j] for j in range(j0, depth + 1)):
             tail_start = j0
             break
-    report_common = dict(
+    # the j-th divisor is ~ 1/q_{j+1}, so it has quadratic size exactly when
+    # the next quotient is small: certify a_{j+1} <= q_j where a_{j+1} is known
+    last = min(depth, len(mu.quotients) - 2)
+    if tail_start is not None:
+        verdict = VERDICT_LIOUVILLE
+        note = (f"certified |p_j - mu q_j| <= (p_j^2+q_j^2)^-j for all computed "
+                f"j >= {tail_start}; evidence only, not a proof")
+    elif last >= 1 and all(mu.quotients[j + 1] <= qs[j] for j in range(1, last + 1)):
+        verdict = VERDICT_DIOPHANTINE
+        note = ("partial quotients satisfy a_{j+1} <= q_j for every computed j, "
+                "certifying divisors of size ~ 1/q^2 (bounded-quotient "
+                "behaviour); evidence only, not a proof")
+    else:
+        verdict = VERDICT_INCONCLUSIVE
+        note = "neither the Liouville tail nor the bounded-quotient certificate applies"
+    return DivisorReport(
+        verdict=verdict,
         quotients=mu.quotients,
         convergents=list(zip(ps, qs)),
         depth=depth,
         entries=entries,
         enclosure=(lo, hi),
-    )
-    if tail_start is not None:
-        return DivisorReport(
-            verdict=VERDICT_LIOUVILLE,
-            tail_start=tail_start,
-            notes=[
-                f"certified |p_j - mu q_j| <= (p_j^2+q_j^2)^-j for all computed "
-                f"j >= {tail_start}; evidence only, not a proof",
-            ],
-            **report_common,
-        )
-    # the j-th divisor is ~ 1/q_{j+1}, so it has quadratic size exactly when
-    # the next quotient is small: certify a_{j+1} <= q_j where a_{j+1} is known
-    last = min(depth, len(mu.quotients) - 2)
-    bounded = last >= 1 and all(mu.quotients[j + 1] <= qs[j] for j in range(1, last + 1))
-    if bounded:
-        return DivisorReport(
-            verdict=VERDICT_DIOPHANTINE,
-            notes=[
-                "partial quotients satisfy a_{j+1} <= q_j for every computed j, "
-                "certifying divisors of size ~ 1/q^2 (bounded-quotient "
-                "behaviour); evidence only, not a proof",
-            ],
-            **report_common,
-        )
-    return DivisorReport(
-        verdict=VERDICT_INCONCLUSIVE,
-        notes=["neither the Liouville tail nor the bounded-quotient certificate applies"],
-        **report_common,
+        tail_start=tail_start,
+        notes=[note],
     )

@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from liecoh.algebra import Subalgebra, parse_span, su2, su3, torus
+from liecoh.algebra import AlgebraError, Subalgebra, parse_span, su2, su3, torus
 from liecoh.classify import (
     BctReport,
     BctSample,
     ClassificationReport,
-    NotCharacteristicError,
     VERDICT_BCT,
     VERDICT_ELLIPTIC,
     VERDICT_INCONCLUSIVE,
@@ -170,11 +169,11 @@ def test_levi_is_exactly_hermitian():
 def test_levi_rejects_non_characteristic():
     g = su2()
     h = parse_span("span{X-iY}", g)
-    with pytest.raises(NotCharacteristicError):
+    with pytest.raises(AlgebraError, match="^covector does not annihilate the subalgebra$"):
         levi_form(g, h, [Q(0), Q(1), Q(0)])  # does not annihilate L
-    with pytest.raises(NotCharacteristicError):
+    with pytest.raises(AlgebraError, match="^characteristic covector must be nonzero$"):
         levi_form(g, h, [Q(0), Q(0), Q(0)])
-    with pytest.raises(NotCharacteristicError):
+    with pytest.raises(AlgebraError, match="^characteristic covectors are real$"):
         levi_form(g, h, [Q(0, 1), Q(0), Q(0)])  # not real
 
 

@@ -558,7 +558,7 @@ def test_poly_linear_roots_matches_per_deflation_oracle_seeded():
 def reference_gaussian_divisors(z):
     """The divisor search that tries each candidate d by the Gaussian
     rational division z / d."""
-    if z.re_den != 1 or z.im_den != 1:
+    if z.re.denominator != 1 or z.im.denominator != 1:
         raise ValueError("divisor enumeration needs a Gaussian integer")
     found = set()
     for m in linalg._integer_divisors(int(z.norm())):
@@ -571,7 +571,7 @@ def reference_gaussian_divisors(z):
                 d = Q(*cand)
                 if d.is_zero() or cand in found:
                     continue
-                if (z / d).re_den == (z / d).im_den == 1:
+                if (z / d).re.denominator == (z / d).im.denominator == 1:
                     found.add(cand)
     return [Q(a, b) for a, b in sorted(found)]
 

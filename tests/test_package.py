@@ -2,6 +2,7 @@
 and importing the package loads no submodule."""
 
 import ast
+import builtins
 import importlib
 import inspect
 import json
@@ -97,6 +98,34 @@ def test_input_errors_share_one_base():
     for error in errors + [TorusError]:
         assert issubclass(error, InputError)
     assert issubclass(InputError, ValueError)
+
+
+def test_exception_classes_are_the_families():
+    # a refusal is told apart by its message, not by its class: the package
+    # defines only the exported errors, the families that some caller
+    # catches by type, and the CLI's own Failure
+    defined = {}
+    for path, tree in package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
+                defined[node.name] = (str(path), bases)
+    builtin = {n for n, v in vars(builtins).items()
+               if isinstance(v, type) and issubclass(v, BaseException)}
+    errors = set()
+    while True:
+        found = {name for name, (_, bases) in defined.items()
+                 if any(b in errors or b in builtin for b in bases)}
+        if found == errors:
+            break
+        errors = found
+    families = {
+        "InputError", "ScalarParseError", "AlgebraError", "ParentMismatchError", "ClosureError",
+        "NonHermitianError", "NonSplitError", "TorusError", "PositiveSystemError", "Failure",
+    }
+    assert errors == families, "\n".join(
+        ["exception classes beyond the families:"]
+        + sorted(f"{defined[name][0]} {name}" for name in errors - families))
 
 
 def test_bare_import_loads_no_submodule():
@@ -297,15 +326,20 @@ def test_only_scalars_reads_the_private_triple():
 
 def public_functions(tree):
     """(name, line) for every public function at module level and every
-    public method of a public class; a private class's methods are not
-    public, whatever their names."""
+    public method or `name = property(...)` of a public class; a private
+    class's methods are not public, whatever their names."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             found.append((node.name, node.lineno))
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            found.extend((f"{node.name}.{item.name}", item.lineno) for item in node.body
-                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found.append((f"{node.name}.{item.name}", item.lineno))
+                elif (isinstance(item, ast.Assign) and isinstance(item.value, ast.Call)
+                      and getattr(item.value.func, "id", None) == "property"):
+                    found.extend((f"{node.name}.{t.id}", item.lineno) for t in item.targets
+                                 if isinstance(t, ast.Name))
     return [(n, line) for n, line in found if not n.rpartition(".")[2].startswith("_")]
 
 

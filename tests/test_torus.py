@@ -8,7 +8,6 @@ import pytest
 from liecoh.scalars import GaussianRational as Q
 from liecoh.torus import (
     FourierData,
-    InsufficientDepthError,
     LATTICE_LIMIT,
     MuSpec,
     TorusError,
@@ -257,9 +256,9 @@ def test_middling_growth_is_inconclusive():
 
 
 def test_insufficient_depth():
-    with pytest.raises(InsufficientDepthError):
+    with pytest.raises(TorusError, match=r"^need at least depth\+1 = 6 quotients, got 3$"):
         liouville_report(MuSpec.from_cf([1, 1, 1]), 5)
-    with pytest.raises(InsufficientDepthError):
+    with pytest.raises(TorusError, match="^depth must be at least 1$"):
         liouville_report(MuSpec.from_cf([1, 1, 1]), 0)
 
 
