@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "scalars": ("GaussianRational", "InputError", "ScalarParseError", "format_scalar", "parse_scalar"),
+    "matrix": ("ExactMatrix",),
     "linalg": (
         "EigenSplit",
-        "ExactMatrix",
         "Inertia",
         "NonHermitianError",
         "NonSplitError",
@@ -53,11 +53,10 @@ _EXPORTS = {
         "positive_system",
         "root_decomposition",
     ),
+    "cochains": ("CohomologyTable", "GModule"),
     "cohomology": (
         "BigradedComplex",
         "CochainComplex",
-        "CohomologyTable",
-        "GModule",
         "bigraded_cohomology",
         "bigraded_complex",
         "ce_cohomology",

@@ -117,7 +117,7 @@ class LieAlgebra:
 
     def ad_matrix(self, v) -> ExactMatrix:
         """Matrix of ad_v = [v, .] in the algebra basis (columns are images)."""
-        from .linalg import ExactMatrix
+        from .matrix import ExactMatrix
 
         cols = [self.bracket(v, self.basis_vector(k)) for k in range(self.dim)]
         return ExactMatrix.from_rows(

@@ -30,16 +30,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import AlgebraError, LieAlgebra
-from .linalg import (
-    ExactMatrix,
-    as_scalar,
-    hermitian_inertia,
-    rank_kernel,
-    rref,
-    vec_conj,
-    vec_dot,
-    vec_is_zero,
-)
+from .linalg import as_scalar, hermitian_inertia, rank_kernel, rref
+from .matrix import ExactMatrix, vec_conj, vec_dot, vec_is_zero
 from .scalars import _gauss, format_scalar, integer_form
 from .subalgebra import Subalgebra
 

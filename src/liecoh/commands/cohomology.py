@@ -35,7 +35,7 @@ def add_arguments(p):
 def _load_module(spec: str, acting) -> GModule:
     from ..algebra import LieAlgebra
     from ..cohomology import GModule
-    from ..linalg import ExactMatrix
+    from ..matrix import ExactMatrix
     from ..scalars import InputError, json_int
 
     if spec == "trivial":

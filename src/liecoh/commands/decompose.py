@@ -27,7 +27,7 @@ def add_arguments(p):
 
 def run(args) -> int:
     from ..decompose import full_assembly
-    from ..linalg import ExactMatrix
+    from ..matrix import ExactMatrix
     from ..scalars import InputError
 
     g = load_algebra(args.algebra) if args.algebra else None

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from .algebra import AlgebraError, LieAlgebra
 from .cohomology import AdaptedFrame, CohomologyTable
-from .linalg import ExactMatrix, rank_kernel, vec_conj, vec_dot
+from .linalg import rank_kernel
+from .matrix import ExactMatrix, vec_conj, vec_dot
 from .scalars import _gauss
 from .subalgebra import Subalgebra
 

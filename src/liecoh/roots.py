@@ -17,7 +17,8 @@ from collections import namedtuple
 
 from .algebra import AlgebraError, LieAlgebra
 from .classify import classify_structure
-from .linalg import NonSplitError, as_scalar, refine_eigen, vec_is_zero
+from .linalg import NonSplitError, as_scalar, refine_eigen
+from .matrix import vec_is_zero
 from .scalars import GaussianRational, ZERO, format_scalar, value_key
 from .subalgebra import Subalgebra
 
@@ -221,7 +222,9 @@ def build_standard(rd: RootDatum, s: int, t: int, plus: PositiveSystem | None = 
     s = 0 and t = rank, CR iff s = 0, essentially real iff t = 0 and
     there are no roots; the prediction is cross-checked exactly.  The
     record holds h, the positive system and both classifications; the
-    caller already has s and t.
+    caller already has s and t.  h is bracket-closed for every
+    `positive_system`; a hand-built `plus` that is not closed under
+    addition raises AssertionError.
     """
     g = rd.algebra
     rank = rd.torus.dim
@@ -241,9 +244,14 @@ def build_standard(rd: RootDatum, s: int, t: int, plus: PositiveSystem | None = 
     for alpha in plus.positive_roots:
         vectors.extend(rd.spaces[alpha].vectors())
     h = Subalgebra.span(g, vectors)
+    # u is abelian, [t, g_alpha] lies in g_alpha, root_decomposition has
+    # checked [g_alpha, g_beta] in g_{alpha+beta}, and positive_system
+    # refuses a system not closed under addition: h is closed unless a
+    # caller built `plus` by hand
     witness = h.is_subalgebra()
     if witness is not None:
-        raise AlgebraError(f"standard structure is not bracket-closed: witness rows {witness}")
+        raise AssertionError(f"standard structure is not bracket-closed (witness rows {witness}): "
+                             "the positive system is not closed under addition")
     predicted = {
         "elliptic": s + t == rank,
         "complex": s == 0 and t == rank,

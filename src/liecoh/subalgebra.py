@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import AlgebraError, LieAlgebra, ParentMismatchError
-from .linalg import ExactMatrix, vec_conj, vec_is_zero
+from .matrix import ExactMatrix, vec_conj, vec_is_zero
 from .scalars import InputError, ScalarParseError, ZERO, as_scalar, format_scalar, parse_scalar
 
 

@@ -8,7 +8,8 @@ from math import comb
 
 from liecoh.algebra import Subalgebra, parse_span, su2
 from liecoh.cohomology import bigraded_cohomology
-from liecoh.linalg import ExactMatrix, hermitian_inertia, rank_kernel, vec_is_zero
+from liecoh.linalg import ExactMatrix, hermitian_inertia, rank_kernel
+from liecoh.matrix import vec_is_zero
 from liecoh.scalars import GaussianRational as Q
 
 from conftest import (

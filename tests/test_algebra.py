@@ -17,7 +17,8 @@ from liecoh.algebra import (
     su3,
     torus,
 )
-from liecoh.linalg import ExactMatrix, solve_linear, vec_is_zero
+from liecoh.linalg import ExactMatrix, solve_linear
+from liecoh.matrix import vec_is_zero
 from liecoh.scalars import GaussianRational as Q
 
 from conftest import bracket_coeffs, scalars, signed_permutation, single_entry_perturbations

@@ -15,7 +15,8 @@ from liecoh.classify import (
     classify_structure,
     levi_form,
 )
-from liecoh.linalg import ExactMatrix, hermitian_inertia, rank_kernel, rref, vec_dot
+from liecoh.linalg import ExactMatrix, hermitian_inertia, rank_kernel, rref
+from liecoh.matrix import vec_dot
 from liecoh.scalars import GaussianRational as Q
 
 from property_suites import _algebra_subalgebra_cases

@@ -1,9 +1,11 @@
+import json
 import random
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from liecoh.algebra import ClosureError, Subalgebra, parse_span, su2, su3, torus
+from liecoh.algebra import ClosureError, LieAlgebra, Subalgebra, parse_span, su2, su3, torus
 import liecoh.cohomology as cohomology
 from liecoh.cohomology import (
     AdaptedFrame,
@@ -21,9 +23,10 @@ from liecoh.decompose import (
     kunneth_assemble,
     validate_ad_invariant,
 )
-from liecoh.linalg import ExactMatrix, vec_dot
+from liecoh.linalg import ExactMatrix
+from liecoh.matrix import vec_dot
 from liecoh.roots import build_standard, root_decomposition
-from liecoh.scalars import GaussianRational as Q
+from liecoh.scalars import GaussianRational as Q, parse_scalar
 
 from conftest import (
     brute_force_quotient_actions,
@@ -36,6 +39,8 @@ from conftest import (
     two_step_nilpotent,
 )
 from property_suites import _algebra_subalgebra_cases
+
+FIXTURES = Path(__file__).with_name("fixtures")
 
 
 # -- Lambda^p(g/u)^* as blocks of d --------------------------------------------------
@@ -354,6 +359,33 @@ def test_torus_assembly_with_user_gram():
     assert report.table_dual.dims[(1, 1)] == 1
     big = bigraded_cohomology(g, h)
     assert report.table_dual.dims == {k: v for k, v in big.dims.items()}
+
+
+def test_zero_gram_is_a_degenerate_restriction():
+    # the zero form is ad-invariant, and every vector of h is orthogonal
+    # to k under it, so the orthocomplement is all of h
+    g = su2()
+    gram = ExactMatrix.zero(3, 3)
+    assert validate_ad_invariant(g, gram) is None
+    with pytest.raises(AlgebraError, match=r"^orthocomplement of k in h is not a complement "
+                                           r"\(degenerate restriction\)$"):
+        full_assembly(g, parse_span("span{T, X-iY}", g), gram=gram)
+
+
+def test_orthocomplement_that_is_not_an_ideal_is_refused():
+    # H acts by +1 on A, B and by -1 on P, Q, and [A, P] = C = -[B, Q].
+    # The form pairs H with C, A with P and B with Q (sign -1); it is
+    # ad-invariant, and h = span{H, C, A+iB, P+iQ} is elliptic with
+    # k = span{H, C}.  Its orthocomplement u = span{A+iB, P+iQ} complements
+    # k, but [A+iB, P+iQ] = 2C lies in k, so u is not an ideal of h.
+    g = LieAlgebra.from_json_dict(json.loads((FIXTURES / "oscillator-hyperbolic.json").read_text()))
+    rows = json.loads((FIXTURES / "oscillator-hyperbolic-gram.json").read_text())["matrix"]
+    gram = ExactMatrix.from_rows([[parse_scalar(x) for x in row] for row in rows])
+    assert g.validate() is None and validate_ad_invariant(g, gram) is None
+    h = parse_span("span{H, C, A+iB, P+iQ}", g)
+    with pytest.raises(AlgebraError,
+                       match=r"^orthocomplement is not an ideal in h: witness rows \(2, 1\)$"):
+        full_assembly(g, h, gram=gram)
 
 
 # -- full assembly --------------------------------------------------------------------

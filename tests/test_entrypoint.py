@@ -17,7 +17,7 @@ SU2_ELLIPTIC = "span{T, X-iY}"
 COMMON = {"liecoh", "liecoh.scalars"}
 # loading an algebra compiles neither linalg nor the subspace module
 ALGEBRA = COMMON | {"liecoh.algebra"}
-SUBSPACES = {"liecoh.linalg", "liecoh.subalgebra"}
+SUBSPACES = {"liecoh.matrix", "liecoh.linalg", "liecoh.subalgebra"}
 
 
 def command(name):
@@ -28,11 +28,13 @@ def command(name):
 
 # plain and module cohomology, with or without representatives, load the
 # cochain engine but no subspace module and no other command's module
-PLAIN = ALGEBRA | command("cohomology") | {"liecoh.linalg", "liecoh.cohomology"}
+PLAIN = ALGEBRA | command("cohomology") | {
+    "liecoh.matrix", "liecoh.linalg", "liecoh.cochains", "liecoh.cohomology"}
 # relative and bigraded cohomology read a subalgebra as well
-BIGRADED = ALGEBRA | SUBSPACES | command("cohomology") | {"liecoh.cohomology"}
+BIGRADED = ALGEBRA | SUBSPACES | command("cohomology") | {"liecoh.cochains", "liecoh.cohomology"}
 # the assembly reads ellipticity off dimensions and does not load classify
-DECOMPOSE = ALGEBRA | SUBSPACES | command("decompose") | {"liecoh.cohomology", "liecoh.decompose"}
+DECOMPOSE = ALGEBRA | SUBSPACES | command("decompose") | {
+    "liecoh.cochains", "liecoh.cohomology", "liecoh.decompose"}
 
 # modules imported under their own names, by test id; liecoh.cli itself
 # runs as __main__

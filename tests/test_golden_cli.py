@@ -37,6 +37,16 @@ GRAM = "fixtures/torus2-identity-gram.json"
 JORDAN = "fixtures/torus2-jordan-module.json"
 # a subalgebra file whose inline algebra is abelian, named "other"
 OTHER = "fixtures/su2-subalgebra-other-algebra.json"
+# the zero matrix, an ad-invariant form of su2 under which every vector
+# of h is orthogonal to k
+ZERO_GRAM = "fixtures/su2-zero-gram.json"
+# a solvable algebra, H acting by +1 on A, B and by -1 on P, Q with
+# [A, P] = C = -[B, Q], and an ad-invariant form pairing A+iB with P+iQ:
+# the orthocomplement of k = span{H, C} in OSCILLATOR_H complements it
+# but is not an ideal
+OSCILLATOR = "fixtures/oscillator-hyperbolic.json"
+OSCILLATOR_GRAM = "fixtures/oscillator-hyperbolic-gram.json"
+OSCILLATOR_H = "span{H, C, A+iB, P+iQ}"
 
 COMMANDS = {
     "bigraded-su3-cr-reps": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", CR,
@@ -68,6 +78,10 @@ COMMANDS = {
                               "span{D1-iD2}", "--inner-product", GRAM],
     "decompose-su2-not-closed": ["decompose", "--algebra", "builtin:su2", "--subalgebra",
                                  "span{X-iY, T+iX}"],
+    "decompose-su2-zero-gram": ["decompose", "--algebra", "builtin:su2", "--subalgebra",
+                                "span{T, X-iY}", "--inner-product", ZERO_GRAM],
+    "decompose-oscillator-not-ideal": ["decompose", "--algebra", OSCILLATOR, "--subalgebra",
+                                       OSCILLATOR_H, "--inner-product", OSCILLATOR_GRAM],
     "classify-su3-cr": ["classify", "--algebra", "builtin:su3", "--subalgebra", CR, "--json"],
     "classify-su3-levi": ["classify", "--algebra", "builtin:su3", "--subalgebra", LEVI, "--json"],
     "classify-su2-cr": ["classify", "--algebra", "builtin:su2", "--subalgebra", "span{X-iY}"],

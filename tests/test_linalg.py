@@ -23,8 +23,8 @@ from liecoh.linalg import (
     rref,
     solve_linear,
     split_eigen,
-    vec_is_zero,
 )
+from liecoh.matrix import vec_is_zero
 from liecoh.scalars import GaussianRational as Q, InputError, integer_form, value_key
 
 from conftest import gauss_integers, random_invertible, rect_matrices, square_matrices

@@ -382,3 +382,21 @@ def test_every_record_field_is_read():
     unread = [f"{path}:{line} {field}" for path, tree in trees.items()
               for field, line in record_fields(tree) if field.rpartition(".")[2] not in read]
     assert not unread, "\n".join(["record fields read by nothing:"] + unread)
+
+
+# the most syntax-tree nodes one module of the package may parse to
+MAX_COMPILE_NODES = 4000
+
+
+def test_no_module_is_a_large_compile_unit():
+    """A query child runs from source: it compiles every module it
+    imports, and the compiler's peak memory grows with the syntax tree of
+    the one module it is compiling.  So a from-source query's peak RSS
+    (VmHWM) follows its largest compile units, and a module past this size
+    raises it for every query that loads it.  `cohomology.py` at 6637
+    nodes and `linalg.py` at 5764 were split into `cochains.py` and
+    `matrix.py` for this.  The count is `ast.walk` over the parsed source,
+    so it is the same on every run."""
+    sizes = {str(path): sum(1 for _ in ast.walk(tree)) for path, tree in package_trees().items()}
+    large = sorted(f"{path} {n}" for path, n in sizes.items() if n > MAX_COMPILE_NODES)
+    assert not large, "\n".join([f"modules of more than {MAX_COMPILE_NODES} nodes:"] + large)

@@ -4,6 +4,7 @@ from liecoh.algebra import LieAlgebra, Subalgebra, parse_span, su2, su3, torus
 from liecoh.linalg import NonSplitError
 from liecoh.roots import (
     AlgebraError,
+    PositiveSystem,
     PositiveSystemError,
     build_standard,
     positive_system,
@@ -117,6 +118,17 @@ def test_nonsplit_action_rejected():
     with pytest.raises(AlgebraError, match=message) as refused:
         root_decomposition(g, parse_span("span{T}", g))
     assert isinstance(refused.value.__cause__, NonSplitError)
+
+
+def test_grading_leak_needs_a_table_that_fails_jacobi():
+    # [X, Y] = X breaks Jacobi, so ad T is no derivation: [g_-i, g_i]
+    # reaches X, outside the centralizer span{T}.  With Jacobi, which every
+    # command checks first, the bracket always lands in g_{alpha+beta}.
+    g = LieAlgebra("leaky", ("T", "X", "Y"), {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {1: 1}})
+    assert g.validate() == (0, 1, 2)
+    with pytest.raises(AlgebraError, match=r"^bracket of root spaces \(-i\) and \(i\) "
+                                           r"leaves the expected component$"):
+        root_decomposition(g, parse_span("span{T}", g))
 
 
 def test_nondiagonalizable_action_rejected():
@@ -251,3 +263,18 @@ def test_standard_output_is_closed():
     for s, t in [(0, 0), (1, 0), (2, 0), (0, 2)]:
         st = build_standard(rd, s, t)
         assert st.subalgebra.is_subalgebra() is None
+
+
+
+def test_standard_closure_is_an_invariant():
+    # (2i, 0) + (-i, 3i) = (i, 3i) is a root left out: positive_system
+    # refuses this choice, so only a hand-built PositiveSystem opens h
+    g = su3()
+    rd = root_decomposition(g, parse_span("span{T1, T2}", g))
+    roots = (imag_tuple(2, 0), imag_tuple(-1, 3), imag_tuple(-1, -3))
+    with pytest.raises(PositiveSystemError):
+        positive_system(rd, override=list(roots))
+    with pytest.raises(AssertionError, match=r"^standard structure is not bracket-closed "
+                                             r"\(witness rows \(2, 3\)\): the positive system "
+                                             r"is not closed under addition$"):
+        build_standard(rd, 2, 0, PositiveSystem(roots))

@@ -7,6 +7,8 @@ test suite rather than at the next traced benchmark run.  The classify
 test also pins how often the Levi form, the characteristic space and the
 real elimination behind both are formed per query."""
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -130,3 +132,52 @@ def test_tracer_resolves_every_target_before_subalgebra_is_loaded():
     # the span of h and its elimination, which subalgebra reads on linalg
     assert {"cli.main", "cohomology.ce_cohomology", "cohomology.bigraded_cohomology",
             "cohomology.verify", "algebra.Subalgebra.span", "linalg.rref"} <= set(result["names"])
+
+
+
+# The names bench/spans.py wraps in each of its MODULES: the public
+# functions defined there, less its LEAF_HELPERS.  Recorded before the
+# matrix types and the cochain data moved to liecoh.matrix and
+# liecoh.cochains, which moved none of them; a rename or a move out of
+# these modules would drop a span from the trace.
+TRACED = [
+    "algebra.builtin_algebra", "algebra.su2", "algebra.su3", "algebra.torus",
+    "classify.bct_check", "classify.characteristic_space", "classify.classify_structure",
+    "classify.levi_form",
+    "cohomology.bigraded_cohomology", "cohomology.bigraded_complex", "cohomology.ce_cohomology",
+    "cohomology.ce_complex", "cohomology.ce_differential", "cohomology.extend_to_complement",
+    "cohomology.relative_ce_cohomology", "cohomology.weight_zero_cells",
+    "decompose.bott_dolbeault", "decompose.default_inner_product", "decompose.full_assembly",
+    "decompose.ideal_complement", "decompose.killing_form", "decompose.kunneth_assemble",
+    "decompose.validate_ad_invariant",
+    "linalg.char_poly", "linalg.hermitian_inertia", "linalg.poly_linear_roots",
+    "linalg.rank_kernel", "linalg.refine_eigen", "linalg.rref", "linalg.solve_linear",
+    "linalg.split_eigen",
+    "roots.build_standard", "roots.format_root", "roots.positive_system",
+    "roots.root_decomposition",
+    "torus.apply_operator", "torus.cf_enclosure", "torus.convergents", "torus.liouville_report",
+    "torus.rational_to_cf", "torus.singular_lattice", "torus.solve_dprime",
+]
+
+
+def test_tracer_wraps_the_recorded_names(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+
+    wrapped = sorted(
+        f"{short}.{attr}" for short in spans.MODULES
+        for attr, fn in inspect.getmembers(importlib.import_module(f"liecoh.{short}"),
+                                           inspect.isfunction)
+        if fn.__module__ == f"liecoh.{short}" and not attr.startswith("_")
+        and attr not in spans.LEAF_HELPERS.get(short, ())
+    )
+    assert wrapped == TRACED
+    # each listed method is found on the class its module binds
+    for short, cls_name, attr, _ in spans.METHODS:
+        raw = getattr(importlib.import_module(f"liecoh.{short}"), cls_name).__dict__[attr]
+        assert inspect.isfunction(getattr(raw, "__func__", raw)), (short, cls_name, attr)
+    # a counted function is wrapped where its module's callers look it up,
+    # so it must be defined in that module
+    for short, attr in spans.COUNT_ONLY:
+        fn = getattr(importlib.import_module(f"liecoh.{short}"), attr)
+        assert inspect.isfunction(fn) and fn.__module__ == f"liecoh.{short}", (short, attr)
