@@ -14,8 +14,9 @@ by `_reduced_echelon` and by the cochain representatives.  Kernels,
 solutions and RREF are reads of one reduced echelon form R: the kernel
 vector of a free column f has 1 at f and -R[r][f] at the pivot of row r
 (`rank_kernel`), and the solutions of M x = b are the appended columns
-of the RREF of [M | b] (`solve_linear`).  The cochain engine hands its
-`matrix.ScaledIntMatrix` rows to `_bareiss_echelon` directly.
+of the RREF of [M | b] (`solve_linear`).  The cochain engine eliminates
+its `matrix.ScaledIntMatrix` differentials with `_bareiss_echelon`
+directly, on their dense integer rows (`echelon_rows`).
 
 Every division is exact, and each is checked:
 
