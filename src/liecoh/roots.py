@@ -223,8 +223,9 @@ def build_standard(rd: RootDatum, s: int, t: int, plus: PositiveSystem | None = 
     there are no roots; the prediction is cross-checked exactly.  The
     record holds h, the positive system and both classifications; the
     caller already has s and t.  h is bracket-closed for every
-    `positive_system`; a hand-built `plus` that is not closed under
-    addition raises AssertionError.
+    `positive_system`; a hand-built `plus` that breaks the
+    `PositiveSystem` invariant (one root of each +/- pair, closed under
+    addition) can open it, which raises AssertionError.
     """
     g = rd.algebra
     rank = rd.torus.dim
@@ -246,12 +247,12 @@ def build_standard(rd: RootDatum, s: int, t: int, plus: PositiveSystem | None = 
     h = Subalgebra.span(g, vectors)
     # u is abelian, [t, g_alpha] lies in g_alpha, root_decomposition has
     # checked [g_alpha, g_beta] in g_{alpha+beta}, and positive_system
-    # refuses a system not closed under addition: h is closed unless a
-    # caller built `plus` by hand
+    # returns one root of each +/- pair, closed under addition: h is
+    # closed unless a caller built `plus` by hand
     witness = h.is_subalgebra()
     if witness is not None:
         raise AssertionError(f"standard structure is not bracket-closed (witness rows {witness}): "
-                             "the positive system is not closed under addition")
+                             "the positive system is not one root of each +/- pair closed under addition")
     predicted = {
         "elliptic": s + t == rank,
         "complex": s == 0 and t == rank,

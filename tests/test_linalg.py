@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecoh import cohomology, linalg
+from liecoh import cohomology, linalg, matrix
 from liecoh.linalg import (
     ExactMatrix,
     ScaledIntMatrix,
@@ -312,7 +312,9 @@ def test_internal_results_are_not_coerced_and_public_constructors_reject_floats(
     M = ExactMatrix.from_rows([[Q(Fraction(1, 2)), Q(0, 1)], [Q(3), Q(0, -1)]])
     calls = []
     real = linalg.as_scalar
-    monkeypatch.setattr(linalg, "as_scalar", lambda x: calls.append(x) or real(x))
+    # the matrix methods look the coercion up in liecoh.matrix, rref in liecoh.linalg
+    for module in (matrix, linalg):
+        monkeypatch.setattr(module, "as_scalar", lambda x: calls.append(x) or real(x))
     product, transposed, conjugated = M.matmul(M), M.transpose(), M.conj()
     round_trip = ScaledIntMatrix.from_exact(M).to_exact()
     others = [M + M, M - M, rref(M)[0], ExactMatrix.identity(2), ExactMatrix.zero(2, 2)]

@@ -20,6 +20,9 @@ import liecoh
 # them, because `liecoh.torus` always names the submodule
 EXPORTED = {
     "scalars": ["GaussianRational", "ScalarParseError", "format_scalar", "parse_scalar"],
+    "matrix": ["ExactMatrix"],
+    # ExactMatrix is defined in liecoh.matrix; linalg still binds it, as
+    # the same object
     "linalg": [
         "EigenSplit", "ExactMatrix", "Inertia", "NonHermitianError", "NonSplitError",
         "char_poly", "hermitian_inertia", "rank_kernel", "solve_linear", "split_eigen",
@@ -39,6 +42,9 @@ EXPORTED = {
         "PositiveSystem", "RootDatum", "StandardStructure", "build_standard",
         "positive_system", "root_decomposition",
     ],
+    "cochains": ["CohomologyTable", "GModule"],
+    # CohomologyTable and GModule are defined in liecoh.cochains; the
+    # cohomology module still binds them, as the same objects
     "cohomology": [
         "BigradedComplex", "CochainComplex", "CohomologyTable", "GModule",
         "bigraded_cohomology", "bigraded_complex", "ce_cohomology", "ce_complex",
@@ -53,8 +59,8 @@ EXPORTED = {
         "solve_dprime",
     ],
 }
-SUBMODULES = ["scalars", "linalg", "algebra", "subalgebra", "classify", "roots", "cohomology",
-              "decompose", "torus", "cli"]
+SUBMODULES = ["scalars", "matrix", "linalg", "algebra", "subalgebra", "classify", "roots",
+              "cochains", "cohomology", "decompose", "torus", "cli"]
 
 
 def run_fresh(code: str) -> str:

@@ -276,5 +276,6 @@ def test_standard_closure_is_an_invariant():
         positive_system(rd, override=list(roots))
     with pytest.raises(AssertionError, match=r"^standard structure is not bracket-closed "
                                              r"\(witness rows \(2, 3\)\): the positive system "
-                                             r"is not closed under addition$"):
+                                             r"is not one root of each \+/- pair closed under "
+                                             r"addition$"):
         build_standard(rd, 2, 0, PositiveSystem(roots))

@@ -135,8 +135,8 @@ def test_tracer_resolves_every_target_before_subalgebra_is_loaded():
 
 
 
-# The names bench/spans.py wraps in each of its MODULES: the public
-# functions defined there, less its LEAF_HELPERS.  Recorded before the
+# The names bench/spans.py wraps as spans in each of its MODULES: the
+# public functions defined there, less its LEAF_HELPERS.  Recorded before the
 # matrix types and the cochain data moved to liecoh.matrix and
 # liecoh.cochains, which moved none of them; a rename or a move out of
 # these modules would drop a span from the trace.
@@ -164,20 +164,15 @@ def test_tracer_wraps_the_recorded_names(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import spans
 
-    wrapped = sorted(
-        f"{short}.{attr}" for short in spans.MODULES
-        for attr, fn in inspect.getmembers(importlib.import_module(f"liecoh.{short}"),
-                                           inspect.isfunction)
-        if fn.__module__ == f"liecoh.{short}" and not attr.startswith("_")
-        and attr not in spans.LEAF_HELPERS.get(short, ())
-    )
-    assert wrapped == TRACED
-    # each listed method is found on the class its module binds
-    for short, cls_name, attr, _ in spans.METHODS:
-        raw = getattr(importlib.import_module(f"liecoh.{short}"), cls_name).__dict__[attr]
-        assert inspect.isfunction(getattr(raw, "__func__", raw)), (short, cls_name, attr)
-    # a counted function is wrapped where its module's callers look it up,
-    # so it must be defined in that module
-    for short, attr in spans.COUNT_ONLY:
-        fn = getattr(importlib.import_module(f"liecoh.{short}"), attr)
-        assert inspect.isfunction(fn) and fn.__module__ == f"liecoh.{short}", (short, attr)
+    # read off what the installed tracer replaced: a module's own
+    # functions, not the names it imports from the others.  A counted
+    # function is wrapped where its module's callers look it up, so it
+    # is listed only if that module defines it
+    modules = {short: importlib.import_module(f"liecoh.{short}") for short in spans.MODULES}
+    with spans.Tracer().installed():
+        wrapped = sorted(
+            f"{short}.{attr}" for short, mod in modules.items()
+            for attr, value in vars(mod).items()
+            if hasattr(value, "__wrapped__") and value.__wrapped__.__module__ == mod.__name__
+        )
+    assert wrapped == sorted(TRACED + [f"{short}.{attr}" for short, attr in spans.COUNT_ONLY])
