@@ -1,4 +1,8 @@
+import argparse
+import importlib
 import json
+import random
+import sys
 
 import pytest
 
@@ -612,8 +616,84 @@ def test_json_output_is_deterministic(capsys):
 
 
 def test_help_exits_zero(capsys):
-    assert main(["--help"]) == EX_OK
-    assert main(["cohomology", "--help"]) == EX_OK
+    # the top level prints the module docstring and each command's line;
+    # a command prints its usage and each argument with its help
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (EX_OK, "")
+    assert out.startswith("usage: liecoh [-h]\n") and cli.__doc__ in out
+    for name in cli.COMMANDS:
+        module = importlib.import_module(f"liecoh.commands.{name.replace('-', '_')}")
+        assert f"  {name} " in out and module.HELP in out
+    code, out, err = run(capsys, "cohomology", "--help")
+    assert (code, err) == (EX_OK, "")
+    assert out.startswith("usage: liecoh cohomology [-h] [--algebra ALGEBRA]")
+    assert "  -h, --help " in out and "show this help message and exit" in out
+    assert "  --module MODULE " in out and "trivial | adjoint | module JSON file" in out
+
+
+class ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error [E_USAGE] {message}\n")
+        raise SystemExit(EX_USAGE)
+
+
+def reference_parser(run_command):
+    """The argparse parser of all six commands, built from their
+    add_arguments, that liecoh.cli used before it read the command line
+    itself; every command's func is `run_command`."""
+    parser = ReferenceParser(prog="liecoh", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=ReferenceParser)
+    for name in cli.COMMANDS:
+        module = importlib.import_module(f"liecoh.commands.{name.replace('-', '_')}")
+        p = sub.add_parser(name, help=module.HELP)
+        module.add_arguments(p)
+        p.set_defaults(func=run_command)
+    return parser
+
+
+@pytest.fixture
+def parsers(monkeypatch):
+    """(a parse through main, a parse through the reference parser), each
+    giving (exit code, stdout, stderr, the attributes a command's run
+    would get or None); argparse wraps usage lines at 80 columns, the
+    width liecoh uses."""
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = []
+
+    def record(args):
+        calls.append(vars(args))
+        return EX_OK
+
+    for name in cli.COMMANDS:
+        monkeypatch.setattr(
+            importlib.import_module(f"liecoh.commands.{name.replace('-', '_')}"), "run", record)
+    reference = reference_parser(record)
+
+    def outcome(parse, argv, capsys):
+        calls.clear()
+        try:
+            code = parse(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, calls[0] if calls else None
+
+    def run_reference(argv):
+        args = reference.parse_args(argv)
+        return args.func(args)
+
+    def via_main(argv, capsys):
+        return outcome(main, argv, capsys)
+
+    def via_reference(argv, capsys):
+        return outcome(run_reference, argv, capsys)
+
+    return via_main, via_reference
+
+
+def usage_block(out):
+    return out.split("\n\n")[0]
 
 
 # per command, arguments that its parser accepts, and arguments that its
@@ -636,31 +716,123 @@ USAGE_ERRORS = {
 }
 
 
-def parse_outcome(parser, argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(argv)
-    captured = capsys.readouterr()
-    return exc.value.code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("name", cli.COMMANDS)
-def test_one_command_parser_prints_what_the_full_parser_prints(name, capsys):
-    # main builds the parser of the named command alone; its help, its
-    # usage line and its usage errors, its own and the top-level
-    # "unrecognized arguments" one, must not tell the two apart
-    full = cli.build_parser()
-    assert cli.build_parser(name).format_usage() == full.format_usage()
+def test_one_command_parser_prints_what_the_full_parser_prints(name, parsers, capsys):
+    # main reads the named command's arguments alone; its help's usage
+    # line and its usage errors, its own and the top-level "unrecognized
+    # arguments" one, are those of argparse's parser of all six commands
+    via_main, via_reference = parsers
     unknown = [name, *ACCEPTED[name], "--no-such-flag"]
-    for argv in ([name, "--help"], [name, *USAGE_ERRORS[name]], unknown):
-        assert run(capsys, *argv) == parse_outcome(full, argv, capsys)
-    code, out, _ = parse_outcome(full, [name, "--help"], capsys)
+    for argv in ([name, *USAGE_ERRORS[name]], unknown):
+        assert via_main(argv, capsys) == via_reference(argv, capsys)
+    code, out, _, _ = via_main([name, "--help"], capsys)
     assert code == EX_OK and out.startswith(f"usage: liecoh {name} ")
-    code, _, err = parse_outcome(full, [name, *USAGE_ERRORS[name]], capsys)
+    assert usage_block(out) == usage_block(via_reference([name, "--help"], capsys)[1])
+    code, _, err, _ = via_main([name, *USAGE_ERRORS[name]], capsys)
     assert code == EX_USAGE and f"liecoh {name}: error [E_USAGE]" in err
-    code, _, err = parse_outcome(full, unknown, capsys)
+    code, _, err, _ = via_main(unknown, capsys)
     assert code == EX_USAGE
     assert err.startswith("usage: liecoh [-h]") and "{" + ",".join(cli.COMMANDS) + "} ..." in err
     assert "liecoh: error [E_USAGE] unrecognized arguments: --no-such-flag" in err
+
+
+SU3 = ["--algebra", "builtin:su3"]
+PARSER_CORPUS = [
+    [], ["bogus"], ["--"], ["--", "cohomology"], ["-3"], [""], ["--json"], ["--json", "validate"],
+    ["--json", "validate", "-h"], ["--h"], ["--help=x"], ["-h=h"], ["-hh"], ["-hx"], ["-h="],
+    ["--alg=builtin:su3", "cohomology"],
+    ["validate", "builtin:su2", "--js"], ["validate", "--json", "builtin:su2"],
+    ["validate", "--", "--algebra"], ["validate", "builtin:su2", "--"],
+    ["validate", "--", "--", "x"], ["validate", "a", "b"], ["validate", "-"],
+    ["validate", "-2"], ["validate", "-x"], ["validate", "a b"], ["validate", "-x y"],
+    ["validate", "--"], ["validate", "--json", "--", "x"], ["validate", "-h", "--bogus"],
+    ["cohomology", "--alg", "builtin:su2", "--js"], ["cohomology", "--re"],
+    ["cohomology", "--re=x"], ["cohomology", "--=x"], ["cohomology", "--rel", "span{T1}"],
+    ["cohomology", "--algebra=builtin:su2", "--algebra", "builtin:su3"],
+    ["cohomology", "--representatives=yes"], ["cohomology", "--representatives="],
+    ["cohomology", "--", "--algebra"], ["cohomology", "--algebra", "--", "x"],
+    ["cohomology", "--algebra", "x", "--"], ["cohomology", *SU3, "-h", "--module"],
+    ["cohomology", "--module", "-h"], ["cohomology", "--module"], ["cohomology", "-h", "--re"],
+    ["cohomology", "--json", "--jso", "--j"], ["cohomology", "x", "--json"],
+    ["cohomology", "---algebra", "x"], ["cohomology", "-j"], ["cohomology", "--algebra="],
+    ["classify", "--algebra", "builtin:su2"], ["classify", "--sub", "span{T}", "--bogus", "x"],
+    ["classify", "--subalgebra", "span{T}", "--help=x"],
+    ["roots", *SU3, "--torus", "span{T1, T2}", "--standard", "1"],
+    ["roots", *SU3, "--torus", "span{T1, T2}", "--standard", "2", "0"],
+    ["roots", *SU3, "--torus", "span{T1, T2}", "--standard=2", "0"],
+    ["roots", *SU3, "--torus", "span{T1, T2}", "--standard", "2", "x"],
+    ["roots", *SU3, "--torus", "span{T1, T2}", "--standard", "-2", "-0"],
+    ["roots", *SU3, "--torus", "span{T1, T2}", "--standard", "2", "--json"],
+    ["roots", *SU3, "--torus", "span{T1, T2}", "--positive=0,-2i;3i,-i;3i,i", "--json"],
+    ["roots", *SU3, "--torus", "span{T1, T2}", "--positive", "-2i,0"],
+    ["roots", "--torus", "span{T1}"], ["roots"],
+    ["decompose", "--subalgebra", "span{T}", "--inner-product"],
+    ["decompose", "--subalgebra", "span{T}", "--inner", "gram.json", "--inner-product=g"],
+    ["decompose", "--subalgebra", "span{T}", "--in", "g"],
+    ["torus-solve", "--mu", "-2/3"], ["torus-solve", "--mu=-2/3"], ["torus-solve", "--mu", "-2"],
+    ["torus-solve", "--mu", "-.5"], ["torus-solve", "--mu", "-1e3"],
+    ["torus-solve", "--depth", "-3"], ["torus-solve", "--depth", "two"],
+    ["torus-solve", "--depth", " 3"], ["torus-solve", "--depth", "3_0"],
+    ["torus-solve", "--depth=-3", "--bound", "2", "--depth", "4"],
+    ["torus-solve", "--cf", "1,1", "--d", "2", "--b", "3"],
+    ["torus-solve", "--cf", "1,1", "-h", "--depth", "two"],
+    ["torus-solve", "--cf", "1,1", "--depth", "two", "-h"],
+]
+
+
+def generated_corpus(seed=20261022, count=1000):
+    """Seeded argvs of up to six words drawn from options, prefixes,
+    values that look like options and values that do not, half of them
+    before or after arguments that the command accepts."""
+    rng = random.Random(seed)
+    words = ["--algebra", "--alg", "--a", "--subalgebra", "--sub", "--s", "--module", "--m",
+             "--relative", "--rel", "--re", "--representatives", "--rep", "--json", "--j",
+             "--torus", "--positive", "--standard", "--st", "--inner-product", "--in",
+             "--mu", "--cf", "--rhs", "--depth", "--d", "--bound", "--b", "-h", "--he", "-hh",
+             "--json=", "--mu=1/2", "--depth=3", "--standard=1", "--bogus", "-x", "--",
+             "--", "-", "", "x", "2", "-3", "-2/3", "-.5", "a b", "-h=h", "--=x"]
+    corpus = []
+    for _ in range(count):
+        name = rng.choice([*cli.COMMANDS, "bogus", "--json"])
+        drawn = rng.choices(words, k=rng.randint(0, 6))
+        accepted = ACCEPTED.get(name, []) if rng.random() < 0.5 else []
+        corpus.append([name, *(drawn + accepted if rng.random() < 0.5 else accepted + drawn)])
+    return corpus
+
+
+def test_the_parser_reads_what_argparse_read(parsers, capsys):
+    # every argv is accepted with the same attributes, or refused with
+    # argparse's usage line and wording, or answered with help: only the
+    # help text itself differs
+    via_main, via_reference = parsers
+    for argv in PARSER_CORPUS + generated_corpus():
+        if any(word.endswith("=--") for word in argv):
+            continue  # an explicit "--" value: see the test below
+        code, out, err, bound = via_main(argv, capsys)
+        expected = via_reference(argv, capsys)
+        assert (code, bound) == (expected[0], expected[3]), argv
+        if code == EX_USAGE:
+            assert (out, err) == expected[1:3], argv
+        elif bound is None:
+            assert code == EX_OK and err == "" == expected[2], argv
+            assert usage_block(out) == usage_block(expected[1]), argv
+        else:
+            assert (code, out, err) == (EX_OK, "", ""), argv
+
+
+def test_an_explicit_double_dash_is_the_value(parsers, capsys):
+    # argparse drops a "--" given as --option=-- and binds an empty list,
+    # which no command reads; liecoh binds "--" like any other value
+    via_main, via_reference = parsers
+    argv = ["cohomology", "--algebra=--"]
+    assert via_reference(argv, capsys)[3]["algebra"] == []
+    assert via_main(argv, capsys)[3]["algebra"] == "--"
+    argv = ["torus-solve", "--cf", "1,1", "--depth=--"]
+    assert via_reference(argv, capsys)[3]["depth"] == []
+    code, _, err, _ = via_main(argv, capsys)
+    assert code == EX_USAGE
+    assert err.endswith("liecoh torus-solve: error [E_USAGE] argument --depth: "
+                        "invalid int value: '--'\n")
 
 
 def test_cohomology_representatives_output(capsys):

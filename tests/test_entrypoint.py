@@ -36,14 +36,18 @@ BIGRADED = ALGEBRA | SUBSPACES | command("cohomology") | {"liecoh.cochains", "li
 DECOMPOSE = ALGEBRA | SUBSPACES | command("decompose") | {
     "liecoh.cochains", "liecoh.cohomology", "liecoh.decompose"}
 
+CLASSIFY = ALGEBRA | SUBSPACES | command("classify") | {"liecoh.classify"}
+ROOTS = ALGEBRA | SUBSPACES | command("roots") | {"liecoh.classify", "liecoh.roots"}
+TORUS = COMMON | command("torus_solve") | {"liecoh.torus"}
+
 # modules imported under their own names, by test id; liecoh.cli itself
 # runs as __main__
 COMMANDS = {
     "validate": (["validate", "builtin:su2"], ALGEBRA | command("validate")),
     "classify": (["classify", "--algebra", "builtin:su2", "--subalgebra", SU2_ELLIPTIC],
-                 ALGEBRA | SUBSPACES | command("classify") | {"liecoh.classify"}),
+                 CLASSIFY),
     "roots": (["roots", "--algebra", "builtin:su2", "--torus", "span{T}", "--standard", "1", "0"],
-              ALGEBRA | SUBSPACES | command("roots") | {"liecoh.classify", "liecoh.roots"}),
+              ROOTS),
     "cohomology": (["cohomology", "--algebra", "builtin:su2", "--module", "adjoint"], PLAIN),
     "cohomology-representatives": (
         ["cohomology", "--algebra", "builtin:su2", "--representatives"], PLAIN),
@@ -51,19 +55,29 @@ COMMANDS = {
         ["cohomology", "--algebra", "builtin:su2", "--relative", "span{T}"], BIGRADED),
     "decompose": (["decompose", "--algebra", "builtin:su2", "--subalgebra", SU2_ELLIPTIC],
                   DECOMPOSE),
-    "torus-solve": (["torus-solve", "--mu", "2/3", "--depth", "2"],
-                    COMMON | command("torus_solve") | {"liecoh.torus"}),
+    "torus-solve": (["torus-solve", "--mu", "2/3", "--depth", "2"], TORUS),
 }
 
 # the query shapes of bench/workloads.py, on files: {algebra} is su3 as
-# JSON, {elliptic} and {cr} are subalgebra files
+# JSON, {elliptic} and {cr} are subalgebra files, {rhs} is Fourier data
 BENCH_SHAPES = [
     (["cohomology", "--algebra", "{algebra}"], PLAIN),
     (["cohomology", "--algebra", "{algebra}", "--subalgebra", "{elliptic}"], BIGRADED),
     (["cohomology", "--algebra", "{algebra}", "--subalgebra", "{cr}", "--representatives"],
      BIGRADED),
     (["decompose", "--algebra", "{algebra}", "--subalgebra", "{elliptic}"], DECOMPOSE),
+    # structure-survey; the --positive= value holds "-", ";" and ","
+    (["classify", "--algebra", "{algebra}", "--subalgebra", "{cr}"], CLASSIFY),
+    (["classify", "--algebra", "{algebra}", "--subalgebra",
+      "span{X1-iY1, X2-iY2, X3-iY3, 2T1+3T2}"], CLASSIFY),
+    (["roots", "--algebra", "{algebra}", "--torus", "span{T1, T2}",
+      "--positive=-i,3i;i,3i;-2i,0", "--standard", "2", "0"], ROOTS),
+    (["torus-solve", "--mu=1/2", "--rhs", "{rhs}"], TORUS),
+    (["torus-solve", "--cf", ",".join(["1"] * 12), "--depth", "8"], TORUS),
 ]
+BENCH_SHAPE_IDS = ["ce", "bigraded", "bigraded-representatives", "decompose",
+                   "classify-file", "classify-span", "roots-positive", "torus-mu", "torus-cf"]
+FOURIER = Path(__file__).with_name("fixtures") / "fourier-fractional.json"
 SU3_STRUCTURES = {
     "elliptic": "span{X1-iY1, X2-iY2, X3-iY3, T1, T2}",
     "cr": "span{X1-iY1, X2-iY2, X3-iY3}",
@@ -71,8 +85,10 @@ SU3_STRUCTURES = {
 
 
 # dataclasses pulls in inspect, ast, dis and tokenize; typing is the
-# other large module that no command needs
-SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+# other large module that no command needs; argparse pulls in gettext,
+# locale and shutil
+SLOW_IMPORTS = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+                "argparse", "gettext", "locale", "shutil"}
 
 
 def run_python(args, *flags):
@@ -140,11 +156,10 @@ def su3_files(tmp_path):
     return files
 
 
-@pytest.mark.parametrize("argv,modules", BENCH_SHAPES,
-                         ids=["ce", "bigraded", "bigraded-representatives", "decompose"])
+@pytest.mark.parametrize("argv,modules", BENCH_SHAPES, ids=BENCH_SHAPE_IDS)
 def test_benchmark_query_shapes_load_only_their_modules(argv, modules, tmp_path, capsys):
-    files = su3_files(tmp_path)
-    argv = [a.format(**files) for a in argv] + ["--json"]
+    files = {**su3_files(tmp_path), "rhs": FOURIER}
+    argv = [str(files[a[1:-1]]) if a[1:-1] in files else a for a in argv] + ["--json"]
     code, out, err, imported = run_entry_point(argv)
     assert (code, out) == run_in_process(capsys, argv)
     assert code == EX_OK, err
