@@ -186,7 +186,9 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
     dims(p, q) is their Kunneth convolution, all on one frame of g.  h is
     refused when it belongs to another algebra, then when it is not
     bracket-closed, then when it is not elliptic: h + conj(h) = g, read as
-    2 dim h - dim k = dim g.
+    2 dim h - dim k = dim g.  A given Gram matrix is refused unless it is
+    symmetric, since u is the orthocomplement of k on one side of it, and
+    ad-invariant.
     """
     k_sub = h.intersect(h.conj())
     # one frame serves H^s(k) and every fiber, and checks the parent and closure
@@ -198,6 +200,11 @@ def full_assembly(g: LieAlgebra, h: Subalgebra, gram: ExactMatrix | None = None)
     else:
         if gram.rows != g.dim or gram.cols != g.dim:
             raise AlgebraError("Gram matrix shape mismatch")
+        rows = gram.row_list()
+        witness = next(((i, j) for i in range(g.dim) for j in range(i)
+                        if rows[i][j] != rows[j][i]), None)
+        if witness is not None:
+            raise AlgebraError(f"Gram matrix is not symmetric: witness {witness}")
         witness = validate_ad_invariant(g, gram)
         if witness is not None:
             raise AlgebraError(f"Gram matrix is not ad-invariant: witness {witness}")

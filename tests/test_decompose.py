@@ -372,6 +372,23 @@ def test_zero_gram_is_a_degenerate_restriction():
         full_assembly(g, parse_span("span{T, X-iY}", g), gram=gram)
 
 
+def test_gram_that_is_not_symmetric_is_refused():
+    # on an abelian algebra every matrix is ad-invariant; u would be the
+    # orthocomplement of k on one side of the matrix, span{D1-D2-iD3} for
+    # these rows and span{D2+iD3} for their transpose
+    g = torus(3)
+    h = parse_span("span{D1, D2+iD3}", g)
+    rows = json.loads((FIXTURES / "torus3-gram-not-symmetric.json").read_text())["matrix"]
+    gram = ExactMatrix.from_rows([[parse_scalar(x) for x in row] for row in rows])
+    for matrix in (gram, gram.transpose()):
+        assert validate_ad_invariant(g, matrix) is None
+        with pytest.raises(AlgebraError, match=r"^Gram matrix is not symmetric: witness \(1, 0\)$"):
+            full_assembly(g, h, gram=matrix)
+    symmetric = ExactMatrix.from_rows([[parse_scalar(x) for x in row]
+                                       for row in (["1", "1", "0"], ["1", "2", "0"], ["0", "0", "1"])])
+    assert full_assembly(g, h, gram=symmetric).u_ideal.dim == 1
+
+
 def test_orthocomplement_that_is_not_an_ideal_is_refused():
     # H acts by +1 on A, B and by -1 on P, Q, and [A, P] = C = -[B, Q].
     # The form pairs H with C, A with P and B with Q (sign -1); it is

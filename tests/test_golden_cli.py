@@ -47,6 +47,8 @@ ZERO_GRAM = "fixtures/su2-zero-gram.json"
 OSCILLATOR = "fixtures/oscillator-hyperbolic.json"
 OSCILLATOR_GRAM = "fixtures/oscillator-hyperbolic-gram.json"
 OSCILLATOR_H = "span{H, C, A+iB, P+iQ}"
+# a Gram matrix of the abelian torus3 that is not symmetric
+ASYMMETRIC_GRAM = "fixtures/torus3-gram-not-symmetric.json"
 
 COMMANDS = {
     "bigraded-su3-cr-reps": ["cohomology", "--algebra", "builtin:su3", "--subalgebra", CR,
@@ -82,6 +84,9 @@ COMMANDS = {
                                 "span{T, X-iY}", "--inner-product", ZERO_GRAM],
     "decompose-oscillator-not-ideal": ["decompose", "--algebra", OSCILLATOR, "--subalgebra",
                                        OSCILLATOR_H, "--inner-product", OSCILLATOR_GRAM],
+    "decompose-torus3-gram-not-symmetric": ["decompose", "--algebra", "builtin:torus3",
+                                            "--subalgebra", "span{D1, D2+iD3}",
+                                            "--inner-product", ASYMMETRIC_GRAM],
     "classify-su3-cr": ["classify", "--algebra", "builtin:su3", "--subalgebra", CR, "--json"],
     "classify-su3-levi": ["classify", "--algebra", "builtin:su3", "--subalgebra", LEVI, "--json"],
     "classify-su2-cr": ["classify", "--algebra", "builtin:su2", "--subalgebra", "span{X-iY}"],
