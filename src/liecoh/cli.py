@@ -21,9 +21,9 @@ input checks and every ``liecoh.scalars.InputError`` the library raises
 torus data).
 
 Each command declares its options in ``add_arguments(parser)``, with
-argparse's keywords, and this module reads the command line against
-them itself: a command imports only the library modules it runs, and no
-argument-parsing library.
+the keywords of the standard library's ``add_argument``, and this module
+reads the command line against them itself: a command imports only the
+library modules it runs, and no argument-parsing library.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ COMMANDS = ("validate", "classify", "roots", "cohomology", "decompose", "torus-s
 
 # a word that reads as a negative number is a value, not an option
 NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-# usage lines wrap at this width, argparse's for an 80-column terminal
-# and for output that is not a terminal
+# usage lines wrap at this width, the standard library parser's for an
+# 80-column terminal and for output that is not a terminal
 WIDTH = 78
 
 
@@ -74,8 +74,8 @@ class _Argument:
 
 class _Parser:
     """The arguments of one command, or of the top level, which has -h
-    alone; `parse` binds and refuses the words of a command line as
-    argparse did."""
+    alone; `parse` binds and refuses the words of a command line as the
+    standard library's parser did."""
 
     def __init__(self, prog: str, tail=(), about=lambda: ""):
         self.prog = prog
@@ -91,8 +91,8 @@ class _Parser:
         self.options.update(dict.fromkeys(argument.strings, argument))
 
     def usage(self) -> str:
-        """argparse's usage line: the options, then the positionals, which
-        start a line of their own when the line wraps."""
+        """The standard library parser's usage line: the options, then the
+        positionals, which start a line of their own when the line wraps."""
         options, positionals = [], list(self.tail)
         for argument in self.arguments:
             words = [*argument.strings[:1], *argument.metavar]

@@ -3,10 +3,10 @@ what they share: exit codes, failures, input loading and output.
 
 A command module ``liecoh.commands.<name>`` (``torus_solve`` for
 ``torus-solve``) has ``HELP``, its line in the full help,
-``add_arguments(parser)``, which declares its options with argparse's
-keywords to liecoh's own parser in `liecoh.cli`, and ``run(args)``,
-which returns the exit code.  `liecoh.cli` imports only the module of
-the command it runs.  A handler
+``add_arguments(parser)``, which declares its options with the keywords
+of the standard library's ``add_argument`` to liecoh's own parser in
+`liecoh.cli`, and ``run(args)``, which returns the exit code.
+`liecoh.cli` imports only the module of the command it runs.  A handler
 imports the library inside ``run``, when it is called, so that a command
 loads only the library modules it runs and a wrapper installed on a
 library module sees its calls.

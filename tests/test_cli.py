@@ -615,6 +615,10 @@ def test_json_output_is_deterministic(capsys):
     assert first == second
 
 
+def command_module(name):
+    return importlib.import_module(f"liecoh.commands.{name.replace('-', '_')}")
+
+
 def test_help_exits_zero(capsys):
     # the top level prints the module docstring and each command's line;
     # a command prints its usage and each argument with its help
@@ -622,8 +626,7 @@ def test_help_exits_zero(capsys):
     assert (code, err) == (EX_OK, "")
     assert out.startswith("usage: liecoh [-h]\n") and cli.__doc__ in out
     for name in cli.COMMANDS:
-        module = importlib.import_module(f"liecoh.commands.{name.replace('-', '_')}")
-        assert f"  {name} " in out and module.HELP in out
+        assert f"  {name} " in out and command_module(name).HELP in out
     code, out, err = run(capsys, "cohomology", "--help")
     assert (code, err) == (EX_OK, "")
     assert out.startswith("usage: liecoh cohomology [-h] [--algebra ALGEBRA]")
@@ -645,7 +648,7 @@ def reference_parser(run_command):
     parser = ReferenceParser(prog="liecoh", description=cli.__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=ReferenceParser)
     for name in cli.COMMANDS:
-        module = importlib.import_module(f"liecoh.commands.{name.replace('-', '_')}")
+        module = command_module(name)
         p = sub.add_parser(name, help=module.HELP)
         module.add_arguments(p)
         p.set_defaults(func=run_command)
@@ -666,8 +669,7 @@ def parsers(monkeypatch):
         return EX_OK
 
     for name in cli.COMMANDS:
-        monkeypatch.setattr(
-            importlib.import_module(f"liecoh.commands.{name.replace('-', '_')}"), "run", record)
+        monkeypatch.setattr(command_module(name), "run", record)
     reference = reference_parser(record)
 
     def outcome(parse, argv, capsys):
