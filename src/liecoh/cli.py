@@ -15,10 +15,11 @@ prints the usage and the options of the command it follows.
 Exit codes: 0 success, 2 mathematical validation failure (the witness is
 printed), 64 usage error, 66 missing input file, 70 internal invariant
 broken (for example d o d != 0 or an inexact division in exact
-elimination; a bug, not bad input).  Exit 2 covers the command's own
-input checks and every ``liecoh.scalars.InputError`` the library raises
-(bad scalars, algebras, subalgebras, non-split or non-Hermitian input,
-torus data).
+elimination; a bug, not bad input), 74 standard output closed before
+everything was written (a reader such as ``head`` that stops early).
+Exit 2 covers the command's own input checks and every
+``liecoh.scalars.InputError`` the library raises (bad scalars, algebras,
+subalgebras, non-split or non-Hermitian input, torus data).
 
 Each command declares its options in ``add_arguments(parser)``, with
 the keywords of the standard library's ``add_argument``, and this module
@@ -33,8 +34,8 @@ import re
 import sys
 from types import SimpleNamespace
 
-# all five exit codes are read from here by callers of main
-from .commands import EX_INTERNAL, EX_NOINPUT, EX_OK, EX_USAGE, EX_VALIDATION, Failure
+# all six exit codes are read from here by callers of main
+from .commands import EX_INTERNAL, EX_IOERR, EX_NOINPUT, EX_OK, EX_USAGE, EX_VALIDATION, Failure, silence_stdout
 from .scalars import InputError
 
 # in the order of the full help; the module of each is
@@ -262,21 +263,26 @@ def main(argv=None) -> int:
     """Run the command that argv (default sys.argv[1:]) names."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse(argv)
-    except SystemExit as exc:
-        return exc.code
-    try:
-        return args.func(args)
-    except Failure as exc:
-        sys.stderr.write(f"liecoh: error [{exc.kind}] {exc}\n")
-        return exc.code
-    except InputError as exc:
-        sys.stderr.write(f"liecoh: error [E_VALIDATION] {exc}\n")
-        return EX_VALIDATION
-    except AssertionError as exc:
-        # the library raises AssertionError only for its own invariants
-        sys.stderr.write(f"liecoh: error [E_INTERNAL] internal invariant broken: {exc}\n")
-        return EX_INTERNAL
+        try:
+            args = _parse(argv)
+            return args.func(args)
+        except SystemExit as exc:
+            return exc.code
+        except Failure as exc:
+            sys.stderr.write(f"liecoh: error [{exc.kind}] {exc}\n")
+            return exc.code
+        except InputError as exc:
+            sys.stderr.write(f"liecoh: error [E_VALIDATION] {exc}\n")
+            return EX_VALIDATION
+        except AssertionError as exc:
+            # the library raises AssertionError only for its own invariants
+            sys.stderr.write(f"liecoh: error [E_INTERNAL] internal invariant broken: {exc}\n")
+            return EX_INTERNAL
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        silence_stdout()
+        return EX_IOERR
 
 
 if __name__ == "__main__":

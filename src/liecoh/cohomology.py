@@ -202,11 +202,12 @@ def _chain_dims(matrices, degrees, representatives):
         m = matrices[k]
         n = m.cols
         if not representatives:
-            piv_cols = _bareiss_echelon(m.echelon_rows(), n)[1]
+            piv_cols = _bareiss_echelon(list(map(dict, m.data)), n)[1]
         else:
-            echelon, piv_cols = _bareiss_echelon([row[::-1] for row in m.echelon_rows()], n)
+            reversed_rows = [{n - 1 - j: x for j, x in row.items()} for row in m.data]
+            echelon, piv_cols = _bareiss_echelon(reversed_rows, n)
             # the image of d_{k-1} is spanned by its columns
-            image = matrices[degrees[i - 1]].transpose().echelon_rows() if i > 0 else []
+            image = matrices[degrees[i - 1]].transpose().data if i > 0 else []
             skip = set(piv_cols).union(n - 1 - c for c in _bareiss_echelon(image, n)[1])
             reps[k] = []
             for f in sorted(set(range(n)) - skip, reverse=True):
@@ -441,7 +442,7 @@ def _invariant_complex(structure, cells_of, acting=(), lam=()) -> CochainComplex
         for k, cols in enumerate(cells):
             rows = [((i,) + S, a) for i in acting for S, a in by_weight[lam[i]][k]]
             theta = _differential_matrix(structure, rows, cols)
-            piv_cols, kernel = linalg._kernel_vectors(theta.echelon_rows(), theta.cols)
+            piv_cols, kernel = linalg._kernel_vectors(list(map(dict, theta.data)), theta.cols)
             thetas.append(theta)
             inv_bases.append(
                 ScaledIntMatrix.from_exact(ExactMatrix(len(kernel), theta.cols, kernel))

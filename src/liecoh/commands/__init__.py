@@ -15,6 +15,7 @@ library module sees its calls.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 # annotations are postponed, so these names are for type checkers only;
@@ -28,6 +29,7 @@ EX_VALIDATION = 2
 EX_USAGE = 64
 EX_NOINPUT = 66
 EX_INTERNAL = 70
+EX_IOERR = 74
 
 
 class Failure(Exception):
@@ -35,6 +37,15 @@ class Failure(Exception):
         super().__init__(message)
         self.code = code
         self.kind = kind
+
+
+def silence_stdout():
+    """Point standard output at the null device, for a reader that closed
+    it early: what is still buffered goes there, so that the interpreter's
+    last flush does not fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def fail_validation(message: str):

@@ -3,6 +3,9 @@ diagnostics."""
 
 from __future__ import annotations
 
+import re
+import sys
+
 from . import EX_OK, EX_USAGE, Failure, emit, fail_validation, read_json_file
 
 HELP = "solve L u = f on the 2-torus and run divisor diagnostics"
@@ -17,6 +20,30 @@ def add_arguments(p):
     p.add_argument("--json", action="store_true")
 
 
+# a decimal literal with an exponent, in the grammar of Fraction, which
+# builds 10**exponent from it: seconds for an exponent of 10**7, minutes
+# past that
+_EXPONENT_LITERAL = re.compile(
+    r"\s*[-+]?(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*"
+)
+
+
+def _check_exponent(text: str):
+    """ValueError for an exponent literal whose numerator or denominator,
+    as written (before common factors cancel), has more digits than an int
+    may have as a string (`sys.get_int_max_str_digits()`).  It reads the
+    text alone, so the refusal comes before any power of ten is built."""
+    literal = _EXPONENT_LITERAL.fullmatch(text)
+    limit = sys.get_int_max_str_digits()
+    if literal and limit:
+        decimals = (literal[2] or "").replace("_", "")
+        digits = (literal[1].replace("_", "") + decimals).lstrip("0")
+        shift = int(literal[3]) - len(decimals)
+        # the literal is digits * 10**shift
+        if max(len(digits) + max(shift, 0), 1 - shift) > limit:
+            raise ValueError(f"{text} has more than {limit} digits in its numerator or denominator")
+
+
 def run(args) -> int:
     from fractions import Fraction
 
@@ -29,6 +56,7 @@ def run(args) -> int:
         raise Failure(EX_USAGE, "E_USAGE", "--bound needs --rhs: only the solve prints a lattice")
     if args.mu is not None:
         try:
+            _check_exponent(args.mu)
             mu = MuSpec.rational(Fraction(args.mu))
         except ValueError as exc:
             fail_validation(f"bad --mu: {exc}")

@@ -1,22 +1,26 @@
 """Exact linear algebra over Q(i): elimination, eigen-splitting, inertia.
 
 Every public function takes and returns GaussianRational, in the
-`ExactMatrix` and `Vector` of `matrix`.  Elimination
-works on Gaussian integers inside: `_integer_rows` takes each row's
-`scalars.integer_form`, (re, im) int pairs over the least common
-denominator of that row alone, and one
-routine, `_bareiss_echelon`, does fraction-free (Bareiss) forward
-elimination with deterministic pivoting: the pivot column is the
-leftmost one with a nonzero entry at or below the current row, and the
-pivot row is the topmost such row.  Ranks and pivot columns are read
-off that echelon.  `_pivot_solution` is the one back substitution, used
-by `_reduced_echelon` and by the cochain representatives.  Kernels,
+`ExactMatrix` and `Vector` of `matrix`.  Elimination works on Gaussian
+integers inside, on one row format: a dict per row, column -> (re, im)
+int pair, nonzero entries only.  `matrix.ScaledIntMatrix` holds its rows
+that way, so the cochain engine hands copies of its differentials' rows
+to elimination as they are; `_integer_rows` brings ExactMatrix rows to
+the same format, each row's `scalars.integer_form` over the least common
+denominator of that row alone.  One routine, `_bareiss_echelon`, does
+fraction-free (Bareiss) forward elimination on those rows with
+deterministic pivoting: the pivot column is the leftmost one with a
+nonzero entry at or below the current row, and the pivot row is the
+topmost such row.  The differentials are 1-3% full, so it touches only
+the nonzero entries of each row it updates.  Ranks and pivot columns are
+read off the echelon it returns.  That echelon is dense, with GaussianInteger
+entries, because its readers index it by column: `_pivot_solution`, the
+one back substitution, used by `_reduced_echelon` and by the cochain
+representatives, and code that measures its coefficient sizes.  Kernels,
 solutions and RREF are reads of one reduced echelon form R: the kernel
 vector of a free column f has 1 at f and -R[r][f] at the pivot of row r
 (`rank_kernel`), and the solutions of M x = b are the appended columns
-of the RREF of [M | b] (`solve_linear`).  The cochain engine eliminates
-its `matrix.ScaledIntMatrix` differentials with `_bareiss_echelon`
-directly, on their dense integer rows (`echelon_rows`).
+of the RREF of [M | b] (`solve_linear`).
 
 Every division is exact, and each is checked:
 
@@ -78,9 +82,10 @@ _GZERO = GaussianInteger(0, 0)
 
 
 def _integer_rows(rows):
-    """Rows of Gaussian rationals as lists of (re, im) int pairs, each row
-    scaled by the lcm of its denominators; zero entries are None."""
-    return [[p if p != (0, 0) else None for p in integer_form(row)[1]] for row in rows]
+    """Rows of Gaussian rationals as elimination rows: one dict per row,
+    column -> (re, im) int pair for the nonzero entries only, each row
+    scaled by the lcm of its own denominators."""
+    return [{j: p for j, p in enumerate(integer_form(row)[1]) if p != (0, 0)} for row in rows]
 
 
 def _exact_quotient(a, b):
@@ -99,11 +104,15 @@ def _exact_quotient(a, b):
 def _bareiss_echelon(rows, cols):
     """Fraction-free forward elimination of Gaussian-integer rows.
 
-    `rows` come from `_integer_rows` and are eliminated in place.
+    `rows` are dicts, column -> (re, im) int pair for the nonzero entries
+    only, as `_integer_rows` and `ScaledIntMatrix.data` hold them; they
+    are eliminated in place, so a caller hands over rows it may lose.
     Pivoting takes the leftmost column with a nonzero entry at or below
-    the current row, topmost row first.  Returns (echelon, pivot_cols):
-    the rank nonzero echelon rows, with GaussianInteger entries, and
-    their pivot columns.
+    the current row, topmost row first.  A row below the pivot is updated
+    at its own nonzero entries and the pivot row's; one with no entry in
+    the pivot column is only rescaled, and skipped when that scale is 1.
+    Returns (echelon, pivot_cols): the rank nonzero echelon rows, dense,
+    with GaussianInteger entries, and their pivot columns.
     """
     a = rows
     nrows = len(a)
@@ -114,14 +123,15 @@ def _bareiss_echelon(rows, cols):
         if r == nrows:
             break
         for i in range(r, nrows):
-            if a[i][c] is not None:
+            if c in a[i]:
                 break
         else:
             continue
         if i != r:
             a[r], a[i] = a[i], a[r]
-        ar = a[r]
-        piv = ar[c]
+        # the pivot row's entries right of the pivot
+        tail = dict(a[r])
+        piv = tail.pop(c)
         # Each update (piv * x - a[i][c] * y) / prev is computed as
         # (P * x - C * y) / norm, where P and C are piv and a[i][c] times
         # conj(prev), so that the exact division is by the integer norm.
@@ -131,44 +141,33 @@ def _bareiss_echelon(rows, cols):
         pi = piv[1] * prev_re - piv[0] * prev_im
         for i in range(r + 1, nrows):
             ai = a[i]
-            head = ai[c]
-            if head is None:
-                if piv == prev:
-                    continue
-                cr = ci = 0
-            else:
-                ai[c] = None
+            head = ai.pop(c, None)
+            if head is None and piv == prev:
+                continue
+            new = {j: (pr * xr - pi * xi, pr * xi + pi * xr) for j, (xr, xi) in ai.items()}
+            if head is not None:
                 cr = head[0] * prev_re + head[1] * prev_im
                 ci = head[1] * prev_re - head[0] * prev_im
-            for j in range(c + 1, cols):
-                x = ai[j]
-                y = ar[j]
-                if y is None or head is None:
-                    if x is None:
-                        continue
-                    xr, xi = x
-                    nr = pr * xr - pi * xi
-                    ni = pr * xi + pi * xr
-                elif x is None:
-                    yr, yi = y
-                    nr = ci * yi - cr * yr
-                    ni = -cr * yi - ci * yr
-                else:
-                    xr, xi = x
-                    yr, yi = y
-                    nr = pr * xr - pi * xi - cr * yr + ci * yi
-                    ni = pr * xi + pi * xr - cr * yi - ci * yr
+                for j, (yr, yi) in tail.items():
+                    nr, ni = new.get(j, (0, 0))
+                    new[j] = (nr - cr * yr + ci * yi, ni - cr * yi - ci * yr)
+            ai.clear()
+            for j, (nr, ni) in new.items():
                 q_re, rem_re = divmod(nr, norm)
                 q_im, rem_im = divmod(ni, norm)
                 if rem_re or rem_im:
                     raise AssertionError(
                         f"inexact Gaussian-integer division by the previous pivot {prev}"
                     )
-                ai[j] = (q_re, q_im) if q_re or q_im else None
+                if q_re or q_im:
+                    ai[j] = (q_re, q_im)
         prev = piv
         piv_cols.append(c)
         r += 1
-    echelon = [[_GZERO if x is None else GaussianInteger(*x) for x in a[k]] for k in range(r)]
+    echelon = [[_GZERO] * cols for _ in range(r)]
+    for row, entries in zip(echelon, a):
+        for j, x in entries.items():
+            row[j] = GaussianInteger(*x)
     return echelon, piv_cols
 
 

@@ -6,7 +6,9 @@ and `vec_dot` (bilinear, not Hermitian) are the vector helpers the
 package reads.  `ScaledIntMatrix` is 1/den times sparse Gaussian-integer
 rows: the form in which the cochain engine builds, multiplies and
 eliminates its differentials without GaussianRational, and in which
-`linalg.char_poly` forms its powers.  `ScaledIntMatrix.from_exact` takes
+`linalg.char_poly` forms its powers.  Its rows are the row format of
+`linalg._bareiss_echelon`, so copies of them go straight into
+elimination.  `ScaledIntMatrix.from_exact` takes
 one `scalars.integer_form` of every entry.
 
 Ranks, kernels, solutions and eigen-splitting live in `linalg`.  A
@@ -216,16 +218,6 @@ class ScaledIntMatrix:
             for j, (re, im) in entries.items():
                 row[j] = _gauss(re, im, den)
         return ExactMatrix._of(self.rows, self.cols, out)
-
-    def echelon_rows(self):
-        """Fresh dense rows for `_bareiss_echelon`, None for zero."""
-        out = []
-        for entries in self.data:
-            row = [None] * self.cols
-            for j, x in entries.items():
-                row[j] = x
-            out.append(row)
-        return out
 
     def transpose(self) -> "ScaledIntMatrix":
         data = [{} for _ in range(self.cols)]

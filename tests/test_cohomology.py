@@ -331,7 +331,7 @@ def test_quotient_representatives_match_two_step_reduction(
         dims, reps = real(matrices, keys, representatives)
         for i, k in enumerate(keys):
             _, kernel = rank_kernel(matrices[k].to_exact())
-            image = matrices[keys[i - 1]].transpose().echelon_rows() if i > 0 else []
+            image = matrices[keys[i - 1]].transpose().data if i > 0 else []
             assert reps[k] == reference_quotient_representatives(kernel, image, matrices[k].cols)
             calls.append(k)
         return dims, reps
@@ -343,6 +343,31 @@ def test_quotient_representatives_match_two_step_reduction(
     else:
         bigraded_cohomology(g, parse_span(span, g), representatives=True)
     assert len(calls) == degrees
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AdaptedFrame(cohomology.basised(su3()), None).relative_complex(GModule.trivial(su3())),
+    lambda: cohomology._bigraded_row(
+        AdaptedFrame(su3(), parse_span("span{X1-iY1, X2-iY2, X3-iY3}", su3())), 1, graded=True
+    ),
+    # u = span{X1, Y1, T1} has no torus in the frame, so every u index
+    # puts theta rows into the invariant complex
+    lambda: AdaptedFrame(cohomology.basised(su3()), parse_span("span{X1, Y1, T1}", su3()))
+    .relative_complex(GModule.trivial(su3())),
+], ids=["su3-frame", "su3-cr-row", "su3-su2-relative"])
+def test_a_reduction_leaves_its_complex_unchanged(build):
+    # the kernel eliminates the engine's own rows in place, so every
+    # reduction must hand it copies
+    complex_ = build()
+    if not complex_.labels:  # a frame complex names no cells; index them
+        complex_.labels = {k: list(range(m.cols)) for k, m in complex_.int_differentials.items()}
+    before = {k: [dict(row) for row in m.data] for k, m in complex_.int_differentials.items()}
+    assert any(any(rows) for rows in before.values())
+    plain = [complex_.cohomology().dims for _ in range(2)]
+    with_reps = [vars(complex_.cohomology(representatives=True)) for _ in range(2)]
+    assert plain[0] == plain[1] == with_reps[0]["dims"]
+    assert with_reps[0] == with_reps[1]
+    assert {k: m.data for k, m in complex_.int_differentials.items()} == before
 
 
 # -- the weight-zero route against the full complex ----------------------------------

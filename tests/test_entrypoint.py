@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import liecoh
-from liecoh.cli import EX_OK, EX_VALIDATION, main
+from liecoh.cli import EX_IOERR, EX_OK, EX_VALIDATION, main
 
 SU2_ELLIPTIC = "span{T, X-iY}"
 COMMON = {"liecoh", "liecoh.scalars"}
@@ -255,3 +255,57 @@ def test_fractions_is_not_imported(argv, tmp_path):
     code, _, err, imported = run_python(python_s_args(argv, tmp_path), "-S")
     assert code == EX_OK, err
     assert not imported & FRACTION_MODULES
+
+
+def run_closed_stdout(argv, unbuffered):
+    """(exit code, stderr) of a fresh `python -m liecoh.cli *argv` whose
+    stdout is a pipe with its reading end already closed, so that every
+    write fails; buffered, the write that fails is the last flush."""
+    env = dict(os.environ, PYTHONPATH=str(Path(liecoh.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "liecoh.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["validate", "builtin:su3"],
+    ["cohomology", "--algebra", "builtin:su3", "--json"],
+    ["-h"],
+], ids=["validate", "cohomology-json", "help"])
+def test_a_closed_stdout_exits_74_without_a_traceback(argv, unbuffered):
+    code, err = run_closed_stdout(argv, unbuffered)
+    assert code == EX_IOERR, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("slope", [
+    "1e5000", "1e-5000", "1e999999999", "1" * 2500 + "." + "1" * 2500 + "e0",
+], ids=["1e5000", "1e-5000", "1e999999999", "long-mantissa"])
+def test_a_slope_exponent_past_the_digit_limit_is_refused_on_its_text(slope):
+    # 1e999999999 would first build a 10**9-digit int, for minutes; the
+    # timeout makes a hang fail instead
+    env = dict(os.environ, PYTHONPATH=str(Path(liecoh.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "liecoh.cli", "torus-solve", "--mu", slope],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout) == (EX_VALIDATION, "")
+    assert done.stderr == (f"liecoh: error [E_VALIDATION] bad --mu: {slope} has more than "
+                           f"{sys.get_int_max_str_digits()} digits in its numerator or "
+                           "denominator\n")
+
+
+@pytest.mark.parametrize("slope, shown", [
+    ("0.5", "1/2"), ("1e3", "1000"), ("2/3", "2/3"), ("1e4299", None), ("1e-4299", None),
+])
+def test_a_slope_inside_the_digit_limit_is_accepted(slope, shown, capsys):
+    code, out = run_in_process(capsys, ["torus-solve", "--mu", slope])
+    assert code == EX_OK
+    assert shown is None or out.startswith(f"mu = {shown}\n")

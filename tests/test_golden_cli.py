@@ -127,6 +127,8 @@ COMMANDS = {
     "torus-solve-cf-too-deep": ["torus-solve", "--cf", ",".join(["1"] * 152), "--depth", "150",
                                 "--json"],
     "torus-solve-mu-zero-denominator": ["torus-solve", "--mu", "0/0"],
+    # 10**5000 has more digits than an int may print; refused on the text
+    "torus-solve-mu-exponent-too-long": ["torus-solve", "--mu", "1e5000"],
     # the mode (1, 1) is listed twice, with values 1 and 2
     "torus-solve-duplicate-mode": ["torus-solve", "--mu", "1/2", "--rhs",
                                    "fixtures/fourier-duplicate-mode.json", "--json"],

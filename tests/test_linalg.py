@@ -3,12 +3,16 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liecoh import cohomology, linalg, matrix
+from liecoh.algebra import su3
+from liecoh.cohomology import GModule, bigraded_cohomology, ce_cohomology
 from liecoh.linalg import (
+    _GZERO,
     ExactMatrix,
+    GaussianInteger,
     ScaledIntMatrix,
     _bareiss_echelon,
     _exact_quotient,
@@ -26,8 +30,9 @@ from liecoh.linalg import (
 )
 from liecoh.matrix import vec_is_zero
 from liecoh.scalars import GaussianRational as Q, InputError, integer_form, value_key
+from liecoh.subalgebra import parse_span
 
-from conftest import gauss_integers, random_invertible, rect_matrices, square_matrices
+from conftest import gauss_integers, random_invertible, rect_matrices, so, square_matrices
 
 
 def apply(M, v):
@@ -369,6 +374,172 @@ def test_exact_quotient_divides_and_checks_the_remainder():
         _exact_quotient((1, 0), (1, 1))
     with pytest.raises(AssertionError, match="inexact"):
         _exact_quotient((3, 1), (2, 0))
+
+
+# -- the sparse kernel against the dense one it replaced ---------------------
+#
+# `_dense_bareiss_echelon` is `_bareiss_echelon` as it was on dense rows,
+# zero entries None, kept verbatim as the reference: on the same matrix the
+# sparse kernel must return the same echelon and the same pivot columns.
+
+
+def _dense_bareiss_echelon(rows, cols):
+    """Fraction-free forward elimination of Gaussian-integer rows.
+
+    `rows` are dense lists of (re, im) int pairs, None for zero
+    (`_dense_rows`), and are eliminated in place.
+    Pivoting takes the leftmost column with a nonzero entry at or below
+    the current row, topmost row first.  Returns (echelon, pivot_cols):
+    the rank nonzero echelon rows, with GaussianInteger entries, and
+    their pivot columns.
+    """
+    a = rows
+    nrows = len(a)
+    piv_cols = []
+    prev = (1, 0)
+    r = 0
+    for c in range(cols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if a[i][c] is not None:
+                break
+        else:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+        ar = a[r]
+        piv = ar[c]
+        # Each update (piv * x - a[i][c] * y) / prev is computed as
+        # (P * x - C * y) / norm, where P and C are piv and a[i][c] times
+        # conj(prev), so that the exact division is by the integer norm.
+        prev_re, prev_im = prev
+        norm = prev_re * prev_re + prev_im * prev_im
+        pr = piv[0] * prev_re + piv[1] * prev_im
+        pi = piv[1] * prev_re - piv[0] * prev_im
+        for i in range(r + 1, nrows):
+            ai = a[i]
+            head = ai[c]
+            if head is None:
+                if piv == prev:
+                    continue
+                cr = ci = 0
+            else:
+                ai[c] = None
+                cr = head[0] * prev_re + head[1] * prev_im
+                ci = head[1] * prev_re - head[0] * prev_im
+            for j in range(c + 1, cols):
+                x = ai[j]
+                y = ar[j]
+                if y is None or head is None:
+                    if x is None:
+                        continue
+                    xr, xi = x
+                    nr = pr * xr - pi * xi
+                    ni = pr * xi + pi * xr
+                elif x is None:
+                    yr, yi = y
+                    nr = ci * yi - cr * yr
+                    ni = -cr * yi - ci * yr
+                else:
+                    xr, xi = x
+                    yr, yi = y
+                    nr = pr * xr - pi * xi - cr * yr + ci * yi
+                    ni = pr * xi + pi * xr - cr * yi - ci * yr
+                q_re, rem_re = divmod(nr, norm)
+                q_im, rem_im = divmod(ni, norm)
+                if rem_re or rem_im:
+                    raise AssertionError(
+                        f"inexact Gaussian-integer division by the previous pivot {prev}"
+                    )
+                ai[j] = (q_re, q_im) if q_re or q_im else None
+        prev = piv
+        piv_cols.append(c)
+        r += 1
+    echelon = [[_GZERO if x is None else GaussianInteger(*x) for x in a[k]] for k in range(r)]
+    return echelon, piv_cols
+
+
+def _dense_rows(rows, cols):
+    """Dict elimination rows as the reference's dense rows, None for zero."""
+    return [[row.get(j) for j in range(cols)] for row in rows]
+
+
+def _matches_dense(rows, cols):
+    """The sparse kernel's result on dict `rows`, after checking it against
+    the reference on a dense copy."""
+    expected = _dense_bareiss_echelon(_dense_rows(rows, cols), cols)
+    result = _bareiss_echelon(rows, cols)
+    assert result == expected
+    return result
+
+
+_gaussian_integers = st.one_of(
+    st.just(Q(0)), st.just(Q(0)), st.builds(Q, st.integers(-4, 4), st.integers(-4, 4))
+)
+
+
+@st.composite
+def gaussian_integer_matrices(draw):
+    """Gaussian-integer matrices up to 7 x 7, 0 x n and n x 0 included;
+    about half of the nonempty ones are products through a thinner inner
+    dimension, so rank-deficient, and some have a zero row or column.
+    Entries with an imaginary part make non-real pivots common."""
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+
+    def grid(r, c):
+        return ExactMatrix(r, c, draw(st.lists(
+            st.lists(_gaussian_integers, min_size=c, max_size=c), min_size=r, max_size=r
+        )))
+
+    if rows and cols and draw(st.booleans()):
+        inner = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        data = grid(rows, inner).matmul(grid(inner, cols)).row_list()
+    else:
+        data = grid(rows, cols).row_list()
+    if rows and draw(st.booleans()):
+        data[draw(st.integers(0, rows - 1))] = [Q(0)] * cols
+    if cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        data = [[Q(0) if k == j else x for k, x in enumerate(row)] for row in data]
+    return ExactMatrix(rows, cols, data)
+
+
+_NON_REAL_PIVOTS = ExactMatrix.from_rows(
+    [[Q(0, 1), Q(2), Q(1), Q(0)], [Q(1), Q(1, 1), Q(0, 3), Q(1)], [Q(1, 1), Q(3, 1), Q(2), Q(1, -1)]]
+)
+
+
+@given(gaussian_integer_matrices())
+@example(_NON_REAL_PIVOTS)
+@example(ExactMatrix(0, 3, []))
+@example(ExactMatrix(3, 0, [[], [], []]))
+@settings(deadline=None, max_examples=400)
+def test_sparse_bareiss_matches_the_dense_kernel(M):
+    _matches_dense(_integer_rows(M.row_list()), M.cols)
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: ce_cohomology(su3(), GModule.trivial(su3()), representatives=True),
+    lambda: bigraded_cohomology(
+        su3(), parse_span("span{X1-iY1, X2-iY2, X3-iY3}", su3()), representatives=True
+    ),
+    lambda: ce_cohomology(so(5), GModule.adjoint(so(5))),
+], ids=["su3-reps", "su3-cr-reps", "so5-adjoint"])
+def test_sparse_bareiss_matches_the_dense_kernel_on_every_engine_call(monkeypatch, compute):
+    # cohomology imports the kernel by name; linalg's own callers read it
+    # from the module
+    calls = []
+
+    def checked(rows, cols):
+        calls.append((len(rows), cols))
+        return _matches_dense(rows, cols)
+
+    monkeypatch.setattr(linalg, "_bareiss_echelon", checked)
+    monkeypatch.setattr(cohomology, "_bareiss_echelon", checked)
+    compute()
+    assert any(n and cols for n, cols in calls)
 
 
 # -- eigen-splitting ---------------------------------------------------------
